@@ -20,7 +20,7 @@ use std::rc::Rc;
 use harmony::classify::TaskClassifier;
 use harmony::controllers::{CbsController, QuotaScheduler, QuotaState};
 use harmony::{CbsObjective, DollarCosts};
-use harmony_bench::json::{object, write_bench_json};
+use harmony_bench::json::write_bench_json;
 use harmony_bench::{evaluation_setup, fmt, section, seed_from_env, table, Scale};
 use harmony_model::{EnergyPrice, MachineCatalog, PriorityGroup};
 use harmony_pricing::MarketPolicy;
@@ -78,7 +78,7 @@ fn main() {
             fmt(report.mean_active_machines()),
             fmt(report.delay_stats_overall().mean),
         ]);
-        json_rows.push(object(&[
+        json_rows.push(Value::object(&[
             ("sweep", Value::String("tariff".to_owned())),
             ("setting", Value::String(name.to_owned())),
             ("energy_kwh", Value::Number(report.total_energy_wh / 1000.0)),
@@ -141,7 +141,7 @@ fn main() {
             fmt(report.delay_stats_overall().mean),
             fmt(report.delay_stats_overall().p95),
         ]);
-        json_rows.push(object(&[
+        json_rows.push(Value::object(&[
             ("sweep", Value::String("market".to_owned())),
             ("setting", Value::String(market.name().to_owned())),
             ("energy_kwh", Value::Number(report.total_energy_wh / 1000.0)),
@@ -156,7 +156,7 @@ fn main() {
          pools; on-demand-only pays full rate for the same capacity)"
     );
 
-    let payload = object(&[
+    let payload = Value::object(&[
         ("name", Value::String("ablation_price".to_owned())),
         ("seed", Value::Number(seed_from_env() as f64)),
         ("rows", Value::Array(json_rows)),

@@ -29,7 +29,7 @@
 use harmony::classify::{ClassifierConfig, TaskClassifier};
 use harmony::pipeline::{run_variant_priced, Variant};
 use harmony::{CbsObjective, DollarCosts, HarmonyConfig};
-use harmony_bench::json::{object, write_bench_json};
+use harmony_bench::json::write_bench_json;
 use harmony_bench::{fmt, section, seed_from_env, table, Scale};
 use harmony_model::{
     MachineCatalog, MachineTypeId, PriorityGroup, SimDuration,
@@ -252,7 +252,7 @@ fn main() {
                     fmt(bill.prod_attainment),
                     fmt(report.total_energy_wh / 1000.0),
                 ]);
-                json_rows.push(object(&[
+                json_rows.push(Value::object(&[
                     ("scenario", Value::String(scenario.name.to_owned())),
                     ("variant", Value::String(variant.name().to_owned())),
                     ("objective", Value::String(objective.name().to_owned())),
@@ -349,7 +349,7 @@ fn main() {
         println!("repro check OK: spot-accel/CBS/dollars-spot is byte-identical across runs");
     }
 
-    let payload = object(&[
+    let payload = Value::object(&[
         ("name", Value::String("cost_matrix".to_owned())),
         ("scale", Value::String(scale.name().to_owned())),
         ("seed", Value::Number(seed as f64)),

@@ -13,7 +13,7 @@
 //! `results/BENCH_fault_scenarios.json` (see [`harmony_bench::json`]).
 
 use harmony::pipeline::{run_variant_with_faults, Variant};
-use harmony_bench::json::{self, object};
+use harmony_bench::json;
 use harmony_bench::{evaluation_setup, fmt, section, seed_from_env, table, Scale};
 use harmony_model::PriorityGroup;
 use harmony_sim::{FaultPlan, SCENARIOS};
@@ -63,7 +63,7 @@ fn main() {
 
             let prod = report.delay_stats(PriorityGroup::Production);
             let others = report.delay_stats(PriorityGroup::Other);
-            json_rows.push(object(&[
+            json_rows.push(Value::object(&[
                 ("scenario", Value::String(scenario.to_string())),
                 ("variant", Value::String(variant.name().to_owned())),
                 ("energy_kwh", Value::Number(report.total_energy_wh / 1000.0)),
@@ -112,7 +112,7 @@ fn main() {
         );
     }
 
-    let payload = object(&[
+    let payload = Value::object(&[
         ("bench", Value::String("fault_scenarios".to_owned())),
         ("scale", Value::String(scale.name().to_owned())),
         ("seed", Value::Number(seed_from_env() as f64)),

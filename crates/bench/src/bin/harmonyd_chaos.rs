@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use harmony::classify::{ClassifierConfig, TaskClassifier};
 use harmony::{HarmonyConfig, OnlinePipeline};
-use harmony_bench::json::{self, object};
+use harmony_bench::json;
 use harmony_bench::section;
 use harmony_model::SimDuration;
 use harmony_server::chaos::{flood, ChaosConfig, ChaosProxy};
@@ -288,13 +288,13 @@ fn main() {
         ms(watchdog_elapsed) / restarts as f64
     );
 
-    let payload = object(&[
+    let payload = Value::object(&[
         ("name", Value::String("harmonyd_chaos".to_owned())),
         ("quick", Value::Bool(quick)),
         ("seeds", Value::Number(seeds.len() as f64)),
         (
             "flood",
-            object(&[
+            Value::object(&[
                 ("attempted", Value::Number(attempted as f64)),
                 ("connected", Value::Number(connected as f64)),
                 ("responded", Value::Number(responded as f64)),
@@ -305,7 +305,7 @@ fn main() {
         ),
         (
             "shed",
-            object(&[
+            Value::object(&[
                 ("excess_connections", Value::Number(extra as f64)),
                 ("typed_responses", Value::Number(cap_shed as f64)),
                 ("shed_total", Value::Number(shed_total as f64)),
@@ -314,7 +314,7 @@ fn main() {
         ),
         (
             "deadlines",
-            object(&[
+            Value::object(&[
                 ("proxy_connected", Value::Number(proxy_connected as f64)),
                 ("proxy_responded", Value::Number(proxy_responded as f64)),
                 ("slow_loris_clients", Value::Number(loris as f64)),
@@ -324,7 +324,7 @@ fn main() {
         ),
         (
             "recovery",
-            object(&[
+            Value::object(&[
                 ("bitflip_load_ms", Value::Number(ms(bitflip_load))),
                 ("bitflip_rebuild_ms", Value::Number(ms(bitflip_rebuild))),
                 ("bitflip_events", Value::Number(bitflip_events as f64)),
@@ -334,7 +334,7 @@ fn main() {
         ),
         (
             "watchdog",
-            object(&[
+            Value::object(&[
                 ("restarts", Value::Number(restarts as f64)),
                 ("surviving_ticks", Value::Number(ticks as f64)),
                 ("elapsed_ms", Value::Number(ms(watchdog_elapsed))),

@@ -32,7 +32,7 @@ use harmony::cbs::{solve_cbs_relax_warm, CbsInputs};
 use harmony::classify::TaskClassifier;
 use harmony::containers::ContainerManager;
 use harmony::{HarmonyConfig, OnlinePipeline};
-use harmony_bench::json::{object, write_bench_json};
+use harmony_bench::json::write_bench_json;
 use harmony_bench::{evaluation_setup, fmt, section, table, Scale};
 use harmony_model::{EnergyPrice, Resources, SimTime, TaskClassId};
 use serde::value::Value;
@@ -526,7 +526,7 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(i, t)| {
-                object(&[
+                Value::object(&[
                     ("tick", Value::Number(i as f64)),
                     ("cold_pivots", Value::Number(t.cold_pivots as f64)),
                     ("warm_pivots", Value::Number(t.warm_pivots as f64)),
@@ -535,12 +535,12 @@ fn main() {
             })
             .collect(),
     );
-    let payload = object(&[
+    let payload = Value::object(&[
         ("name", Value::String("provisioning_perf".to_owned())),
         ("scale", Value::String(scale.name().to_owned())),
         (
             "lp",
-            object(&[
+            Value::object(&[
                 ("ticks", Value::Number(lp.ticks.len() as f64)),
                 ("cold_pivots_total", Value::Number(cold_total as f64)),
                 ("warm_pivots_total", Value::Number(warm_total as f64)),
@@ -552,7 +552,7 @@ fn main() {
         ),
         (
             "pipeline",
-            object(&[
+            Value::object(&[
                 ("ticks", Value::Number(pipe_ticks as f64)),
                 ("serial_seconds", Value::Number(serial_seconds)),
                 ("parallel_seconds", Value::Number(parallel_seconds)),
@@ -563,7 +563,7 @@ fn main() {
         ),
         (
             "scaling",
-            object(&[
+            Value::object(&[
                 ("control_period_seconds", Value::Number(period_secs)),
                 (
                     "points",
@@ -571,7 +571,7 @@ fn main() {
                         curve
                             .iter()
                             .map(|p| {
-                                object(&[
+                                Value::object(&[
                                     ("classes", Value::Number(p.classes as f64)),
                                     ("horizon", Value::Number(p.horizon as f64)),
                                     ("lp_vars", Value::Number(p.lp_vars as f64)),

@@ -312,7 +312,7 @@ fn record_events_per_sec(started: std::time::Instant) {
 /// table plus the simplex pivot counters, and writes the full snapshot
 /// to `results/BENCH_telemetry.json` (atomic tmp+rename).
 fn write_metrics_artifact() {
-    use harmony_bench::json::{object, write_bench_json};
+    use harmony_bench::json::write_bench_json;
     use serde::value::Value;
 
     let snapshot = harmony_telemetry::global().snapshot();
@@ -375,7 +375,7 @@ fn write_metrics_artifact() {
             .histograms
             .iter()
             .map(|h| {
-                object(&[
+                Value::object(&[
                     ("name", Value::String(h.name.clone())),
                     ("count", Value::Number(h.count as f64)),
                     ("sum_seconds", Value::Number(h.sum)),
@@ -386,7 +386,7 @@ fn write_metrics_artifact() {
             })
             .collect(),
     );
-    let payload = object(&[
+    let payload = Value::object(&[
         ("counters", counters),
         ("gauges", gauges),
         ("histograms", histograms),

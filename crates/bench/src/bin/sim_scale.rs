@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use harmony_bench::json::{object, write_bench_json};
+use harmony_bench::json::write_bench_json;
 use harmony_bench::{fmt, section, table, Scale};
 use harmony_model::{MachineCatalog, SimDuration};
 use harmony_sim::{EngineMode, FirstFit, SimReport, Simulation, SimulationConfig};
@@ -221,7 +221,7 @@ fn main() {
         points
             .iter()
             .map(|p| {
-                object(&[
+                Value::object(&[
                     ("machines", Value::Number(p.machines as f64)),
                     ("tasks", Value::Number(p.tasks as f64)),
                     ("events", Value::Number(p.reference.events as f64)),
@@ -236,7 +236,7 @@ fn main() {
             .collect(),
     );
     let paper_value = match &paper {
-        Some((tasks, run)) => object(&[
+        Some((tasks, run)) => Value::object(&[
             ("tasks", Value::Number(*tasks as f64)),
             ("machines", Value::Number(10_000.0)),
             ("events", Value::Number(run.events as f64)),
@@ -245,7 +245,7 @@ fn main() {
         ]),
         None => Value::Null,
     };
-    let payload = object(&[
+    let payload = Value::object(&[
         ("scale", Value::String(scale.name().to_owned())),
         ("curve", curve),
         ("paper", paper_value),

@@ -48,15 +48,6 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("results"))
 }
 
-/// Builds a JSON object from `(key, value)` pairs, in the given order.
-pub fn object(fields: &[(&str, Value)]) -> Value {
-    let mut map = std::collections::BTreeMap::new();
-    for (k, v) in fields {
-        map.insert((*k).to_owned(), v.clone());
-    }
-    Value::Object(map)
-}
-
 /// Stamps the provenance header (`schema_version`, `git_rev`) into a
 /// top-level JSON object. Existing keys are left untouched so a payload
 /// that pins its own provenance wins; non-object payloads pass through
@@ -108,7 +99,7 @@ mod tests {
         // results_dir(); emulate that here without mutating the global
         // process environment.
         std::fs::create_dir_all(&dir).unwrap();
-        let payload = object(&[
+        let payload = Value::object(&[
             ("answer", Value::Number(42.0)),
             ("name", Value::String("fault_scenarios".to_owned())),
         ]);
@@ -127,7 +118,7 @@ mod tests {
 
     #[test]
     fn header_stamp_never_overwrites_payload_keys() {
-        let mut v = object(&[
+        let mut v = Value::object(&[
             ("schema_version", Value::Number(1.0)),
             ("git_rev", Value::String("pinned".to_owned())),
         ]);

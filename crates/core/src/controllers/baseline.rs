@@ -2,7 +2,7 @@
 //! bottleneck resource at a target utilization (80%), bringing machines
 //! up "in decreasing order of energy efficiency".
 
-use harmony_model::{MachineTypeId, Resources, SimDuration};
+use harmony_model::{Resources, SimDuration};
 use harmony_sim::{ControlDecision, Controller, Observation};
 
 /// The baseline dynamic-capacity provisioner.
@@ -86,7 +86,6 @@ impl Controller for BaselineController {
             target[ty_id.0] = n;
             remaining = (remaining - per_machine * n as f64).max(Resources::ZERO);
         }
-        let _ = MachineTypeId(0);
         ControlDecision::targets(target)
     }
 }

@@ -1,4 +1,5 @@
-//! The HARMONY controller core and its two variants.
+//! The two HARMONY controllers for the simulator, adapters over
+//! `ControlLoop` (`control_loop.rs`).
 //!
 //! * **CBS** (Container-Based Scheduling, Section VII): provisioning and
 //!   scheduling are coordinated — the controller publishes container
@@ -12,45 +13,34 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use harmony_model::{EnergyPrice, MachineTypeId, Resources, SimDuration, TaskClassId};
-use harmony_sim::{
-    ControlDecision, Controller, DegradationEvent, DegradationKind, Observation,
+use harmony_model::{
+    EnergyPrice, MachineCatalog, MachineTypeId, Resources, SimDuration, TaskClassId,
 };
-use harmony_telemetry as telemetry;
+use harmony_sim::{ControlDecision, Controller, DegradationEvent, DegradationKind, Observation};
 
-use crate::cbs::{solve_cbs_relax_priced, CbsInputs, CbsObjective, CbsPlan};
+use crate::cbs::CbsObjective;
 use crate::classify::TaskClassifier;
-use crate::containers::ContainerManager;
-use crate::monitor::ArrivalMonitor;
-use crate::rounding::{round_first_step, IntegerPlan};
+use crate::control_loop::{ControlLoop, PeriodInputs};
+use crate::rounding::IntegerPlan;
 use crate::{HarmonyConfig, HarmonyError};
 
 use super::quota::QuotaState;
 
-/// The shared HARMONY control pipeline: monitor → predict → containers →
-/// CBS-RELAX → rounding.
+/// The CBP controller: HARMONY provisioning with the stock scheduler.
+///
+/// The simulator's adapter over `ControlLoop`, which CBS builds on: it
+/// reads the period's inputs off the [`Observation`] and supplies the
+/// ladder's last rungs (greedy sizing, then hold).
 #[derive(Debug)]
-pub struct HarmonyCore {
-    config: HarmonyConfig,
+pub struct CbpController {
+    /// Shared with the [`super::QuotaScheduler`] under CBS.
     classifier: Rc<TaskClassifier>,
-    manager: ContainerManager,
-    monitor: ArrivalMonitor,
-    price: EnergyPrice,
-    objective: CbsObjective,
-    errors: usize,
-    /// The last successfully-solved integer plan, re-actuated when a
-    /// solve fails (the ladder's first rung).
-    last_plan: Option<IntegerPlan>,
-    /// The previous period's optimal simplex basis; warm-starts the next
-    /// CBS-RELAX solve. Cleared on solve failure so a corrupted state
-    /// can never linger past one tick.
-    lp_basis: Option<harmony_lp::Basis>,
-    /// Degradations accumulated since the engine last drained them.
-    degradations: Vec<DegradationEvent>,
+    control: ControlLoop,
 }
 
-impl HarmonyCore {
-    /// Builds the pipeline from a fitted classifier.
+impl CbpController {
+    /// Builds the CBP controller; pair it with any stock
+    /// [`harmony_sim::Scheduler`] (the paper's deployable configuration).
     ///
     /// # Errors
     ///
@@ -60,62 +50,23 @@ impl HarmonyCore {
         config: HarmonyConfig,
         price: EnergyPrice,
     ) -> Result<Self, HarmonyError> {
-        config.validate()?;
-        let manager = ContainerManager::new(&classifier, &config)?;
-        let monitor = ArrivalMonitor::new(
-            classifier.classes().len(),
-            config.control_period,
-            config.history_len,
-            config.arima_min_history,
-        );
-        Ok(HarmonyCore {
-            config,
-            classifier,
-            manager,
-            monitor,
-            price,
-            objective: CbsObjective::Energy,
-            errors: 0,
-            last_plan: None,
-            lp_basis: None,
-            degradations: Vec::new(),
-        })
+        let control = ControlLoop::new(&classifier, config, price)?;
+        Ok(CbpController { classifier, control })
     }
 
-    /// Swaps the CBS-RELAX objective (default:
-    /// [`CbsObjective::Energy`]). Drops any carried warm-start basis —
-    /// the dollar objective builds a different LP.
-    pub fn set_objective(&mut self, objective: CbsObjective) {
-        self.objective = objective;
-        self.lp_basis = None;
-    }
-
-    /// The objective in effect.
-    pub fn objective(&self) -> &CbsObjective {
-        &self.objective
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &HarmonyConfig {
-        &self.config
-    }
-
-    /// How many control periods failed the full pipeline and took a
-    /// degradation rung instead.
-    pub fn error_count(&self) -> usize {
-        self.errors
-    }
-
-    /// Drains the degradation events accumulated since the last call.
-    pub fn take_degradations(&mut self) -> Vec<DegradationEvent> {
-        std::mem::take(&mut self.degradations)
+    /// Provisions under `objective` instead of the default energy
+    /// objective.
+    #[must_use]
+    pub fn with_objective(mut self, objective: CbsObjective) -> Self {
+        self.control.set_objective(objective);
+        self
     }
 
     /// Containers currently occupied per class. Labels use measured
     /// running time, exercising the short→long relabeling path of
     /// Section V.
-    pub fn occupied_per_class(&self, observation: &Observation<'_>) -> Vec<f64> {
-        let mut occupied = vec![0.0f64; self.manager.n_classes()];
+    fn occupied_per_class(&self, observation: &Observation<'_>) -> Vec<f64> {
+        let mut occupied = vec![0.0f64; self.control.manager().n_classes()];
         for task in observation.running {
             let running_for = observation.now.saturating_since(task.arrival);
             occupied[self.classifier.relabel(task, running_for).0] += 1.0;
@@ -125,10 +76,10 @@ impl HarmonyCore {
 
     /// Machine-type preference order per class: compatible types sorted
     /// by the marginal energy cost of hosting one container.
-    fn type_orders(&self, catalog: &harmony_model::MachineCatalog) -> Vec<Vec<MachineTypeId>> {
-        (0..self.manager.n_classes())
+    fn type_orders(&self, catalog: &MachineCatalog) -> Vec<Vec<MachineTypeId>> {
+        (0..self.control.manager().n_classes())
             .map(|n| {
-                let size = self.manager.container_size(harmony_model::TaskClassId(n));
+                let size = self.control.manager().container_size(TaskClassId(n));
                 let mut types: Vec<(MachineTypeId, f64)> = catalog
                     .iter()
                     .filter(|ty| size.fits_within(ty.capacity))
@@ -145,162 +96,52 @@ impl HarmonyCore {
             .collect()
     }
 
-    /// One control step. Returns the fractional plan and its rounding.
-    fn step(
-        &mut self,
-        observation: &Observation<'_>,
-    ) -> Result<(CbsPlan, IntegerPlan), HarmonyError> {
-        let registry = telemetry::global();
-        registry.counter("pipeline.ticks").inc();
-        // The guard records the whole period even when a stage errors out.
-        let _period_span = registry.timer("pipeline.period_seconds");
-
-        let span = registry.timer("pipeline.classify_seconds");
-        self.monitor.record_period(observation.arrived_last_period, &self.classifier);
-        drop(span);
-
-        // Per-class forecast and sizing are pure per class; fan them out
-        // over scoped workers. Plans are bit-identical for every worker
-        // count (deterministic class-order merge).
-        let workers =
-            crate::par::effective_workers(self.config.pipeline_workers, self.manager.n_classes());
-        registry.gauge("pipeline.workers").set(workers as f64);
-
-        let span = registry.timer("pipeline.forecast_seconds");
-        let tiered = self.monitor.forecast_tiered_with_workers(self.config.horizon, workers);
-        drop(span);
-        for (n, class_fc) in tiered.iter().enumerate() {
-            if let Some(reason) = &class_fc.degraded {
-                self.degradations.push(DegradationEvent {
-                    at: observation.now,
-                    kind: DegradationKind::ForecastFallback { class: n, tier: class_fc.tier },
-                    detail: reason.clone(),
-                });
-            }
-        }
-        let rates: Vec<Vec<f64>> = tiered.into_iter().map(|c| c.rates).collect();
-
-        let sizing_span = registry.timer("pipeline.sizing_seconds");
-        // Pending backlog per class: must be served *now*, on top of the
-        // predicted new arrivals.
-        let mut backlog = vec![0.0f64; self.manager.n_classes()];
-        for task in observation.pending {
-            backlog[self.classifier.initial_label(task).0] += 1.0;
-        }
-        // Occupied containers: tasks already executing keep their
-        // container (and their host powered) until they finish. Their
-        // true demand is known (they are placed), so they reserve at the
-        // class mean rather than the Z-inflated container size: scale
-        // the occupied count by mean/container per class.
-        let occupied_raw = self.occupied_per_class(observation);
-        let occupied: Vec<f64> = occupied_raw
+    /// One period's plan, walking the degradation ladder on failure:
+    /// full pipeline → previous plan (both `ControlLoop::run_period`) →
+    /// greedy per-class sizing → hold (`None`). Also returns the
+    /// per-class occupancy the plan was made against.
+    fn plan(&mut self, observation: &Observation<'_>) -> (Option<IntegerPlan>, Vec<f64>) {
+        let occupied = self.occupied_per_class(observation);
+        // Tasks already executing keep their container (and their host
+        // powered) until they finish. Their true demand is known (they
+        // are placed), so they reserve at the class mean rather than the
+        // Z-inflated container size: scale the occupied count by
+        // mean/container per class.
+        let reserved = occupied
             .iter()
             .enumerate()
             .map(|(n, &count)| {
                 let class = &self.classifier.classes()[n];
-                let c = self.manager.container_size(harmony_model::TaskClassId(n));
+                let c = self.control.manager().container_size(TaskClassId(n));
                 let ratio = (class.stats.mean_demand.cpu / c.cpu.max(1e-12))
                     .max(class.stats.mean_demand.mem / c.mem.max(1e-12))
                     .clamp(0.0, 1.0);
                 count * ratio
             })
             .collect();
-
-        let counts = self.manager.containers_for_rates(&rates, workers)?;
-        let mut demand = vec![vec![0.0f64; self.manager.n_classes()]; self.config.horizon];
-        for n in 0..self.manager.n_classes() {
-            for (t, row) in demand.iter_mut().enumerate() {
-                // Occupied containers persist across the horizon (the LP
-                // may not power their hosts down; in the simulator busy
-                // machines cannot be powered off either). Backlog needs
-                // capacity from the first period on.
-                row[n] = counts[n][t] + occupied[n] + backlog[n];
-            }
-        }
-        drop(sizing_span);
-
-        let container_sizes: Vec<harmony_model::Resources> = (0..self.manager.n_classes())
-            .map(|n| self.manager.container_size(harmony_model::TaskClassId(n)))
-            .collect();
-        let utility: Vec<f64> = self
-            .classifier
-            .classes()
-            .iter()
-            .map(|c| self.config.utility_for(c.group))
-            .collect();
-        let initial: Vec<f64> = observation
-            .cluster
-            .active_per_type()
-            .into_iter()
-            .map(|n| n as f64)
-            .collect();
-        let lp_span = registry.timer("pipeline.lp_seconds");
-        let solve = solve_cbs_relax_priced(
-            &CbsInputs {
-                catalog: observation.cluster.catalog(),
-                container_sizes: &container_sizes,
-                utility_per_hour: &utility,
-                demand: &demand,
-                initial_active: &initial,
-                price: &self.price,
-                now: observation.now,
-            },
-            &self.config,
-            &self.objective,
-            self.lp_basis.as_ref(),
-        )?;
-        drop(lp_span);
-        // Carry the optimal basis into the next tick's solve.
-        self.lp_basis = Some(solve.basis);
-        let plan = solve.plan;
-        let integer = registry.time("pipeline.rounding_seconds", || {
-            round_first_step(&plan, observation.cluster.catalog(), &container_sizes)
+        let active = observation.cluster.active_per_type();
+        let period = self.control.run_period(&PeriodInputs {
+            now: observation.now,
+            classifier: &self.classifier,
+            catalog: observation.cluster.catalog(),
+            arrived: observation.arrived_last_period,
+            pending: observation.pending,
+            initial_active: active.into_iter().map(|n| n as f64).collect(),
+            occupied: reserved,
         });
-        Ok((plan, integer))
-    }
-
-    /// One decision, walking the degradation ladder on failure:
-    /// full pipeline → previous plan → greedy per-class sizing → hold.
-    fn decide_or_hold(
-        &mut self,
-        observation: &Observation<'_>,
-    ) -> (ControlDecision, Option<IntegerPlan>) {
-        match self.step(observation) {
-            Ok((_plan, integer)) => {
-                self.last_plan = Some(integer.clone());
-                (ControlDecision::targets(integer.machines.clone()), Some(integer))
-            }
+        let plan = match period {
+            Ok(period) => Some(period.plan),
             Err(err) => {
-                self.errors += 1;
-                // A failed solve may leave the carried basis stale
-                // relative to whatever changed; force the next tick cold.
-                self.lp_basis = None;
-                telemetry::global().counter("pipeline.errors").inc();
-                if let Some(prev) = self.last_plan.clone() {
-                    self.degrade(observation, DegradationKind::LpReusedPreviousPlan, &err);
-                    (ControlDecision::targets(prev.machines.clone()), Some(prev))
-                } else if let Some(greedy) = self.greedy_plan(observation) {
-                    self.degrade(observation, DegradationKind::LpGreedyFallback, &err);
-                    (ControlDecision::targets(greedy.machines.clone()), Some(greedy))
-                } else {
-                    self.degrade(observation, DegradationKind::ControlHold, &err);
-                    (ControlDecision::unchanged(observation.cluster), None)
-                }
+                let greedy = self.greedy_plan(observation, &occupied);
+                let rung = match greedy {
+                    Some(_) => DegradationKind::LpGreedyFallback,
+                    None => DegradationKind::ControlHold,
+                };
+                self.control.degrade(observation.now, rung, &err);
+                greedy
             }
-        }
-    }
-
-    fn degrade(
-        &mut self,
-        observation: &Observation<'_>,
-        kind: DegradationKind,
-        err: &HarmonyError,
-    ) {
-        self.degradations.push(DegradationEvent {
-            at: observation.now,
-            kind,
-            detail: err.to_string(),
-        });
+        };
+        (plan, occupied)
     }
 
     /// Emergency sizing for when the LP fails with no previous plan to
@@ -314,16 +155,17 @@ impl HarmonyCore {
     ///
     /// Returns `None` (→ hold) only when some class with demand cannot
     /// be hosted at all.
-    fn greedy_plan(&self, observation: &Observation<'_>) -> Option<IntegerPlan> {
+    fn greedy_plan(
+        &self,
+        observation: &Observation<'_>,
+        occupied: &[f64],
+    ) -> Option<IntegerPlan> {
         let catalog = observation.cluster.catalog();
-        let n_classes = self.manager.n_classes();
-        let mut need = vec![0usize; n_classes];
+        let n_classes = self.control.manager().n_classes();
+        // `occupied` holds whole-task counts.
+        let mut need: Vec<usize> = occupied.iter().map(|&count| count as usize).collect();
         for task in observation.pending {
             need[self.classifier.initial_label(task).0] += 1;
-        }
-        for task in observation.running {
-            let running_for = observation.now.saturating_since(task.arrival);
-            need[self.classifier.relabel(task, running_for).0] += 1;
         }
         let orders = self.type_orders(catalog);
         // Most-constrained classes first; within a constraint level,
@@ -331,8 +173,8 @@ impl HarmonyCore {
         let mut class_order: Vec<usize> = (0..n_classes).collect();
         class_order.sort_by(|&a, &b| {
             orders[a].len().cmp(&orders[b].len()).then(f64::total_cmp(
-                &self.manager.container_size(TaskClassId(b)).sum_components(),
-                &self.manager.container_size(TaskClassId(a)).sum_components(),
+                &self.control.manager().container_size(TaskClassId(b)).sum_components(),
+                &self.control.manager().container_size(TaskClassId(a)).sum_components(),
             ))
         });
         // Free space of machines opened so far, per type.
@@ -342,7 +184,7 @@ impl HarmonyCore {
             if need[n] == 0 {
                 continue;
             }
-            let size = self.manager.container_size(TaskClassId(n));
+            let size = self.control.manager().container_size(TaskClassId(n));
             let mut remaining = need[n];
             'types: for &ty in &orders[n] {
                 // Fill leftover room on machines other classes opened.
@@ -386,11 +228,28 @@ impl HarmonyCore {
     }
 }
 
-/// The CBS controller: HARMONY provisioning + quota-coordinated
+impl Controller for CbpController {
+    fn control_period(&self) -> SimDuration {
+        self.control.config().control_period
+    }
+
+    fn decide(&mut self, observation: &Observation<'_>) -> ControlDecision {
+        match self.plan(observation).0 {
+            Some(plan) => ControlDecision::targets(plan.machines),
+            None => ControlDecision::unchanged(observation.cluster),
+        }
+    }
+
+    fn take_degradations(&mut self) -> Vec<DegradationEvent> {
+        std::mem::take(&mut self.control.degradations)
+    }
+}
+
+/// The CBS controller: CBP's provisioning + quota-coordinated
 /// scheduling.
 #[derive(Debug)]
 pub struct CbsController {
-    core: HarmonyCore,
+    provisioner: CbpController,
     quota: Rc<RefCell<QuotaState>>,
 }
 
@@ -401,127 +260,68 @@ impl CbsController {
     ///
     /// # Errors
     ///
-    /// See [`HarmonyCore::new`].
+    /// Propagates configuration validation and container-sizing errors.
     pub fn new(
         classifier: Rc<TaskClassifier>,
         config: HarmonyConfig,
         price: EnergyPrice,
         quota: Rc<RefCell<QuotaState>>,
     ) -> Result<Self, HarmonyError> {
-        Ok(CbsController { core: HarmonyCore::new(classifier, config, price)?, quota })
+        Ok(CbsController { provisioner: CbpController::new(classifier, config, price)?, quota })
     }
 
     /// Provisions under `objective` instead of the default energy
     /// objective.
     #[must_use]
     pub fn with_objective(mut self, objective: CbsObjective) -> Self {
-        self.core.set_objective(objective);
+        self.provisioner = self.provisioner.with_objective(objective);
         self
-    }
-
-    /// The shared pipeline (for inspection in tests/benches).
-    pub fn core(&self) -> &HarmonyCore {
-        &self.core
     }
 }
 
 impl Controller for CbsController {
     fn control_period(&self) -> SimDuration {
-        self.core.config.control_period
+        self.provisioner.control_period()
     }
 
     fn decide(&mut self, observation: &Observation<'_>) -> ControlDecision {
-        let (mut decision, integer) = self.core.decide_or_hold(observation);
-        if let Some(integer) = integer {
-            let orders = self.core.type_orders(observation.cluster.catalog());
-            // Authoritative occupancy (with short→long relabeling) keeps
-            // the ledger consistent with the plan's demand accounting.
-            let occupied = self.core.occupied_per_class(observation);
-            self.quota.borrow_mut().refresh(integer.quotas, orders, &occupied);
-            // CBS owns the scheduler, so it may also re-pack running
-            // containers to drain machines (Algorithm 1, lines 10-11).
-            decision.repack = true;
-        }
-        decision
+        let (plan, occupied) = self.provisioner.plan(observation);
+        let Some(plan) = plan else { return ControlDecision::unchanged(observation.cluster) };
+        let orders = self.provisioner.type_orders(observation.cluster.catalog());
+        // The occupancy the plan's demand was counted against (with
+        // short→long relabeling) keeps the ledger consistent with it.
+        self.quota.borrow_mut().refresh(plan.quotas, orders, &occupied);
+        // CBS owns the scheduler, so it may also re-pack running
+        // containers to drain machines (Algorithm 1, lines 10-11).
+        ControlDecision::targets_with_repack(plan.machines)
     }
 
     fn take_degradations(&mut self) -> Vec<DegradationEvent> {
-        self.core.take_degradations()
-    }
-}
-
-/// The CBP controller: HARMONY provisioning with the stock scheduler.
-#[derive(Debug)]
-pub struct CbpController {
-    core: HarmonyCore,
-}
-
-impl CbpController {
-    /// Builds the CBP controller; pair it with any stock
-    /// [`harmony_sim::Scheduler`] (the paper's deployable configuration).
-    ///
-    /// # Errors
-    ///
-    /// See [`HarmonyCore::new`].
-    pub fn new(
-        classifier: Rc<TaskClassifier>,
-        config: HarmonyConfig,
-        price: EnergyPrice,
-    ) -> Result<Self, HarmonyError> {
-        Ok(CbpController { core: HarmonyCore::new(classifier, config, price)? })
-    }
-
-    /// Provisions under `objective` instead of the default energy
-    /// objective.
-    #[must_use]
-    pub fn with_objective(mut self, objective: CbsObjective) -> Self {
-        self.core.set_objective(objective);
-        self
-    }
-
-    /// The shared pipeline (for inspection in tests/benches).
-    pub fn core(&self) -> &HarmonyCore {
-        &self.core
-    }
-}
-
-impl Controller for CbpController {
-    fn control_period(&self) -> SimDuration {
-        self.core.config.control_period
-    }
-
-    fn decide(&mut self, observation: &Observation<'_>) -> ControlDecision {
-        self.core.decide_or_hold(observation).0
-    }
-
-    fn take_degradations(&mut self) -> Vec<DegradationEvent> {
-        self.core.take_degradations()
+        self.provisioner.take_degradations()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::{ClassifierConfig, TaskClassifier};
-    use harmony_model::{MachineCatalog, SimTime};
+    use harmony_model::{SimTime, Task};
     use harmony_sim::{Cluster, TaskView};
-    use harmony_trace::{TraceConfig, TraceGenerator};
 
     fn fixture() -> (Rc<TaskClassifier>, harmony_trace::Trace, HarmonyConfig) {
-        let trace = TraceGenerator::new(TraceConfig::small().with_seed(33)).generate();
-        let classifier = Rc::new(
-            TaskClassifier::fit(
-                trace.tasks(),
-                &ClassifierConfig { k_per_group: Some([2, 2, 2]), ..Default::default() },
-            )
-            .unwrap(),
-        );
-        let config = HarmonyConfig {
-            horizon: 2,
-            control_period: SimDuration::from_mins(10.0),
-            ..Default::default()
-        };
-        (classifier, trace, config)
+        let (classifier, trace, config) = crate::control_loop::small_fixture();
+        (Rc::new(classifier), trace, config)
+    }
+
+    /// `tasks` as both the last period's arrivals and the backlog, with
+    /// nothing running, at the start of 10-minute period `period`.
+    fn observe<'a>(cluster: &'a Cluster, tasks: &'a [Task], period: usize) -> Observation<'a> {
+        Observation {
+            now: SimTime::from_secs(600.0 * period as f64),
+            cluster,
+            pending: TaskView::dense(tasks),
+            arrived_last_period: TaskView::dense(tasks),
+            running: TaskView::default(),
+        }
     }
 
     #[test]
@@ -530,18 +330,12 @@ mod tests {
         let mut ctl =
             CbpController::new(classifier, config, EnergyPrice::default()).unwrap();
         let cluster = Cluster::new(MachineCatalog::table2().scaled(100));
-        let arrived: Vec<_> = trace.tasks()[..300].to_vec();
-        let decision = ctl.decide(&Observation {
-            now: SimTime::ZERO,
-            cluster: &cluster,
-            pending: TaskView::dense(&arrived),
-            arrived_last_period: TaskView::dense(&arrived),
-            running: TaskView::default(),
-        });
+        let arrived = &trace.tasks()[..300];
+        let decision = ctl.decide(&observe(&cluster, arrived, 0));
         assert_eq!(decision.target_active.len(), 4);
         let total: usize = decision.target_active.iter().sum();
         assert!(total > 0, "pending demand must bring machines up: {decision:?}");
-        assert_eq!(ctl.core().error_count(), 0);
+        assert_eq!(ctl.control.errors, 0);
     }
 
     #[test]
@@ -556,44 +350,13 @@ mod tests {
         )
         .unwrap();
         let cluster = Cluster::new(MachineCatalog::table2().scaled(100));
-        let arrived: Vec<_> = trace.tasks()[..300].to_vec();
-        let _ = ctl.decide(&Observation {
-            now: SimTime::ZERO,
-            cluster: &cluster,
-            pending: TaskView::dense(&arrived),
-            arrived_last_period: TaskView::dense(&arrived),
-            running: TaskView::default(),
-        });
+        let arrived = &trace.tasks()[..300];
+        let decision = ctl.decide(&observe(&cluster, arrived, 0));
+        assert!(decision.repack, "CBS owns the scheduler and may re-pack");
         // Some class has quota somewhere.
         let state = quota.borrow();
         let any = (0..classifier.classes().len()).any(|n| state.remaining(n) > 0.0);
         assert!(any, "CBS must publish nonzero quotas");
-    }
-
-    #[test]
-    fn idle_cluster_with_no_arrivals_scales_down() {
-        let (classifier, _, config) = fixture();
-        let mut ctl =
-            CbpController::new(classifier, config, EnergyPrice::default()).unwrap();
-        let mut cluster = Cluster::new(MachineCatalog::table2().scaled(100));
-        let (ids, ready) = cluster.power_on(MachineTypeId(0), 20, SimTime::ZERO);
-        for id in ids {
-            cluster.boot_complete(id, ready);
-        }
-        // Several empty periods: capacity should fall toward zero.
-        let mut last_total = 20;
-        for i in 0..4 {
-            let decision = ctl.decide(&Observation {
-                now: SimTime::from_secs(600.0 * i as f64),
-                cluster: &cluster,
-                pending: TaskView::default(),
-                arrived_last_period: TaskView::default(),
-                running: TaskView::default(),
-            });
-            last_total = decision.target_active.iter().sum();
-        }
-        assert!(last_total <= 2, "idle cluster should power down, got {last_total}");
-        assert_eq!(ctl.core().error_count(), 0);
     }
 
     #[test]
@@ -604,16 +367,9 @@ mod tests {
         config.max_lp_pivots = 1;
         let mut ctl = CbpController::new(classifier, config, EnergyPrice::default()).unwrap();
         let cluster = Cluster::new(MachineCatalog::table2().scaled(100));
-        let arrived: Vec<_> = trace.tasks()[..300].to_vec();
-        let obs = Observation {
-            now: SimTime::ZERO,
-            cluster: &cluster,
-            pending: TaskView::dense(&arrived),
-            arrived_last_period: TaskView::dense(&arrived),
-            running: TaskView::default(),
-        };
+        let arrived = &trace.tasks()[..300];
         // No previous plan: greedy per-class sizing.
-        let decision = ctl.decide(&obs);
+        let decision = ctl.decide(&observe(&cluster, arrived, 0));
         let degradations = ctl.take_degradations();
         assert!(
             degradations
@@ -623,47 +379,9 @@ mod tests {
         );
         let total: usize = decision.target_active.iter().sum();
         assert!(total > 0, "greedy fallback must still provision for backlog");
-        assert!(ctl.core().error_count() >= 1);
+        assert!(ctl.control.errors >= 1);
         // Drained: a second take returns nothing new without a decide.
         assert!(ctl.take_degradations().is_empty());
-    }
-
-    #[test]
-    fn lp_failure_reuses_previous_plan_when_available() {
-        let (classifier, trace, config) = fixture();
-        let mut ctl = CbpController::new(classifier, config, EnergyPrice::default()).unwrap();
-        let cluster = Cluster::new(MachineCatalog::table2().scaled(100));
-        let arrived: Vec<_> = trace.tasks()[..300].to_vec();
-        // First tick succeeds and caches a plan.
-        let first = ctl.decide(&Observation {
-            now: SimTime::ZERO,
-            cluster: &cluster,
-            pending: TaskView::dense(&arrived),
-            arrived_last_period: TaskView::dense(&arrived),
-            running: TaskView::default(),
-        });
-        assert_eq!(ctl.core().error_count(), 0);
-        let _ = ctl.take_degradations();
-        // Cripple the solver for the second tick. The carried warm basis
-        // would let the near-identical re-solve finish in zero pivots, so
-        // drop it to force the cold path into the crippled budget.
-        ctl.core.lp_basis = None;
-        ctl.core.config.max_lp_pivots = 1;
-        let second = ctl.decide(&Observation {
-            now: SimTime::from_secs(600.0),
-            cluster: &cluster,
-            pending: TaskView::dense(&arrived),
-            arrived_last_period: TaskView::dense(&arrived),
-            running: TaskView::default(),
-        });
-        let degradations = ctl.take_degradations();
-        assert!(
-            degradations
-                .iter()
-                .any(|d| matches!(d.kind, DegradationKind::LpReusedPreviousPlan)),
-            "expected plan reuse, got {degradations:?}"
-        );
-        assert_eq!(second.target_active, first.target_active, "reused plan re-actuates");
     }
 
     #[test]
@@ -681,53 +399,15 @@ mod tests {
             for i in 0..4 {
                 let lo = (i * 150).min(trace.len());
                 let hi = ((i + 1) * 150).min(trace.len());
-                let chunk: Vec<_> = trace.tasks()[lo..hi].to_vec();
-                decisions.push(ctl.decide(&Observation {
-                    now: SimTime::from_secs(600.0 * i as f64),
-                    cluster: &cluster,
-                    pending: TaskView::dense(&chunk),
-                    arrived_last_period: TaskView::dense(&chunk),
-                    running: TaskView::default(),
-                }));
+                decisions.push(ctl.decide(&observe(&cluster, &trace.tasks()[lo..hi], i)));
             }
-            assert_eq!(ctl.core().error_count(), 0);
+            assert_eq!(ctl.control.errors, 0);
             decisions
         };
         let serial = run(Some(1));
         for workers in [Some(2), Some(4), None] {
             assert_eq!(run(workers), serial, "workers={workers:?}");
         }
-    }
-
-    #[test]
-    fn warm_basis_is_carried_and_cleared_on_failure() {
-        let (classifier, trace, config) = fixture();
-        let mut ctl = CbpController::new(classifier, config, EnergyPrice::default()).unwrap();
-        let cluster = Cluster::new(MachineCatalog::table2().scaled(100));
-        let arrived: Vec<_> = trace.tasks()[..300].to_vec();
-        let obs = |i: usize| Observation {
-            now: SimTime::from_secs(600.0 * i as f64),
-            cluster: &cluster,
-            pending: TaskView::dense(&arrived),
-            arrived_last_period: TaskView::dense(&arrived),
-            running: TaskView::default(),
-        };
-        assert!(ctl.core().lp_basis.is_none());
-        let _ = ctl.decide(&obs(0));
-        assert!(ctl.core().lp_basis.is_some(), "a successful solve must carry its basis");
-        // Swap in a stale basis from an unrelated tiny LP, then cripple
-        // the pivot budget: the warm install rejects the mismatched
-        // shape, the cold fallback hits the budget and fails, and the
-        // failure must clear the carried basis instead of keeping the
-        // stale one around.
-        let mut tiny = harmony_lp::Problem::new(harmony_lp::Sense::Minimize);
-        let x = tiny.add_var("x", 0.0, f64::INFINITY, 1.0);
-        tiny.add_ge(vec![(x, 1.0)], 1.0);
-        let stale = tiny.solve().unwrap().basis().clone();
-        ctl.core.lp_basis = Some(stale);
-        ctl.core.config.max_lp_pivots = 1;
-        let _ = ctl.decide(&obs(1));
-        assert!(ctl.core().lp_basis.is_none(), "a failed solve must drop the basis");
     }
 
     #[test]

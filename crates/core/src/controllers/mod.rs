@@ -7,5 +7,5 @@ mod harmony_ctl;
 mod quota;
 
 pub use baseline::BaselineController;
-pub use harmony_ctl::{CbpController, CbsController, HarmonyCore};
+pub use harmony_ctl::{CbpController, CbsController};
 pub use quota::{QuotaScheduler, QuotaState};

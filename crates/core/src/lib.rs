@@ -56,6 +56,7 @@ pub mod cbs;
 pub mod classify;
 pub mod config;
 pub mod containers;
+mod control_loop;
 pub mod controllers;
 mod error;
 pub mod monitor;

@@ -1,13 +1,13 @@
 //! The incremental (online) HARMONY pipeline behind `harmonyd`.
 //!
 //! [`crate::pipeline`] wires the controllers into the discrete-event
-//! simulator for batch replays; this module exposes the same monitor →
-//! forecast → size → CBS-RELAX → round loop as a long-lived object that
-//! is fed one control period of observations at a time — the shape a
-//! real cluster manager (or the provisioning daemon) consumes. Unlike
-//! the simulator controllers it holds no cluster reference: the previous
-//! integer plan stands in for "machines currently active", which is
-//! exactly what the daemon actuated last period.
+//! simulator for batch replays; this module feeds the same
+//! `ControlLoop` (`control_loop.rs`) one control period of
+//! observations at a time — the shape a real cluster manager (or the
+//! provisioning daemon) consumes. Unlike the simulator controllers it
+//! holds no cluster reference: the previous integer plan stands in for
+//! "machines currently active", which is exactly what the daemon
+//! actuated last period.
 //!
 //! The pipeline's mutable state is small and fully serializable
 //! ([`OnlineState`]): arrival histories, the previous plan, the tick
@@ -19,18 +19,16 @@
 //! have produced, which the server crate's end-to-end test asserts
 //! through a `kill -9`.
 
-use std::collections::BTreeMap;
-
-use harmony_model::{EnergyPrice, MachineCatalog, Resources, SimTime, Task, TaskClassId};
-use harmony_sim::{DegradationEvent, DegradationKind};
+use harmony_model::{EnergyPrice, MachineCatalog, SimTime, Task};
+use harmony_sim::{DegradationEvent, DegradationKind, TaskView};
 use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
 
-use crate::cbs::{solve_cbs_relax_priced, CbsInputs, CbsObjective};
+use crate::cbs::CbsObjective;
 use crate::classify::TaskClassifier;
-use crate::containers::ContainerManager;
-use crate::monitor::{ArrivalMonitor, ClassForecast};
-use crate::rounding::{round_first_step, IntegerPlan};
+use crate::control_loop::{ControlLoop, PeriodInputs};
+use crate::monitor::ClassForecast;
+use crate::rounding::IntegerPlan;
 use crate::{HarmonyConfig, HarmonyError};
 
 /// The serializable mutable state of an [`OnlinePipeline`] — everything
@@ -63,15 +61,15 @@ pub struct OnlineState {
 
 impl Serialize for OnlineState {
     fn to_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("ticks".to_owned(), self.ticks.to_value());
-        map.insert("errors".to_owned(), self.errors.to_value());
-        map.insert("histories".to_owned(), self.histories.to_value());
-        map.insert("last_plan".to_owned(), self.last_plan.to_value());
-        map.insert("pending_events".to_owned(), self.pending_events.to_value());
-        map.insert("lp_basis".to_owned(), self.lp_basis.to_value());
-        map.insert("cost_dollars".to_owned(), self.cost_dollars.to_value());
-        Value::Object(map)
+        Value::object(&[
+            ("ticks", self.ticks.to_value()),
+            ("errors", self.errors.to_value()),
+            ("histories", self.histories.to_value()),
+            ("last_plan", self.last_plan.to_value()),
+            ("pending_events", self.pending_events.to_value()),
+            ("lp_basis", self.lp_basis.to_value()),
+            ("cost_dollars", self.cost_dollars.to_value()),
+        ])
     }
 }
 
@@ -98,23 +96,14 @@ impl Deserialize for OnlineState {
 }
 
 /// The long-lived online control pipeline: one [`OnlinePipeline::tick`]
-/// per control period.
+/// per control period. The daemon's adapter over `ControlLoop`: it owns
+/// the classifier and catalog, keeps the clock, accrues dollar spend.
 #[derive(Debug)]
 pub struct OnlinePipeline {
     classifier: TaskClassifier,
     catalog: MachineCatalog,
-    config: HarmonyConfig,
-    price: EnergyPrice,
-    objective: CbsObjective,
-    manager: ContainerManager,
-    monitor: ArrivalMonitor,
-    last_plan: Option<IntegerPlan>,
-    /// Previous period's optimal simplex basis (warm-starts the next
-    /// CBS-RELAX solve; checkpointed in [`OnlineState`]).
-    lp_basis: Option<harmony_lp::Basis>,
+    control: ControlLoop,
     ticks: u64,
-    errors: usize,
-    degradations: Vec<DegradationEvent>,
     /// Cumulative first-step rental dollars actuated so far (dollar
     /// objective only; checkpointed in [`OnlineState`]).
     cost_dollars: f64,
@@ -133,43 +122,21 @@ impl OnlinePipeline {
         config: HarmonyConfig,
         price: EnergyPrice,
     ) -> Result<Self, HarmonyError> {
-        config.validate()?;
-        let manager = ContainerManager::new(&classifier, &config)?;
-        let monitor = ArrivalMonitor::new(
-            classifier.classes().len(),
-            config.control_period,
-            config.history_len,
-            config.arima_min_history,
-        );
-        Ok(OnlinePipeline {
-            classifier,
-            catalog,
-            config,
-            price,
-            objective: CbsObjective::Energy,
-            manager,
-            monitor,
-            last_plan: None,
-            lp_basis: None,
-            ticks: 0,
-            errors: 0,
-            degradations: Vec::new(),
-            cost_dollars: 0.0,
-        })
+        let control = ControlLoop::new(&classifier, config, price)?;
+        Ok(OnlinePipeline { classifier, catalog, control, ticks: 0, cost_dollars: 0.0 })
     }
 
     /// Provisions under `objective` instead of the default energy
     /// objective.
     #[must_use]
     pub fn with_objective(mut self, objective: CbsObjective) -> Self {
-        self.objective = objective;
-        self.lp_basis = None;
+        self.control.set_objective(objective);
         self
     }
 
     /// The objective in effect.
     pub fn objective(&self) -> &CbsObjective {
-        &self.objective
+        self.control.objective()
     }
 
     /// Cumulative first-step rental dollars actuated so far (0.0 under
@@ -180,7 +147,7 @@ impl OnlinePipeline {
 
     /// The configuration in effect.
     pub fn config(&self) -> &HarmonyConfig {
-        &self.config
+        self.control.config()
     }
 
     /// The machine catalog provisioned against.
@@ -195,7 +162,7 @@ impl OnlinePipeline {
 
     /// Number of task classes in the pipeline.
     pub fn n_classes(&self) -> usize {
-        self.manager.n_classes()
+        self.control.manager().n_classes()
     }
 
     /// Control ticks completed so far.
@@ -205,174 +172,89 @@ impl OnlinePipeline {
 
     /// Ticks that failed the full pipeline and degraded instead.
     pub fn error_count(&self) -> usize {
-        self.errors
+        self.control.errors
     }
 
     /// The logical clock: control periods completed × period length.
     pub fn now(&self) -> SimTime {
-        SimTime::from_secs(self.ticks as f64 * self.config.control_period.as_secs())
+        SimTime::from_secs(self.ticks as f64 * self.config().control_period.as_secs())
     }
 
     /// The last successfully-solved plan, if any.
     pub fn last_plan(&self) -> Option<&IntegerPlan> {
-        self.last_plan.as_ref()
+        self.control.last_plan.as_ref()
     }
 
     /// Degradation events accumulated and not yet drained.
     pub fn pending_degradations(&self) -> &[DegradationEvent] {
-        &self.degradations
+        &self.control.degradations
     }
 
     /// Drains the degradation events accumulated since the last call.
     pub fn take_degradations(&mut self) -> Vec<DegradationEvent> {
-        std::mem::take(&mut self.degradations)
+        std::mem::take(&mut self.control.degradations)
     }
 
     /// Per-class tiered forecast from the current histories (does not
     /// advance the clock or record events).
     pub fn forecast_tiered(&self, horizon: usize) -> Vec<ClassForecast> {
-        self.monitor.forecast_tiered(horizon)
+        self.control.monitor().forecast_tiered(horizon)
     }
 
-    /// One control period: records `arrived` into the monitor, forecasts
-    /// over the MPC horizon, sizes containers, solves CBS-RELAX, and
-    /// rounds to an [`IntegerPlan`]. `pending` is the unserved backlog
-    /// that must be provisioned for immediately, on top of the forecast.
+    /// One control period (`ControlLoop::run_period`) over `arrived`
+    /// and the unserved backlog `pending`, which must be provisioned for
+    /// immediately, on top of the forecast. The previous plan is what
+    /// the daemon actuated last period, so it is the switching-cost
+    /// baseline; the daemon sees no running tasks.
     ///
-    /// Never fails: on a pipeline error the degradation ladder re-actuates
-    /// the previous plan ([`DegradationKind::LpReusedPreviousPlan`]) or,
-    /// lacking one, holds at zero capacity
-    /// ([`DegradationKind::ControlHold`]), recording the event either way.
+    /// Never fails: on a pipeline error the previous plan is re-actuated
+    /// ([`DegradationKind::LpReusedPreviousPlan`]) or, lacking one, zero
+    /// capacity is held ([`DegradationKind::ControlHold`]).
     pub fn tick(&mut self, arrived: &[Task], pending: &[Task]) -> IntegerPlan {
-        let registry = harmony_telemetry::global();
-        registry.counter("pipeline.ticks").inc();
-        let _period_span = registry.timer("pipeline.period_seconds");
         let now = self.now();
-        let span = registry.timer("pipeline.classify_seconds");
-        self.monitor.record_period(arrived, &self.classifier);
-        drop(span);
-        let plan = match self.step(now, pending) {
-            Ok(plan) => {
-                self.last_plan = Some(plan.clone());
-                plan
-            }
-            Err(err) => {
-                self.errors += 1;
-                // Force the next tick's solve cold: the basis may be
-                // stale relative to whatever just failed.
-                self.lp_basis = None;
-                registry.counter("pipeline.errors").inc();
-                if let Some(prev) = self.last_plan.clone() {
-                    self.degrade(now, DegradationKind::LpReusedPreviousPlan, &err);
-                    prev
-                } else {
-                    self.degrade(now, DegradationKind::ControlHold, &err);
-                    IntegerPlan {
-                        machines: vec![0; self.catalog.len()],
-                        quotas: vec![vec![0; self.n_classes()]; self.catalog.len()],
-                    }
-                }
-            }
-        };
-        self.ticks += 1;
-        plan
-    }
-
-    fn degrade(&mut self, at: SimTime, kind: DegradationKind, err: &HarmonyError) {
-        self.degradations.push(DegradationEvent { at, kind, detail: err.to_string() });
-    }
-
-    /// The full pipeline for one period (fallible half of
-    /// [`OnlinePipeline::tick`]).
-    fn step(&mut self, now: SimTime, pending: &[Task]) -> Result<IntegerPlan, HarmonyError> {
-        let registry = harmony_telemetry::global();
-        let n_classes = self.n_classes();
-        // Per-class forecast and sizing fan out over scoped workers;
-        // plans stay bit-identical for any worker count.
-        let workers = crate::par::effective_workers(self.config.pipeline_workers, n_classes);
-        registry.gauge("pipeline.workers").set(workers as f64);
-        let span = registry.timer("pipeline.forecast_seconds");
-        let tiered = self.monitor.forecast_tiered_with_workers(self.config.horizon, workers);
-        drop(span);
-        for (n, class_fc) in tiered.iter().enumerate() {
-            if let Some(reason) = &class_fc.degraded {
-                self.degradations.push(DegradationEvent {
-                    at: now,
-                    kind: DegradationKind::ForecastFallback { class: n, tier: class_fc.tier },
-                    detail: reason.clone(),
-                });
-            }
-        }
-
-        let sizing_span = registry.timer("pipeline.sizing_seconds");
-        let mut backlog = vec![0.0f64; n_classes];
-        for task in pending {
-            backlog[self.classifier.initial_label(task).0] += 1.0;
-        }
-
-        let rates: Vec<Vec<f64>> = tiered.into_iter().map(|c| c.rates).collect();
-        let counts = self.manager.containers_for_rates(&rates, workers)?;
-        let mut demand = vec![vec![0.0f64; n_classes]; self.config.horizon];
-        for n in 0..n_classes {
-            for (t, row) in demand.iter_mut().enumerate() {
-                row[n] = counts[n][t] + backlog[n];
-            }
-        }
-        drop(sizing_span);
-
-        let container_sizes: Vec<Resources> =
-            (0..n_classes).map(|n| self.manager.container_size(TaskClassId(n))).collect();
-        let utility: Vec<f64> = self
-            .classifier
-            .classes()
-            .iter()
-            .map(|c| self.config.utility_for(c.group))
-            .collect();
-        // The previous plan is what the daemon actuated last period, so
-        // it is the switching-cost baseline for this solve.
-        let initial: Vec<f64> = match &self.last_plan {
+        let initial_active = match self.last_plan() {
             Some(plan) => plan.machines.iter().map(|&m| m as f64).collect(),
             None => vec![0.0; self.catalog.len()],
         };
-        let lp_span = registry.timer("pipeline.lp_seconds");
-        let solve = solve_cbs_relax_priced(
-            &CbsInputs {
-                catalog: &self.catalog,
-                container_sizes: &container_sizes,
-                utility_per_hour: &utility,
-                demand: &demand,
-                initial_active: &initial,
-                price: &self.price,
-                now,
-            },
-            &self.config,
-            &self.objective,
-            self.lp_basis.as_ref(),
-        )?;
-        drop(lp_span);
-        // Carry the optimal basis into the next tick's solve.
-        self.lp_basis = Some(solve.basis);
-        if let Some(cost) = &solve.cost {
-            // The first step is what the daemon actuates, so that is the
-            // slice that accrues into the running spend.
-            self.cost_dollars += cost.first_step_rental_dollars;
-            registry.gauge("cost.cumulative_dollars").set(self.cost_dollars);
+        let period = self.control.run_period(&PeriodInputs {
+            now,
+            classifier: &self.classifier,
+            catalog: &self.catalog,
+            arrived: TaskView::dense(arrived),
+            pending: TaskView::dense(pending),
+            initial_active,
+            occupied: vec![0.0; self.control.manager().n_classes()],
+        });
+        self.ticks += 1;
+        match period {
+            Ok(period) => {
+                if let Some(dollars) = period.first_step_rental_dollars {
+                    self.cost_dollars += dollars;
+                    harmony_telemetry::global()
+                        .gauge("cost.cumulative_dollars")
+                        .set(self.cost_dollars);
+                }
+                period.plan
+            }
+            Err(err) => {
+                self.control.degrade(now, DegradationKind::ControlHold, &err);
+                IntegerPlan {
+                    machines: vec![0; self.catalog.len()],
+                    quotas: vec![vec![0; self.n_classes()]; self.catalog.len()],
+                }
+            }
         }
-        let plan = solve.plan;
-        Ok(registry.time("pipeline.rounding_seconds", || {
-            round_first_step(&plan, &self.catalog, &container_sizes)
-        }))
     }
 
     /// Snapshots the pipeline's mutable state for a checkpoint.
     pub fn state(&self) -> OnlineState {
         OnlineState {
             ticks: self.ticks,
-            errors: self.errors,
-            histories: self.monitor.histories().to_vec(),
-            last_plan: self.last_plan.clone(),
-            pending_events: self.degradations.clone(),
-            lp_basis: self.lp_basis.clone(),
+            errors: self.control.errors,
+            histories: self.control.monitor().histories().to_vec(),
+            last_plan: self.control.last_plan.clone(),
+            pending_events: self.control.degradations.clone(),
+            lp_basis: self.control.lp_basis.clone(),
             cost_dollars: self.cost_dollars,
         }
     }
@@ -404,12 +286,12 @@ impl OnlinePipeline {
                 });
             }
         }
-        self.monitor.restore_histories(state.histories)?;
+        self.control.restore_histories(state.histories)?;
+        self.control.errors = state.errors;
+        self.control.last_plan = state.last_plan;
+        self.control.lp_basis = state.lp_basis;
+        self.control.degradations = state.pending_events;
         self.ticks = state.ticks;
-        self.errors = state.errors;
-        self.last_plan = state.last_plan;
-        self.degradations = state.pending_events;
-        self.lp_basis = state.lp_basis;
         self.cost_dollars = state.cost_dollars;
         Ok(())
     }
@@ -418,35 +300,32 @@ impl OnlinePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::ClassifierConfig;
-    use harmony_model::SimDuration;
-    use harmony_trace::{TraceConfig, TraceGenerator};
 
     fn fixture() -> (OnlinePipeline, harmony_trace::Trace) {
-        let trace = TraceGenerator::new(TraceConfig::small().with_seed(33)).generate();
-        let classifier = TaskClassifier::fit(
-            trace.tasks(),
-            &ClassifierConfig { k_per_group: Some([2, 2, 2]), ..Default::default() },
-        )
-        .unwrap();
-        let config = HarmonyConfig {
-            horizon: 2,
-            control_period: SimDuration::from_mins(10.0),
-            ..Default::default()
-        };
+        fixture_with_pivots(HarmonyConfig::default().max_lp_pivots)
+    }
+
+    /// A pipeline whose LP budget is `max_lp_pivots`; one pivot makes
+    /// every real solve hit the iteration limit.
+    fn fixture_with_pivots(max_lp_pivots: usize) -> (OnlinePipeline, harmony_trace::Trace) {
+        let (classifier, trace, config) = crate::control_loop::small_fixture();
         let pipeline = OnlinePipeline::new(
             classifier,
-            harmony_model::MachineCatalog::table2().scaled(100),
-            config,
+            MachineCatalog::table2().scaled(100),
+            HarmonyConfig { max_lp_pivots, ..config },
             EnergyPrice::default(),
         )
         .unwrap();
         (pipeline, trace)
     }
 
-    /// Feed the trace in fixed-size chunks, collecting each tick's plan.
-    fn drive(pipeline: &mut OnlinePipeline, trace: &harmony_trace::Trace, chunks: usize) -> Vec<IntegerPlan> {
-        (0..chunks)
+    /// Feed the trace's fixed-size `chunks`, collecting each tick's plan.
+    fn drive(
+        pipeline: &mut OnlinePipeline,
+        trace: &harmony_trace::Trace,
+        chunks: std::ops::Range<usize>,
+    ) -> Vec<IntegerPlan> {
+        chunks
             .map(|i| {
                 let lo = (i * 150).min(trace.len());
                 let hi = ((i + 1) * 150).min(trace.len());
@@ -460,7 +339,7 @@ mod tests {
     fn tick_provisions_for_demand_and_advances_clock() {
         let (mut pipeline, trace) = fixture();
         assert_eq!(pipeline.now(), SimTime::ZERO);
-        let plans = drive(&mut pipeline, &trace, 3);
+        let plans = drive(&mut pipeline, &trace, 0..3);
         assert_eq!(pipeline.ticks(), 3);
         assert_eq!(pipeline.now(), SimTime::from_secs(3.0 * 600.0));
         assert_eq!(pipeline.error_count(), 0);
@@ -472,7 +351,7 @@ mod tests {
     #[test]
     fn empty_ticks_scale_down() {
         let (mut pipeline, trace) = fixture();
-        drive(&mut pipeline, &trace, 2);
+        drive(&mut pipeline, &trace, 0..2);
         // Enough empty periods to flush the moving-average window (6).
         let mut last_total = usize::MAX;
         for _ in 0..8 {
@@ -485,11 +364,11 @@ mod tests {
     #[test]
     fn restore_reproduces_plan_sequence() {
         let (mut uninterrupted, trace) = fixture();
-        let full = drive(&mut uninterrupted, &trace, 6);
+        let full = drive(&mut uninterrupted, &trace, 0..6);
 
         // Run 3 ticks, checkpoint, rebuild, restore, run 3 more.
         let (mut first_half, _) = fixture();
-        let mut prefix = drive(&mut first_half, &trace, 3);
+        let mut prefix = drive(&mut first_half, &trace, 0..3);
         let snapshot = first_half.state();
         let text = serde_json::to_string(&snapshot).unwrap();
         let state: OnlineState = serde_json::from_str(&text).unwrap();
@@ -498,19 +377,13 @@ mod tests {
         let (mut second_half, _) = fixture();
         second_half.restore(state).unwrap();
         assert_eq!(second_half.ticks(), 3);
-        for i in 3..6 {
-            let lo = (i * 150).min(trace.len());
-            let hi = ((i + 1) * 150).min(trace.len());
-            let chunk = &trace.tasks()[lo..hi];
-            prefix.push(second_half.tick(chunk, chunk));
-        }
+        prefix.extend(drive(&mut second_half, &trace, 3..6));
         assert_eq!(prefix, full, "restored pipeline must reproduce the plan sequence");
     }
 
     #[test]
     fn failure_without_previous_plan_holds_at_zero() {
-        let (mut pipeline, trace) = fixture();
-        pipeline.config.max_lp_pivots = 1;
+        let (mut pipeline, trace) = fixture_with_pivots(1);
         let chunk = &trace.tasks()[..150];
         let plan = pipeline.tick(chunk, chunk);
         assert_eq!(plan.machines.iter().sum::<usize>(), 0);
@@ -525,10 +398,12 @@ mod tests {
         let (mut pipeline, trace) = fixture();
         let chunk = &trace.tasks()[..150];
         let first = pipeline.tick(chunk, chunk);
-        pipeline.config.max_lp_pivots = 1;
-        let second = pipeline.tick(chunk, chunk);
+        let (mut crippled, _) = fixture_with_pivots(1);
+        crippled.restore(pipeline.state()).unwrap();
+        let second = crippled.tick(chunk, chunk);
         assert_eq!(second, first, "reused plan re-actuates");
-        let events = pipeline.take_degradations();
+        assert_eq!(crippled.error_count(), 1);
+        let events = crippled.take_degradations();
         assert!(events
             .iter()
             .any(|d| matches!(d.kind, DegradationKind::LpReusedPreviousPlan)));
@@ -537,75 +412,56 @@ mod tests {
     #[test]
     fn restore_rejects_mismatched_plan_shape() {
         let (mut pipeline, _) = fixture();
-        let bad = OnlineState {
-            ticks: 1,
-            errors: 0,
-            histories: vec![Vec::new(); pipeline.n_classes()],
-            last_plan: Some(IntegerPlan { machines: vec![1], quotas: vec![vec![0]] }),
-            pending_events: Vec::new(),
-            lp_basis: None,
-            cost_dollars: 0.0,
-        };
-        assert!(pipeline.restore(bad).is_err());
-        let bad_classes = OnlineState {
-            ticks: 0,
-            errors: 0,
-            histories: vec![Vec::new()],
-            last_plan: None,
-            pending_events: Vec::new(),
-            lp_basis: None,
-            cost_dollars: 0.0,
-        };
+        let empty = pipeline.state();
+        let bad_plan = Some(IntegerPlan { machines: vec![1], quotas: vec![vec![0]] });
+        assert!(pipeline.restore(OnlineState { last_plan: bad_plan, ..empty.clone() }).is_err());
+        let bad_classes = OnlineState { histories: vec![Vec::new()], ..empty };
         assert!(pipeline.restore(bad_classes).is_err());
+    }
+
+    /// A two-tick state as a checkpoint written before `key` existed
+    /// would carry it.
+    fn state_without(key: &str) -> OnlineState {
+        let (mut pipeline, trace) = fixture();
+        drive(&mut pipeline, &trace, 0..2);
+        let mut v = pipeline.state().to_value();
+        if let Value::Object(map) = &mut v {
+            map.remove(key);
+        }
+        OnlineState::from_value(&v).unwrap()
     }
 
     #[test]
     fn checkpoint_without_lp_basis_field_still_loads() {
-        // A checkpoint written before warm starts existed has no
-        // lp_basis key; it must deserialize (to a cold-start basis).
-        let (mut pipeline, trace) = fixture();
-        drive(&mut pipeline, &trace, 2);
-        let mut v = pipeline.state().to_value();
-        if let Value::Object(map) = &mut v {
-            map.remove("lp_basis");
-        }
-        let state = OnlineState::from_value(&v).unwrap();
+        // Written before warm starts existed: loads with a cold basis.
+        let state = state_without("lp_basis");
         assert_eq!(state.lp_basis, None);
         assert_eq!(state.ticks, 2);
     }
 
     #[test]
     fn checkpoint_without_cost_dollars_field_still_loads() {
-        // A checkpoint written before the pricing subsystem has no
-        // cost_dollars key; it must deserialize (to zero spend).
-        let (mut pipeline, trace) = fixture();
-        drive(&mut pipeline, &trace, 2);
-        let mut v = pipeline.state().to_value();
-        if let Value::Object(map) = &mut v {
-            map.remove("cost_dollars");
-        }
-        let state = OnlineState::from_value(&v).unwrap();
+        // Written before the pricing subsystem: loads with zero spend.
+        let state = state_without("cost_dollars");
         assert_eq!(state.cost_dollars, 0.0);
         assert_eq!(state.ticks, 2);
     }
 
     #[test]
     fn dollar_objective_accrues_and_checkpoints_spend() {
-        use crate::cbs::{CbsObjective, DollarCosts};
+        use crate::cbs::DollarCosts;
         use harmony_pricing::MarketPolicy;
 
-        let (pipeline, trace) = fixture();
-        let groups: Vec<_> =
-            pipeline.classifier().classes().iter().map(|c| c.group).collect();
-        let costs = DollarCosts::default_for(
-            pipeline.catalog(),
-            &groups,
-            MarketPolicy::SpotAware,
-            2013,
-        );
-        let (base, _) = fixture();
-        let mut priced = base.with_objective(CbsObjective::Dollars(costs));
-        drive(&mut priced, &trace, 3);
+        let priced_fixture = || {
+            let (pipeline, trace) = fixture();
+            let groups: Vec<_> =
+                pipeline.classifier().classes().iter().map(|c| c.group).collect();
+            let market = MarketPolicy::SpotAware;
+            let costs = DollarCosts::default_for(pipeline.catalog(), &groups, market, 2013);
+            (pipeline.with_objective(CbsObjective::Dollars(costs)), trace)
+        };
+        let (mut priced, trace) = priced_fixture();
+        drive(&mut priced, &trace, 0..3);
         assert_eq!(priced.error_count(), 0);
         assert!(
             priced.cost_dollars() > 0.0,
@@ -618,15 +474,7 @@ mod tests {
         let text = serde_json::to_string(&state).unwrap();
         let back: OnlineState = serde_json::from_str(&text).unwrap();
         assert_eq!(back, state);
-        let (fresh, _) = fixture();
-        let mut restored = fresh.with_objective(CbsObjective::Dollars(
-            DollarCosts::default_for(
-                priced.catalog(),
-                &groups,
-                MarketPolicy::SpotAware,
-                2013,
-            ),
-        ));
+        let (mut restored, _) = priced_fixture();
         restored.restore(back).unwrap();
         assert_eq!(restored.cost_dollars(), priced.cost_dollars());
     }
@@ -634,11 +482,26 @@ mod tests {
     #[test]
     fn checkpoint_carries_the_warm_basis() {
         let (mut pipeline, trace) = fixture();
-        drive(&mut pipeline, &trace, 2);
+        assert_eq!(pipeline.state().lp_basis, None);
+        drive(&mut pipeline, &trace, 0..2);
         let state = pipeline.state();
         assert!(state.lp_basis.is_some(), "a ticked pipeline must checkpoint its basis");
         let text = serde_json::to_string(&state).unwrap();
         let back: OnlineState = serde_json::from_str(&text).unwrap();
         assert_eq!(back, state);
+
+        // Swap in a stale basis from an unrelated tiny LP under a
+        // crippled pivot budget: the warm install rejects the mismatched
+        // shape, the cold fallback hits the budget and fails, and the
+        // failure must drop the carried basis, not keep the stale one.
+        let mut tiny = harmony_lp::Problem::new(harmony_lp::Sense::Minimize);
+        let x = tiny.add_var("x", 0.0, f64::INFINITY, 1.0);
+        tiny.add_ge(vec![(x, 1.0)], 1.0);
+        let stale = tiny.solve().unwrap().basis().clone();
+        let (mut crippled, _) = fixture_with_pivots(1);
+        crippled.restore(OnlineState { lp_basis: Some(stale), ..state }).unwrap();
+        crippled.tick(&[], &[]);
+        assert_eq!(crippled.error_count(), 1);
+        assert_eq!(crippled.state().lp_basis, None, "a failed solve must drop the basis");
     }
 }

@@ -6,8 +6,6 @@
 //! the value-model traits explicitly here, matching the field-keyed
 //! object encoding the upstream derives would produce.
 
-use std::collections::BTreeMap;
-
 use harmony_model::SimDuration;
 use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
@@ -17,14 +15,6 @@ use crate::monitor::ClassForecast;
 use crate::rounding::IntegerPlan;
 use crate::HarmonyConfig;
 
-fn object(fields: &[(&str, Value)]) -> Value {
-    let mut map = BTreeMap::new();
-    for (k, v) in fields {
-        map.insert((*k).to_owned(), v.clone());
-    }
-    Value::Object(map)
-}
-
 fn array3(v: &Value, what: &str) -> Result<[f64; 3], DeError> {
     Vec::<f64>::from_value(v)?
         .try_into()
@@ -33,7 +23,7 @@ fn array3(v: &Value, what: &str) -> Result<[f64; 3], DeError> {
 
 impl Serialize for HarmonyConfig {
     fn to_value(&self) -> Value {
-        object(&[
+        Value::object(&[
             ("control_period", self.control_period.to_value()),
             ("horizon", self.horizon.to_value()),
             ("epsilon", self.epsilon.to_value()),
@@ -96,7 +86,7 @@ impl Serialize for ClassifierConfig {
             Some(ks) => ks.to_vec().to_value(),
             None => Value::Null,
         };
-        object(&[
+        Value::object(&[
             ("k_per_group", k_per_group),
             ("k_max", self.k_max.to_value()),
             ("elbow_min_gain", self.elbow_min_gain.to_value()),
@@ -126,7 +116,7 @@ impl Deserialize for ClassifierConfig {
 
 impl Serialize for IntegerPlan {
     fn to_value(&self) -> Value {
-        object(&[("machines", self.machines.to_value()), ("quotas", self.quotas.to_value())])
+        Value::object(&[("machines", self.machines.to_value()), ("quotas", self.quotas.to_value())])
     }
 }
 
@@ -141,7 +131,7 @@ impl Deserialize for IntegerPlan {
 
 impl Serialize for ClassForecast {
     fn to_value(&self) -> Value {
-        object(&[
+        Value::object(&[
             ("rates", self.rates.to_value()),
             ("tier", self.tier.to_value()),
             ("degraded", self.degraded.to_value()),

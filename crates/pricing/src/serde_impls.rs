@@ -8,22 +8,12 @@
 //! constructors, so a corrupted artifact can never smuggle in a
 //! negative rate or a non-concave curve.
 
-use std::collections::BTreeMap;
-
 use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::book::{MarketPolicy, PriceBook, SpotPrice, SpotPriceSeries, TypePrice};
 use crate::slo::SloCostCurve;
 use crate::spot::SpotMarket;
-
-fn object(fields: &[(&str, Value)]) -> Value {
-    let mut map = BTreeMap::new();
-    for (k, v) in fields {
-        map.insert((*k).to_owned(), v.clone());
-    }
-    Value::Object(map)
-}
 
 impl Serialize for MarketPolicy {
     fn to_value(&self) -> Value {
@@ -46,7 +36,7 @@ impl Deserialize for MarketPolicy {
 
 impl Serialize for SpotPriceSeries {
     fn to_value(&self) -> Value {
-        object(&[("multipliers", self.multipliers().to_vec().to_value())])
+        Value::object(&[("multipliers", self.multipliers().to_vec().to_value())])
     }
 }
 
@@ -59,7 +49,7 @@ impl Deserialize for SpotPriceSeries {
 
 impl Serialize for SpotPrice {
     fn to_value(&self) -> Value {
-        object(&[
+        Value::object(&[
             ("base_per_hour", self.base_per_hour.to_value()),
             ("series", self.series.to_value()),
             ("eviction_rate_per_hour", self.eviction_rate_per_hour.to_value()),
@@ -90,7 +80,7 @@ impl Serialize for TypePrice {
             Some(s) => s.to_value(),
             None => Value::Null,
         };
-        object(&[
+        Value::object(&[
             ("on_demand_per_hour", self.on_demand_per_hour.to_value()),
             ("spot", spot),
         ])
@@ -113,7 +103,7 @@ impl Deserialize for TypePrice {
 impl Serialize for PriceBook {
     fn to_value(&self) -> Value {
         let rates = Value::Array(self.rates().iter().map(Serialize::to_value).collect());
-        object(&[("rates", rates)])
+        Value::object(&[("rates", rates)])
     }
 }
 
@@ -126,7 +116,7 @@ impl Deserialize for PriceBook {
 
 impl Serialize for SloCostCurve {
     fn to_value(&self) -> Value {
-        object(&[
+        Value::object(&[
             ("critical_fraction", self.critical_fraction.to_value()),
             ("critical_per_hour", self.critical_per_hour.to_value()),
             ("tail_per_hour", self.tail_per_hour.to_value()),
@@ -147,7 +137,7 @@ impl Deserialize for SloCostCurve {
 
 impl Serialize for SpotMarket {
     fn to_value(&self) -> Value {
-        object(&[("seed", self.seed().to_value())])
+        Value::object(&[("seed", self.seed().to_value())])
     }
 }
 

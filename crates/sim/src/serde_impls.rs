@@ -11,8 +11,6 @@
 //! data-carrying variants are externally tagged
 //! (`{"VariantName": {fields...}}`).
 
-use std::collections::BTreeMap;
-
 use harmony_model::SimTime;
 use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
@@ -34,18 +32,9 @@ impl Deserialize for MachineId {
     }
 }
 
-/// Builds an object from `(key, value)` pairs.
-fn object(fields: &[(&str, Value)]) -> Value {
-    let mut map = BTreeMap::new();
-    for (k, v) in fields {
-        map.insert((*k).to_owned(), v.clone());
-    }
-    Value::Object(map)
-}
-
 /// Builds an externally-tagged enum variant: `{"Tag": payload}`.
 fn tagged(tag: &str, payload: Value) -> Value {
-    object(&[(tag, payload)])
+    Value::object(&[(tag, payload)])
 }
 
 /// Splits an externally-tagged variant into its tag and payload.
@@ -93,7 +82,7 @@ impl Serialize for DegradationKind {
         match self {
             DegradationKind::ForecastFallback { class, tier } => tagged(
                 "ForecastFallback",
-                object(&[("class", class.to_value()), ("tier", tier.to_value())]),
+                Value::object(&[("class", class.to_value()), ("tier", tier.to_value())]),
             ),
             DegradationKind::LpReusedPreviousPlan => "LpReusedPreviousPlan".to_value(),
             DegradationKind::LpGreedyFallback => "LpGreedyFallback".to_value(),
@@ -120,7 +109,7 @@ impl Deserialize for DegradationKind {
 
 impl Serialize for DegradationEvent {
     fn to_value(&self) -> Value {
-        object(&[
+        Value::object(&[
             ("at", self.at.to_value()),
             ("kind", self.kind.to_value()),
             ("detail", self.detail.to_value()),
@@ -142,24 +131,24 @@ impl Serialize for FaultKind {
     fn to_value(&self) -> Value {
         match self {
             FaultKind::MachineCrash { down } => {
-                tagged("MachineCrash", object(&[("down", down.to_value())]))
+                tagged("MachineCrash", Value::object(&[("down", down.to_value())]))
             }
             FaultKind::SlowBoot { factor, duration } => tagged(
                 "SlowBoot",
-                object(&[
+                Value::object(&[
                     ("factor", factor.to_value()),
                     ("duration", duration.to_value()),
                 ]),
             ),
             FaultKind::TaskEviction { count } => {
-                tagged("TaskEviction", object(&[("count", count.to_value())]))
+                tagged("TaskEviction", Value::object(&[("count", count.to_value())]))
             }
             FaultKind::ArrivalBurst { window } => {
-                tagged("ArrivalBurst", object(&[("window", window.to_value())]))
+                tagged("ArrivalBurst", Value::object(&[("window", window.to_value())]))
             }
             FaultKind::SpotEviction { machine_type, count, down } => tagged(
                 "SpotEviction",
-                object(&[
+                Value::object(&[
                     ("machine_type", machine_type.to_value()),
                     ("count", count.to_value()),
                     ("down", down.to_value()),
@@ -198,7 +187,7 @@ impl Deserialize for FaultKind {
 
 impl Serialize for FaultEvent {
     fn to_value(&self) -> Value {
-        object(&[("at", self.at.to_value()), ("kind", self.kind.to_value())])
+        Value::object(&[("at", self.at.to_value()), ("kind", self.kind.to_value())])
     }
 }
 
@@ -214,7 +203,7 @@ impl Deserialize for FaultEvent {
 impl Serialize for FaultPlan {
     fn to_value(&self) -> Value {
         let events = Value::Array(self.events().iter().map(Serialize::to_value).collect());
-        object(&[("seed", self.seed().to_value()), ("events", events)])
+        Value::object(&[("seed", self.seed().to_value()), ("events", events)])
     }
 }
 
@@ -239,7 +228,7 @@ impl Serialize for FaultRecordKind {
                 failed,
             } => tagged(
                 "MachineCrash",
-                object(&[
+                Value::object(&[
                     ("machine", machine.to_value()),
                     ("evicted", evicted.to_value()),
                     ("failed", failed.to_value()),
@@ -247,22 +236,22 @@ impl Serialize for FaultRecordKind {
             ),
             FaultRecordKind::MachineRecovered { machine } => tagged(
                 "MachineRecovered",
-                object(&[("machine", machine.to_value())]),
+                Value::object(&[("machine", machine.to_value())]),
             ),
             FaultRecordKind::SlowBootStart { factor } => {
-                tagged("SlowBootStart", object(&[("factor", factor.to_value())]))
+                tagged("SlowBootStart", Value::object(&[("factor", factor.to_value())]))
             }
             FaultRecordKind::SlowBootEnd => "SlowBootEnd".to_value(),
             FaultRecordKind::TaskEviction { evicted, failed } => tagged(
                 "TaskEviction",
-                object(&[
+                Value::object(&[
                     ("evicted", evicted.to_value()),
                     ("failed", failed.to_value()),
                 ]),
             ),
             FaultRecordKind::ArrivalBurst { tasks_warped } => tagged(
                 "ArrivalBurst",
-                object(&[("tasks_warped", tasks_warped.to_value())]),
+                Value::object(&[("tasks_warped", tasks_warped.to_value())]),
             ),
             FaultRecordKind::SpotEviction {
                 machine_type,
@@ -271,7 +260,7 @@ impl Serialize for FaultRecordKind {
                 failed,
             } => tagged(
                 "SpotEviction",
-                object(&[
+                Value::object(&[
                     ("machine_type", machine_type.to_value()),
                     ("machines", machines.to_value()),
                     ("evicted", evicted.to_value()),
@@ -318,7 +307,7 @@ impl Deserialize for FaultRecordKind {
 
 impl Serialize for FaultRecord {
     fn to_value(&self) -> Value {
-        object(&[("at", self.at.to_value()), ("kind", self.kind.to_value())])
+        Value::object(&[("at", self.at.to_value()), ("kind", self.kind.to_value())])
     }
 }
 
@@ -333,7 +322,7 @@ impl Deserialize for FaultRecord {
 
 impl Serialize for TimePoint {
     fn to_value(&self) -> Value {
-        object(&[
+        Value::object(&[
             ("time", self.time.to_value()),
             ("power_watts", self.power_watts.to_value()),
             ("active_per_type", self.active_per_type.to_value()),
@@ -357,7 +346,7 @@ impl Deserialize for TimePoint {
 
 impl Serialize for DelayStats {
     fn to_value(&self) -> Value {
-        object(&[
+        Value::object(&[
             ("count", self.count.to_value()),
             ("mean", self.mean.to_value()),
             ("p50", self.p50.to_value()),
@@ -387,7 +376,7 @@ impl Deserialize for DelayStats {
 
 impl Serialize for SimReport {
     fn to_value(&self) -> Value {
-        object(&[
+        Value::object(&[
             (
                 "delays_by_group",
                 Value::Array(
