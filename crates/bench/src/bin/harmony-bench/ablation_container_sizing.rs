@@ -13,7 +13,7 @@ use harmony_trace::standard_normal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
+pub fn run() {
     let trace = analysis_trace(Scale::from_env());
     let classifier = TaskClassifier::fit(trace.tasks(), &ClassifierConfig::default()).expect("fit");
     // The most populous class drives the study.

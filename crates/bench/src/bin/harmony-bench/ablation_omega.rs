@@ -7,7 +7,7 @@
 use harmony::pipeline::{run_variant, Variant};
 use harmony_bench::{evaluation_setup, fmt, section, table, Scale};
 
-fn main() {
+pub fn run() {
     let (trace, catalog, base_config, classifier_config) = evaluation_setup(Scale::Quick);
 
     section("Ablation: over-provisioning factor omega (CBS)");

@@ -11,7 +11,7 @@ use harmony_forecast::{
 use harmony_model::{PriorityGroup, SimDuration};
 use harmony_trace::stats::arrival_rate_series;
 
-fn main() {
+pub fn run() {
     let trace = analysis_trace(Scale::from_env());
     let series = arrival_rate_series(&trace, SimDuration::from_mins(30.0));
 

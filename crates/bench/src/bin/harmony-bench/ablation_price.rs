@@ -27,7 +27,7 @@ use harmony_pricing::MarketPolicy;
 use harmony_sim::{Simulation, SimulationConfig};
 use serde::value::Value;
 
-fn main() {
+pub fn run() {
     let (trace, catalog, config, cc) = evaluation_setup(Scale::Quick);
     let classifier = Rc::new(TaskClassifier::fit(trace.tasks(), &cc).expect("fit"));
     let mut json_rows = Vec::new();

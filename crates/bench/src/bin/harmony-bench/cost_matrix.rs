@@ -176,8 +176,8 @@ fn account(report: &SimReport, book: &PriceBook, billing: MarketPolicy) -> Bill 
     }
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+pub fn run(args: &[String]) {
+    let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::Quick } else { Scale::from_env() };
     let seed = seed_from_env();
     let price_seed = seed;

@@ -19,7 +19,7 @@ use harmony_model::PriorityGroup;
 use harmony_sim::{FaultPlan, SCENARIOS};
 use serde::value::Value;
 
-fn main() {
+pub fn run() {
     let scale = Scale::from_env();
     let (trace, catalog, config, classifier_config) = evaluation_setup(scale);
     eprintln!(

@@ -7,7 +7,7 @@ use harmony_bench::{analysis_trace, fmt, section, table, Scale};
 use harmony_model::SimDuration;
 use harmony_trace::stats::demand_over_time;
 
-fn main() {
+pub fn run() {
     let trace = analysis_trace(Scale::from_env());
     let bin = SimDuration::from_hours(1.0);
     let series = demand_over_time(&trace, bin);

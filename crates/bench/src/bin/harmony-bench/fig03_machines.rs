@@ -10,7 +10,7 @@ use harmony_bench::{analysis_trace, fmt, section, table, Scale};
 use harmony_model::MachineCatalog;
 use harmony_sim::{FirstFit, Simulation, SimulationConfig};
 
-fn main() {
+pub fn run() {
     let scale = Scale::from_env();
     let trace = analysis_trace(scale);
     let divisor = match scale {

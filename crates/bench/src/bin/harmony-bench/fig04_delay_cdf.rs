@@ -11,7 +11,7 @@ use harmony_model::{MachineCatalog, PriorityGroup};
 use harmony_sim::{FirstFit, Simulation, SimulationConfig};
 use harmony_trace::stats::Cdf;
 
-fn main() {
+pub fn run() {
     let scale = Scale::from_env();
     let trace = analysis_trace(scale);
     // Deliberately tight cluster: ~4x fewer machines than Fig. 3 uses.

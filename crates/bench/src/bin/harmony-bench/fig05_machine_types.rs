@@ -5,7 +5,7 @@
 use harmony_bench::{fmt, section, table};
 use harmony_model::MachineCatalog;
 
-fn main() {
+pub fn run() {
     let catalog = MachineCatalog::google_ten_types();
     let total = catalog.total_machines() as f64;
     section("Fig. 5: machine types (capacity, platform, population)");

@@ -8,7 +8,7 @@ use harmony_bench::{analysis_trace, fmt, section, table, Scale};
 use harmony_model::PriorityGroup;
 use harmony_trace::stats::duration_cdf_by_group;
 
-fn main() {
+pub fn run() {
     let trace = analysis_trace(Scale::from_env());
     let cdfs = duration_cdf_by_group(&trace);
 

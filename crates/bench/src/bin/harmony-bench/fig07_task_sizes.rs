@@ -8,7 +8,7 @@ use harmony_bench::{analysis_trace, fmt, section, table, Scale};
 use harmony_model::{PriorityGroup, Resources};
 use harmony_trace::stats::size_scatter;
 
-fn main() {
+pub fn run() {
     let trace = analysis_trace(Scale::from_env());
 
     for group in PriorityGroup::ALL {

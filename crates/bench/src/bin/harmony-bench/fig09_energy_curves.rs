@@ -7,7 +7,7 @@
 use harmony_bench::{fmt, section, table};
 use harmony_model::{MachineCatalog, Resources};
 
-fn main() {
+pub fn run() {
     let catalog = MachineCatalog::table2();
     section("Fig. 9: power (W) vs absolute CPU usage (normalized units)");
     // Sweep absolute CPU usage in normalized units of the largest

@@ -14,7 +14,7 @@ use harmony::classify::{ClassifierConfig, Regime, TaskClassifier};
 use harmony_bench::{analysis_trace, fmt, section, table, Scale};
 use harmony_model::PriorityGroup;
 
-fn main() {
+pub fn run() {
     let trace = analysis_trace(Scale::from_env());
     let classifier = TaskClassifier::fit(trace.tasks(), &ClassifierConfig::default()).expect("fit");
 

@@ -4,7 +4,7 @@ use harmony_bench::{analysis_trace, fmt, section, table, Scale};
 use harmony_model::{PriorityGroup, SimDuration};
 use harmony_trace::stats::arrival_rate_series;
 
-fn main() {
+pub fn run() {
     let trace = analysis_trace(Scale::from_env());
     let bin = SimDuration::from_hours(1.0);
     let series = arrival_rate_series(&trace, bin);

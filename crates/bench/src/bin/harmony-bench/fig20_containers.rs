@@ -11,7 +11,7 @@ use harmony::HarmonyConfig;
 use harmony_bench::{analysis_trace, fmt, section, table, Scale};
 use harmony_model::{PriorityGroup, TaskClassId};
 
-fn main() {
+pub fn run() {
     let trace = analysis_trace(Scale::from_env());
     let config = HarmonyConfig::default();
     let classifier = TaskClassifier::fit(trace.tasks(), &ClassifierConfig::default()).expect("fit");

@@ -14,7 +14,7 @@ use harmony_model::PriorityGroup;
 use harmony_sim::SimReport;
 use harmony_trace::stats::Cdf;
 
-fn main() {
+pub fn run() {
     let (trace, catalog, config, classifier_config) = evaluation_setup(Scale::from_env());
     eprintln!(
         "running 3 controllers over {} tasks on {} machines...",

@@ -111,8 +111,8 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+pub fn run(args: &[String]) {
+    let quick = args.iter().any(|a| a == "--quick");
     let seeds = if quick { SEEDS_QUICK } else { SEEDS_FULL };
     let flood_size = if quick { 16 } else { 48 };
     eprintln!(

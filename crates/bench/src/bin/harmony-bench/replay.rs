@@ -61,8 +61,7 @@ fn usage() -> ! {
     exit(2);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+pub fn run(args: &[String]) {
     let mut path: Option<String> = None;
     let mut controller = "cbp".to_owned();
     let mut catalog_name = "table2".to_owned();
@@ -77,7 +76,7 @@ fn main() {
     let mut stop_after: Option<usize> = None;
     let mut metrics = false;
 
-    let mut it = args.into_iter();
+    let mut it = args.iter().cloned();
     while let Some(arg) = it.next() {
         let mut grab = |name: &str| {
             it.next().unwrap_or_else(|| {

@@ -4,7 +4,7 @@
 use harmony_bench::{fmt, section, table};
 use harmony_model::MachineCatalog;
 
-fn main() {
+pub fn run() {
     let catalog = MachineCatalog::table2();
     section("Table II: Machine Configurations");
     let rows: Vec<Vec<String>> = catalog

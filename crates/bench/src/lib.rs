@@ -1,7 +1,8 @@
-//! Shared harness for the figure/table reproduction binaries.
+//! Shared harness for the `harmony-bench` subcommands.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4 for the index) and prints the same rows or
+//! Every module of `src/bin/harmony-bench/` is one subcommand; the
+//! `fig*`/`table*` ones each regenerate one table or figure of the
+//! paper (see DESIGN.md §4 for the index) and print the same rows or
 //! series the paper plots. Common knobs:
 //!
 //! * `HARMONY_SCALE` — trace/cluster scale preset: `quick` (CI-sized),
@@ -145,9 +146,23 @@ mod tests {
 
     #[test]
     fn scale_parses_env_values() {
-        // Uses the parse logic directly rather than mutating the global
-        // environment.
-        assert_eq!(Scale::from_env(), Scale::Default);
+        // `Scale::parse` is what `from_env` applies to `HARMONY_SCALE`;
+        // testing it directly keeps the test independent of the
+        // environment it runs in.
+        for (text, scale) in [
+            ("quick", Scale::Quick),
+            ("default", Scale::Default),
+            ("full", Scale::Full),
+            ("", Scale::Default),
+            ("QuIcK", Scale::Quick),
+            ("FULL", Scale::Full),
+        ] {
+            assert_eq!(Scale::parse(text), Some(scale), "{text:?}");
+        }
+        assert_eq!(Scale::parse("paper"), None);
+        for scale in [Scale::Quick, Scale::Default, Scale::Full] {
+            assert_eq!(Scale::parse(scale.name()), Some(scale));
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\n(two hours is a smoke test; the paper-scale comparison between the \
          three controllers is `HARMONY_SCALE=full cargo run --release -p \
-         harmony-bench --bin fig21_26_controllers`)"
+         harmony-bench -- fig21_26_controllers`)"
     );
     Ok(())
 }

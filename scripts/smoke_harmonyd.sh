@@ -18,7 +18,7 @@ set -euo pipefail
 
 HARMONYD=${HARMONYD:-target/release/harmonyd}
 HARMONYCTL=${HARMONYCTL:-target/release/harmonyctl}
-REPLAY=${REPLAY:-target/release/replay}
+REPLAY=${REPLAY:-target/release/harmony-bench replay}
 HARMONY_LINT=${HARMONY_LINT:-target/release/harmony-lint}
 RESULTS_DIR=${HARMONY_RESULTS_DIR:-results}
 
@@ -182,7 +182,9 @@ fi
 
 # Offline telemetry artifact: a quick fault replay with --metrics must
 # leave a parseable snapshot with the per-stage pipeline timings.
-HARMONY_SCALE=quick "$REPLAY" --faults crash-storm --metrics >/dev/null
+# ($REPLAY is a command plus its subcommand: split on purpose.)
+# shellcheck disable=SC2086
+HARMONY_SCALE=quick $REPLAY --faults crash-storm --metrics >/dev/null
 python3 - "$RESULTS_DIR/BENCH_telemetry.json" <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
