@@ -18,10 +18,12 @@
 //!
 //! subject to the state equations `z_{m,t} = z_{m,t-1} + δ⁺ − δ⁻`, the
 //! capacity constraints `Σ_n ω c_nr x_mnt ≤ C_mr z_mt` (Eq. 16/17), and
-//! demand caps `Σ_m x_mnt ≤ N_nt`. With piecewise-linear concave `f_n`
-//! this is exactly an LP, solved by `harmony-lp`.
+//! one demand cap `Σ_m x_mnt ≤ N_nt` per class and step. The linear
+//! `f_n` is its slope on every `x_mnt` column, so this is exactly an LP,
+//! solved by `harmony-lp`, whose rows and columns do not depend on the
+//! forecast.
 
-use harmony_lp::{PiecewiseLinear, Problem, Sense, VarId};
+use harmony_lp::{Problem, Sense, VarId};
 use harmony_model::{
     EnergyPrice, MachineCatalog, MachineTypeId, PriorityGroup, Resources, SimTime, NUM_RESOURCES,
 };
@@ -77,9 +79,8 @@ impl DollarCosts {
 /// rental rate (risk-adjusted spot or on-demand, per
 /// [`PriceBook::planning_rate`]), and serving demand earns the avoided
 /// SLO-violation dollars of the per-class [`SloCostCurve`] instead of a
-/// flat utility. The LP structure (variables, rows) is unchanged for
-/// `Energy`, so plans and bases are bit-identical with pre-pricing
-/// builds.
+/// flat utility, which adds one excess column and one row per class and
+/// step for the curve's concave tail.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CbsObjective {
     /// Utility minus energy and switching cost (Section VII, Eq. 14).
@@ -205,12 +206,12 @@ pub fn solve_cbs_relax(
 /// basis when one is supplied.
 ///
 /// Successive MPC ticks build the same LP structure with updated
-/// forecast right-hand sides and price-dependent costs, so the previous
+/// forecast right-hand sides and price-dependent costs — a demand that
+/// hits zero only zeroes its cap's right-hand side — so the previous
 /// basis usually remains primal-feasible and the solve skips phase 1
-/// entirely. When demand crosses zero for some class the LP's structure
-/// changes (zero-demand classes generate cap rows instead of utility
-/// segments) and the basis dimensions no longer match — the solver then
-/// falls back to a cold solve transparently. [`CbsSolve::warm_outcome`]
+/// entirely. Only a change of classes, compatibility or objective
+/// changes the LP's dimensions; the solver then falls back to a cold
+/// solve transparently. [`CbsSolve::warm_outcome`]
 /// says which path ran, mirrored by three mutually exclusive counters:
 /// `lp.warm_start_hits` (restarted from the basis, including in-place
 /// repairs), `lp.warm_start_repair_fallbacks` (basis installed but the
@@ -272,6 +273,9 @@ pub fn solve_cbs_relax_priced(
                 reason: format!("demand[{t}] length must match classes"),
             });
         }
+        if d.iter().any(|n| !n.is_finite()) {
+            return Err(lp_input_error("demand"));
+        }
     }
     if inputs.utility_per_hour.len() != n_classes {
         return Err(HarmonyError::InvalidConfig {
@@ -300,6 +304,14 @@ pub fn solve_cbs_relax_priced(
                     reason: "accel_demand must be finite and non-negative".into(),
                 });
             }
+            for curve in &costs.slo_costs {
+                if !curve.tail_per_hour.is_finite() || !curve.critical_fraction.is_finite() {
+                    return Err(lp_input_error("SLO cost curve"));
+                }
+                if curve.tail_per_hour > curve.critical_per_hour + 1e-12 {
+                    return Err(lp_input_error("piecewise slopes must be non-increasing (concave)"));
+                }
+            }
             Some(costs)
         }
     };
@@ -326,6 +338,18 @@ pub fn solve_cbs_relax_priced(
                 .collect()
         })
         .collect();
+
+    // The utility every assigned container earns per hour (Eq. 14's
+    // f_n): the flat per-class slope under Energy; under Dollars the
+    // critical head's slope, with the excess columns below charging the
+    // tail's shortfall.
+    let slope_per_hour: Vec<f64> = match costs {
+        None => inputs.utility_per_hour.to_vec(),
+        Some(c) => c.slo_costs.iter().map(|curve| curve.critical_per_hour).collect(),
+    };
+    if slope_per_hour.iter().any(|s| !s.is_finite()) {
+        return Err(lp_input_error("utility slope"));
+    }
 
     // Variables.
     let mut z = vec![vec![VarId::default(); m_types]; horizon];
@@ -362,71 +386,44 @@ pub fn solve_cbs_relax_priced(
                 let util = c.utilization_of(ty.capacity);
                 let watts = ty.power.alpha_watts.cpu * util.cpu + ty.power.alpha_watts.mem * util.mem;
                 let energy_cost = price * watts / 1000.0 * period_hours;
-                x[t][m][n] =
-                    Some(p.add_var(format!("x_{m}_{n}_{t}"), 0.0, f64::INFINITY, -energy_cost));
+                let utility = slope_per_hour[n] * period_hours;
+                x[t][m][n] = Some(p.add_var(
+                    format!("x_{m}_{n}_{t}"),
+                    0.0,
+                    f64::INFINITY,
+                    utility - energy_cost,
+                ));
             }
         }
     }
 
-    // Scheduling utility f_n: linear-capped per class and period, width
-    // = predicted demand N_nt. Expressed through PiecewiseLinear for
-    // uniformity with richer concave shapes.
+    // Rows, step by step: demand caps, then state equations and
+    // capacity constraints.
     for t in 0..horizon {
+        // One demand cap Σ_m x_mnt ≤ N_nt per class with a compatible
+        // type, zero demand or not, so the rows and columns depend only
+        // on (classes, types, horizon, compatibility) and a basis carries
+        // over whatever the forecast does. Under Dollars the concave SLO
+        // curve adds one excess column g_nt ≥ Σ_m x_mnt −
+        // critical_fraction·N_nt that takes the head-minus-tail slope back
+        // on what is served past the critical head.
         for n in 0..n_classes {
-            let width = inputs.demand[t][n];
-            if width <= 0.0 {
-                // No demand: cap assignments at zero.
-                let terms: Vec<(VarId, f64)> =
-                    (0..m_types).filter_map(|m| x[t][m][n].map(|v| (v, 1.0))).collect();
-                if !terms.is_empty() {
-                    p.add_le(terms, 0.0);
-                }
+            let terms: Vec<(VarId, f64)> =
+                (0..m_types).filter_map(|m| x[t][m][n].map(|v| (v, 1.0))).collect();
+            if terms.is_empty() {
                 continue;
             }
-            // Energy: the flat per-class utility slope. Dollars: the
-            // concave SLO-cost curve — the critical head of demand earns
-            // the full violation cost when served, the elastic tail the
-            // lower one.
-            let f = match costs {
-                None => {
-                    let slope = inputs.utility_per_hour[n] * period_hours;
-                    PiecewiseLinear::linear_capped(width, slope)
-                        .map_err(HarmonyError::Optimization)?
-                }
-                Some(c) => {
-                    let segs: Vec<(f64, f64)> = c.slo_costs[n]
-                        .utility_segments(width)
-                        .into_iter()
-                        .map(|(w, s)| (w, s * period_hours))
-                        .collect();
-                    PiecewiseLinear::concave(segs).map_err(HarmonyError::Optimization)?
-                }
-            };
-            let segs = f.add_to_problem(&mut p, &format!("u_{n}_{t}"));
-            // Σ segments = Σ_m x_mnt (utility accrues per assigned
-            // container, saturating at demand).
-            let mut terms: Vec<(VarId, f64)> = segs.iter().map(|&s| (s, 1.0)).collect();
-            let mut any = false;
-            for m in 0..m_types {
-                if let Some(v) = x[t][m][n] {
-                    terms.push((v, -1.0));
-                    any = true;
-                }
+            let demand = inputs.demand[t][n].max(0.0);
+            if let Some(c) = costs {
+                let curve = &c.slo_costs[n];
+                let refund = (curve.critical_per_hour - curve.tail_per_hour) * period_hours;
+                let g = p.add_var(format!("g_{n}_{t}"), 0.0, f64::INFINITY, -refund);
+                let mut excess = terms.clone();
+                excess.push((g, -1.0));
+                p.add_le(excess, curve.critical_fraction.clamp(0.0, 1.0) * demand);
             }
-            if any {
-                p.add_eq(terms, 0.0);
-                // Do not assign beyond demand (utility would be zero but
-                // energy positive, so the LP avoids it anyway; the cap
-                // keeps the polytope tight).
-                let cap_terms: Vec<(VarId, f64)> =
-                    (0..m_types).filter_map(|m| x[t][m][n].map(|v| (v, 1.0))).collect();
-                p.add_le(cap_terms, width);
-            }
+            p.add_le(terms, demand);
         }
-    }
-
-    // State equations and capacity constraints.
-    for t in 0..horizon {
         for m in 0..m_types {
             // z_mt - z_{m,t-1} - δ⁺ + δ⁻ = 0  (z_{-1} = initial_active).
             let mut terms = vec![(z[t][m], 1.0), (dp[t][m], -1.0), (dm[t][m], 1.0)];
@@ -543,6 +540,12 @@ pub fn solve_cbs_relax_priced(
         lp_constraints,
         cost,
     })
+}
+
+/// A non-finite or non-concave utility or demand input, reported as the
+/// LP input error it would otherwise become.
+fn lp_input_error(context: &'static str) -> HarmonyError {
+    HarmonyError::Optimization(harmony_lp::LpError::NonFiniteInput { context })
 }
 
 /// Dollar accounting of a solved plan: rental at the planning rates the
@@ -889,18 +892,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_demand_structure_change_falls_back_cleanly() {
-        // Demand crossing zero changes the LP's variable/constraint
-        // structure; the stale basis must fall back to a cold solve, not
-        // corrupt the plan.
-        let catalog = catalog();
+    fn demand_crossing_zero_keeps_structure_and_warm_hits() {
+        // A forecast hitting zero only zeroes its cap's right-hand side:
+        // the LP keeps its dimensions and the previous basis restarts it.
+        let catalog = MachineCatalog::table2_with_accel().scaled(100);
         let sizes = vec![Resources::new(0.05, 0.03)];
         let utility = vec![1.0];
-        let initial = vec![5.0, 0.0, 0.0, 0.0];
+        let initial = vec![5.0, 0.0, 0.0, 0.0, 0.0];
         let cfg = config();
-        let solve = |demand: f64, warm: Option<&harmony_lp::Basis>| {
-            solve_cbs_relax_warm(
-                &CbsInputs {
+        for objective in [CbsObjective::Energy, CbsObjective::Dollars(dollar_costs(&catalog, 1))] {
+            let solve = |demand: f64, warm: Option<&harmony_lp::Basis>| {
+                let inputs = CbsInputs {
                     catalog: &catalog,
                     container_sizes: &sizes,
                     utility_per_hour: &utility,
@@ -908,16 +910,81 @@ mod tests {
                     initial_active: &initial,
                     price: &EnergyPrice::default(),
                     now: SimTime::ZERO,
-                },
-                &cfg,
-                warm,
-            )
+                };
+                solve_cbs_relax_priced(&inputs, &cfg, &objective, warm).unwrap()
+            };
+            let busy = solve(20.0, None);
+            let idle = solve(0.0, Some(&busy.basis));
+            let busy_again = solve(20.0, Some(&idle.basis));
+            for (warm, demand) in [(&idle, 0.0), (&busy_again, 20.0)] {
+                let name = objective.name();
+                assert_eq!(
+                    (warm.lp_vars, warm.lp_constraints),
+                    (busy.lp_vars, busy.lp_constraints),
+                    "{name}: demand {demand} changed the LP's dimensions"
+                );
+                assert_eq!(warm.warm_outcome, harmony_lp::WarmOutcome::Hit, "{name}: {demand}");
+                let cold = solve(demand, None).plan.objective;
+                assert!(
+                    (warm.plan.objective - cold).abs() < 1e-6 * (1.0 + cold.abs()),
+                    "{name}: warm {} vs cold {cold} at demand {demand}",
+                    warm.plan.objective
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_class_with_no_demand_changes_nothing() {
+        // Metamorphic: appending a class whose demand is zero at every
+        // step leaves the optimum and the machine plan where they were,
+        // however much its containers would be worth.
+        let catalog = MachineCatalog::table2_with_accel().scaled(100);
+        let sizes = vec![Resources::new(0.05, 0.03), Resources::new(0.2, 0.1)];
+        let utility = vec![1.0, 0.6];
+        let demand = vec![vec![30.0, 6.0], vec![24.0, 8.0], vec![18.0, 10.0]];
+        let initial = vec![2.0, 0.0, 1.0, 0.0, 0.0];
+        let mut cfg = config();
+        cfg.horizon = 3;
+        let solve = |sizes: &[Resources], utility: &[f64], demand: &[Vec<f64>], dollars: bool| {
+            let objective = if dollars {
+                CbsObjective::Dollars(dollar_costs(&catalog, sizes.len()))
+            } else {
+                CbsObjective::Energy
+            };
+            let inputs = CbsInputs {
+                catalog: &catalog,
+                container_sizes: sizes,
+                utility_per_hour: utility,
+                demand,
+                initial_active: &initial,
+                price: &EnergyPrice::default(),
+                now: SimTime::ZERO,
+            };
+            solve_cbs_relax_priced(&inputs, &cfg, &objective, None).unwrap().plan
         };
-        let busy = solve(20.0, None).unwrap();
-        let idle_cold = solve(0.0, None).unwrap();
-        let idle_warm = solve(0.0, Some(&busy.basis)).unwrap();
-        assert!(!idle_warm.warm_started, "structure change must force a cold fallback");
-        assert_eq!(idle_warm.plan, idle_cold.plan, "fallback must match the cold plan");
+        let mut sizes_plus = sizes.clone();
+        sizes_plus.push(Resources::new(0.05, 0.05));
+        let mut utility_plus = utility.clone();
+        utility_plus.push(50.0);
+        let demand_plus: Vec<Vec<f64>> =
+            demand.iter().map(|row| row.iter().copied().chain([0.0]).collect()).collect();
+        for dollars in [false, true] {
+            let base = solve(&sizes, &utility, &demand, dollars);
+            let plus = solve(&sizes_plus, &utility_plus, &demand_plus, dollars);
+            assert!(
+                (plus.objective - base.objective).abs() <= 1e-9 * base.objective.abs(),
+                "dollars={dollars}: {} vs {}",
+                plus.objective,
+                base.objective
+            );
+            for (t, (zb, zp)) in base.z.iter().zip(&plus.z).enumerate() {
+                for (m, (b, p)) in zb.iter().zip(zp).enumerate() {
+                    assert!((b - p).abs() < 1e-9, "dollars={dollars}: z[{t}][{m}] {b} vs {p}");
+                }
+            }
+            assert!(plus.x.iter().flatten().all(|per_n| per_n[2] < 1e-9), "dollars={dollars}");
+        }
     }
 
     fn dollar_costs(catalog: &MachineCatalog, n_classes: usize) -> DollarCosts {
@@ -1159,6 +1226,41 @@ mod tests {
             ));
         }
         assert_eq!(CbsObjective::Energy.name(), "energy");
+    }
+
+    #[test]
+    fn non_concave_or_non_finite_utility_is_rejected() {
+        let catalog = MachineCatalog::table2_with_accel().scaled(100);
+        let sizes = vec![Resources::new(0.05, 0.03)];
+        let initial = vec![0.0; 5];
+        let solve = |utility: f64, demand: f64, objective: &CbsObjective| {
+            let inputs = CbsInputs {
+                catalog: &catalog,
+                container_sizes: &sizes,
+                utility_per_hour: &[utility],
+                demand: &[vec![demand]],
+                initial_active: &initial,
+                price: &EnergyPrice::default(),
+                now: SimTime::ZERO,
+            };
+            solve_cbs_relax_priced(&inputs, &config(), objective, None)
+        };
+        let mut non_concave = dollar_costs(&catalog, 1);
+        // The fields are public, so SloCostCurve::new's check can be
+        // bypassed; the solve must still refuse a tail above the head.
+        non_concave.slo_costs[0] = harmony_pricing::SloCostCurve {
+            critical_fraction: 0.5,
+            critical_per_hour: 0.1,
+            tail_per_hour: 0.4,
+        };
+        let failures = [
+            solve(1.0, 5.0, &CbsObjective::Dollars(non_concave)),
+            solve(f64::NAN, 5.0, &CbsObjective::Energy),
+            solve(1.0, f64::INFINITY, &CbsObjective::Energy),
+        ];
+        for result in failures {
+            assert!(matches!(result, Err(HarmonyError::Optimization(_))), "{result:?}");
+        }
     }
 
     #[test]

@@ -5,12 +5,9 @@
 //! CBS-RELAX maximizes a concave objective (energy cost, switching cost
 //! `q_m|δ|`, and a concave scheduling utility `f_n`) over linear
 //! constraints. With piecewise-linear concave `f_n` — the form the paper
-//! derives from SLO penalty curves — the whole program is an LP:
-//!
-//! * `|δ|` terms split into `δ⁺ + δ⁻` with `δ = δ⁺ - δ⁻`, both
-//!   non-negative;
-//! * each concave `f_n` becomes one variable per linear segment with
-//!   per-segment upper bounds ([`PiecewiseLinear`] does the bookkeeping).
+//! derives from SLO penalty curves — the whole program is an LP once
+//! the `|δ|` terms split into `δ⁺ + δ⁻` with `δ = δ⁺ - δ⁻`, both
+//! non-negative.
 //!
 //! Two interchangeable engines implement the same two-phase primal
 //! simplex ([`SolverBackend`] selects one per solve):
@@ -65,12 +62,10 @@
 
 mod error;
 mod factor;
-mod piecewise;
 mod problem;
 mod simplex;
 mod sparse;
 
 pub use error::LpError;
-pub use piecewise::PiecewiseLinear;
 pub use problem::{Constraint, Problem, Relation, Sense, VarId};
 pub use simplex::{Basis, SimplexOptions, Solution, SolverBackend, WarmOutcome};

@@ -11,10 +11,10 @@ use crate::error::PricingError;
 /// `critical_per_hour` $/container-hour — leaving it unserved breaches
 /// the SLO outright. The remaining tail is worth the lower
 /// `tail_per_hour` — elastic demand whose violation costs less. The
-/// segments are exactly the shape
-/// [`harmony_lp::PiecewiseLinear::concave`] accepts, so the dollar
-/// objective can drop them straight into the LP where the energy
-/// objective uses its flat `utility_per_container_hour`.
+/// dollar objective prices it in the LP as the critical slope on every
+/// assignment plus one excess column refunding `critical − tail` past
+/// the head, where the energy objective uses its flat
+/// `utility_per_container_hour`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloCostCurve {
     /// Fraction of demand in the critical segment, in `(0, 1]`.
