@@ -129,13 +129,14 @@ impl TaskClassifier {
                 .map(|t| vec![transform.apply(t.demand.cpu), transform.apply(t.demand.mem)])
                 .collect();
             let data = Dataset::from_rows(rows)?;
-            let k = match config.k_per_group {
-                Some(ks) => ks[group.index()].clamp(1, members.len()),
-                None => {
-                    elbow_k(&data, 1, config.k_max, config.elbow_min_gain, config.seed)?.chosen_k
+            let model = match config.k_per_group {
+                Some(ks) => {
+                    let k = ks[group.index()].clamp(1, members.len());
+                    KMeans::new(k).seed(config.seed).fit(&data)?
                 }
+                None => elbow_k(&data, 1, config.k_max, config.elbow_min_gain, config.seed)?.model,
             };
-            let model = KMeans::new(k).seed(config.seed).fit(&data)?;
+            let k = model.k();
 
             for c in 0..k {
                 let member_idx: Vec<usize> = model

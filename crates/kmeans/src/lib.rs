@@ -9,7 +9,9 @@
 //!   span several orders of magnitude (Section III-D), so clustering is
 //!   typically run in log space.
 //! * [`KMeans`] — Lloyd's algorithm with k-means++ seeding, empty-cluster
-//!   repair, and deterministic seeded runs.
+//!   repair, and deterministic seeded runs. The assignment step skips
+//!   points whose Hamerly bounds prove their centroid still the nearest,
+//!   with output identical to the plain loop.
 //! * [`quality`] — inertia, silhouette scores, and the elbow rule used in
 //!   Section IX-A ("the best value of k ... is selected as the one for
 //!   which no significant benefit can be achieved by increasing k").

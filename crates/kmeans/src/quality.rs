@@ -146,6 +146,9 @@ pub struct ElbowReport {
     pub inertias: Vec<f64>,
     /// The selected `k`.
     pub chosen_k: usize,
+    /// The sweep's fit at `chosen_k`: what `KMeans::new(chosen_k)` with
+    /// the sweep's seed returns, so a caller need not refit it.
+    pub model: KMeansModel,
 }
 
 impl ElbowReport {
@@ -154,12 +157,13 @@ impl ElbowReport {
     /// fixed denominator keeps the rule stable once inertia approaches
     /// zero.
     pub fn relative_gains(&self) -> Vec<f64> {
-        let base = self.inertias.first().copied().unwrap_or(0.0);
-        self.inertias
-            .windows(2)
-            .map(|w| if base > 0.0 { (w[0] - w[1]) / base } else { 0.0 })
-            .collect()
+        relative_gains(&self.inertias)
     }
+}
+
+fn relative_gains(inertias: &[f64]) -> Vec<f64> {
+    let base = inertias.first().copied().unwrap_or(0.0);
+    inertias.windows(2).map(|w| if base > 0.0 { (w[0] - w[1]) / base } else { 0.0 }).collect()
 }
 
 /// Sweeps `k` over `k_min..=k_max` and picks the smallest `k` after which
@@ -207,26 +211,22 @@ pub fn elbow_k(
         // chosen_k lookup panics on an empty list.
         return Err(KMeansError::TooFewPoints { k: k_min, points: data.len() });
     }
-    let mut ks = Vec::new();
-    let mut inertias = Vec::new();
-    for k in k_min..=k_max {
-        let model = KMeans::new(k).seed(seed).fit(data)?;
-        ks.push(k);
-        inertias.push(model.inertia());
-    }
+    let mut models = (k_min..=k_max)
+        .map(|k| KMeans::new(k).seed(seed).fit(data))
+        .collect::<Result<Vec<_>, _>>()?;
+    let ks: Vec<usize> = (k_min..=k_max).collect();
+    let inertias: Vec<f64> = models.iter().map(KMeansModel::inertia).collect();
     // Choose the first k whose improvement over the *next* k is below the
     // threshold; default to k_max when every step is still a significant
     // gain.
-    // `ks` holds k_min..=k_max (non-empty after the guard above), so
-    // k_max is its last element.
-    let mut report = ElbowReport { ks, inertias, chosen_k: k_max };
-    for (i, gain) in report.relative_gains().into_iter().enumerate() {
-        if gain < min_gain {
-            report.chosen_k = report.ks[i];
-            break;
-        }
-    }
-    Ok(report)
+    let chosen = relative_gains(&inertias)
+        .iter()
+        .position(|&gain| gain < min_gain)
+        .unwrap_or(ks.len() - 1);
+    // `models` holds one fit per k in k_min..=k_max (non-empty after the
+    // guard above), so `chosen` indexes it.
+    let model = models.swap_remove(chosen);
+    Ok(ElbowReport { chosen_k: ks[chosen], ks, inertias, model })
 }
 
 #[cfg(test)]
@@ -303,6 +303,17 @@ mod tests {
         assert_eq!(report.chosen_k, 3, "inertias: {:?}", report.inertias);
         assert_eq!(report.ks.len(), report.inertias.len());
         assert_eq!(report.relative_gains().len(), report.ks.len() - 1);
+    }
+
+    #[test]
+    fn elbow_hands_back_the_chosen_fit() {
+        let data = three_blobs();
+        for (min_gain, seed) in [(0.2, 42), (-1.0, 0), (2.0, 7)] {
+            let report = elbow_k(&data, 1, 5, min_gain, seed).unwrap();
+            let refit = KMeans::new(report.chosen_k).seed(seed).fit(&data).unwrap();
+            assert_eq!(report.model, refit);
+            assert_eq!(report.model.inertia().to_bits(), refit.inertia().to_bits());
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub enum EngineMode {
     /// The seed engine's linear-scan placement and global `BinaryHeap`
     /// event loop. Kept verbatim as the determinism oracle: the
     /// cross-engine property suite asserts byte-identical reports
-    /// against it, and `sim_scale` measures speedups relative to it.
+    /// against it.
     Reference,
 }
 
