@@ -476,7 +476,6 @@ pub fn solve_cbs_relax_priced(
     // path walks the degradation ladder instead).
     let options = harmony_lp::SimplexOptions {
         max_pivots: Some(config.max_lp_pivots),
-        backend: config.lp_backend,
         ..Default::default()
     };
     let lp_vars = p.num_vars();

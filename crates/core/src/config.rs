@@ -43,13 +43,6 @@ pub struct HarmonyConfig {
     /// are merged in deterministic class order — so this is purely a
     /// latency/footprint knob.
     pub pipeline_workers: Option<usize>,
-    /// Which simplex engine solves CBS-RELAX. The sparse revised
-    /// simplex (the default) is the production engine; the dense
-    /// tableau is retained as a reference oracle and escape hatch.
-    /// Both reach the same objective and honor the same warm-start
-    /// protocol, so flipping this mid-deployment is safe — even across
-    /// a checkpointed basis.
-    pub lp_backend: harmony_lp::SolverBackend,
 }
 
 impl Default for HarmonyConfig {
@@ -68,7 +61,6 @@ impl Default for HarmonyConfig {
             demand_margin: 1.25,
             max_lp_pivots: 20_000,
             pipeline_workers: None,
-            lp_backend: harmony_lp::SolverBackend::Sparse,
         }
     }
 }

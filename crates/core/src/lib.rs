@@ -68,8 +68,8 @@ mod serde_impls;
 
 pub use cbs::{CbsObjective, DollarCosts, PlanCost};
 pub use config::HarmonyConfig;
-// Re-exported so binaries configuring the solver (harmonyd's
-// --lp-backend flag) need not depend on harmony-lp directly.
-pub use harmony_lp::{SolverBackend, WarmOutcome};
+// Re-exported so callers tallying warm-start outcomes need not depend
+// on harmony-lp directly.
+pub use harmony_lp::WarmOutcome;
 pub use error::HarmonyError;
 pub use online::{OnlinePipeline, OnlineState};

@@ -307,8 +307,7 @@ fn usable(fc: &[f64], cap: f64) -> bool {
 }
 
 fn auto_forecast(history: &[f64], horizon: usize) -> Result<Vec<f64>, HarmonyError> {
-    // A small fixed order keeps per-tick cost bounded; auto_arima's grid
-    // search is reserved for offline studies.
+    // A small fixed order keeps the per-tick fitting cost bounded.
     let model = Arima::new(2, 0, 1)?.with_mean();
     Ok(model.forecast(history, horizon)?)
 }

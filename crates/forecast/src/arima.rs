@@ -278,75 +278,6 @@ impl ArimaFit {
     }
 }
 
-/// Selects an ARIMA order automatically: the differencing order `d` is
-/// the smallest one that stops reducing the series variance by more than
-/// 10%, and `(p, q)` minimize AIC over the grid
-/// `0..=p_max × 0..=q_max`.
-///
-/// Returns the fitted model of the winning order.
-///
-/// # Errors
-///
-/// Propagates fitting errors if *every* candidate order fails; otherwise
-/// failed candidates are skipped.
-///
-/// # Examples
-///
-/// ```
-/// use harmony_forecast::auto_arima;
-///
-/// let s: Vec<f64> = (0..100).map(|t| 50.0 + (t as f64 * 0.2).sin() * 10.0).collect();
-/// let (order, fit) = auto_arima(&s, 3, 2)?;
-/// assert!(order.0 <= 3 && order.2 <= 2);
-/// let fc = fit.forecast(5);
-/// assert_eq!(fc.len(), 5);
-/// # Ok::<(), harmony_forecast::ForecastError>(())
-/// ```
-pub fn auto_arima(
-    history: &[f64],
-    p_max: usize,
-    q_max: usize,
-) -> Result<((usize, usize, usize), ArimaFit), ForecastError> {
-    check_finite(history)?;
-    // Pick d: difference while the series looks near-unit-root (sample
-    // lag-1 autocorrelation above 0.9). A stationary AR process with
-    // moderate phi stays below the threshold; a random walk sits near 1.
-    let mut d = 0usize;
-    while d < MAX_D {
-        let current = difference(history, d)?;
-        let near_unit_root = match crate::series::acf(&current, 1) {
-            Ok(r) => r[1] > 0.9,
-            Err(_) => false,
-        };
-        if near_unit_root && variance(&difference(history, d + 1)?) > 0.0 {
-            d += 1;
-        } else {
-            break;
-        }
-    }
-    let mut best: Option<((usize, usize, usize), ArimaFit)> = None;
-    let mut last_err = None;
-    for p in 0..=p_max.min(MAX_ORDER) {
-        for q in 0..=q_max.min(MAX_ORDER) {
-            let spec = match Arima::new(p, d, q) {
-                Ok(s) => if d == 0 { s.with_mean() } else { s },
-                Err(e) => return Err(e),
-            };
-            match spec.fit(history) {
-                Ok(fit) => {
-                    if best.as_ref().is_none_or(|(_, b)| fit.aic() < b.aic()) {
-                        best = Some(((p, d, q), fit));
-                    }
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-    }
-    best.ok_or_else(|| {
-        last_err.unwrap_or(ForecastError::FitFailed { reason: "no candidate order fitted".into() })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,32 +381,6 @@ mod tests {
             small.aic(),
             big.aic()
         );
-    }
-
-    #[test]
-    fn auto_arima_picks_d1_for_random_walk() {
-        let mut noise = lcg_noise(5);
-        let mut s = vec![0.0f64];
-        for _ in 0..500 {
-            let prev = *s.last().unwrap();
-            s.push(prev + noise());
-        }
-        let ((_, d, _), _) = auto_arima(&s, 2, 2).unwrap();
-        assert_eq!(d, 1);
-    }
-
-    #[test]
-    fn auto_arima_prefers_ar_for_ar_process() {
-        let mut noise = lcg_noise(6);
-        let mut s = vec![0.0f64];
-        for _ in 0..2000 {
-            let prev = *s.last().unwrap();
-            s.push(0.8 * prev + noise());
-        }
-        let ((p, d, _), fit) = auto_arima(&s, 2, 1).unwrap();
-        assert_eq!(d, 0);
-        assert!(p >= 1, "should detect autoregression");
-        assert_eq!(fit.forecast(3).len(), 3);
     }
 
     #[test]

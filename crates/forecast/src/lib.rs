@@ -8,9 +8,8 @@
 //! * [`series`] — differencing/integration, ACF/PACF (Durbin–Levinson),
 //!   summary statistics.
 //! * [`Arima`] — conditional-sum-of-squares fitting (Nelder–Mead over the
-//!   AR/MA coefficients, seeded by a Yule–Walker AR fit), multi-step
-//!   forecasting through the integration chain, and AIC-based automatic
-//!   order selection ([`auto_arima`]).
+//!   AR/MA coefficients, seeded by a Yule–Walker AR fit) and multi-step
+//!   forecasting through the integration chain.
 //! * [`Forecaster`] — object-safe interface shared by ARIMA, the
 //!   seasonal [`HoltWinters`] model, and the baselines ([`Naive`],
 //!   [`MovingAverage`], [`Ewma`], [`Holt`]).
@@ -41,7 +40,7 @@ mod neldermead;
 mod seasonal;
 pub mod series;
 
-pub use arima::{auto_arima, Arima, ArimaFit, MAX_D, MAX_ORDER};
+pub use arima::{Arima, ArimaFit, MAX_D, MAX_ORDER};
 pub use baselines::{Ewma, Holt, MovingAverage, Naive};
 pub use error::ForecastError;
 pub use neldermead::{nelder_mead, NelderMeadOptions};

@@ -4,9 +4,9 @@
 //! PR 2's crash/resume contract says a daemon built today must load a
 //! checkpoint written by any earlier build of the same
 //! `CHECKPOINT_VERSION`. PRs 4, 7, and 8 each added fields
-//! (`pipeline_workers`, `lp_basis`, `objective`, `cost_dollars`,
-//! `lp_backend`) and each had to re-discover the tolerant-deser idiom
-//! by hand:
+//! (`pipeline_workers`, `lp_basis`, `objective`, `cost_dollars`, and an
+//! LP engine selector since removed) and each had to re-discover the
+//! tolerant-deser idiom by hand:
 //!
 //! ```text
 //! match v.field("name") { Ok(Value::Null) | Err(_) => <default>, Ok(other) => ... }

@@ -4,7 +4,7 @@
 //! The simulator's clock is virtual (`SimTime`), and checkpoint/resume
 //! (PR 2) replays runs by event sequence: an `Instant::now()` or
 //! `SystemTime::now()` inside `crates/sim`, the controller paths in
-//! `crates/core`, or the simplex engines in `crates/lp` (whose pivot
+//! `crates/core`, or the simplex engine in `crates/lp` (whose pivot
 //! sequences must be reproducible for warm-start replay) would smuggle
 //! real time into decisions and break bit-identical replay. Real-time
 //! *measurement* is still available — route it through

@@ -32,11 +32,11 @@ pub enum LpError {
         /// The raw index supplied.
         index: usize,
     },
-    /// The sparse engine's basis factorization broke down numerically:
+    /// The basis factorization broke down numerically:
     /// a basis whose pivots were all accepted refactorized as singular,
     /// which means rounding error has degraded it beyond use. Extremely
-    /// rare; re-solving without a warm basis (or on the dense backend)
-    /// is the caller's best recourse.
+    /// rare; re-solving without a warm basis is the caller's best
+    /// recourse.
     SingularBasis,
 }
 

@@ -1,6 +1,5 @@
-//! A two-phase simplex LP solver — a sparse revised simplex with a
-//! dense tableau oracle — built from scratch for solving the paper's
-//! CBS-RELAX provisioning relaxation (Eq. 14–16).
+//! A two-phase sparse revised simplex LP solver, built from scratch for
+//! solving the paper's CBS-RELAX provisioning relaxation (Eq. 14–16).
 //!
 //! CBS-RELAX maximizes a concave objective (energy cost, switching cost
 //! `q_m|δ|`, and a concave scheduling utility `f_n`) over linear
@@ -9,29 +8,23 @@
 //! the `|δ|` terms split into `δ⁺ + δ⁻` with `δ = δ⁺ - δ⁻`, both
 //! non-negative.
 //!
-//! Two interchangeable engines implement the same two-phase primal
-//! simplex ([`SolverBackend`] selects one per solve):
-//!
-//! * the **sparse revised simplex** (default) stores the constraint
-//!   matrix once in compressed sparse column form and carries the basis
-//!   inverse as an eta-file factorization with periodic
-//!   refactorization — per-iteration cost proportional to the nonzero
-//!   count, which is what lets CBS-RELAX instances with tens of
-//!   thousands of columns solve inside one control period;
-//! * the **dense tableau** keeps the whole `B⁻¹A` tableau explicit —
-//!   per-pivot cost O(rows × cols) — and serves as the reference oracle
-//!   the sparse engine is property-tested against.
-//!
-//! Both engines share Dantzig most-negative-cost pricing (with an
+//! The solver stores the constraint matrix once in compressed sparse
+//! column form and carries the basis inverse as an eta-file
+//! factorization with periodic refactorization — per-iteration cost
+//! proportional to the nonzero count, which is what lets CBS-RELAX
+//! instances with thousands of columns solve inside one control period.
+//! It prices with Dantzig's most-negative reduced cost (with an
 //! automatic fallback to Bland's anti-cycling rule after a degeneracy
-//! streak, so termination is preserved) and the warm-start API —
+//! streak, so termination is preserved) and has a warm-start API —
 //! [`Solution::basis`] carries the optimal [`Basis`] out, and
 //! [`Problem::solve_warm_with`] re-solves a structurally identical
 //! problem from it, skipping phase 1 (or repairing the restart point
-//! with a short phase 1 when the new RHS moved against it); a basis
-//! taken from one backend warm-starts the other. Everything stays
-//! deterministic: the same problem, options, and warm basis always take
-//! the same pivot sequence.
+//! with a short phase 1 when the new RHS moved against it). Everything
+//! stays deterministic: the same problem, options, and warm basis always
+//! take the same pivot sequence.
+//!
+//! A dense two-phase tableau, compiled only for tests, is the reference
+//! oracle the engine's objectives are property-tested against.
 //!
 //! A successful solve always yields an optimal [`Solution`]; every
 //! failure outcome — infeasible, unbounded, pivot budget exhausted,
@@ -60,6 +53,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+#[cfg(test)]
+mod dense;
 mod error;
 mod factor;
 mod problem;
@@ -68,4 +63,4 @@ mod sparse;
 
 pub use error::LpError;
 pub use problem::{Constraint, Problem, Relation, Sense, VarId};
-pub use simplex::{Basis, SimplexOptions, Solution, SolverBackend, WarmOutcome};
+pub use simplex::{Basis, SimplexOptions, Solution, WarmOutcome};

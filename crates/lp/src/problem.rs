@@ -2,7 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::simplex::{solve_problem, solve_problem_warm, Basis, SimplexOptions, Solution};
+use crate::simplex::{Basis, SimplexOptions, Solution};
+use crate::sparse::solve_sparse;
 use crate::LpError;
 
 /// Handle to a decision variable within a [`Problem`].
@@ -174,7 +175,7 @@ impl Problem {
     ///
     /// See [`Problem::solve`].
     pub fn solve_with(&self, options: &SimplexOptions) -> Result<Solution, LpError> {
-        solve_problem(self, options)
+        solve_sparse(self, options, None)
     }
 
     /// Solves, warm-starting from a previous solve's optimal [`Basis`]
@@ -202,7 +203,7 @@ impl Problem {
         options: &SimplexOptions,
         warm: Option<&Basis>,
     ) -> Result<Solution, LpError> {
-        solve_problem_warm(self, options, warm)
+        solve_sparse(self, options, warm)
     }
 }
 

@@ -1,13 +1,9 @@
-//! Shared simplex machinery plus the dense tableau engine.
+//! Shared simplex machinery: standardization to equality form, the
+//! phase-2 cost vector, solution extraction, and the
+//! [`Basis`]/[`Solution`]/[`SimplexOptions`] types. The engine that
+//! runs every solve is the sparse revised simplex in `crate::sparse`.
 //!
-//! This module owns everything both backends share — standardization to
-//! equality form, the phase-2 cost vector, solution extraction, the
-//! [`Basis`]/[`Solution`]/[`SimplexOptions`] types, and the
-//! [`SolverBackend`] dispatch — and implements the dense two-phase
-//! tableau engine ([`SolverBackend::Dense`]); the sparse revised
-//! simplex lives in `crate::sparse`.
-//!
-//! The dense implementation follows the textbook tableau method:
+//! A solve is the textbook two-phase method:
 //!
 //! 1. **Standardize.** Every user variable is mapped onto one or two
 //!    non-negative columns (shift by a finite lower bound, mirror a
@@ -29,7 +25,7 @@
 //!
 //! **Warm starts.** Every [`Solution`] carries the optimal [`Basis`] out
 //! in standardized column space. [`crate::Problem::solve_warm_with`]
-//! re-installs that basis on a freshly standardized tableau when only
+//! re-installs that basis on the freshly standardized problem when only
 //! costs and right-hand sides changed since the previous solve. A
 //! still-feasible restart skips phase 1 entirely; a restart the new RHS
 //! pushed outside the polytope gets a *repair* phase 1 restricted to
@@ -42,69 +38,6 @@ use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::problem::{Problem, Relation, Sense, VarId};
-use crate::LpError;
-
-/// Which simplex engine executes a solve.
-///
-/// Both engines implement the same two-phase primal simplex with the
-/// same pricing rules (Dantzig with a Bland anti-cycling fallback), the
-/// same warm-start semantics, and the same [`Basis`] representation, so
-/// a basis taken from one backend warm-starts the other. They differ
-/// only in how the basis inverse is carried: the dense engine keeps the
-/// whole tableau in `B⁻¹A` form (per-pivot cost O(rows × cols)), while
-/// the sparse engine stores the constraint matrix once in compressed
-/// sparse column form and maintains an eta-file factorization of `B⁻¹`
-/// (per-iteration cost proportional to the nonzero count).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBackend {
-    /// Sparse revised simplex: CSC matrix, product-form (eta-file) basis
-    /// updates with periodic refactorization, BTRAN/FTRAN solves. The
-    /// default engine.
-    #[default]
-    Sparse,
-    /// Dense two-phase tableau — the reference oracle the sparse engine
-    /// is tested against. Per-pivot cost O(rows × cols), so it only
-    /// scales to small instances.
-    Dense,
-}
-
-impl SolverBackend {
-    /// Canonical lowercase name, matching [`std::str::FromStr`].
-    pub fn name(self) -> &'static str {
-        match self {
-            SolverBackend::Sparse => "sparse",
-            SolverBackend::Dense => "dense",
-        }
-    }
-}
-
-impl std::str::FromStr for SolverBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "sparse" => Ok(SolverBackend::Sparse),
-            "dense" => Ok(SolverBackend::Dense),
-            other => Err(format!("unknown LP backend {other:?} (expected sparse|dense)")),
-        }
-    }
-}
-
-impl Serialize for SolverBackend {
-    fn to_value(&self) -> Value {
-        Value::String(self.name().to_owned())
-    }
-}
-
-impl Deserialize for SolverBackend {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v.as_str() {
-            Some("sparse") => Ok(SolverBackend::Sparse),
-            Some("dense") => Ok(SolverBackend::Dense),
-            _ => Err(DeError::new("unknown SolverBackend")),
-        }
-    }
-}
 
 /// Tuning knobs for the simplex solver.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -114,17 +47,11 @@ pub struct SimplexOptions {
     /// Hard cap on pivots across both phases; `None` picks
     /// [`SimplexOptions::auto_pivot_budget`] automatically.
     pub max_pivots: Option<usize>,
-    /// Which engine runs the solve.
-    pub backend: SolverBackend,
 }
 
 impl Default for SimplexOptions {
     fn default() -> Self {
-        SimplexOptions {
-            tolerance: 1e-9,
-            max_pivots: None,
-            backend: SolverBackend::default(),
-        }
+        SimplexOptions { tolerance: 1e-9, max_pivots: None }
     }
 }
 
@@ -147,9 +74,9 @@ impl SimplexOptions {
     /// *classification* — is a restart point inside the polytope, did
     /// phase 1 reach zero — uses this floored value so accumulated
     /// elimination error cannot misclassify a vertex. Every feasibility
-    /// test in both backends (warm-restart repair and cold phase 1
-    /// alike) goes through this one definition, so a borderline restart
-    /// is classified identically on every path.
+    /// test (warm-restart repair and cold phase 1 alike) goes through
+    /// this one definition, so a borderline restart is classified
+    /// identically on every path.
     pub fn feas_tol(&self) -> f64 {
         self.tolerance.max(1e-7)
     }
@@ -210,9 +137,9 @@ impl Deserialize for Basis {
 ///
 /// A `Solution` always represents an optimal basic point: every failure
 /// outcome (infeasible, unbounded, pivot budget exhausted, malformed
-/// model) surfaces as an [`LpError`] from the solve call instead. There
-/// is deliberately no `status` field — an enum with a single reachable
-/// variant would be a misleading always-true API.
+/// model) surfaces as an [`crate::LpError`] from the solve call
+/// instead. There is deliberately no `status` field — an enum with a
+/// single reachable variant would be a misleading always-true API.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Solution {
     objective: f64,
@@ -321,13 +248,13 @@ pub(crate) enum ColMap {
 
 /// A [`Problem`] brought to standard equality form: non-negative
 /// columns, slack/surplus columns appended, right-hand sides
-/// non-negative. Artificial columns are *not* included — the cold path
-/// appends them, the warm path never needs them.
+/// non-negative. Artificial columns are *not* included — phase 1 and
+/// the warm-start repair append their own.
 ///
 /// Rows are stored sparsely — `(column, coefficient)` pairs — so the
 /// standardization cost is proportional to the nonzero count, not to
-/// `rows × cols`. The dense tableau engine scatters them into dense
-/// rows on construction; the sparse engine transposes them into CSC.
+/// `rows × cols`. The engine transposes them into CSC; the test-only
+/// dense oracle scatters them into tableau rows.
 pub(crate) struct Standardized {
     pub(crate) maps: Vec<ColMap>,
     /// Sparse coefficient rows over the standardized columns: nonzero
@@ -469,7 +396,7 @@ pub(crate) fn phase2_cost(p: &Problem, maps: &[ColMap], width: usize) -> Vec<f64
 }
 
 /// Maps an optimal basic point (values per standardized column, basic
-/// column per row) back to user variable space. Shared by both engines.
+/// column per row) back to user variable space.
 pub(crate) fn extract(
     p: &Problem,
     std_form: &Standardized,
@@ -498,432 +425,10 @@ pub(crate) fn extract(
     }
 }
 
-/// Scatters the standardized sparse rows into dense rows for the
-/// tableau engine.
-fn dense_rows(std_form: &Standardized) -> Vec<Vec<f64>> {
-    std_form
-        .rows
-        .iter()
-        .map(|row| {
-            let mut dense = vec![0.0; std_form.struct_and_slack];
-            for &(j, a) in row {
-                dense[j] = a;
-            }
-            dense
-        })
-        .collect()
-}
-
-/// Re-installs `basis` on a freshly standardized tableau by Gauss-Jordan
-/// elimination with partial pivoting restricted to the basis columns.
-///
-/// Returns `None` — i.e. "fall back to a cold solve" — when the basis
-/// belongs to a different tableau shape, kept an artificial column (a
-/// redundant row in the previous solve), or has gone singular for the
-/// new coefficient matrix. A primal-infeasible restart point is *not*
-/// grounds for rejection here: [`solve_from_basis`] repairs it with a
-/// phase 1 restricted to the violated rows.
-fn install_basis(
-    std_form: &Standardized,
-    basis: &Basis,
-    tol: f64,
-    max_pivots: usize,
-) -> Option<Tableau> {
-    let m = std_form.rows.len();
-    if basis.cols.len() != m || basis.n_cols != std_form.struct_and_slack {
-        return None; // structural change since the basis was taken
-    }
-    if basis.cols.iter().any(|&j| j >= std_form.struct_and_slack) {
-        return None; // an artificial stayed basic (redundant row)
-    }
-    let mut tableau = Tableau {
-        a: dense_rows(std_form),
-        b: std_form.b.clone(),
-        basis: vec![0; m],
-        tol,
-        pivots: 0,
-        max_pivots,
-    };
-    let mut row_used = vec![false; m];
-    for &j in &basis.cols {
-        // Best remaining pivot row for column j (partial pivoting keeps
-        // the factorization numerically honest).
-        let mut best: Option<(usize, f64)> = None;
-        for (i, used) in row_used.iter().enumerate() {
-            if *used {
-                continue;
-            }
-            let mag = tableau.a[i][j].abs();
-            if best.is_none_or(|(_, bm)| mag > bm) {
-                best = Some((i, mag));
-            }
-        }
-        let (i, mag) = best?;
-        if mag <= tol {
-            return None; // singular: duplicate or dependent basis column
-        }
-        tableau.pivot(i, j);
-        row_used[i] = true;
-    }
-    // Installation is a factorization, not simplex pivoting: do not
-    // charge it against the pivot budget or report it as pivots.
-    tableau.pivots = 0;
-    Some(tableau)
-}
-
-/// Finishes a warm solve from an installed basis: repairs primal
-/// infeasibility with a phase 1 restricted to the violated rows, then
-/// runs phase 2.
-///
-/// Returns `Ok(None)` when the restart point cannot be repaired (the
-/// problem may be infeasible) — the caller falls back to the cold
-/// two-phase solve, which settles feasibility authoritatively. Solver
-/// errors (unboundedness, pivot budget) propagate.
-fn solve_from_basis(
-    p: &Problem,
-    std_form: &Standardized,
-    mut tableau: Tableau,
-    options: &SimplexOptions,
-) -> Result<Option<Solution>, LpError> {
-    let m = std_form.rows.len();
-    let struct_and_slack = std_form.struct_and_slack;
-    let tol = options.tolerance;
-    let feas = options.feas_tol();
-    // Rows where the restart point B⁻¹b went negative: the previous
-    // vertex is outside today's polytope (RHS moved against it).
-    let violated: Vec<usize> = (0..m).filter(|&i| tableau.b[i] < -feas).collect();
-    for v in &mut tableau.b {
-        if *v < 0.0 && *v >= -feas {
-            *v = 0.0;
-        }
-    }
-
-    if violated.is_empty() {
-        let cost = phase2_cost(p, &std_form.maps, struct_and_slack);
-        tableau.run(&cost, struct_and_slack)?;
-        let col_values = tableau.column_values(struct_and_slack);
-        return Ok(Some(extract(
-            p,
-            std_form,
-            &col_values,
-            &tableau.basis,
-            tableau.pivots,
-            0,
-            WarmOutcome::Hit,
-        )));
-    }
-
-    // Repair: give each violated row (sign-flipped so its RHS is
-    // positive) an artificial basic column, and minimize the artificial
-    // sum. This is an ordinary phase 1, but seeded with a basis that is
-    // already optimal everywhere else, so it needs pivots proportional
-    // to the damage rather than to the whole problem.
-    let n_art = violated.len();
-    let total = struct_and_slack + n_art;
-    for row in &mut tableau.a {
-        row.resize(total, 0.0);
-    }
-    for (k, &i) in violated.iter().enumerate() {
-        for v in &mut tableau.a[i] {
-            *v = -*v;
-        }
-        tableau.b[i] = -tableau.b[i];
-        tableau.a[i][struct_and_slack + k] = 1.0;
-        tableau.basis[i] = struct_and_slack + k;
-    }
-    let mut cost = vec![0.0; total];
-    for c in cost.iter_mut().skip(struct_and_slack) {
-        *c = 1.0;
-    }
-    let obj = tableau.run(&cost, total)?;
-    if obj > feas {
-        return Ok(None); // unrepairable restart; cold solve decides
-    }
-    // Drive remaining basic artificials out where possible (redundant
-    // rows keep theirs at value 0, barred from entering in phase 2).
-    for i in 0..m {
-        if tableau.basis[i] >= struct_and_slack {
-            if let Some(j) = (0..struct_and_slack).find(|&j| tableau.a[i][j].abs() > tol) {
-                tableau.pivot(i, j);
-            }
-        }
-    }
-    let phase1_pivots = tableau.pivots;
-    let cost = phase2_cost(p, &std_form.maps, total);
-    tableau.run(&cost, struct_and_slack)?;
-    let col_values = tableau.column_values(total);
-    Ok(Some(extract(
-        p,
-        std_form,
-        &col_values,
-        &tableau.basis,
-        tableau.pivots,
-        phase1_pivots,
-        WarmOutcome::Hit,
-    )))
-}
-
-pub(crate) fn solve_problem(p: &Problem, options: &SimplexOptions) -> Result<Solution, LpError> {
-    solve_problem_warm(p, options, None)
-}
-
-pub(crate) fn solve_problem_warm(
-    p: &Problem,
-    options: &SimplexOptions,
-    warm: Option<&Basis>,
-) -> Result<Solution, LpError> {
-    match options.backend {
-        SolverBackend::Sparse => crate::sparse::solve_sparse(p, options, warm),
-        SolverBackend::Dense => solve_dense(p, options, warm),
-    }
-}
-
-/// The dense two-phase tableau engine ([`SolverBackend::Dense`]).
-fn solve_dense(
-    p: &Problem,
-    options: &SimplexOptions,
-    warm: Option<&Basis>,
-) -> Result<Solution, LpError> {
-    let tol = options.tolerance;
-    let std_form = standardize(p);
-    let m = std_form.rows.len();
-    let struct_and_slack = std_form.struct_and_slack;
-    // The pivot budget is computed here — once, for both the warm and
-    // cold paths — from the standardized problem shape.
-    let max_pivots = options
-        .max_pivots
-        .unwrap_or_else(|| SimplexOptions::auto_pivot_budget(m, struct_and_slack));
-
-    // --- Warm path: reuse the previous optimal basis. A still-feasible
-    // restart skips phase 1 entirely; an infeasible one gets a repair
-    // phase 1 over just the violated rows (see solve_from_basis). ------
-    let mut warm_outcome = WarmOutcome::Cold;
-    if let Some(basis) = warm {
-        match install_basis(&std_form, basis, tol, max_pivots) {
-            Some(tableau) => match solve_from_basis(p, &std_form, tableau, options)? {
-                Some(solution) => return Ok(solution),
-                // Installed but unrepairable: cold solve decides.
-                None => warm_outcome = WarmOutcome::RepairFallback,
-            },
-            // Never installed: dimension mismatch / artificial / singular.
-            None => warm_outcome = WarmOutcome::StructuralFallback,
-        }
-    }
-
-    // --- Cold path: artificials and phase-1 tableau. ----------------------
-    let Standardized { ref ready_basis, .. } = std_form;
-    let mut n_art = 0usize;
-    let mut basis: Vec<usize> = Vec::with_capacity(m);
-    for ready in ready_basis {
-        match ready {
-            Some(col) => basis.push(*col),
-            None => {
-                let col = struct_and_slack + n_art;
-                n_art += 1;
-                basis.push(col);
-            }
-        }
-    }
-    let total = struct_and_slack + n_art;
-    let mut a_mat = dense_rows(&std_form);
-    let b = std_form.b.clone();
-    let mut art_seen = 0usize;
-    for (i, ready) in ready_basis.iter().enumerate() {
-        a_mat[i].resize(total, 0.0);
-        if ready.is_none() {
-            a_mat[i][struct_and_slack + art_seen] = 1.0;
-            art_seen += 1;
-        }
-    }
-    let art_start = struct_and_slack;
-
-    let mut tableau = Tableau { a: a_mat, b, basis, tol, pivots: 0, max_pivots };
-
-    // Phase 1: minimize sum of artificials.
-    if n_art > 0 {
-        let mut cost = vec![0.0; total];
-        for c in cost.iter_mut().skip(art_start) {
-            *c = 1.0;
-        }
-        let obj = tableau.run(&cost, total)?;
-        if obj > options.feas_tol() {
-            return Err(LpError::Infeasible);
-        }
-        // Drive remaining basic artificials out where possible.
-        for i in 0..m {
-            if tableau.basis[i] >= art_start {
-                if let Some(j) = (0..art_start).find(|&j| tableau.a[i][j].abs() > tol) {
-                    tableau.pivot(i, j);
-                }
-                // If no structural column is available the row is
-                // redundant; the artificial stays basic at value 0 and is
-                // barred from entering in phase 2.
-            }
-        }
-    }
-
-    let phase1_pivots = tableau.pivots;
-
-    // Phase 2: minimize the (sign-adjusted) user objective over
-    // structural+slack columns only.
-    let cost = phase2_cost(p, &std_form.maps, total);
-    tableau.run(&cost, art_start)?;
-
-    let col_values = tableau.column_values(total);
-    Ok(extract(
-        p,
-        &std_form,
-        &col_values,
-        &tableau.basis,
-        tableau.pivots,
-        phase1_pivots,
-        warm_outcome,
-    ))
-}
-
-struct Tableau {
-    a: Vec<Vec<f64>>,
-    b: Vec<f64>,
-    basis: Vec<usize>,
-    tol: f64,
-    pivots: usize,
-    max_pivots: usize,
-}
-
-impl Tableau {
-    /// Runs primal simplex minimizing `cost`, allowing only columns
-    /// `< allowed_cols` to enter the basis. Returns the objective value.
-    ///
-    /// Pivoting uses Dantzig's most-negative-reduced-cost rule for
-    /// speed, falling back to Bland's smallest-index rule (which cannot
-    /// cycle) after a run of degenerate pivots. Reduced costs are
-    /// computed row-major (`r = c - c_Bᵀ B⁻¹A` accumulated row by row),
-    /// skipping rows whose basic column has zero cost — the cache-
-    /// friendly layout for the dense tableau.
-    fn run(&mut self, cost: &[f64], allowed_cols: usize) -> Result<f64, LpError> {
-        let m = self.a.len();
-        let width = self.a.first().map_or(0, Vec::len);
-        let mut is_basic = vec![false; width];
-        for &j in &self.basis {
-            is_basic[j] = true;
-        }
-        let mut reduced = vec![0.0; allowed_cols];
-        let mut degenerate_streak = 0usize;
-        loop {
-            let use_bland = degenerate_streak > 64;
-            // Reduced costs: r_j = c_j - c_B' * col_j (tableau is kept in
-            // B^{-1}A form by Gauss-Jordan pivots).
-            reduced.copy_from_slice(&cost[..allowed_cols]);
-            for i in 0..m {
-                let cb = cost[self.basis[i]];
-                if cb == 0.0 {
-                    continue;
-                }
-                let row = &self.a[i][..allowed_cols];
-                for (r, &aij) in reduced.iter_mut().zip(row) {
-                    *r -= cb * aij;
-                }
-            }
-            let mut entering: Option<(usize, f64)> = None;
-            for (j, &r) in reduced.iter().enumerate() {
-                if is_basic[j] || r >= -self.tol {
-                    continue;
-                }
-                if use_bland {
-                    entering = Some((j, r)); // first (smallest) index
-                    break;
-                }
-                if entering.is_none_or(|(_, best)| r < best) {
-                    entering = Some((j, r));
-                }
-            }
-            let Some((j, _)) = entering else {
-                // Optimal: compute objective.
-                let obj: f64 = (0..m).map(|i| cost[self.basis[i]] * self.b[i]).sum();
-                return Ok(obj);
-            };
-            // Ratio test with Bland tie-breaking on the leaving basis index.
-            let mut leave: Option<(usize, f64)> = None;
-            for i in 0..m {
-                let aij = self.a[i][j];
-                if aij > self.tol {
-                    let ratio = self.b[i] / aij;
-                    match leave {
-                        None => leave = Some((i, ratio)),
-                        Some((li, lr)) => {
-                            if ratio < lr - self.tol
-                                || (ratio < lr + self.tol && self.basis[i] < self.basis[li])
-                            {
-                                leave = Some((i, ratio));
-                            }
-                        }
-                    }
-                }
-            }
-            let Some((i, ratio)) = leave else {
-                return Err(LpError::Unbounded);
-            };
-            if ratio <= self.tol {
-                degenerate_streak += 1;
-            } else {
-                degenerate_streak = 0;
-            }
-            is_basic[self.basis[i]] = false;
-            is_basic[j] = true;
-            self.pivot(i, j);
-            self.pivots += 1;
-            if self.pivots > self.max_pivots {
-                return Err(LpError::IterationLimit { limit: self.max_pivots });
-            }
-        }
-    }
-
-    /// Gauss-Jordan pivot making column `j` basic in row `i`.
-    fn pivot(&mut self, i: usize, j: usize) {
-        let m = self.a.len();
-        let piv = self.a[i][j];
-        debug_assert!(piv.abs() > 0.0, "pivot on zero element");
-        let inv = 1.0 / piv;
-        for x in &mut self.a[i] {
-            *x *= inv;
-        }
-        self.b[i] *= inv;
-        for r in 0..m {
-            if r == i {
-                continue;
-            }
-            let factor = self.a[r][j];
-            if factor == 0.0 {
-                continue;
-            }
-            let (src, dst) = if r < i {
-                let (lo, hi) = self.a.split_at_mut(i);
-                (&hi[0], &mut lo[r])
-            } else {
-                let (lo, hi) = self.a.split_at_mut(r);
-                (&lo[i], &mut hi[0])
-            };
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d -= factor * *s;
-            }
-            self.b[r] -= factor * self.b[i];
-        }
-        self.basis[i] = j;
-    }
-
-    fn column_values(&self, total: usize) -> Vec<f64> {
-        let mut vals = vec![0.0; total];
-        for (i, &col) in self.basis.iter().enumerate() {
-            vals[col] = self.b[i].max(0.0);
-        }
-        vals
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Problem, Sense};
+    use crate::{LpError, Problem, Sense};
 
     fn assert_near(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-7, "{a} != {b}");
@@ -1326,9 +831,9 @@ mod tests {
     /// Regression (satellite of the sparse-engine PR): a warm restart
     /// whose RHS moved by less than `feas_tol()` must be classified
     /// still-feasible (no repair), and one violated by more must be
-    /// repaired — identically on both backends, because both share
-    /// `SimplexOptions::feas_tol` instead of re-deriving `tol.max(1e-7)`
-    /// ad hoc per path.
+    /// repaired, because every path shares `SimplexOptions::feas_tol`
+    /// instead of re-deriving `tol.max(1e-7)` ad hoc. (The name predates
+    /// the single engine.)
     #[test]
     fn borderline_restart_classifies_consistently_across_backends() {
         let build = |cap: f64| {
@@ -1343,28 +848,15 @@ mod tests {
         // basic at cap − 10, so re-solving with cap = 10 − δ leaves the
         // restart point violated by exactly δ.
         let cold = build(20.0).solve().unwrap();
-        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
-            let options = SimplexOptions { backend, ..SimplexOptions::default() };
-            // δ below the 1e-7 feasibility floor: zeroed, not repaired.
-            let near = build(10.0 - 5e-8)
-                .solve_warm_with(&options, Some(cold.basis()))
-                .unwrap();
-            assert!(near.warm_started(), "{backend:?}: sub-tolerance restart is a hit");
-            assert_eq!(
-                near.phase1_pivots(),
-                0,
-                "{backend:?}: sub-tolerance violation must not trigger repair"
-            );
-            // δ above the floor: repaired in place, still a hit.
-            let repaired = build(10.0 - 1e-3)
-                .solve_warm_with(&options, Some(cold.basis()))
-                .unwrap();
-            assert!(repaired.warm_started(), "{backend:?}: violated restart is repaired");
-            assert!(
-                repaired.phase1_pivots() >= 1,
-                "{backend:?}: real violation must cost repair pivots"
-            );
-        }
+        let options = SimplexOptions::default();
+        // δ below the 1e-7 feasibility floor: zeroed, not repaired.
+        let near = build(10.0 - 5e-8).solve_warm_with(&options, Some(cold.basis())).unwrap();
+        assert!(near.warm_started(), "sub-tolerance restart is a hit");
+        assert_eq!(near.phase1_pivots(), 0, "sub-tolerance violation must not trigger repair");
+        // δ above the floor: repaired in place, still a hit.
+        let repaired = build(10.0 - 1e-3).solve_warm_with(&options, Some(cold.basis())).unwrap();
+        assert!(repaired.warm_started(), "violated restart is repaired");
+        assert!(repaired.phase1_pivots() >= 1, "real violation must cost repair pivots");
     }
 
     // --- Warm outcome accounting -----------------------------------------
@@ -1372,27 +864,25 @@ mod tests {
     #[test]
     fn warm_outcome_partitions_the_paths() {
         let (p, _, _) = phase1_heavy([10.0, 2.0, 3.0]);
-        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
-            let options = SimplexOptions { backend, ..SimplexOptions::default() };
-            let cold = p.solve_with(&options).unwrap();
-            assert_eq!(cold.warm_outcome(), WarmOutcome::Cold);
-            assert!(!cold.warm_started());
+        let options = SimplexOptions::default();
+        let cold = p.solve_with(&options).unwrap();
+        assert_eq!(cold.warm_outcome(), WarmOutcome::Cold);
+        assert!(!cold.warm_started());
 
-            let warm = p.solve_warm_with(&options, Some(cold.basis())).unwrap();
-            assert_eq!(warm.warm_outcome(), WarmOutcome::Hit);
-            assert!(warm.warm_started());
+        let warm = p.solve_warm_with(&options, Some(cold.basis())).unwrap();
+        assert_eq!(warm.warm_outcome(), WarmOutcome::Hit);
+        assert!(warm.warm_started());
 
-            // A basis from a different tableau shape: structural fallback.
-            let (other, _, _) = phase1_heavy([1.0, 0.5, 0.2]);
-            let mut bigger = other.clone();
-            let z = bigger.add_var("z", 0.0, f64::INFINITY, 1.0);
-            bigger.add_ge(vec![(z, 1.0)], 1.0);
-            let stale = bigger.solve_with(&options).unwrap();
-            let fell_back = p.solve_warm_with(&options, Some(stale.basis())).unwrap();
-            assert_eq!(fell_back.warm_outcome(), WarmOutcome::StructuralFallback);
-            assert!(!fell_back.warm_started());
-            assert_near(fell_back.objective(), cold.objective());
-        }
+        // A basis from a different standardized shape: structural fallback.
+        let (other, _, _) = phase1_heavy([1.0, 0.5, 0.2]);
+        let mut bigger = other.clone();
+        let z = bigger.add_var("z", 0.0, f64::INFINITY, 1.0);
+        bigger.add_ge(vec![(z, 1.0)], 1.0);
+        let stale = bigger.solve_with(&options).unwrap();
+        let fell_back = p.solve_warm_with(&options, Some(stale.basis())).unwrap();
+        assert_eq!(fell_back.warm_outcome(), WarmOutcome::StructuralFallback);
+        assert!(!fell_back.warm_started());
+        assert_near(fell_back.objective(), cold.objective());
     }
 
     // --- Pivot budget ----------------------------------------------------
@@ -1401,38 +891,19 @@ mod tests {
     /// warm basis performs one factorization pivot per row, and those
     /// pivots must not be charged against `max_pivots` — a basis with
     /// more rows than the whole pivot budget still installs and solves.
-    /// (`Tableau::pivot` never increments the counter — only
-    /// `Tableau::run` does — and the sparse engine's factorization
-    /// appends etas without touching its counter; this pins both.)
+    /// (The factorization appends etas without touching the pivot
+    /// counter; this pins that.)
     #[test]
     fn basis_install_is_not_charged_against_pivot_budget() {
         let (p, _, _) = phase1_heavy([10.0, 2.0, 3.0]);
         let cold = p.solve().unwrap();
         assert_eq!(cold.basis().num_rows(), 3, "basis has more rows than the budget below");
-        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
-            let options =
-                SimplexOptions { max_pivots: Some(0), backend, ..SimplexOptions::default() };
-            let warm = p
-                .solve_warm_with(&options, Some(cold.basis()))
-                .expect("identical restart needs zero simplex pivots, so a zero budget passes");
-            assert!(warm.warm_started());
-            assert_eq!(warm.pivots(), 0);
-        }
-    }
-
-    // --- Backend knob -----------------------------------------------------
-
-    #[test]
-    fn backend_parses_and_serializes() {
-        assert_eq!("sparse".parse::<SolverBackend>().unwrap(), SolverBackend::Sparse);
-        assert_eq!("dense".parse::<SolverBackend>().unwrap(), SolverBackend::Dense);
-        assert!("Dense".parse::<SolverBackend>().is_err());
-        assert_eq!(SolverBackend::default(), SolverBackend::Sparse);
-        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
-            assert_eq!(backend.name().parse::<SolverBackend>().unwrap(), backend);
-            assert_eq!(SolverBackend::from_value(&backend.to_value()).unwrap(), backend);
-        }
-        assert!(SolverBackend::from_value(&Value::Null).is_err());
+        let options = SimplexOptions { max_pivots: Some(0), ..SimplexOptions::default() };
+        let warm = p
+            .solve_warm_with(&options, Some(cold.basis()))
+            .expect("identical restart needs zero simplex pivots, so a zero budget passes");
+        assert!(warm.warm_started());
+        assert_eq!(warm.pivots(), 0);
     }
 
     #[test]

@@ -1,20 +1,19 @@
-//! Sparse revised simplex engine ([`crate::SolverBackend::Sparse`]).
+//! The sparse revised simplex: the engine behind every
+//! [`crate::Problem`] solve.
 //!
-//! Where the dense engine keeps the whole tableau in `B⁻¹A` form and
-//! pays O(rows × cols) per pivot to maintain it, this engine stores the
-//! standardized constraint matrix once — immutably, in compressed
+//! A dense tableau keeps the whole `B⁻¹A` matrix explicit and pays
+//! O(rows × cols) per pivot to maintain it. This engine instead stores
+//! the standardized constraint matrix once — immutably, in compressed
 //! sparse column ([`Csc`]) form — and reconstructs only what a pivot
 //! actually needs from an eta-file factorization of the basis
 //! (`crate::factor`):
 //!
 //! 1. **Pricing.** One BTRAN gives the simplex multipliers
 //!    `y = B⁻ᵀc_B`; reduced costs `c_j − y·A_j` then cost one sparse
-//!    dot per column, O(nnz(A)) for a full Dantzig pass. The Bland
-//!    anti-cycling fallback after a degeneracy streak is identical to
-//!    the dense engine's.
+//!    dot per column, O(nnz(A)) for a full Dantzig pass, with Bland's
+//!    anti-cycling rule after a degeneracy streak.
 //! 2. **Ratio test.** One FTRAN gives the pivot direction
-//!    `d = B⁻¹A_j`; the leaving row and tie-breaks mirror the dense
-//!    engine exactly.
+//!    `d = B⁻¹A_j`; ties on the ratio go to the smaller basis column.
 //! 3. **Update.** The basic values update in place
 //!    (`x_B ← x_B − θd`), and the pivot appends one eta — no tableau
 //!    elimination at all.
@@ -23,14 +22,17 @@
 //! [`REFACTOR_EVERY`] pivots, which bounds both the per-iteration solve
 //! cost and the accumulated rounding error.
 //!
-//! Warm starts replay the dense semantics in factored form: the
-//! supplied basis is refactorized from scratch (structural mismatch,
-//! retained artificials, and singularity are rejected identically), and
+//! Warm starts refactorize the supplied basis from scratch (a structural
+//! mismatch, a retained artificial or a singular basis is rejected), and
 //! a restart the new RHS pushed outside the polytope is repaired by
 //! swapping each violated row's basic column for an artificial equal to
 //! its *negation* — which keeps the basis factorization valid at the
 //! cost of one sign-flip eta per violated row — then minimizing the
 //! artificial sum from that start.
+//!
+//! The pricing and ratio-test rules are the test-only dense oracle's
+//! (`crate::dense`), whose property tests hold this engine's objectives
+//! to the tableau's.
 
 use crate::factor::{factorize, EtaFile};
 use crate::problem::Problem;
@@ -201,10 +203,9 @@ impl Revised {
 
     /// Runs primal simplex minimizing `cost`, allowing only columns
     /// `< allowed_cols` to enter the basis. Returns the objective value.
-    /// Pricing and tie-breaking mirror the dense engine: Dantzig's
-    /// most-negative reduced cost, Bland's smallest-index rule after a
-    /// streak of degenerate pivots, leaving ties broken on the smaller
-    /// basis column.
+    /// Pricing is Dantzig's most-negative reduced cost, with Bland's
+    /// smallest-index rule after a streak of degenerate pivots; leaving
+    /// ties are broken on the smaller basis column.
     fn run(&mut self, cost: &[f64], allowed_cols: usize) -> Result<f64, LpError> {
         let m = self.matrix.num_rows();
         let mut y = vec![0.0; m];
@@ -257,7 +258,7 @@ impl Revised {
             }
             self.etas.ftran(&mut dir);
             // Ratio test with Bland tie-breaking on the leaving basis
-            // column index (identical to the dense engine).
+            // column index (as in the dense oracle).
             let mut leave: Option<(usize, f64)> = None;
             for (i, &d) in dir.iter().enumerate() {
                 if d > self.tol {
@@ -306,8 +307,7 @@ impl Revised {
     /// After a successful phase 1, swaps still-basic artificials for
     /// structural/slack columns where one is available; redundant rows
     /// keep their artificial basic at value 0 (barred from entering
-    /// phase 2 by `allowed_cols`). Like the dense engine's drive-out,
-    /// these degenerate swaps are factorization bookkeeping and are not
+    /// phase 2 by `allowed_cols`). These degenerate swaps are factorization bookkeeping and are not
     /// charged against the pivot budget.
     fn drive_out_artificials(&mut self, art_start: usize) {
         let m = self.matrix.num_rows();
@@ -374,9 +374,8 @@ impl Revised {
     }
 }
 
-/// Entry point for [`crate::SolverBackend::Sparse`]; semantics match
-/// the dense `solve_dense` exactly (same warm-start outcomes, same
-/// error conditions).
+/// Solves `p`, warm-starting from `warm` when one is given (see
+/// [`crate::Problem::solve_warm_with`]).
 pub(crate) fn solve_sparse(
     p: &Problem,
     options: &SimplexOptions,

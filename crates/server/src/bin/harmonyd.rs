@@ -47,9 +47,6 @@ OPTIONS:
   --price-seed N           price-book seed for the dollar objectives
                            (default 2013)
   --period-mins M          control period override in minutes
-  --lp-backend NAME        simplex engine for CBS-RELAX: sparse | dense
-                           (default sparse; dense is the reference
-                           oracle, exact but slow on large instances)
   --tick-secs S            wall-clock seconds between automatic control
                            ticks; 0 = manual ticks only (default 0)
   --read-timeout-ms N      per-frame read deadline / connection idle
@@ -88,7 +85,6 @@ struct Args {
     objective: String,
     price_seed: u64,
     period_mins: Option<f64>,
-    lp_backend: harmony::SolverBackend,
     tick_secs: f64,
     read_timeout_ms: u64,
     write_timeout_ms: u64,
@@ -115,7 +111,6 @@ fn parse_args() -> Result<Args, String> {
         objective: "energy".to_owned(),
         price_seed: 2013,
         period_mins: None,
-        lp_backend: harmony::SolverBackend::default(),
         tick_secs: 0.0,
         read_timeout_ms: 30_000,
         write_timeout_ms: 10_000,
@@ -165,11 +160,6 @@ fn parse_args() -> Result<Args, String> {
                         .parse()
                         .map_err(|e| format!("--period-mins: {e}"))?,
                 );
-            }
-            "--lp-backend" => {
-                args.lp_backend = grab("--lp-backend")?
-                    .parse()
-                    .map_err(|e| format!("--lp-backend: {e}"))?;
             }
             "--tick-secs" => {
                 args.tick_secs =
@@ -280,7 +270,6 @@ fn build_service(args: &Args) -> Result<Service, String> {
     if let Some(mins) = args.period_mins {
         config.control_period = SimDuration::from_mins(mins);
     }
-    config.lp_backend = args.lp_backend;
     let pipeline = OnlinePipeline::new(classifier, catalog, config, Default::default())
         .map_err(|e| format!("pipeline construction failed: {e}"))?
         .with_objective(objective);

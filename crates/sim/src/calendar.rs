@@ -1,8 +1,9 @@
 //! A calendar (bucketed) event queue keyed by `(SimTime, seq)`.
 //!
-//! The reference engine orders events with a global `BinaryHeap`; at
-//! paper scale (millions of arrivals resident at once) the O(log n)
-//! sift per operation and its cache behavior dominate the hot loop.
+//! The test-only reference engine orders events with a global
+//! `BinaryHeap`; at paper scale (millions of arrivals resident at once)
+//! the O(log n) sift per operation and its cache behavior would dominate
+//! the hot loop.
 //! This queue hashes each event into `floor(time / width) mod buckets`
 //! — amortized O(1) insert and pop for the steady state where event
 //! density matches the bucket width.

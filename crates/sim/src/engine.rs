@@ -1,7 +1,9 @@
 //! The discrete-event loop.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+#[cfg(test)]
+use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use harmony_model::{
     EnergyPrice, MachineCatalog, MachineTypeId, PriorityGroup, Resources, SimDuration, SimTime,
@@ -17,22 +19,22 @@ use crate::machine::MachineId;
 use crate::metrics::{SimReport, TimePoint};
 use crate::scheduler::Scheduler;
 
-/// Which engine internals a run uses. Both modes execute the identical
-/// decision sequence and produce byte-identical [`SimReport`]s; they
-/// differ only in asymptotics.
+/// Which engine internals a run uses. Production has one:
+/// [`EngineMode::Indexed`]. Tests add a reference mode — the seed
+/// engine's linear-scan placement and global binary-heap event loop —
+/// and assert byte-identical [`SimReport`]s against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
     /// Indexed cluster state (per-type max-free segment trees,
     /// incremental active/busy counters) and a calendar event queue —
     /// O(log machines) placement, O(types) drain pre-filter, O(1)
-    /// amortized event scheduling. The default; runs paper scale
-    /// (10,000 machines, millions of tasks) in CI-feasible wall time.
+    /// amortized event scheduling. Runs paper scale (10,000 machines,
+    /// millions of tasks) in CI-feasible wall time.
     #[default]
     Indexed,
     /// The seed engine's linear-scan placement and global `BinaryHeap`
-    /// event loop. Kept verbatim as the determinism oracle: the
-    /// cross-engine property suite asserts byte-identical reports
-    /// against it.
+    /// event loop, kept verbatim as the determinism oracle.
+    #[cfg(test)]
     Reference,
 }
 
@@ -70,9 +72,8 @@ impl SimulationConfig {
         }
     }
 
-    /// Selects the engine internals (see [`EngineMode`]). The default is
-    /// [`EngineMode::Indexed`]; [`EngineMode::Reference`] keeps the seed
-    /// engine's scan-everything behavior as the regression oracle.
+    /// Selects the engine internals (see [`EngineMode`]). The default,
+    /// and the only mode outside tests, is [`EngineMode::Indexed`].
     pub fn engine_mode(mut self, mode: EngineMode) -> Self {
         self.mode = mode;
         self
@@ -155,6 +156,7 @@ enum EventKind {
     SlowBootEnd,
 }
 
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct HeapItem {
     time: SimTime,
@@ -162,6 +164,7 @@ struct HeapItem {
     kind: EventKind,
 }
 
+#[cfg(test)]
 impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap: reverse for earliest-first.
@@ -169,47 +172,49 @@ impl Ord for HeapItem {
     }
 }
 
+#[cfg(test)]
 impl PartialOrd for HeapItem {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// The event queue behind the run loop: a global binary heap
-/// (reference) or a calendar queue (indexed). Both pop the strict
+/// The event queue behind the run loop: the calendar queue, plus (in
+/// tests) the reference mode's global binary heap. Both pop the strict
 /// `(time, seq)` minimum, so the event sequence is identical.
 #[derive(Debug)]
 enum EventQueue {
-    Heap {
-        heap: BinaryHeap<HeapItem>,
-        peak: usize,
-    },
     Calendar(CalendarQueue<EventKind>),
+    #[cfg(test)]
+    Heap { heap: BinaryHeap<HeapItem>, peak: usize },
 }
 
 impl EventQueue {
     fn push(&mut self, time: SimTime, seq: u64, kind: EventKind) {
         match self {
+            EventQueue::Calendar(cal) => cal.push(time, seq, kind),
+            #[cfg(test)]
             EventQueue::Heap { heap, peak } => {
                 heap.push(HeapItem { time, seq, kind });
                 *peak = (*peak).max(heap.len());
             }
-            EventQueue::Calendar(cal) => cal.push(time, seq, kind),
         }
     }
 
     fn pop(&mut self) -> Option<(SimTime, EventKind)> {
         match self {
-            EventQueue::Heap { heap, .. } => heap.pop().map(|item| (item.time, item.kind)),
             EventQueue::Calendar(cal) => cal.pop(),
+            #[cfg(test)]
+            EventQueue::Heap { heap, .. } => heap.pop().map(|item| (item.time, item.kind)),
         }
     }
 
     /// High-watermark of resident events (`sim.heap_peak`).
     fn peak(&self) -> usize {
         match self {
-            EventQueue::Heap { peak, .. } => *peak,
             EventQueue::Calendar(cal) => cal.peak(),
+            #[cfg(test)]
+            EventQueue::Heap { peak, .. } => *peak,
         }
     }
 }
@@ -413,10 +418,8 @@ impl<'t> Simulation<'t> {
                 let expected = tasks.len().saturating_mul(2).max(1024);
                 EventQueue::Calendar(CalendarQueue::new(self.trace.span().as_secs(), expected))
             }
-            EngineMode::Reference => EventQueue::Heap {
-                heap: BinaryHeap::new(),
-                peak: 0,
-            },
+            #[cfg(test)]
+            EngineMode::Reference => EventQueue::Heap { heap: BinaryHeap::new(), peak: 0 },
         };
         let mut st = RunState {
             cluster,

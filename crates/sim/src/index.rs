@@ -20,7 +20,7 @@
 //! *exactly* the machine a lowest-id linear scan would — the reference
 //! and indexed engines produce byte-identical reports (see
 //! `tests/determinism.rs` and the cross-engine property suite in
-//! `crates/bench/tests/engine_equivalence.rs`).
+//! `crates/sim/src/engine_equivalence.rs`).
 
 use harmony_model::Resources;
 

@@ -46,6 +46,8 @@ mod calendar;
 mod cluster;
 mod controller;
 mod engine;
+#[cfg(test)]
+mod engine_equivalence;
 mod faults;
 mod index;
 mod machine;
