@@ -108,18 +108,61 @@ impl QuotaState {
 pub struct QuotaScheduler {
     classifier: Rc<TaskClassifier>,
     state: Rc<RefCell<QuotaState>>,
+    classes: ClassCache,
 }
 
 impl QuotaScheduler {
     /// Creates the scheduler over a shared quota ledger.
     pub fn new(classifier: Rc<TaskClassifier>, state: Rc<RefCell<QuotaState>>) -> Self {
-        QuotaScheduler { classifier, state }
+        QuotaScheduler { classifier, state, classes: ClassCache::default() }
+    }
+
+    /// The task's initial class, labelled once per task: a queued task is
+    /// refused many times before it is admitted.
+    fn class_of(&mut self, task: &Task) -> usize {
+        self.classes.get_or_label(task, &self.classifier)
+    }
+}
+
+/// Initial classes by `TaskId`, in a dense array. The array grows to
+/// cover an id only while its length stays within
+/// [`ClassCache::SLACK`] times the number of tasks it holds (or
+/// [`ClassCache::FLOOR`]), so memory follows the tasks seen, not the
+/// largest id: a sparse or huge id is labelled on every call instead.
+#[derive(Debug, Default)]
+struct ClassCache {
+    class: Vec<u32>,
+    held: usize,
+}
+
+impl ClassCache {
+    const UNSET: u32 = u32::MAX;
+    const FLOOR: usize = 1 << 16;
+    const SLACK: usize = 4;
+
+    fn get_or_label(&mut self, task: &Task, classifier: &TaskClassifier) -> usize {
+        let slot = usize::try_from(task.id.0).unwrap_or(usize::MAX);
+        match self.class.get(slot) {
+            Some(&c) if c != Self::UNSET => return c as usize,
+            _ => {}
+        }
+        let class = classifier.initial_label(task).0;
+        let Ok(stored) = u32::try_from(class) else { return class };
+        let cap = (self.held + 1).saturating_mul(Self::SLACK).max(Self::FLOOR);
+        if slot >= self.class.len() && slot < cap {
+            self.class.resize(slot + 1, Self::UNSET);
+        }
+        if let Some(c) = self.class.get_mut(slot) {
+            *c = stored;
+            self.held += 1;
+        }
+        class
     }
 }
 
 impl Scheduler for QuotaScheduler {
     fn place(&mut self, task: &Task, cluster: &Cluster) -> Option<MachineId> {
-        let class = self.classifier.initial_label(task).0;
+        let class = self.class_of(task);
         let state = self.state.borrow();
         if state.remaining(class) < 1.0 {
             return None;
@@ -137,12 +180,12 @@ impl Scheduler for QuotaScheduler {
     }
 
     fn on_placed(&mut self, task: &Task, _machine: MachineId, _cluster: &Cluster) {
-        let class = self.classifier.initial_label(task).0;
+        let class = self.class_of(task);
         self.state.borrow_mut().on_place(class);
     }
 
     fn on_finished(&mut self, task: &Task, _machine: MachineId, _cluster: &Cluster) {
-        let class = self.classifier.initial_label(task).0;
+        let class = self.class_of(task);
         self.state.borrow_mut().on_finish(class);
     }
 }
@@ -151,7 +194,7 @@ impl Scheduler for QuotaScheduler {
 mod tests {
     use super::*;
     use crate::classify::{ClassifierConfig, TaskClassifier};
-    use harmony_model::{MachineCatalog, SimTime};
+    use harmony_model::{MachineCatalog, SimTime, TaskId};
     use harmony_trace::{TraceConfig, TraceGenerator};
 
     fn setup() -> (Rc<TaskClassifier>, Rc<RefCell<QuotaState>>, Cluster, harmony_trace::Trace) {
@@ -179,6 +222,35 @@ mod tests {
         let id = sched.place(task, cluster)?;
         sched.on_placed(task, id, cluster);
         Some(id)
+    }
+
+    #[test]
+    fn cached_class_is_the_initial_label() {
+        let (classifier, _, _, trace) = setup();
+        let mut cache = ClassCache::default();
+        // Twice over: the first pass fills the cache, the second reads it.
+        for _ in 0..2 {
+            for task in trace.tasks() {
+                let label = classifier.initial_label(task).0;
+                assert_eq!(cache.get_or_label(task, &classifier), label, "{:?}", task.id);
+            }
+        }
+        assert_eq!(cache.held, trace.len());
+        assert!(cache.class.len() <= ClassCache::FLOOR.max(trace.len()));
+    }
+
+    #[test]
+    fn far_task_ids_are_labelled_without_a_proportional_allocation() {
+        let (classifier, _, _, trace) = setup();
+        let mut cache = ClassCache::default();
+        for far in [trace.len() as u64 * 1_000, 1 << 40, u64::MAX] {
+            let task = Task { id: TaskId(far), ..trace.tasks()[0] };
+            let label = classifier.initial_label(&task).0;
+            for _ in 0..2 {
+                assert_eq!(cache.get_or_label(&task, &classifier), label, "{far}");
+            }
+        }
+        assert!(cache.class.len() <= ClassCache::FLOOR, "{}", cache.class.len());
     }
 
     #[test]

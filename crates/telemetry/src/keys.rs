@@ -47,6 +47,9 @@ pub const REGISTERED_KEYS: &[&str] = &[
     "server.ticker_restarts",
     "server.timeout_total",
     "sim.controller_seconds",
+    "sim.drain_limit_hits",
+    "sim.drain_passes",
+    "sim.drain_visits",
     "sim.events.arrival",
     "sim.events.boot",
     "sim.events.control",
