@@ -420,6 +420,21 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_encoding_is_pinned() {
+        let mut inputs = quick_inputs();
+        inputs.trace_path = Some("t.jsonl".to_owned());
+        inputs.trace_hash = Some(0xdead_beef_cafe_f00d);
+        let checkpoint = ReplayCheckpoint {
+            version: REPLAY_CHECKPOINT_VERSION,
+            inputs,
+            completed: vec![("Static".to_owned(), empty_report())],
+        };
+        let text = serde_json::to_string(&checkpoint).unwrap();
+        assert_eq!(text, r#"{"completed":[{"report":{"degradations":[],"delays_by_group":[[],[],[]],"energy_cost_dollars":0,"evictions":0,"faults":[],"migrations":0,"series":[],"switch_cost_dollars":0,"switch_count":0,"tasks_completed":0,"tasks_failed":0,"tasks_pending_at_end":0,"tasks_running_at_end":0,"tasks_unschedulable":0,"total_energy_wh":0},"variant":"Static"}],"inputs":{"catalog":"table2","catalog_scale":50,"fault_seed":7,"period_mins":15,"scale":"quick","scenario":"crash-storm","trace_format":"jsonl","trace_hash":"0xdeadbeefcafef00d","trace_path":"t.jsonl","workload_seed":2013},"version":1}"#);
+        assert_eq!(serde_json::from_str::<ReplayCheckpoint>(&text).unwrap(), checkpoint);
+    }
+
+    #[test]
     fn unknown_scenario_rejected() {
         let mut inputs = quick_inputs();
         inputs.scenario = "meteor-strike".to_owned();

@@ -147,6 +147,43 @@ mod tests {
     use super::*;
     use harmony_sim::ForecastTier;
 
+    /// Asserts that `value` writes exactly `json` and reads back from it.
+    fn pin<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: &T, json: &str) {
+        let text = serde_json::to_string(value).unwrap();
+        assert_eq!(text, json);
+        assert_eq!(&serde_json::from_str::<T>(json).unwrap(), value);
+    }
+
+    #[test]
+    fn encodings_are_pinned() {
+        pin(&HarmonyConfig { pipeline_workers: Some(3), ..Default::default() }, r#"{"arima_min_history":24,"control_period":600,"demand_margin":1.25e0,"epsilon":1e-1,"history_len":288,"horizon":4,"max_lp_pivots":20000,"omega":1.1e0,"pipeline_workers":3,"slo_delay_secs":[600,120,15],"utility_per_container_hour":[2e-2,6e-2,2.5e-1]}"#);
+        pin(&ClassifierConfig::default(), r#"{"elbow_min_gain":2e-2,"k_max":10,"k_per_group":null,"seed":2013,"split_by_duration":true}"#);
+        pin(&ClassifierConfig { k_per_group: Some([2, 3, 4]), seed: 42, ..Default::default() }, r#"{"elbow_min_gain":2e-2,"k_max":10,"k_per_group":[2,3,4],"seed":42,"split_by_duration":true}"#);
+        let plan = IntegerPlan { machines: vec![3, 0], quotas: vec![vec![2, 0], vec![0, 5]] };
+        pin(&plan, r#"{"machines":[3,0],"quotas":[[2,0],[0,5]]}"#);
+        let fc = ClassForecast {
+            rates: vec![0.5, 0.25],
+            tier: ForecastTier::MovingAverage,
+            degraded: Some("ARIMA failed".to_owned()),
+        };
+        pin(&fc, r#"{"degraded":"ARIMA failed","rates":[5e-1,2.5e-1],"tier":"MovingAverage"}"#);
+        pin(&ClassForecast { rates: vec![], tier: ForecastTier::Arima, degraded: None }, r#"{"degraded":null,"rates":[],"tier":"Arima"}"#);
+        let state = crate::OnlineState {
+            ticks: 4,
+            errors: 1,
+            histories: vec![vec![0.5, 1.0], vec![]],
+            last_plan: Some(plan),
+            pending_events: vec![harmony_sim::DegradationEvent {
+                at: harmony_model::SimTime::from_secs(600.0),
+                kind: harmony_sim::DegradationKind::LpGreedyFallback,
+                detail: "pivot budget".to_owned(),
+            }],
+            lp_basis: None,
+            cost_dollars: 12.5,
+        };
+        pin(&state, r#"{"cost_dollars":1.25e1,"errors":1,"histories":[[5e-1,1],[]],"last_plan":{"machines":[3,0],"quotas":[[2,0],[0,5]]},"lp_basis":null,"pending_events":[{"at":600,"detail":"pivot budget","kind":"LpGreedyFallback"}],"ticks":4}"#);
+    }
+
     #[test]
     fn harmony_config_roundtrip() {
         let config = HarmonyConfig {

@@ -810,6 +810,14 @@ mod tests {
     }
 
     #[test]
+    fn basis_encoding_is_pinned() {
+        let basis = Basis { cols: vec![4, 0, 2], n_cols: 5 };
+        let text = serde_json::to_string(&basis).unwrap();
+        assert_eq!(text, r#"{"cols":[4,0,2],"n_cols":5}"#);
+        assert_eq!(serde_json::from_str::<Basis>(&text).unwrap(), basis);
+    }
+
+    #[test]
     fn basis_serde_roundtrip() {
         let (p, _, _) = phase1_heavy([10.0, 2.0, 3.0]);
         let basis = p.solve().unwrap().basis().clone();

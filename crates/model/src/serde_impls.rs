@@ -181,6 +181,32 @@ impl Deserialize for Task {
 mod tests {
     use super::*;
 
+    /// Asserts that `value` writes exactly `json` and reads back from it.
+    fn pin<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: &T, json: &str) {
+        let text = serde_json::to_string(value).unwrap();
+        assert_eq!(text, json);
+        assert_eq!(&serde_json::from_str::<T>(json).unwrap(), value);
+    }
+
+    #[test]
+    fn encodings_are_pinned() {
+        pin(&TaskId(7), "7");
+        pin(&JobId(3), "3");
+        pin(&MachineTypeId(2), "2");
+        pin(&TaskClassId(5), "5");
+        pin(&Resources::new(0.1, 0.25), r#"{"cpu":1e-1,"mem":2.5e-1}"#);
+        let task = Task {
+            id: TaskId(7),
+            job: JobId(3),
+            arrival: SimTime::from_secs(12.0),
+            duration: SimDuration::from_secs(100.0),
+            demand: Resources::new(0.1, 0.2),
+            priority: Priority::new(9).unwrap(),
+            sched_class: SchedulingClass::new(2).unwrap(),
+        };
+        pin(&task, r#"{"arrival":12,"demand":{"cpu":1e-1,"mem":2e-1},"duration":100,"id":7,"job":3,"priority":9,"sched_class":2}"#);
+    }
+
     #[test]
     fn invalid_priority_rejected_on_read() {
         let v = Value::Number(15.0);

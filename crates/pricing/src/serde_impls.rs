@@ -152,6 +152,27 @@ mod tests {
     use super::*;
     use harmony_model::MachineCatalog;
 
+    /// Asserts that `value` writes exactly `json` and reads back from it.
+    fn pin<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: &T, json: &str) {
+        let text = serde_json::to_string(value).unwrap();
+        assert_eq!(text, json);
+        assert_eq!(&serde_json::from_str::<T>(json).unwrap(), value);
+    }
+
+    #[test]
+    fn encodings_are_pinned() {
+        pin(&MarketPolicy::SpotAware, r#""SpotAware""#);
+        let spot = SpotPrice {
+            base_per_hour: 0.25,
+            series: SpotPriceSeries::from_multipliers(vec![0.5; crate::book::SPOT_SERIES_HOURS]).unwrap(),
+            eviction_rate_per_hour: 0.125,
+            interruption_overhead_hours: 0.5,
+        };
+        pin(&spot, r#"{"base_per_hour":2.5e-1,"eviction_rate_per_hour":1.25e-1,"interruption_overhead_hours":5e-1,"series":{"multipliers":[5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1]}}"#);
+        pin(&TypePrice { on_demand_per_hour: 1.5, spot: Some(spot) }, r#"{"on_demand_per_hour":1.5e0,"spot":{"base_per_hour":2.5e-1,"eviction_rate_per_hour":1.25e-1,"interruption_overhead_hours":5e-1,"series":{"multipliers":[5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1,5e-1]}}}"#);
+        pin(&TypePrice { on_demand_per_hour: 2.0, spot: None }, r#"{"on_demand_per_hour":2,"spot":null}"#);
+    }
+
     #[test]
     fn book_round_trips_through_json_text() {
         let book = PriceBook::default_for(&MachineCatalog::table2_with_accel(), 2013);

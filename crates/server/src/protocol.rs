@@ -714,6 +714,50 @@ fn read_frame<R: BufRead>(reader: &mut R, deadline: Option<Instant>) -> io::Resu
 mod tests {
     use super::*;
 
+    /// Asserts that `value` writes exactly `json` and reads back from it.
+    fn pin<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: &T, json: &str) {
+        let text = serde_json::to_string(value).unwrap();
+        assert_eq!(text, json);
+        assert_eq!(&serde_json::from_str::<T>(json).unwrap(), value);
+    }
+
+    #[test]
+    fn bodies_are_pinned() {
+        let status = StatusBody {
+            ticks: 3,
+            now_secs: 1800.0,
+            errors: 0,
+            buffered: 2,
+            total_observations: 40,
+            n_classes: 5,
+            machine_types: 4,
+            total_machines: 100,
+            pending_events: 1,
+            has_plan: true,
+            snapshot_path: None,
+            ticker_restarts: 2,
+            ticker_last_error: Some("stalled".to_owned()),
+        };
+        pin(&status, r#"{"buffered":2,"errors":0,"has_plan":true,"machine_types":4,"n_classes":5,"now_secs":1800,"pending_events":1,"snapshot_path":null,"ticker_last_error":"stalled","ticker_restarts":2,"ticks":3,"total_machines":100,"total_observations":40}"#);
+        let histogram = HistogramBody {
+            name: "period_s".to_owned(),
+            count: 2,
+            sum: 0.75,
+            mean: 0.375,
+            p50: 0.5,
+            p99: 1.0,
+            bounds: vec![0.5, 1.0],
+            buckets: vec![1, 1, 0],
+        };
+        pin(&histogram, r#"{"bounds":[5e-1,1],"buckets":[1,1,0],"count":2,"mean":3.75e-1,"name":"period_s","p50":5e-1,"p99":1,"sum":7.5e-1}"#);
+        let metrics = MetricsBody {
+            counters: BTreeMap::from([("ticks".to_owned(), 3)]),
+            gauges: BTreeMap::from([("in_flight".to_owned(), 0.5)]),
+            histograms: vec![histogram],
+        };
+        pin(&metrics, r#"{"counters":{"ticks":3},"gauges":{"in_flight":5e-1},"histograms":[{"bounds":[5e-1,1],"buckets":[1,1,0],"count":2,"mean":3.75e-1,"name":"period_s","p50":5e-1,"p99":1,"sum":7.5e-1}]}"#);
+    }
+
     #[test]
     fn verbs_roundtrip_via_text() {
         let requests = vec![

@@ -900,6 +900,62 @@ mod tests {
         assert!(Checkpoint::from_value(&v).is_err());
     }
 
+    /// A checkpoint holding only the fields each checkpointed type had
+    /// when its schema was first pinned.
+    const BASELINE_CHECKPOINT: &str = concat!(
+        r#"{"version":1,"buffered":[],"total_observations":7,"#,
+        r#""config":{"arima_min_history":24,"control_period":600,"demand_margin":1.25,"#,
+        r#""epsilon":0.1,"history_len":288,"horizon":4,"max_lp_pivots":20000,"omega":1.1,"#,
+        r#""slo_delay_secs":[600,120,15],"utility_per_container_hour":[0.02,0.06,0.25]},"#,
+        r#""classifier":{"k_per_group":[2,3,4],"k_max":8,"elbow_min_gain":0.1,"#,
+        r#""split_by_duration":true,"seed":42},"#,
+        r#""source":{"kind":"synthetic","seed":2013,"span_secs":3600},"#,
+        r#""catalog":{"name":"table2","divisor":100},"#,
+        r#""state":{"ticks":2,"errors":0,"histories":[[0.5]],"pending_events":[],"#,
+        r#""last_plan":{"machines":[1,0],"quotas":[[1]]}}}"#,
+    );
+
+    #[test]
+    fn baseline_field_checkpoints_still_load() {
+        let back: Checkpoint = serde_json::from_str(BASELINE_CHECKPOINT).unwrap();
+        assert_eq!(back.config, HarmonyConfig::default());
+        assert_eq!(back.config.pipeline_workers, None);
+        assert_eq!(back.classifier.k_per_group, Some([2, 3, 4]));
+        assert_eq!(back.source, ClassifierSource::Synthetic { seed: 2013, span_secs: 3600.0 });
+        assert_eq!(back.catalog, CatalogSpec { name: "table2".to_owned(), divisor: 100 });
+        assert_eq!(back.objective, ObjectiveSpec::Energy);
+        assert_eq!(back.state.last_plan.as_ref().map(|p| p.machines.clone()), Some(vec![1, 0]));
+        assert_eq!(back.state.lp_basis, None);
+        assert_eq!(back.state.cost_dollars, 0.0);
+        assert_eq!(back.total_observations, 7);
+
+        // The other variants and the optional members, each with its
+        // baseline fields only.
+        let text = BASELINE_CHECKPOINT
+            .replace(
+                r#"{"kind":"synthetic","seed":2013,"span_secs":3600}"#,
+                r#"{"kind":"trace-file","path":"t.jsonl","format":"jsonl","hash":"0x00000000000000ff"}"#,
+            )
+            .replace(r#""version":1,"#, r#""version":1,"objective":{"kind":"dollars","spot":true,"seed":7},"#)
+            .replace(r#""errors":0,"#, r#""errors":0,"lp_basis":{"cols":[2,0],"n_cols":3},"#);
+        let back: Checkpoint = serde_json::from_str(&text).unwrap();
+        assert!(matches!(back.source, ClassifierSource::TraceFile { hash: 0xff, .. }));
+        assert_eq!(back.objective, ObjectiveSpec::Dollars { spot: true, seed: 7 });
+        let basis = back.state.lp_basis.unwrap();
+        assert_eq!((basis.columns(), basis.num_cols()), (&[2, 0][..], 3));
+        let fc: harmony::monitor::ClassForecast =
+            serde_json::from_str(r#"{"rates":[0.5],"tier":"Arima","degraded":null}"#).unwrap();
+        assert_eq!(fc.rates, vec![0.5]);
+    }
+
+    #[test]
+    fn catalog_spec_encoding_is_pinned() {
+        let spec = CatalogSpec { name: "table2".to_owned(), divisor: 100 };
+        let text = serde_json::to_string(&spec).unwrap();
+        assert_eq!(text, r#"{"divisor":100,"name":"table2"}"#);
+        assert_eq!(serde_json::from_str::<CatalogSpec>(&text).unwrap(), spec);
+    }
+
     #[test]
     fn catalog_spec_builds_known_catalogs() {
         let spec = CatalogSpec { name: "table2".to_owned(), divisor: 100 };

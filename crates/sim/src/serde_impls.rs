@@ -577,6 +577,79 @@ mod tests {
         assert!(SimReport::from_value(&v).is_err());
     }
 
+    /// Asserts that `value` writes exactly `json` and reads back from it.
+    fn pin<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: &T, json: &str) {
+        let text = serde_json::to_string(value).unwrap();
+        assert_eq!(text, json);
+        assert_eq!(&serde_json::from_str::<T>(json).unwrap(), value);
+    }
+
+    #[test]
+    fn encodings_are_pinned() {
+        let machine_type = harmony_model::MachineTypeId(2);
+        let down = SimDuration::from_secs(900.0);
+        pin(&MachineId(7), "7");
+        pin(&ForecastTier::LastObservation, r#""LastObservation""#);
+        let fallback = DegradationKind::ForecastFallback { class: 3, tier: ForecastTier::Arima };
+        pin(&fallback, r#"{"ForecastFallback":{"class":3,"tier":"Arima"}}"#);
+        pin(&DegradationKind::ControlHold, r#""ControlHold""#);
+        let event = DegradationEvent { at: SimTime::from_secs(600.0), kind: fallback, detail: "singular".to_owned() };
+        pin(&event, r#"{"at":600,"detail":"singular","kind":{"ForecastFallback":{"class":3,"tier":"Arima"}}}"#);
+        let kinds = [
+            FaultKind::MachineCrash { down },
+            FaultKind::SlowBoot { factor: 2.5, duration: down },
+            FaultKind::TaskEviction { count: 4 },
+            FaultKind::ArrivalBurst { window: down },
+            FaultKind::SpotEviction { machine_type, count: 3, down },
+        ];
+        for (kind, json) in kinds.iter().zip([r#"{"MachineCrash":{"down":900}}"#, r#"{"SlowBoot":{"duration":900,"factor":2.5e0}}"#, r#"{"TaskEviction":{"count":4}}"#, r#"{"ArrivalBurst":{"window":900}}"#, r#"{"SpotEviction":{"count":3,"down":900,"machine_type":2}}"#]) {
+            pin(kind, json);
+        }
+        let fault = FaultEvent { at: SimTime::from_secs(1.5), kind: kinds[1] };
+        pin(&fault, r#"{"at":1.5e0,"kind":{"SlowBoot":{"duration":900,"factor":2.5e0}}}"#);
+        pin(&FaultPlan::new(77).with_event(fault.at, fault.kind), r#"{"events":[{"at":1.5e0,"kind":{"SlowBoot":{"duration":900,"factor":2.5e0}}}],"seed":77}"#);
+        let records = [
+            FaultRecordKind::MachineCrash { machine: MachineId(7), evicted: 3, failed: 1 },
+            FaultRecordKind::MachineRecovered { machine: MachineId(7) },
+            FaultRecordKind::SlowBootStart { factor: 3.5 },
+            FaultRecordKind::SlowBootEnd,
+            FaultRecordKind::TaskEviction { evicted: 10, failed: 0 },
+            FaultRecordKind::ArrivalBurst { tasks_warped: 42 },
+            FaultRecordKind::SpotEviction { machine_type, machines: 2, evicted: 6, failed: 1 },
+        ];
+        for (kind, json) in records.iter().zip([r#"{"MachineCrash":{"evicted":3,"failed":1,"machine":7}}"#, r#"{"MachineRecovered":{"machine":7}}"#, r#"{"SlowBootStart":{"factor":3.5e0}}"#, r#""SlowBootEnd""#, r#"{"TaskEviction":{"evicted":10,"failed":0}}"#, r#"{"ArrivalBurst":{"tasks_warped":42}}"#, r#"{"SpotEviction":{"evicted":6,"failed":1,"machine_type":2,"machines":2}}"#]) {
+            pin(kind, json);
+        }
+        let record = FaultRecord { at: SimTime::from_secs(10.0), kind: records[0].clone() };
+        pin(&record, r#"{"at":10,"kind":{"MachineCrash":{"evicted":3,"failed":1,"machine":7}}}"#);
+        let point = TimePoint {
+            time: SimTime::from_secs(60.0),
+            power_watts: 17.5,
+            active_per_type: vec![1, 2],
+            used_per_type: vec![0, 1],
+            pending_tasks: 5,
+        };
+        pin(&point, r#"{"active_per_type":[1,2],"pending_tasks":5,"power_watts":1.75e1,"time":60,"used_per_type":[0,1]}"#);
+        let report = SimReport {
+            delays_by_group: [vec![0.0, 2.25], vec![1e-3], vec![]],
+            tasks_completed: 3,
+            tasks_running_at_end: 1,
+            tasks_pending_at_end: 2,
+            tasks_unschedulable: 0,
+            tasks_failed: 4,
+            total_energy_wh: 123.456,
+            energy_cost_dollars: 2.5,
+            switch_count: 4,
+            switch_cost_dollars: 0.125,
+            migrations: 9,
+            evictions: 1,
+            faults: vec![record],
+            degradations: vec![event],
+            series: vec![point],
+        };
+        pin(&report, r#"{"degradations":[{"at":600,"detail":"singular","kind":{"ForecastFallback":{"class":3,"tier":"Arima"}}}],"delays_by_group":[[0,2.25e0],[1e-3],[]],"energy_cost_dollars":2.5e0,"evictions":1,"faults":[{"at":10,"kind":{"MachineCrash":{"evicted":3,"failed":1,"machine":7}}}],"migrations":9,"series":[{"active_per_type":[1,2],"pending_tasks":5,"power_watts":1.75e1,"time":60,"used_per_type":[0,1]}],"switch_cost_dollars":1.25e-1,"switch_count":4,"tasks_completed":3,"tasks_failed":4,"tasks_pending_at_end":2,"tasks_running_at_end":1,"tasks_unschedulable":0,"total_energy_wh":1.23456e2}"#);
+    }
+
     #[test]
     fn unknown_variant_rejected() {
         assert!(DegradationKind::from_value(&Value::String("Nope".into())).is_err());
