@@ -42,7 +42,7 @@ use harmony::pipeline::{run_variant, Variant};
 use harmony::HarmonyConfig;
 use harmony_bench::checkpoint::{self, ReplayInputs, ResumableRun};
 use harmony_bench::{fmt, section, seed_from_env, table, Scale};
-use harmony_model::{MachineCatalog, PriorityGroup, SimDuration};
+use harmony_model::{wire, MachineCatalog, PriorityGroup, SimDuration};
 use harmony_sim::{
     DegradationKind, FaultRecordKind, FirstFit, SimReport, Simulation, SimulationConfig, SCENARIOS,
 };
@@ -105,7 +105,10 @@ pub fn run(args: &[String]) {
             }
             "--faults" => fault_scenario = Some(grab("--faults")),
             "--fault-seed" => {
-                fault_seed = grab("--fault-seed").parse().unwrap_or_else(|_| usage());
+                fault_seed = wire::parse_seed(&grab("--fault-seed")).unwrap_or_else(|e| {
+                    eprintln!("--fault-seed {e}");
+                    usage()
+                });
             }
             "--snapshot" => snapshot = Some(PathBuf::from(grab("--snapshot"))),
             "--resume" => resume = Some(PathBuf::from(grab("--resume"))),

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use harmony::classify::ClassifierConfig;
 use harmony::pipeline::{run_variant_with_faults, Variant};
 use harmony::HarmonyConfig;
-use harmony_model::{MachineCatalog, SimDuration};
+use harmony_model::{wire, MachineCatalog, SimDuration};
 use harmony_sim::{FaultPlan, SimReport};
 use harmony_trace::{google_csv, Trace};
 use serde::value::{DeError, Value};
@@ -59,36 +59,24 @@ pub struct ReplayInputs {
 }
 
 /// A replay checkpoint: inputs + the reports finished so far.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplayCheckpoint {
-    /// Schema version ([`REPLAY_CHECKPOINT_VERSION`]).
+    /// Schema version ([`REPLAY_CHECKPOINT_VERSION`]; [`load`] rejects
+    /// any other).
     pub version: u64,
     /// The run's inputs.
     pub inputs: ReplayInputs,
-    /// `(variant name, report)` for every variant already finished, in
-    /// [`Variant::ALL`] order.
-    pub completed: Vec<(String, SimReport)>,
+    /// Every variant already finished, in [`Variant::ALL`] order.
+    pub completed: Vec<CompletedVariant>,
 }
 
-/// 64-bit hashes exceed the f64-exact integer range of the JSON value
-/// model, so they travel as hex strings.
-fn hash_to_value(hash: Option<u64>) -> Value {
-    match hash {
-        Some(h) => Value::String(format!("{h:#018x}")),
-        None => Value::Null,
-    }
-}
-
-fn hash_from_value(v: &Value) -> Result<Option<u64>, DeError> {
-    match v {
-        Value::Null => Ok(None),
-        _ => {
-            let text = String::from_value(v)?;
-            u64::from_str_radix(text.trim_start_matches("0x"), 16)
-                .map(Some)
-                .map_err(|e| DeError::new(format!("bad hash `{text}`: {e}")))
-        }
-    }
+/// One finished variant of a [`ReplayCheckpoint`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CompletedVariant {
+    /// The variant's name ([`Variant::name`]).
+    pub variant: String,
+    /// Its report.
+    pub report: SimReport,
 }
 
 impl Serialize for ReplayInputs {
@@ -98,7 +86,8 @@ impl Serialize for ReplayInputs {
         map.insert("fault_seed".to_owned(), self.fault_seed.to_value());
         map.insert("trace_path".to_owned(), self.trace_path.to_value());
         map.insert("trace_format".to_owned(), self.trace_format.to_value());
-        map.insert("trace_hash".to_owned(), hash_to_value(self.trace_hash));
+        let trace_hash = self.trace_hash.map_or(Value::Null, wire::hash_to_value);
+        map.insert("trace_hash".to_owned(), trace_hash);
         map.insert("scale".to_owned(), self.scale.to_value());
         map.insert("workload_seed".to_owned(), self.workload_seed.to_value());
         map.insert("catalog".to_owned(), self.catalog.to_value());
@@ -115,7 +104,10 @@ impl Deserialize for ReplayInputs {
             fault_seed: u64::from_value(v.field("fault_seed")?)?,
             trace_path: Option::from_value(v.field("trace_path")?)?,
             trace_format: String::from_value(v.field("trace_format")?)?,
-            trace_hash: hash_from_value(v.field("trace_hash")?)?,
+            trace_hash: match v.field("trace_hash")? {
+                Value::Null => None,
+                hash => Some(wire::hash_from_value(hash)?),
+            },
             scale: String::from_value(v.field("scale")?)?,
             workload_seed: u64::from_value(v.field("workload_seed")?)?,
             catalog: String::from_value(v.field("catalog")?)?,
@@ -123,66 +115,6 @@ impl Deserialize for ReplayInputs {
             period_mins: f64::from_value(v.field("period_mins")?)?,
         })
     }
-}
-
-impl Serialize for ReplayCheckpoint {
-    fn to_value(&self) -> Value {
-        let completed = Value::Array(
-            self.completed
-                .iter()
-                .map(|(variant, report)| {
-                    let mut entry = std::collections::BTreeMap::new();
-                    entry.insert("variant".to_owned(), variant.to_value());
-                    entry.insert("report".to_owned(), report.to_value());
-                    Value::Object(entry)
-                })
-                .collect(),
-        );
-        let mut map = std::collections::BTreeMap::new();
-        map.insert("version".to_owned(), self.version.to_value());
-        map.insert("inputs".to_owned(), self.inputs.to_value());
-        map.insert("completed".to_owned(), completed);
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for ReplayCheckpoint {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let version = u64::from_value(v.field("version")?)?;
-        if version != REPLAY_CHECKPOINT_VERSION {
-            return Err(DeError::new(format!(
-                "replay checkpoint version {version} is not supported \
-                 (expected {REPLAY_CHECKPOINT_VERSION})"
-            )));
-        }
-        let Value::Array(entries) = v.field("completed")? else {
-            return Err(DeError::new("completed must be an array".to_owned()));
-        };
-        let completed = entries
-            .iter()
-            .map(|entry| {
-                Ok((
-                    String::from_value(entry.field("variant")?)?,
-                    SimReport::from_value(entry.field("report")?)?,
-                ))
-            })
-            .collect::<Result<Vec<_>, DeError>>()?;
-        Ok(ReplayCheckpoint {
-            version,
-            inputs: ReplayInputs::from_value(v.field("inputs")?)?,
-            completed,
-        })
-    }
-}
-
-/// FNV-1a-64 over a byte slice — the trace-file integrity hash.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Serializes a checkpoint to `<path>.tmp`, fsyncs, and atomically
@@ -212,12 +144,20 @@ pub fn save_atomic(checkpoint: &ReplayCheckpoint, path: &Path) -> io::Result<()>
 ///
 /// # Errors
 ///
-/// Propagates I/O failures; malformed contents yield
-/// [`io::ErrorKind::InvalidData`].
+/// Propagates I/O failures; malformed contents or another schema version
+/// yield [`io::ErrorKind::InvalidData`].
 pub fn load(path: &Path) -> io::Result<ReplayCheckpoint> {
     let text = fs::read_to_string(path)?;
-    serde_json::from_str(&text)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    let invalid = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
+    let checkpoint: ReplayCheckpoint =
+        serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))?;
+    if checkpoint.version != REPLAY_CHECKPOINT_VERSION {
+        return Err(invalid(format!(
+            "replay checkpoint version {} is not supported (expected {REPLAY_CHECKPOINT_VERSION})",
+            checkpoint.version
+        )));
+    }
+    Ok(checkpoint)
 }
 
 fn variant_by_name(name: &str) -> Option<Variant> {
@@ -249,7 +189,7 @@ impl ResumableRun {
         let (trace, catalog, config, classifier_config) = match &inputs.trace_path {
             Some(path) => {
                 let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-                let hash = fnv1a64(&bytes);
+                let hash = wire::fnv1a64(&bytes);
                 if let Some(expected) = inputs.trace_hash {
                     if hash != expected {
                         return Err(format!(
@@ -305,7 +245,9 @@ impl ResumableRun {
     /// variant names in the checkpoint.
     pub fn from_checkpoint(checkpoint: ReplayCheckpoint) -> Result<Self, String> {
         let mut run = Self::from_inputs(checkpoint.inputs)?;
-        for (i, (name, report)) in checkpoint.completed.into_iter().enumerate() {
+        for (i, CompletedVariant { variant: name, report }) in
+            checkpoint.completed.into_iter().enumerate()
+        {
             let variant = variant_by_name(&name)
                 .ok_or_else(|| format!("checkpoint names unknown variant `{name}`"))?;
             let expected = Variant::ALL[i];
@@ -382,7 +324,7 @@ impl ResumableRun {
             completed: self
                 .completed
                 .iter()
-                .map(|(v, r)| (v.name().to_owned(), r.clone()))
+                .map(|(v, r)| CompletedVariant { variant: v.name().to_owned(), report: r.clone() })
                 .collect(),
         }
     }
@@ -427,11 +369,30 @@ mod tests {
         let checkpoint = ReplayCheckpoint {
             version: REPLAY_CHECKPOINT_VERSION,
             inputs,
-            completed: vec![("Static".to_owned(), empty_report())],
+            completed: vec![CompletedVariant {
+                variant: "Static".to_owned(),
+                report: empty_report(),
+            }],
         };
         let text = serde_json::to_string(&checkpoint).unwrap();
         assert_eq!(text, r#"{"completed":[{"report":{"degradations":[],"delays_by_group":[[],[],[]],"energy_cost_dollars":0,"evictions":0,"faults":[],"migrations":0,"series":[],"switch_cost_dollars":0,"switch_count":0,"tasks_completed":0,"tasks_failed":0,"tasks_pending_at_end":0,"tasks_running_at_end":0,"tasks_unschedulable":0,"total_energy_wh":0},"variant":"Static"}],"inputs":{"catalog":"table2","catalog_scale":50,"fault_seed":7,"period_mins":15,"scale":"quick","scenario":"crash-storm","trace_format":"jsonl","trace_hash":"0xdeadbeefcafef00d","trace_path":"t.jsonl","workload_seed":2013},"version":1}"#);
         assert_eq!(serde_json::from_str::<ReplayCheckpoint>(&text).unwrap(), checkpoint);
+    }
+
+    #[test]
+    fn load_rejects_another_version() {
+        let path = std::env::temp_dir()
+            .join(format!("harmony-replay-version-{}.json", std::process::id()));
+        let checkpoint = ReplayCheckpoint {
+            version: REPLAY_CHECKPOINT_VERSION + 1,
+            inputs: quick_inputs(),
+            completed: Vec::new(),
+        };
+        save_atomic(&checkpoint, &path).unwrap();
+        let err = load(&path).unwrap_err();
+        fs::remove_file(&path).unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 2 is not supported"), "{err}");
     }
 
     #[test]
@@ -446,7 +407,7 @@ mod tests {
         let checkpoint = ReplayCheckpoint {
             version: REPLAY_CHECKPOINT_VERSION,
             inputs: quick_inputs(),
-            completed: vec![("CBS".to_owned(), empty_report())],
+            completed: vec![CompletedVariant { variant: "CBS".to_owned(), report: empty_report() }],
         };
         let err = ResumableRun::from_checkpoint(checkpoint).unwrap_err();
         assert!(err.contains("out of order"), "{err}");

@@ -48,3 +48,12 @@ fn every_figure_and_table_subcommand_runs_at_quick_scale() {
     assert!(!unknown.status.success());
     assert!(String::from_utf8_lossy(&unknown.stderr).contains(&list));
 }
+
+#[test]
+fn fault_seed_a_checkpoint_cannot_store_exactly_is_refused() {
+    // 2^53 + 1 would round to 2^53 in a replay checkpoint.
+    let out = harmony_bench(&["replay", "--faults", "crash-storm", "--fault-seed", "9007199254740993"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--fault-seed `9007199254740993` is above"), "{stderr}");
+}

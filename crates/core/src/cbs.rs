@@ -28,7 +28,6 @@ use harmony_model::{
     EnergyPrice, MachineCatalog, MachineTypeId, PriorityGroup, Resources, SimTime, NUM_RESOURCES,
 };
 use harmony_pricing::{MarketPolicy, PriceBook, SloCostCurve};
-use serde::{Deserialize, Serialize};
 
 use crate::{HarmonyConfig, HarmonyError};
 
@@ -135,7 +134,7 @@ pub struct CbsInputs<'a> {
 }
 
 /// The fractional provisioning plan returned by a solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CbsPlan {
     /// `z[t][m]`: fractional active machines.
     pub z: Vec<Vec<f64>>,

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 use crate::HarmonyError;
 
 /// Duration regime of a task class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Regime {
     /// The short sub-class (initial label for every arriving task).
     Short,
@@ -34,7 +34,7 @@ pub enum Regime {
 }
 
 /// A final (static × duration) task class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskClass {
     /// Stable identifier (dense, `0..classes().len()`).
     pub id: TaskClassId,
@@ -79,7 +79,7 @@ impl Default for ClassifierConfig {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct StaticClass {
     /// Centroid in log space.
     centroid: [f64; 2],
@@ -94,7 +94,7 @@ struct StaticClass {
 }
 
 /// A fitted two-step task classifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskClassifier {
     transform: Log10Transform,
     /// Static classes per priority group.

@@ -41,7 +41,9 @@ pub struct HarmonyConfig {
     /// [`std::thread::available_parallelism`]; `Some(1)` forces the
     /// serial path. Plans are bit-identical for every setting — results
     /// are merged in deterministic class order — so this is purely a
-    /// latency/footprint knob.
+    /// latency/footprint knob. Checkpoints from before the field existed
+    /// load as `None`.
+    #[serde(default)]
     pub pipeline_workers: Option<usize>,
 }
 

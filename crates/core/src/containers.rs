@@ -3,13 +3,12 @@
 
 use harmony_model::{Resources, TaskClassId};
 use harmony_queueing::{ContainerSizer, MgnQueue, QueueingError};
-use serde::{Deserialize, Serialize};
 
 use crate::classify::TaskClassifier;
 use crate::{HarmonyConfig, HarmonyError};
 
 /// The container requirement of one task class for one control period.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContainerDemand {
     /// The class.
     pub class: TaskClassId,

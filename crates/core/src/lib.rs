@@ -64,6 +64,7 @@ pub mod online;
 pub mod par;
 pub mod pipeline;
 pub mod rounding;
+#[cfg(test)]
 mod serde_impls;
 
 pub use cbs::{CbsObjective, DollarCosts, PlanCost};

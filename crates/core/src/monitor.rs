@@ -5,6 +5,7 @@ use harmony_forecast::{Arima, Forecaster, MovingAverage};
 use harmony_model::{SimDuration, Task, TaskClassId};
 use harmony_sim::ForecastTier;
 use harmony_telemetry as telemetry;
+use serde::{Deserialize, Serialize};
 
 use crate::classify::TaskClassifier;
 use crate::HarmonyError;
@@ -14,7 +15,7 @@ use crate::HarmonyError;
 const OUTLIER_FACTOR: f64 = 10.0;
 
 /// One class's forecast plus the quality tier that produced it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClassForecast {
     /// Predicted arrival rates (tasks/second), one per horizon period;
     /// always finite and non-negative.

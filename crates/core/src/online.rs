@@ -21,7 +21,6 @@
 
 use harmony_model::{EnergyPrice, MachineCatalog, SimTime, Task};
 use harmony_sim::{DegradationEvent, DegradationKind, TaskView};
-use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::cbs::CbsObjective;
@@ -36,7 +35,7 @@ use crate::{HarmonyConfig, HarmonyError};
 /// decision sequence. The immutable parts (classifier, catalog, config)
 /// are rebuilt deterministically from their sources and are not part of
 /// this snapshot.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OnlineState {
     /// Control ticks completed so far.
     pub ticks: u64,
@@ -52,47 +51,15 @@ pub struct OnlineState {
     /// restored pipeline takes the same warm/cold solve path as an
     /// uninterrupted one — warm and cold solves may land on different
     /// (equal-objective) vertices, so dropping the basis across a
-    /// restore would break bit-identical plan reproduction.
+    /// restore would break bit-identical plan reproduction. Checkpoints
+    /// from before warm starts load as `None`.
+    #[serde(default)]
     pub lp_basis: Option<harmony_lp::Basis>,
     /// Cumulative first-step rental dollars actuated so far (stays 0.0
-    /// under the energy objective).
+    /// under the energy objective). Checkpoints from before the pricing
+    /// subsystem load as 0.
+    #[serde(default)]
     pub cost_dollars: f64,
-}
-
-impl Serialize for OnlineState {
-    fn to_value(&self) -> Value {
-        Value::object(&[
-            ("ticks", self.ticks.to_value()),
-            ("errors", self.errors.to_value()),
-            ("histories", self.histories.to_value()),
-            ("last_plan", self.last_plan.to_value()),
-            ("pending_events", self.pending_events.to_value()),
-            ("lp_basis", self.lp_basis.to_value()),
-            ("cost_dollars", self.cost_dollars.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for OnlineState {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(OnlineState {
-            ticks: u64::from_value(v.field("ticks")?)?,
-            errors: usize::from_value(v.field("errors")?)?,
-            histories: Vec::from_value(v.field("histories")?)?,
-            last_plan: Option::from_value(v.field("last_plan")?)?,
-            pending_events: Vec::from_value(v.field("pending_events")?)?,
-            // Tolerate checkpoints written before warm starts existed.
-            lp_basis: match v.field("lp_basis") {
-                Ok(Value::Null) | Err(_) => None,
-                Ok(other) => Some(Deserialize::from_value(other)?),
-            },
-            // Tolerate checkpoints written before the pricing subsystem.
-            cost_dollars: match v.field("cost_dollars") {
-                Ok(Value::Null) | Err(_) => 0.0,
-                Ok(other) => f64::from_value(other)?,
-            },
-        })
-    }
 }
 
 /// The long-lived online control pipeline: one [`OnlinePipeline::tick`]
@@ -300,6 +267,7 @@ impl OnlinePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn fixture() -> (OnlinePipeline, harmony_trace::Trace) {
         fixture_with_pivots(HarmonyConfig::default().max_lp_pivots)

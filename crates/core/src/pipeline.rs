@@ -7,7 +7,6 @@ use std::rc::Rc;
 use harmony_model::{EnergyPrice, MachineCatalog};
 use harmony_sim::{EnergyEfficientFirstFit, FaultPlan, SimReport, Simulation, SimulationConfig};
 use harmony_trace::Trace;
-use serde::{Deserialize, Serialize};
 
 use crate::cbs::CbsObjective;
 use crate::classify::{ClassifierConfig, TaskClassifier};
@@ -17,7 +16,7 @@ use crate::controllers::{
 use crate::{HarmonyConfig, HarmonyError};
 
 /// Which controller variant to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// Heterogeneity-oblivious 80%-utilization baseline.
     Baseline,

@@ -1,13 +1,9 @@
-//! Hand-written serde impls for the controller-state types that cross a
-//! serialization boundary (daemon checkpoints, the wire protocol).
-//!
-//! The vendored `serde` stand-in has no derive machinery, so
-//! [`HarmonyConfig`], [`IntegerPlan`], and [`ClassForecast`] implement
-//! the value-model traits explicitly here, matching the field-keyed
-//! object encoding the upstream derives would produce.
+//! Encoding tests for the controller-state types that cross a
+//! serialization boundary (daemon checkpoints, the wire protocol). All of
+//! them derive their impls; these tests pin the bytes and the tolerant
+//! reads of fields added after the first checkpoint format.
 
-use harmony_model::SimDuration;
-use serde::value::{DeError, Value};
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
 use crate::classify::ClassifierConfig;
@@ -15,134 +11,6 @@ use crate::monitor::ClassForecast;
 use crate::rounding::IntegerPlan;
 use crate::HarmonyConfig;
 
-fn array3(v: &Value, what: &str) -> Result<[f64; 3], DeError> {
-    Vec::<f64>::from_value(v)?
-        .try_into()
-        .map_err(|_| DeError::new(format!("{what} must have exactly 3 entries")))
-}
-
-impl Serialize for HarmonyConfig {
-    fn to_value(&self) -> Value {
-        Value::object(&[
-            ("control_period", self.control_period.to_value()),
-            ("horizon", self.horizon.to_value()),
-            ("epsilon", self.epsilon.to_value()),
-            ("omega", self.omega.to_value()),
-            ("slo_delay_secs", self.slo_delay_secs.to_vec().to_value()),
-            (
-                "utility_per_container_hour",
-                self.utility_per_container_hour.to_vec().to_value(),
-            ),
-            ("history_len", self.history_len.to_value()),
-            ("arima_min_history", self.arima_min_history.to_value()),
-            ("demand_margin", self.demand_margin.to_value()),
-            ("max_lp_pivots", self.max_lp_pivots.to_value()),
-            (
-                "pipeline_workers",
-                match self.pipeline_workers {
-                    Some(w) => w.to_value(),
-                    None => Value::Null,
-                },
-            ),
-        ])
-    }
-}
-
-impl Deserialize for HarmonyConfig {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(HarmonyConfig {
-            control_period: SimDuration::from_value(v.field("control_period")?)?,
-            horizon: usize::from_value(v.field("horizon")?)?,
-            epsilon: f64::from_value(v.field("epsilon")?)?,
-            omega: f64::from_value(v.field("omega")?)?,
-            slo_delay_secs: array3(v.field("slo_delay_secs")?, "slo_delay_secs")?,
-            utility_per_container_hour: array3(
-                v.field("utility_per_container_hour")?,
-                "utility_per_container_hour",
-            )?,
-            history_len: usize::from_value(v.field("history_len")?)?,
-            arima_min_history: usize::from_value(v.field("arima_min_history")?)?,
-            demand_margin: f64::from_value(v.field("demand_margin")?)?,
-            max_lp_pivots: usize::from_value(v.field("max_lp_pivots")?)?,
-            // Tolerate checkpoints written before this field existed.
-            pipeline_workers: match v.field("pipeline_workers") {
-                Ok(Value::Null) | Err(_) => None,
-                Ok(other) => Some(usize::from_value(other)?),
-            },
-        })
-    }
-}
-
-impl Serialize for ClassifierConfig {
-    fn to_value(&self) -> Value {
-        let k_per_group = match &self.k_per_group {
-            Some(ks) => ks.to_vec().to_value(),
-            None => Value::Null,
-        };
-        Value::object(&[
-            ("k_per_group", k_per_group),
-            ("k_max", self.k_max.to_value()),
-            ("elbow_min_gain", self.elbow_min_gain.to_value()),
-            ("split_by_duration", self.split_by_duration.to_value()),
-            ("seed", self.seed.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ClassifierConfig {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let k_per_group = match v.field("k_per_group")? {
-            Value::Null => None,
-            other => Some(Vec::<usize>::from_value(other)?.try_into().map_err(|_| {
-                DeError::new("k_per_group must have exactly 3 entries".to_owned())
-            })?),
-        };
-        Ok(ClassifierConfig {
-            k_per_group,
-            k_max: usize::from_value(v.field("k_max")?)?,
-            elbow_min_gain: f64::from_value(v.field("elbow_min_gain")?)?,
-            split_by_duration: bool::from_value(v.field("split_by_duration")?)?,
-            seed: u64::from_value(v.field("seed")?)?,
-        })
-    }
-}
-
-impl Serialize for IntegerPlan {
-    fn to_value(&self) -> Value {
-        Value::object(&[("machines", self.machines.to_value()), ("quotas", self.quotas.to_value())])
-    }
-}
-
-impl Deserialize for IntegerPlan {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(IntegerPlan {
-            machines: Vec::from_value(v.field("machines")?)?,
-            quotas: Vec::from_value(v.field("quotas")?)?,
-        })
-    }
-}
-
-impl Serialize for ClassForecast {
-    fn to_value(&self) -> Value {
-        Value::object(&[
-            ("rates", self.rates.to_value()),
-            ("tier", self.tier.to_value()),
-            ("degraded", self.degraded.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ClassForecast {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(ClassForecast {
-            rates: Vec::from_value(v.field("rates")?)?,
-            tier: Deserialize::from_value(v.field("tier")?)?,
-            degraded: Option::from_value(v.field("degraded")?)?,
-        })
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use harmony_sim::ForecastTier;

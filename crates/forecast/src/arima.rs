@@ -10,7 +10,6 @@
 //! 4. forecast recursively and re-integrate through the differencing
 //!    chain.
 
-use serde::{Deserialize, Serialize};
 
 use crate::error::check_finite;
 use crate::series::{difference, difference_tails, mean, variance, yule_walker};
@@ -23,7 +22,7 @@ pub const MAX_ORDER: usize = 8;
 pub const MAX_D: usize = 2;
 
 /// An ARIMA(p, d, q) model specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Arima {
     p: usize,
     d: usize,
@@ -204,7 +203,7 @@ fn residuals(w: &[f64], phi: &[f64], theta: &[f64]) -> Vec<f64> {
 }
 
 /// A fitted ARIMA model, ready to forecast.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArimaFit {
     p: usize,
     d: usize,

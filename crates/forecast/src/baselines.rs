@@ -1,12 +1,11 @@
 //! Baseline predictors used in the predictor-choice ablation.
 
-use serde::{Deserialize, Serialize};
 
 use crate::error::check_finite;
 use crate::{ForecastError, Forecaster};
 
 /// Naive forecast: repeat the last observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Naive;
 
 impl Forecaster for Naive {
@@ -24,7 +23,7 @@ impl Forecaster for Naive {
 }
 
 /// Simple moving average of the last `window` observations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MovingAverage {
     window: usize,
 }
@@ -61,7 +60,7 @@ impl Forecaster for MovingAverage {
 }
 
 /// Exponentially-weighted moving average with smoothing factor `alpha`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
 }
@@ -103,7 +102,7 @@ impl Forecaster for Ewma {
 }
 
 /// Holt's double exponential smoothing: level + trend.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Holt {
     alpha: f64,
     beta: f64,

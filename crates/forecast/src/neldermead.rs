@@ -5,10 +5,9 @@
 //! compact, dependency-free downhill-simplex implementation with the
 //! standard reflection/expansion/contraction/shrink moves.
 
-use serde::{Deserialize, Serialize};
 
 /// Tuning knobs for [`nelder_mead`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NelderMeadOptions {
     /// Maximum objective evaluations.
     pub max_evals: usize,

@@ -6,7 +6,6 @@
 //! the classic additive triple-exponential smoothing: level `ℓ`, trend
 //! `b`, and a seasonal index `s_i` per phase of the period.
 
-use serde::{Deserialize, Serialize};
 
 use crate::error::check_finite;
 use crate::{ForecastError, Forecaster};
@@ -29,7 +28,7 @@ use crate::{ForecastError, Forecaster};
 /// assert!((peak - 15.0).abs() < 1.5, "peak = {peak}");
 /// # Ok::<(), harmony_forecast::ForecastError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HoltWinters {
     alpha: f64,
     beta: f64,

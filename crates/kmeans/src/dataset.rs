@@ -1,6 +1,5 @@
 //! Dense row-major feature matrices.
 
-use serde::{Deserialize, Serialize};
 
 use crate::KMeansError;
 
@@ -18,7 +17,7 @@ use crate::KMeansError;
 /// assert_eq!(data.row(1), &[3.0, 4.0]);
 /// # Ok::<(), harmony_kmeans::KMeansError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     values: Vec<f64>,
     dim: usize,

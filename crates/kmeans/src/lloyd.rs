@@ -3,7 +3,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::distance_sq;
 use crate::{Dataset, KMeansError};
@@ -325,7 +324,7 @@ fn farthest_point(data: &Dataset, centroids: &[Vec<f64>], assignments: &[usize])
 }
 
 /// A fitted K-means model: converged centroids plus training assignments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeansModel {
     centroids: Vec<Vec<f64>>,
     assignments: Vec<usize>,

@@ -1,6 +1,5 @@
 //! Clustering-quality metrics and the elbow rule for selecting `k`.
 
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::distance_sq;
 use crate::{Dataset, KMeans, KMeansError, KMeansModel};
@@ -138,7 +137,7 @@ pub fn davies_bouldin(data: &Dataset, model: &KMeansModel) -> Result<f64, KMeans
 }
 
 /// Result of an elbow sweep over candidate `k` values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElbowReport {
     /// Candidate cluster counts, ascending.
     pub ks: Vec<usize>,

@@ -5,7 +5,6 @@
 //! tasks, so the classifier clusters in log space and/or standardized
 //! space.
 
-use serde::{Deserialize, Serialize};
 
 use crate::{Dataset, KMeansError};
 
@@ -25,7 +24,7 @@ use crate::{Dataset, KMeansError};
 /// assert!((scaled.row(1)[0] - 1.0).abs() < 1e-12);
 /// # Ok::<(), harmony_kmeans::KMeansError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Standardizer {
     means: Vec<f64>,
     stds: Vec<f64>,
@@ -129,7 +128,7 @@ impl Standardizer {
 ///
 /// The offset guards against zeros; the default (`1e-6`) sits well below
 /// the smallest normalized task demand in the trace (~1e-4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Log10Transform {
     offset: f64,
 }

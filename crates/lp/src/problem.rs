@@ -1,6 +1,5 @@
 //! LP model construction.
 
-use serde::{Deserialize, Serialize};
 
 use crate::simplex::{Basis, SimplexOptions, Solution};
 use crate::sparse::solve_sparse;
@@ -10,9 +9,7 @@ use crate::LpError;
 ///
 /// The `Default` value is variable 0 — useful for pre-sizing id matrices
 /// that are filled in afterwards.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct VarId(pub(crate) usize);
 
 impl VarId {
@@ -23,7 +20,7 @@ impl VarId {
 }
 
 /// Optimization direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sense {
     /// Maximize the objective.
     Maximize,
@@ -32,7 +29,7 @@ pub enum Sense {
 }
 
 /// Constraint relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Relation {
     /// `Σ aᵢxᵢ ≤ rhs`
     Le,
@@ -43,7 +40,7 @@ pub enum Relation {
 }
 
 /// A linear constraint `Σ aᵢxᵢ (≤|≥|=) rhs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// Sparse `(variable, coefficient)` terms. Duplicate variables are
     /// allowed; their coefficients sum.
@@ -54,7 +51,7 @@ pub struct Constraint {
     pub rhs: f64,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct VarDef {
     pub name: String,
     pub lb: f64,
@@ -67,7 +64,7 @@ pub(crate) struct VarDef {
 /// Variables carry bounds `[lb, ub]` (either may be infinite) and an
 /// objective coefficient; constraints are added with [`Problem::add_le`],
 /// [`Problem::add_ge`], [`Problem::add_eq`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<VarDef>,

@@ -34,13 +34,12 @@
 //! or that has gone singular falls back to the cold two-phase path
 //! transparently.
 
-use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::problem::{Problem, Relation, Sense, VarId};
 
 /// Tuning knobs for the simplex solver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimplexOptions {
     /// Numerical tolerance for pivot selection and feasibility tests.
     pub tolerance: f64,
@@ -90,7 +89,7 @@ impl SimplexOptions {
 /// successive periods differ only in forecast data). The basis pins the
 /// standardized tableau shape it belongs to, so a structural change is
 /// detected as a dimension mismatch and triggers a cold solve instead.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Basis {
     /// Basic column per tableau row.
     pub(crate) cols: Vec<usize>,
@@ -115,24 +114,6 @@ impl Basis {
     }
 }
 
-impl Serialize for Basis {
-    fn to_value(&self) -> Value {
-        let mut map = std::collections::BTreeMap::new();
-        map.insert("cols".to_owned(), self.cols.to_value());
-        map.insert("n_cols".to_owned(), self.n_cols.to_value());
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for Basis {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Basis {
-            cols: Vec::from_value(v.field("cols")?)?,
-            n_cols: usize::from_value(v.field("n_cols")?)?,
-        })
-    }
-}
-
 /// An optimal solution to a [`Problem`].
 ///
 /// A `Solution` always represents an optimal basic point: every failure
@@ -140,7 +121,7 @@ impl Deserialize for Basis {
 /// model) surfaces as an [`crate::LpError`] from the solve call
 /// instead. There is deliberately no `status` field — an enum with a
 /// single reachable variant would be a misleading always-true API.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     objective: f64,
     values: Vec<f64>,

@@ -8,14 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{PriorityGroup, Resources, SimDuration};
 
 /// Stable identifier of a task class (`n ∈ N` in the formulation).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TaskClassId(pub usize);
 
 impl fmt::Display for TaskClassId {
@@ -45,7 +41,7 @@ impl fmt::Display for TaskClassId {
 /// let c = stats.container_size(2.0);
 /// assert_eq!(c, Resources::new(0.14, 0.07));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassStats {
     /// The class this summarizes.
     pub id: TaskClassId,

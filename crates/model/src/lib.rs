@@ -38,6 +38,7 @@ mod resources;
 mod serde_impls;
 mod task;
 mod time;
+pub mod wire;
 
 pub use class::{ClassStats, TaskClassId};
 pub use error::ModelError;

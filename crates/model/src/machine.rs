@@ -31,7 +31,7 @@ impl fmt::Display for MachineTypeId {
 
 /// One machine platform: capacity, population, energy model, switching
 /// characteristics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineType {
     /// Index within the owning catalog.
     pub id: MachineTypeId,
@@ -95,7 +95,7 @@ impl MachineType {
 /// let hosts = catalog.hosts_for(Resources::new(0.6, 0.6));
 /// assert_eq!(hosts.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineCatalog {
     types: Vec<MachineType>,
 }

@@ -11,7 +11,6 @@
 //! slope for resource `r`. The energy *cost* at time `t` further multiplies
 //! by the run-time electricity price `p_t`.
 
-use serde::{Deserialize, Serialize};
 
 use crate::{Resources, SimDuration, SimTime};
 
@@ -26,7 +25,7 @@ use crate::{Resources, SimDuration, SimTime};
 /// assert_eq!(model.power_watts(Resources::ZERO), 100.0);
 /// assert_eq!(model.power_watts(Resources::new(1.0, 0.5)), 270.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Idle draw `E_idle,m` in watts.
     pub idle_watts: f64,
@@ -72,7 +71,7 @@ impl PowerModel {
 /// The paper's formulation carries a time-varying price; its evaluation
 /// does not publish the curve, so we support both a flat price and a
 /// day/night time-of-use tariff.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EnergyPrice {
     /// A constant price in $/kWh.
     Flat(f64),

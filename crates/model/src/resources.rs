@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 pub const NUM_RESOURCES: usize = 2;
 
 /// A resource dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResourceKind {
     /// Normalized CPU (cores relative to the largest machine).
     Cpu,
@@ -188,7 +188,7 @@ impl Resources {
 /// assert!(demand.fits_within(gpu_node));
 /// assert!(!demand.fits_within(cpu_node));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct AccelResources {
     /// The CPU/memory part.
     pub compute: Resources,

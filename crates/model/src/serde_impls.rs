@@ -1,61 +1,12 @@
-//! Hand-written serde impls for the types that cross a serialization
-//! boundary (JSONL traces).
-//!
-//! The vendored `serde` stand-in has no derive machinery (its derive
-//! macros are no-ops), so [`Task`] and its component types implement the
-//! value-model traits explicitly here. The encoding matches what the
-//! upstream derives would produce: newtypes are transparent, structs are
-//! objects keyed by field name.
+//! Hand-written `Deserialize` impls for the model types whose reads
+//! validate: a trace line or checkpoint cannot smuggle in a NaN time, a
+//! negative duration, an out-of-range priority or scheduling class, or a
+//! negative accelerator demand. These types derive `Serialize`.
 
 use serde::value::{DeError, Value};
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
-use crate::{
-    AccelResources, JobId, MachineTypeId, Priority, Resources, SchedulingClass, SimDuration,
-    SimTime, Task, TaskClassId, TaskId,
-};
-
-macro_rules! impl_u64_newtype {
-    ($($t:ident),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                self.0.to_value()
-            }
-        }
-
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                u64::from_value(v).map($t)
-            }
-        }
-    )*};
-}
-
-impl_u64_newtype!(TaskId, JobId);
-
-macro_rules! impl_usize_newtype {
-    ($($t:ident),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                self.0.to_value()
-            }
-        }
-
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                usize::from_value(v).map($t)
-            }
-        }
-    )*};
-}
-
-impl_usize_newtype!(MachineTypeId, TaskClassId);
-
-impl Serialize for SimTime {
-    fn to_value(&self) -> Value {
-        self.as_secs().to_value()
-    }
-}
+use crate::{AccelResources, Priority, Resources, SchedulingClass, SimDuration, SimTime};
 
 impl Deserialize for SimTime {
     fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -67,12 +18,6 @@ impl Deserialize for SimTime {
     }
 }
 
-impl Serialize for SimDuration {
-    fn to_value(&self) -> Value {
-        self.as_secs().to_value()
-    }
-}
-
 impl Deserialize for SimDuration {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let secs = f64::from_value(v)?;
@@ -80,33 +25,6 @@ impl Deserialize for SimDuration {
             return Err(DeError::new("SimDuration must be non-negative"));
         }
         Ok(SimDuration::from_secs(secs))
-    }
-}
-
-impl Serialize for Resources {
-    fn to_value(&self) -> Value {
-        let mut map = std::collections::BTreeMap::new();
-        map.insert("cpu".to_owned(), self.cpu.to_value());
-        map.insert("mem".to_owned(), self.mem.to_value());
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for Resources {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Resources {
-            cpu: f64::from_value(v.field("cpu")?)?,
-            mem: f64::from_value(v.field("mem")?)?,
-        })
-    }
-}
-
-impl Serialize for AccelResources {
-    fn to_value(&self) -> Value {
-        let mut map = std::collections::BTreeMap::new();
-        map.insert("compute".to_owned(), self.compute.to_value());
-        map.insert("accel".to_owned(), self.accel.to_value());
-        Value::Object(map)
     }
 }
 
@@ -123,22 +41,10 @@ impl Deserialize for AccelResources {
     }
 }
 
-impl Serialize for Priority {
-    fn to_value(&self) -> Value {
-        self.level().to_value()
-    }
-}
-
 impl Deserialize for Priority {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let level = u8::from_value(v)?;
         Priority::new(level).map_err(|e| DeError::new(e.to_string()))
-    }
-}
-
-impl Serialize for SchedulingClass {
-    fn to_value(&self) -> Value {
-        self.level().to_value()
     }
 }
 
@@ -149,37 +55,11 @@ impl Deserialize for SchedulingClass {
     }
 }
 
-impl Serialize for Task {
-    fn to_value(&self) -> Value {
-        let mut map = std::collections::BTreeMap::new();
-        map.insert("id".to_owned(), self.id.to_value());
-        map.insert("job".to_owned(), self.job.to_value());
-        map.insert("arrival".to_owned(), self.arrival.to_value());
-        map.insert("duration".to_owned(), self.duration.to_value());
-        map.insert("demand".to_owned(), self.demand.to_value());
-        map.insert("priority".to_owned(), self.priority.to_value());
-        map.insert("sched_class".to_owned(), self.sched_class.to_value());
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for Task {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Task {
-            id: TaskId::from_value(v.field("id")?)?,
-            job: JobId::from_value(v.field("job")?)?,
-            arrival: SimTime::from_value(v.field("arrival")?)?,
-            duration: SimDuration::from_value(v.field("duration")?)?,
-            demand: Resources::from_value(v.field("demand")?)?,
-            priority: Priority::from_value(v.field("priority")?)?,
-            sched_class: SchedulingClass::from_value(v.field("sched_class")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{JobId, MachineTypeId, Task, TaskId};
+    use serde::Serialize;
 
     /// Asserts that `value` writes exactly `json` and reads back from it.
     fn pin<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: &T, json: &str) {
@@ -193,7 +73,6 @@ mod tests {
         pin(&TaskId(7), "7");
         pin(&JobId(3), "3");
         pin(&MachineTypeId(2), "2");
-        pin(&TaskClassId(5), "5");
         pin(&Resources::new(0.1, 0.25), r#"{"cpu":1e-1,"mem":2.5e-1}"#);
         let task = Task {
             id: TaskId(7),

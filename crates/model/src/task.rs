@@ -40,7 +40,7 @@ impl fmt::Display for JobId {
 ///
 /// Priorities are grouped into the three [`PriorityGroup`]s the paper works
 /// at: *gratis* (0–1), *other* (2–8) and *production* (9–11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Priority(u8);
 
 impl Priority {
@@ -81,7 +81,7 @@ impl fmt::Display for Priority {
 
 /// The three coarse priority groups used throughout the paper
 /// (Reiss et al.'s grouping of the 12 trace priorities).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PriorityGroup {
     /// Priorities 0–1: free-tier / best-effort tasks.
     Gratis,
@@ -137,7 +137,7 @@ impl fmt::Display for PriorityGroup {
 
 /// A latency-sensitivity class in `0..=3` (0 = batch, 3 = most
 /// latency-sensitive, e.g. user-facing servers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct SchedulingClass(u8);
 
 impl SchedulingClass {

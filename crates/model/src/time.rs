@@ -10,7 +10,7 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An absolute instant on the simulation clock, in seconds since the start
 /// of the trace.
@@ -24,13 +24,11 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t, SimTime::from_secs(15.0));
 /// assert!(t > SimTime::ZERO);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SimTime(f64);
 
 /// A span of simulated time, in seconds. May not be negative or NaN.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SimDuration(f64);
 
 impl SimTime {

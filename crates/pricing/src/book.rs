@@ -2,12 +2,13 @@
 //! rates the dollar objective feeds into the LP.
 
 use harmony_model::{MachineCatalog, MachineTypeId, SimTime};
+use serde::{Deserialize, Serialize};
 
 use crate::error::PricingError;
 use crate::rng::SplitMix64;
 
 /// How much of the market a plan may use when pricing capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MarketPolicy {
     /// Rent everything at the on-demand rate; spot prices are ignored.
     OnDemandOnly,
@@ -33,7 +34,7 @@ pub const SPOT_SERIES_HOURS: usize = 24;
 /// as a seeded bounded random walk. Multiplier 1.0 means the spot base
 /// rate; the walk stays within `[0.7, 1.6]`, the diurnal band public
 /// spot-price histories show.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SpotPriceSeries {
     multipliers: Vec<f64>,
 }
@@ -96,7 +97,7 @@ impl SpotPriceSeries {
 }
 
 /// Spot-market terms for one machine type.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpotPrice {
     /// Base spot rate in $/hour (multiplied by the series).
     pub base_per_hour: f64,
@@ -117,7 +118,7 @@ impl SpotPrice {
 }
 
 /// The rates for one machine type.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TypePrice {
     /// Guaranteed-capacity rate in $/hour.
     pub on_demand_per_hour: f64,
@@ -137,7 +138,7 @@ pub struct RateQuote {
 }
 
 /// Per-machine-type price book, indexed by [`MachineTypeId`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PriceBook {
     rates: Vec<TypePrice>,
 }

@@ -2,6 +2,7 @@
 //! worth, in dollars, per task class.
 
 use harmony_model::PriorityGroup;
+use serde::Serialize;
 
 use crate::error::PricingError;
 
@@ -15,7 +16,7 @@ use crate::error::PricingError;
 /// assignment plus one excess column refunding `critical − tail` past
 /// the head, where the energy objective uses its flat
 /// `utility_per_container_hour`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SloCostCurve {
     /// Fraction of demand in the critical segment, in `(0, 1]`.
     pub critical_fraction: f64,

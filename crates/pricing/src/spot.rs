@@ -3,6 +3,7 @@
 
 use harmony_model::{MachineCatalog, SimDuration, SimTime};
 use harmony_sim::{FaultKind, FaultPlan};
+use serde::{Deserialize, Serialize};
 
 use crate::book::PriceBook;
 use crate::rng::SplitMix64;
@@ -10,7 +11,7 @@ use crate::rng::SplitMix64;
 /// A seeded spot market. The market itself holds no price state — it
 /// reads eviction rates from a [`PriceBook`] and emits when (and how
 /// hard) each spot pool reclaims capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpotMarket {
     seed: u64,
 }

@@ -1,6 +1,5 @@
 //! The M/G/N mean scheduling-delay approximation of Eq. (1).
 
-use serde::{Deserialize, Serialize};
 
 use crate::{erlang_c, QueueingError};
 
@@ -16,7 +15,7 @@ use crate::{erlang_c, QueueingError};
 ///
 /// which is exact for M/M/N (`CV² = 1`) and is the standard
 /// Allen–Cunneen-style correction for general service times.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MgnQueue {
     lambda: f64,
     mu: f64,

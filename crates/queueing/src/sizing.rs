@@ -9,7 +9,6 @@
 //! most ε.
 
 use harmony_model::{ClassStats, Resources, NUM_RESOURCES};
-use serde::{Deserialize, Serialize};
 
 use crate::QueueingError;
 
@@ -110,7 +109,7 @@ pub fn normal_quantile(p: f64) -> f64 {
 
 /// Computes container reservations `c_n = μ_n + Z·σ_n` for task classes,
 /// given a machine-level capacity-violation budget ε (Section VII-A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContainerSizer {
     epsilon: f64,
     z: f64,

@@ -7,7 +7,7 @@
 use std::fs;
 use std::process::ExitCode;
 
-use harmony_model::Task;
+use harmony_model::{wire, Task};
 use harmony_server::protocol::{Request, Response};
 use harmony_server::{Client, RetryPolicy};
 use harmony_trace::{Trace, TraceConfig, TraceGenerator};
@@ -82,7 +82,7 @@ fn run() -> Result<bool, String> {
                 count = grab("--count")?.parse().map_err(|e| format!("--count: {e}"))?;
             }
             "--seed" => {
-                seed = grab("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
+                seed = wire::parse_seed(&grab("--seed")?).map_err(|e| format!("--seed: {e}"))?;
             }
             "--horizon" => {
                 horizon =

@@ -136,7 +136,7 @@ impl Deserialize for Request {
 }
 
 /// Daemon status counters (the `status` response body).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatusBody {
     /// Control ticks completed.
     pub ticks: u64,
@@ -160,62 +160,18 @@ pub struct StatusBody {
     pub has_plan: bool,
     /// Checkpoint path, when checkpointing is enabled.
     pub snapshot_path: Option<String>,
-    /// Background-ticker restarts forced by the watchdog.
+    /// Background-ticker restarts forced by the watchdog (absent in
+    /// pre-watchdog daemons' status bodies).
+    #[serde(default)]
     pub ticker_restarts: u64,
     /// Why the ticker was last restarted, if it ever was.
+    #[serde(default)]
     pub ticker_last_error: Option<String>,
-}
-
-impl Serialize for StatusBody {
-    fn to_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("ticks".to_owned(), self.ticks.to_value());
-        map.insert("now_secs".to_owned(), self.now_secs.to_value());
-        map.insert("errors".to_owned(), self.errors.to_value());
-        map.insert("buffered".to_owned(), self.buffered.to_value());
-        map.insert("total_observations".to_owned(), self.total_observations.to_value());
-        map.insert("n_classes".to_owned(), self.n_classes.to_value());
-        map.insert("machine_types".to_owned(), self.machine_types.to_value());
-        map.insert("total_machines".to_owned(), self.total_machines.to_value());
-        map.insert("pending_events".to_owned(), self.pending_events.to_value());
-        map.insert("has_plan".to_owned(), self.has_plan.to_value());
-        map.insert("snapshot_path".to_owned(), self.snapshot_path.to_value());
-        map.insert("ticker_restarts".to_owned(), self.ticker_restarts.to_value());
-        map.insert("ticker_last_error".to_owned(), self.ticker_last_error.to_value());
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for StatusBody {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(StatusBody {
-            ticks: u64::from_value(v.field("ticks")?)?,
-            now_secs: f64::from_value(v.field("now_secs")?)?,
-            errors: usize::from_value(v.field("errors")?)?,
-            buffered: usize::from_value(v.field("buffered")?)?,
-            total_observations: u64::from_value(v.field("total_observations")?)?,
-            n_classes: usize::from_value(v.field("n_classes")?)?,
-            machine_types: usize::from_value(v.field("machine_types")?)?,
-            total_machines: usize::from_value(v.field("total_machines")?)?,
-            pending_events: usize::from_value(v.field("pending_events")?)?,
-            has_plan: bool::from_value(v.field("has_plan")?)?,
-            snapshot_path: Option::from_value(v.field("snapshot_path")?)?,
-            // Absent in pre-watchdog daemons' status bodies.
-            ticker_restarts: match v.field("ticker_restarts") {
-                Ok(field) => u64::from_value(field)?,
-                Err(_) => 0,
-            },
-            ticker_last_error: match v.field("ticker_last_error") {
-                Ok(field) => Option::from_value(field)?,
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 /// One histogram's wire form: raw bucket state plus derived summary
 /// stats (precomputed so dashboards need no bucket math).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramBody {
     /// Metric name.
     pub name: String,
@@ -250,39 +206,9 @@ impl From<&harmony_telemetry::HistogramSnapshot> for HistogramBody {
     }
 }
 
-impl Serialize for HistogramBody {
-    fn to_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("name".to_owned(), self.name.to_value());
-        map.insert("count".to_owned(), self.count.to_value());
-        map.insert("sum".to_owned(), self.sum.to_value());
-        map.insert("mean".to_owned(), self.mean.to_value());
-        map.insert("p50".to_owned(), self.p50.to_value());
-        map.insert("p99".to_owned(), self.p99.to_value());
-        map.insert("bounds".to_owned(), self.bounds.to_value());
-        map.insert("buckets".to_owned(), self.buckets.to_value());
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for HistogramBody {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(HistogramBody {
-            name: String::from_value(v.field("name")?)?,
-            count: u64::from_value(v.field("count")?)?,
-            sum: f64::from_value(v.field("sum")?)?,
-            mean: f64::from_value(v.field("mean")?)?,
-            p50: f64::from_value(v.field("p50")?)?,
-            p99: f64::from_value(v.field("p99")?)?,
-            bounds: Vec::from_value(v.field("bounds")?)?,
-            buckets: Vec::from_value(v.field("buckets")?)?,
-        })
-    }
-}
-
 /// The `metrics` response body: a point-in-time view of the daemon's
 /// telemetry registry.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsBody {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
@@ -299,46 +225,6 @@ impl From<&harmony_telemetry::Snapshot> for MetricsBody {
             gauges: snap.gauges.clone(),
             histograms: snap.histograms.iter().map(HistogramBody::from).collect(),
         }
-    }
-}
-
-impl Serialize for MetricsBody {
-    fn to_value(&self) -> Value {
-        let counters: BTreeMap<String, Value> =
-            self.counters.iter().map(|(k, n)| (k.clone(), n.to_value())).collect();
-        let gauges: BTreeMap<String, Value> =
-            self.gauges.iter().map(|(k, g)| (k.clone(), g.to_value())).collect();
-        let mut map = BTreeMap::new();
-        map.insert("counters".to_owned(), Value::Object(counters));
-        map.insert("gauges".to_owned(), Value::Object(gauges));
-        map.insert("histograms".to_owned(), self.histograms.to_value());
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for MetricsBody {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let object = |field: &str| -> Result<Vec<(String, Value)>, DeError> {
-            match v.field(field)? {
-                Value::Object(map) => {
-                    Ok(map.iter().map(|(k, val)| (k.clone(), val.clone())).collect())
-                }
-                _ => Err(DeError::new(format!("`{field}` must be an object"))),
-            }
-        };
-        let mut counters = BTreeMap::new();
-        for (k, val) in object("counters")? {
-            counters.insert(k, u64::from_value(&val)?);
-        }
-        let mut gauges = BTreeMap::new();
-        for (k, val) in object("gauges")? {
-            gauges.insert(k, f64::from_value(&val)?);
-        }
-        Ok(MetricsBody {
-            counters,
-            gauges,
-            histograms: Vec::from_value(v.field("histograms")?)?,
-        })
     }
 }
 

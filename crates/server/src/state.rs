@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 
 use harmony::classify::{ClassifierConfig, TaskClassifier};
 use harmony::{CbsObjective, DollarCosts, HarmonyConfig, OnlineState};
-use harmony_model::{MachineCatalog, PriorityGroup, SimDuration, Task};
+use harmony_model::{wire, MachineCatalog, PriorityGroup, SimDuration, Task};
 use harmony_pricing::MarketPolicy;
 use harmony_trace::{google_csv, Trace, TraceConfig, TraceGenerator};
 use serde::value::{DeError, Value};
@@ -76,9 +76,7 @@ impl Serialize for ClassifierSource {
                 map.insert("kind".to_owned(), "trace-file".to_value());
                 map.insert("path".to_owned(), path.to_value());
                 map.insert("format".to_owned(), format.to_value());
-                // 64-bit hashes exceed the f64-exact integer range of
-                // the JSON value model, so they travel as hex strings.
-                map.insert("hash".to_owned(), Value::String(format!("{hash:#018x}")));
+                map.insert("hash".to_owned(), wire::hash_to_value(*hash));
             }
             ClassifierSource::Synthetic { seed, span_secs } => {
                 map.insert("kind".to_owned(), "synthetic".to_value());
@@ -93,16 +91,11 @@ impl Serialize for ClassifierSource {
 impl Deserialize for ClassifierSource {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match String::from_value(v.field("kind")?)?.as_str() {
-            "trace-file" => {
-                let text = String::from_value(v.field("hash")?)?;
-                let hash = u64::from_str_radix(text.trim_start_matches("0x"), 16)
-                    .map_err(|e| DeError::new(format!("bad hash `{text}`: {e}")))?;
-                Ok(ClassifierSource::TraceFile {
-                    path: String::from_value(v.field("path")?)?,
-                    format: String::from_value(v.field("format")?)?,
-                    hash,
-                })
-            }
+            "trace-file" => Ok(ClassifierSource::TraceFile {
+                path: String::from_value(v.field("path")?)?,
+                format: String::from_value(v.field("format")?)?,
+                hash: wire::hash_from_value(v.field("hash")?)?,
+            }),
             "synthetic" => Ok(ClassifierSource::Synthetic {
                 seed: u64::from_value(v.field("seed")?)?,
                 span_secs: f64::from_value(v.field("span_secs")?)?,
@@ -114,7 +107,7 @@ impl Deserialize for ClassifierSource {
 
 /// The machine catalog, by name and divisor (catalogs are code-defined,
 /// so a spec rebuilds one exactly).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CatalogSpec {
     /// `table2`, `table2-accel`, or `google10`.
     pub name: String,
@@ -140,24 +133,6 @@ impl CatalogSpec {
             }
         };
         Ok(base.scaled(self.divisor.max(1)))
-    }
-}
-
-impl Serialize for CatalogSpec {
-    fn to_value(&self) -> Value {
-        let mut map = std::collections::BTreeMap::new();
-        map.insert("name".to_owned(), self.name.to_value());
-        map.insert("divisor".to_owned(), self.divisor.to_value());
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for CatalogSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(CatalogSpec {
-            name: String::from_value(v.field("name")?)?,
-            divisor: usize::from_value(v.field("divisor")?)?,
-        })
     }
 }
 
@@ -224,8 +199,9 @@ impl Deserialize for ObjectiveSpec {
     }
 }
 
-/// One complete daemon checkpoint.
-#[derive(Debug, Clone, PartialEq)]
+/// One complete daemon checkpoint. Reads are hand-written: they check
+/// the version and default a missing objective.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Checkpoint {
     /// Schema version ([`CHECKPOINT_VERSION`]).
     pub version: u64,
@@ -247,22 +223,6 @@ pub struct Checkpoint {
     pub buffered: Vec<Task>,
     /// Lifetime observation count.
     pub total_observations: u64,
-}
-
-impl Serialize for Checkpoint {
-    fn to_value(&self) -> Value {
-        let mut map = std::collections::BTreeMap::new();
-        map.insert("version".to_owned(), self.version.to_value());
-        map.insert("config".to_owned(), self.config.to_value());
-        map.insert("classifier".to_owned(), self.classifier.to_value());
-        map.insert("source".to_owned(), self.source.to_value());
-        map.insert("catalog".to_owned(), self.catalog.to_value());
-        map.insert("objective".to_owned(), self.objective.to_value());
-        map.insert("state".to_owned(), self.state.to_value());
-        map.insert("buffered".to_owned(), self.buffered.to_value());
-        map.insert("total_observations".to_owned(), self.total_observations.to_value());
-        Value::Object(map)
-    }
 }
 
 impl Deserialize for Checkpoint {
@@ -309,16 +269,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// FNV-1a-64 over a byte slice — the trace-file integrity hash.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Loads a trace from a source, verifying the integrity hash for file
 /// sources (`expected_hash` is `None` on first load, `Some` on resume).
 /// Returns the trace and the hash that a checkpoint should record.
@@ -337,7 +287,7 @@ pub fn load_source(
     match source_path {
         Some(path) => {
             let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let hash = fnv1a64(&bytes);
+            let hash = wire::fnv1a64(&bytes);
             if let Some(expected) = expected_hash {
                 if hash != expected {
                     return Err(format!(
@@ -665,14 +615,6 @@ pub fn flip_bit(path: &Path, byte_index: u64, bit: u8) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_vectors() {
-        // Standard FNV-1a-64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn crc_vectors() {

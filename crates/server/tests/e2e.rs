@@ -107,3 +107,14 @@ fn kill_nine_then_resume_reproduces_the_plan_sequence() {
     assert_no_tmp_files(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
+
+#[test]
+fn harmonyctl_refuses_a_seed_beyond_exact_json_range() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_harmonyctl"))
+        .args(["submit-observations", "--addr", "127.0.0.1:1", "--seed", "9007199254740992"])
+        .output()
+        .expect("spawn harmonyctl");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--seed: `9007199254740992` is above"), "{stderr}");
+}

@@ -53,6 +53,7 @@ mod index;
 mod machine;
 mod metrics;
 mod scheduler;
+#[cfg(test)]
 mod serde_impls;
 
 pub use cluster::Cluster;

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 pub struct MachineId(pub usize);
 
 /// Machine lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MachineState {
     /// Powered off; draws nothing, hosts nothing.
     Off,
@@ -31,7 +31,7 @@ pub enum MachineState {
 
 /// One physical machine: capacity, current allocation, lifecycle state,
 /// and lazily-integrated energy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Machine {
     id: MachineId,
     type_id: MachineTypeId,

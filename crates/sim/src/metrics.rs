@@ -22,7 +22,7 @@ pub struct TimePoint {
 }
 
 /// Summary statistics of a scheduling-delay sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayStats {
     /// Number of scheduled tasks in the sample.
     pub count: usize,

@@ -2,7 +2,6 @@
 //! workload analysis.
 
 use harmony_model::{PriorityGroup, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// One mode of a per-group task-size mixture model.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// requirement and memory requirements." A mode with `spread == 0`
 /// produces the exact median, which is how the dominant gratis mode
 /// (43% of gratis tasks at exactly `(0.0125, 0.0159)`) is expressed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizeMode {
     /// Relative weight of the mode within its group (normalized by sum).
     pub weight: f64,
@@ -26,7 +25,7 @@ pub struct SizeMode {
 
 /// Arrival-process calibration for one priority group: a non-homogeneous
 /// Poisson process with diurnal modulation and multiplicative noise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalConfig {
     /// Mean job arrival rate in jobs per second.
     pub base_jobs_per_sec: f64,
@@ -43,7 +42,7 @@ pub struct ArrivalConfig {
 /// Bimodal (short/long) duration calibration for one priority group —
 /// Section III-D: "tasks are either short or long" and "more than 50% of
 /// the tasks are short (less than 100 seconds)".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurationConfig {
     /// Fraction of tasks drawn from the long mode.
     pub long_fraction: f64,
@@ -66,7 +65,7 @@ pub struct DurationConfig {
 /// same instant. This is the correlated-arrival structure of
 /// batch-processing workloads (Furman et al.), which the smooth
 /// per-group Poisson streams cannot express.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchArrivalConfig {
     /// Which priority group the batch work belongs to, as a
     /// [`PriorityGroup::index`] (batch tiers are usually gratis/other).
@@ -101,7 +100,7 @@ impl BatchArrivalConfig {
 }
 
 /// Full generator calibration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// RNG seed; traces are fully deterministic per seed.
     pub seed: u64,

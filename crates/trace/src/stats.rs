@@ -1,7 +1,6 @@
 //! Trace-analysis series behind the paper's Figs. 1–7 and 19.
 
 use harmony_model::{PriorityGroup, Resources, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::Trace;
 
@@ -17,7 +16,7 @@ use crate::Trace;
 /// assert_eq!(cdf.quantile(0.5), 2.0);
 /// assert_eq!(cdf.len(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }

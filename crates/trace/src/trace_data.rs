@@ -5,11 +5,10 @@ use std::fmt;
 use std::io::{BufRead, Write};
 
 use harmony_model::{PriorityGroup, SimDuration, Task};
-use serde::{Deserialize, Serialize};
 
 /// An ordered workload trace: tasks sorted by arrival time plus the span
 /// they cover.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     tasks: Vec<Task>,
     span: SimDuration,
