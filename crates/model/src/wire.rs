@@ -26,7 +26,9 @@ pub fn hash_to_value(hash: u64) -> Value {
 ///
 /// Returns [`DeError`] unless `v` is a hex string of at most 64 bits.
 pub fn hash_from_value(v: &Value) -> Result<u64, DeError> {
-    let text = v.as_str().ok_or_else(|| DeError::new("expected a hex hash string"))?;
+    let text = v
+        .as_str()
+        .ok_or_else(|| DeError::new("expected a hex hash string"))?;
     u64::from_str_radix(text.trim_start_matches("0x"), 16)
         .map_err(|e| DeError::new(format!("bad hash `{text}`: {e}")))
 }
@@ -42,7 +44,9 @@ pub fn parse_seed(text: &str) -> Result<u64, String> {
     let seed: u64 = text.parse().map_err(|e| format!("`{text}`: {e}"))?;
     let max = serde::MAX_EXACT_INT as u64;
     if seed > max {
-        return Err(format!("`{text}` is above {max} (2^53 - 1), the largest seed stored exactly"));
+        return Err(format!(
+            "`{text}` is above {max} (2^53 - 1), the largest seed stored exactly"
+        ));
     }
     Ok(seed)
 }
@@ -76,7 +80,13 @@ mod tests {
         let max = (1u64 << 53) - 1;
         assert_eq!(parse_seed(&max.to_string()), Ok(max));
         assert_eq!(u64::from_value(&Value::from(max)), Ok(max));
-        for text in ["9007199254740992", "9007199254740993", "18446744073709551615", "-1", "x"] {
+        for text in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551615",
+            "-1",
+            "x",
+        ] {
             assert!(parse_seed(text).is_err(), "{text}");
         }
     }
