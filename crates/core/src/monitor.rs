@@ -201,28 +201,60 @@ impl ArrivalMonitor {
     }
 
     /// [`ArrivalMonitor::forecast_tiered`] fanned out over `workers`
-    /// scoped threads, one job per class.
+    /// scoped threads, each taking a contiguous chunk of classes.
     ///
-    /// Each class's forecast is a pure function of its own history, and
-    /// results merge back in class order, so the output is bit-identical
-    /// to the serial path for any worker count. Telemetry tier counts are
-    /// tallied once, after the merge.
+    /// A worker fits the ARIMA rung of every entitled class in its chunk
+    /// as one batch ([`Arima::fit_many`]), then walks each class's ladder.
+    /// Each class's forecast is a pure function of its own history (a
+    /// batched fit is bit-identical to a lone one), and results merge
+    /// back in class order, so the output is bit-identical to the serial
+    /// path for any worker count. Telemetry tier counts are tallied once,
+    /// after the merge.
     pub fn forecast_tiered_with_workers(
         &self,
         horizon: usize,
         workers: usize,
     ) -> Vec<ClassForecast> {
-        let result = crate::par::map_indexed(self.history.len(), workers, |class| {
-            Ok::<_, std::convert::Infallible>(self.forecast_class(&self.history[class], horizon))
+        let chunks: Vec<_> = crate::par::chunks(self.history.len(), workers).collect();
+        let result = crate::par::map_indexed(chunks.len(), workers, |w| {
+            let histories = &self.history[chunks[w].clone()];
+            Ok::<_, std::convert::Infallible>(self.forecast_chunk(histories, horizon))
         });
-        let forecasts = result.unwrap_or_else(|never| match never {});
+        let forecasts: Vec<ClassForecast> =
+            result.unwrap_or_else(|never| match never {}).into_iter().flatten().collect();
         record_tier_counts(&forecasts);
         forecasts
     }
 
-    /// Walks the forecast ladder for one class's history. Pure: no
-    /// telemetry, no shared state — safe to run from worker threads.
-    fn forecast_class(&self, h: &[f64], horizon: usize) -> ClassForecast {
+    /// Forecasts a run of classes: one batched ARIMA fit over the
+    /// entitled histories, then the ladder per class. Pure: no telemetry,
+    /// no shared state — safe to run from worker threads.
+    fn forecast_chunk(&self, histories: &[Vec<f64>], horizon: usize) -> Vec<ClassForecast> {
+        let entitled: Vec<&[f64]> =
+            histories.iter().map(Vec::as_slice).filter(|h| self.arima_entitled(h)).collect();
+        let mut arima = auto_forecasts(&entitled, horizon).into_iter();
+        histories
+            .iter()
+            .map(|h| {
+                let fit = if self.arima_entitled(h) { arima.next() } else { None };
+                self.forecast_class(h, fit, horizon)
+            })
+            .collect()
+    }
+
+    /// Whether a history is long enough for the ARIMA rung.
+    fn arima_entitled(&self, h: &[f64]) -> bool {
+        !h.is_empty() && h.len() >= self.arima_min_history
+    }
+
+    /// Walks the forecast ladder for one class's history, given the
+    /// ARIMA rung's outcome when the class is entitled to it.
+    fn forecast_class(
+        &self,
+        h: &[f64],
+        arima: Option<Result<Vec<f64>, HarmonyError>>,
+        horizon: usize,
+    ) -> ClassForecast {
         if h.is_empty() {
             return ClassForecast {
                 rates: vec![0.0; horizon],
@@ -233,7 +265,7 @@ impl ArrivalMonitor {
         let cap = h.iter().copied().filter(|v| v.is_finite()).fold(0.0, f64::max)
             * OUTLIER_FACTOR
             + 1e-9;
-        let entitled = if h.len() >= self.arima_min_history {
+        let entitled = if arima.is_some() {
             ForecastTier::Arima
         } else {
             ForecastTier::MovingAverage
@@ -245,12 +277,11 @@ impl ArrivalMonitor {
             }
         };
         let (rates, tier) = 'ladder: {
-            if entitled == ForecastTier::Arima {
-                match auto_forecast(h, horizon) {
-                    Ok(fc) if usable(&fc, cap) => break 'ladder (fc, ForecastTier::Arima),
-                    Ok(_) => note("ARIMA forecast non-finite or outlier".into()),
-                    Err(e) => note(format!("ARIMA failed: {e}")),
-                }
+            match arima {
+                Some(Ok(fc)) if usable(&fc, cap) => break 'ladder (fc, ForecastTier::Arima),
+                Some(Ok(_)) => note("ARIMA forecast non-finite or outlier".into()),
+                Some(Err(e)) => note(format!("ARIMA failed: {e}")),
+                None => {}
             }
             match fallback_forecast(h, horizon) {
                 Ok(fc) if usable(&fc, cap) => break 'ladder (fc, ForecastTier::MovingAverage),
@@ -307,10 +338,18 @@ fn usable(fc: &[f64], cap: f64) -> bool {
     fc.iter().all(|v| v.is_finite() && *v <= cap)
 }
 
-fn auto_forecast(history: &[f64], horizon: usize) -> Result<Vec<f64>, HarmonyError> {
+/// The ARIMA rung's forecast for each history, fitted as one batch.
+fn auto_forecasts(histories: &[&[f64]], horizon: usize) -> Vec<Result<Vec<f64>, HarmonyError>> {
     // A small fixed order keeps the per-tick fitting cost bounded.
-    let model = Arima::new(2, 0, 1)?.with_mean();
-    Ok(model.forecast(history, horizon)?)
+    match Arima::new(2, 0, 1) {
+        Ok(model) => model
+            .with_mean()
+            .fit_many(histories)
+            .into_iter()
+            .map(|fit| Ok(fit?.forecast(horizon)))
+            .collect(),
+        Err(e) => histories.iter().map(|_| Err(e.clone().into())).collect(),
+    }
 }
 
 fn fallback_forecast(history: &[f64], horizon: usize) -> Result<Vec<f64>, HarmonyError> {

@@ -10,6 +10,7 @@
 //! nondeterministic reduction order.
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::thread;
 
 /// The number of workers a stage should use: the configured override if
@@ -20,6 +21,17 @@ pub fn effective_workers(override_workers: Option<usize>, jobs: usize) -> usize 
         thread::available_parallelism().map_or(1, NonZeroUsize::get)
     });
     detected.max(1).min(jobs.max(1))
+}
+
+/// Deals `0..jobs` to `workers` (clamped to `[1, jobs]`) as contiguous
+/// ranges, in order: the first `jobs % workers` get one extra job.
+pub(crate) fn chunks(jobs: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
+    let workers = workers.clamp(1, jobs.max(1));
+    let (base, rem) = (jobs / workers, jobs % workers);
+    (0..workers).map(move |w| {
+        let start = w * base + w.min(rem);
+        start..start + base + usize::from(w < rem)
+    })
 }
 
 /// Runs `f(0..jobs)` across `workers` scoped threads and returns the
@@ -40,27 +52,20 @@ where
     if workers <= 1 || jobs <= 1 {
         return (0..jobs).map(&f).collect();
     }
-    let workers = workers.min(jobs);
     let mut slots: Vec<Option<Result<T, E>>> = Vec::with_capacity(jobs);
     slots.resize_with(jobs, || None);
 
-    // Deal contiguous chunks: the first `rem` workers get one extra job.
-    let base = jobs / workers;
-    let rem = jobs % workers;
     thread::scope(|scope| {
         let mut rest = slots.as_mut_slice();
-        let mut start = 0usize;
-        for w in 0..workers {
-            let len = base + usize::from(w < rem);
-            let (chunk, tail) = rest.split_at_mut(len);
+        for range in chunks(jobs, workers) {
+            let (chunk, tail) = rest.split_at_mut(range.len());
             rest = tail;
             let f = &f;
             scope.spawn(move || {
                 for (offset, slot) in chunk.iter_mut().enumerate() {
-                    *slot = Some(f(start + offset));
+                    *slot = Some(f(range.start + offset));
                 }
             });
-            start += len;
         }
     });
 
@@ -87,6 +92,22 @@ mod tests {
         for workers in 1..=8 {
             let got = map_indexed(23, workers, f).unwrap();
             assert_eq!(got, serial, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn chunks_partition_jobs_in_order() {
+        for jobs in 0..12 {
+            for workers in 0..6 {
+                let ranges: Vec<_> = chunks(jobs, workers).collect();
+                assert_eq!(ranges.len(), workers.clamp(1, jobs.max(1)));
+                let flat: Vec<usize> = ranges.iter().cloned().flatten().collect();
+                assert_eq!(flat, (0..jobs).collect::<Vec<_>>(), "jobs={jobs} workers={workers}");
+                let (min, max) = ranges.iter().fold((usize::MAX, 0), |(lo, hi), r| {
+                    (lo.min(r.len()), hi.max(r.len()))
+                });
+                assert!(max - min <= 1, "balanced: {ranges:?}");
+            }
         }
     }
 

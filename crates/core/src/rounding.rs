@@ -91,13 +91,80 @@ pub fn pack_into_mix(
     catalog: &MachineCatalog,
     machines: &[usize],
 ) -> Vec<Vec<usize>> {
+    let mut types = Vec::new();
+    let mut free = Vec::new();
+    for (m, &count) in machines.iter().enumerate() {
+        let cap = catalog.machine_type(MachineTypeId(m)).capacity;
+        types.extend(std::iter::repeat_n(m, count));
+        free.extend(std::iter::repeat_n(cap, count));
+    }
+    let mut packed = vec![vec![0usize; totals.len()]; machines.len()];
+    first_fit_decreasing(totals, sizes, &mut free, |machine, n| packed[types[machine]][n] += 1);
+    packed
+}
+
+/// Greedy First-Fit packing of `counts[n]` containers of each class into
+/// `machines` machines of one capacity. Returns how many containers of
+/// each class were placed (classes packed largest-first).
+pub fn first_fit_pack(
+    counts: &[usize],
+    sizes: &[Resources],
+    capacity: Resources,
+    machines: usize,
+) -> Vec<usize> {
+    let mut placed = vec![0usize; counts.len()];
+    first_fit_decreasing(counts, sizes, &mut vec![capacity; machines], |_, n| placed[n] += 1);
+    placed
+}
+
+/// First-Fit-Decreasing over the machines' free capacities: classes
+/// largest-first, each container on the first machine it fits, calling
+/// `place(machine, class)` per container; a class stops at its first
+/// container that fits nowhere.
+///
+/// Each container's scan resumes at the machine the previous container
+/// of its class landed on: the machines before it refused this class and
+/// have not changed since, so they would refuse it again.
+fn first_fit_decreasing(
+    counts: &[usize],
+    sizes: &[Resources],
+    free: &mut [Resources],
+    mut place: impl FnMut(usize, usize),
+) {
+    let mut order: Vec<usize> = (0..counts.len()).collect();
+    order.sort_by(|&a, &b| {
+        f64::total_cmp(&sizes[b].sum_components(), &sizes[a].sum_components())
+    });
+    for &n in &order {
+        let size = sizes[n];
+        let mut cursor = 0;
+        for _ in 0..counts[n] {
+            let Some(offset) = free[cursor..].iter().position(|slot| size.fits_within(*slot)) else {
+                break; // no machine fits this class anymore
+            };
+            cursor += offset;
+            free[cursor] -= size;
+            place(cursor, n);
+        }
+    }
+}
+
+/// The rescanning First-Fit-Decreasing that [`first_fit_decreasing`]
+/// replaced: every container's scan starts again at machine 0. Kept as
+/// the oracle the cursor must match.
+#[cfg(test)]
+fn pack_into_mix_rescan(
+    totals: &[usize],
+    sizes: &[Resources],
+    catalog: &MachineCatalog,
+    machines: &[usize],
+) -> Vec<Vec<usize>> {
     let mut free: Vec<(usize, Resources)> = Vec::new();
     for (m, &count) in machines.iter().enumerate() {
         let cap = catalog.machine_type(MachineTypeId(m)).capacity;
         free.extend(std::iter::repeat_n((m, cap), count));
     }
     let mut packed = vec![vec![0usize; totals.len()]; machines.len()];
-    // Largest containers first (First-Fit-Decreasing).
     let mut order: Vec<usize> = (0..totals.len()).collect();
     order.sort_by(|&a, &b| {
         f64::total_cmp(&sizes[b].sum_components(), &sizes[a].sum_components())
@@ -112,41 +179,10 @@ pub fn pack_into_mix(
                     continue 'containers;
                 }
             }
-            break; // no machine fits this class anymore
-        }
-    }
-    packed
-}
-
-/// Greedy First-Fit packing of `counts[n]` containers of each class into
-/// `machines` machines of one capacity. Returns how many containers of
-/// each class were placed (classes packed largest-first).
-pub fn first_fit_pack(
-    counts: &[usize],
-    sizes: &[Resources],
-    capacity: Resources,
-    machines: usize,
-) -> Vec<usize> {
-    let mut free = vec![capacity; machines];
-    let mut placed = vec![0usize; counts.len()];
-    let mut order: Vec<usize> = (0..counts.len()).collect();
-    order.sort_by(|&a, &b| {
-        f64::total_cmp(&sizes[b].sum_components(), &sizes[a].sum_components())
-    });
-    for &n in &order {
-        let size = sizes[n];
-        'containers: for _ in 0..counts[n] {
-            for slot in free.iter_mut() {
-                if size.fits_within(*slot) {
-                    *slot -= size;
-                    placed[n] += 1;
-                    continue 'containers;
-                }
-            }
             break;
         }
     }
-    placed
+    packed
 }
 
 /// Checks the Lemma-1 guarantee for a packing instance: scaling every
@@ -307,5 +343,78 @@ mod tests {
         assert!(total >= 25, "most containers should pack: {packed:?}");
         // R210s (cpu 0.083) host 1 each; big machines host the rest.
         assert!(packed[3][0] > 5);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The cursor First-Fit packs exactly what the rescanning one
+        /// does, on the planned mix, on the mix with the Lemma-1 slack
+        /// machines, and through `round_first_step` whichever pass it
+        /// keeps.
+        #[test]
+        fn cursor_first_fit_matches_rescan(
+            divisor in proptest::sample::select(vec![40usize, 100, 400, 2500]),
+            sizes in proptest::collection::vec((0.002f64..0.5, 0.002f64..0.5), 1..8),
+            z in proptest::collection::vec(0.0f64..30.0, 4),
+            cells in proptest::collection::vec(-20.0f64..30.0, 32),
+        ) {
+            let catalog = harmony_model::MachineCatalog::table2().scaled(divisor);
+            let sizes: Vec<Resources> = sizes.iter().map(|&(c, m)| Resources::new(c, m)).collect();
+            let n_classes = sizes.len();
+            let x: Vec<Vec<f64>> = (0..4)
+                .map(|m| (0..n_classes).map(|n| cells[m * 8 + n].max(0.0)).collect())
+                .collect();
+            let plan = CbsPlan { z: vec![z.clone()], x: vec![x.clone()], objective: 0.0 };
+            let totals: Vec<usize> = (0..n_classes)
+                .map(|n| {
+                    let total: f64 = x.iter().map(|per_n| per_n[n]).sum();
+                    (total - 1e-9).ceil().max(0.0) as usize
+                })
+                .collect();
+            let count = |m: usize| catalog.machine_type(MachineTypeId(m)).count;
+            let planned: Vec<usize> =
+                z.iter().enumerate().map(|(m, zf)| (zf.ceil() as usize).min(count(m))).collect();
+            let slack: Vec<usize> = planned
+                .iter()
+                .enumerate()
+                .map(|(m, &k)| (k + usize::from(x[m].iter().any(|&v| v > 1e-9))).min(count(m)))
+                .collect();
+            for mix in [&planned, &slack] {
+                proptest::prop_assert_eq!(
+                    pack_into_mix(&totals, &sizes, &catalog, mix),
+                    pack_into_mix_rescan(&totals, &sizes, &catalog, mix)
+                );
+                // One machine type alone is `first_fit_pack`'s case.
+                let one_type = [mix[2], 0, 0, 0];
+                let cap = catalog.machine_type(MachineTypeId(0)).capacity;
+                proptest::prop_assert_eq!(
+                    first_fit_pack(&totals, &sizes, cap, mix[2]),
+                    pack_into_mix_rescan(&totals, &sizes, &catalog, &one_type)[0].clone()
+                );
+            }
+            let integer = round_first_step(&plan, &catalog, &sizes);
+            proptest::prop_assert!(integer.machines == planned || integer.machines == slack);
+            proptest::prop_assert_eq!(
+                integer.quotas,
+                pack_into_mix_rescan(&totals, &sizes, &catalog, &integer.machines)
+            );
+        }
+    }
+
+    #[test]
+    fn round_first_step_takes_the_slack_pass_like_the_rescan() {
+        // The feasible-quotas plan above leaves containers unpacked on
+        // its ⌈z⌉ mix, so its quotas come from the slack pass.
+        let catalog = harmony_model::MachineCatalog::table2().scaled(100);
+        let sizes = vec![Resources::new(0.05, 0.03), Resources::new(0.3, 0.2)];
+        let plan = CbsPlan {
+            z: vec![vec![3.4, 0.0, 1.5, 0.0]],
+            x: vec![vec![vec![10.2, 0.0], vec![0.0, 0.0], vec![0.0, 2.5], vec![0.0, 0.0]]],
+            objective: 0.0,
+        };
+        let integer = round_first_step(&plan, &catalog, &sizes);
+        assert_eq!(integer.machines, vec![5, 0, 3, 0], "slack machines added");
+        assert_eq!(integer.quotas, pack_into_mix_rescan(&[11, 3], &sizes, &catalog, &[5, 0, 3, 0]));
     }
 }
