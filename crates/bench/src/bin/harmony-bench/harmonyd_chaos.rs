@@ -40,7 +40,7 @@ use harmony_server::net::{self, ConnectionLimits, ServeOptions, TickerChaos, Wat
 use harmony_server::protocol::read_line;
 use harmony_server::state::{self, CatalogSpec, ObjectiveSpec};
 use harmony_server::{Client, Service};
-use harmony_telemetry as telemetry;
+use harmony_telemetry::{self as telemetry, keys};
 use serde::value::Value;
 
 const SEEDS_FULL: &[u64] = &[1, 2, 3];
@@ -111,6 +111,10 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the chaos bench times each phase against a live daemon in real time"
+)]
 pub fn run(args: &[String]) {
     let quick = args.iter().any(|a| a == "--quick");
     let seeds = if quick { SEEDS_QUICK } else { SEEDS_FULL };
@@ -136,7 +140,7 @@ pub fn run(args: &[String]) {
     );
 
     section("phase 1: direct flood");
-    let shed0 = counter("server.shed_total");
+    let shed0 = counter(keys::SERVER_SHED_TOTAL);
     let t = Instant::now();
     let (mut attempted, mut connected, mut responded, mut overloaded, mut errors) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
@@ -173,7 +177,7 @@ pub fn run(args: &[String]) {
     }
     drop(holders);
     let shed_elapsed = t.elapsed();
-    let shed_total = counter("server.shed_total") - shed0;
+    let shed_total = counter(keys::SERVER_SHED_TOTAL) - shed0;
     assert!(shed_total >= extra as u64, "cap must shed every excess connection");
     println!(
         "shed: {cap_shed}/{extra} excess connections answered typed overloaded, \
@@ -182,7 +186,7 @@ pub fn run(args: &[String]) {
     );
 
     section("phase 3: chaos proxy + slow loris");
-    let timeout0 = counter("server.timeout_total");
+    let timeout0 = counter(keys::SERVER_TIMEOUT_TOTAL);
     let t = Instant::now();
     let (mut proxy_connected, mut proxy_responded) = (0u64, 0u64);
     for &seed in seeds {
@@ -198,7 +202,7 @@ pub fn run(args: &[String]) {
         slow_loris(daemon.addr, Duration::from_millis(500));
     }
     let proxy_elapsed = t.elapsed();
-    let timeout_total = counter("server.timeout_total") - timeout0;
+    let timeout_total = counter(keys::SERVER_TIMEOUT_TOTAL) - timeout0;
     assert!(timeout_total >= loris as u64, "every slow loris must trip the read deadline");
     println!(
         "proxy: {proxy_responded}/{proxy_connected} proxied connections answered; \
@@ -252,7 +256,7 @@ pub fn run(args: &[String]) {
     );
 
     section("phase 5: ticker watchdog under injected panics");
-    let restarts0 = counter("server.ticker_restarts");
+    let restarts0 = counter(keys::SERVER_TICKER_RESTARTS);
     let want_restarts: u64 = if quick { 2 } else { 4 };
     let daemon = start_daemon(
         build_service(None),
@@ -271,7 +275,7 @@ pub fn run(args: &[String]) {
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut restarts = 0;
     while Instant::now() < deadline {
-        restarts = counter("server.ticker_restarts") - restarts0;
+        restarts = counter(keys::SERVER_TICKER_RESTARTS) - restarts0;
         if restarts >= want_restarts {
             break;
         }

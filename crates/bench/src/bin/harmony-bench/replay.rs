@@ -46,6 +46,7 @@ use harmony_model::{wire, MachineCatalog, PriorityGroup, SimDuration};
 use harmony_sim::{
     DegradationKind, FaultRecordKind, FirstFit, SimReport, Simulation, SimulationConfig, SCENARIOS,
 };
+use harmony_telemetry::keys;
 use harmony_trace::{google_csv, Trace, TraceConfig, TraceGenerator};
 
 fn usage() -> ! {
@@ -140,6 +141,7 @@ pub fn run(args: &[String]) {
             eprintln!("cannot resume: {e}");
             exit(1);
         });
+        #[expect(clippy::disallowed_methods, reason = "measures the replay's events/sec")]
         let started = std::time::Instant::now();
         fault_mode(run, snapshot.or(Some(resume_path)), stop_after);
         record_events_per_sec(started);
@@ -169,6 +171,7 @@ pub fn run(args: &[String]) {
             eprintln!("{e}");
             exit(1);
         });
+        #[expect(clippy::disallowed_methods, reason = "measures the replay's events/sec")]
         let started = std::time::Instant::now();
         fault_mode(run, snapshot, stop_after);
         record_events_per_sec(started);
@@ -199,6 +202,7 @@ pub fn run(args: &[String]) {
         control_period: SimDuration::from_mins(period_mins),
         ..Default::default()
     };
+    #[expect(clippy::disallowed_methods, reason = "measures the replay's events/sec")]
     let started = std::time::Instant::now();
     let report = match controller.as_str() {
         "none" => {
@@ -288,8 +292,8 @@ pub fn run(args: &[String]) {
 
 /// Computes simulator event throughput over the elapsed wall clock and
 /// records it as the `sim.events_per_sec` gauge. The simulator counts
-/// events but cannot read wall clocks (the `wall-clock` lint bans them
-/// in `crates/sim`), so the rate is derived here, outside the engine.
+/// events but cannot read wall clocks (the root `clippy.toml` bans them
+/// in library code), so the rate is derived here, outside the engine.
 fn record_events_per_sec(started: std::time::Instant) {
     let elapsed = started.elapsed().as_secs_f64();
     let events: u64 = harmony_telemetry::global()
@@ -300,9 +304,7 @@ fn record_events_per_sec(started: std::time::Instant) {
         .map(|(_, v)| *v)
         .sum();
     if elapsed > 0.0 && events > 0 {
-        harmony_telemetry::global()
-            .gauge("sim.events_per_sec")
-            .set(events as f64 / elapsed);
+        harmony_telemetry::global().gauge(keys::SIM_EVENTS_PER_SEC).set(events as f64 / elapsed);
         eprintln!(
             "processed {events} events in {elapsed:.2}s wall ({:.0} events/sec)",
             events as f64 / elapsed
@@ -321,12 +323,12 @@ fn write_metrics_artifact() {
 
     section("telemetry: control-loop stage timings");
     let stages = [
-        ("classify", "pipeline.classify_seconds"),
-        ("forecast", "pipeline.forecast_seconds"),
-        ("sizing", "pipeline.sizing_seconds"),
-        ("lp", "pipeline.lp_seconds"),
-        ("rounding", "pipeline.rounding_seconds"),
-        ("whole period", "pipeline.period_seconds"),
+        ("classify", keys::PIPELINE_CLASSIFY_SECONDS),
+        ("forecast", keys::PIPELINE_FORECAST_SECONDS),
+        ("sizing", keys::PIPELINE_SIZING_SECONDS),
+        ("lp", keys::PIPELINE_LP_SECONDS),
+        ("rounding", keys::PIPELINE_ROUNDING_SECONDS),
+        ("whole period", keys::PIPELINE_PERIOD_SECONDS),
     ];
     let rows: Vec<Vec<String>> = stages
         .iter()
@@ -352,10 +354,10 @@ fn write_metrics_artifact() {
     );
     println!(
         "simplex: {} solves, {} pivots ({} in phase 1), {} failures",
-        snapshot.counter("lp.solves"),
-        snapshot.counter("lp.pivots"),
-        snapshot.counter("lp.phase1_pivots"),
-        snapshot.counter("lp.failures"),
+        snapshot.counter(keys::LP_SOLVES),
+        snapshot.counter(keys::LP_PIVOTS),
+        snapshot.counter(keys::LP_PHASE1_PIVOTS),
+        snapshot.counter(keys::LP_FAILURES),
     );
 
     let counters = Value::Object(

@@ -28,6 +28,7 @@ use harmony_model::{
     EnergyPrice, MachineCatalog, MachineTypeId, PriorityGroup, Resources, SimTime, NUM_RESOURCES,
 };
 use harmony_pricing::{MarketPolicy, PriceBook, SloCostCurve};
+use harmony_telemetry::keys;
 
 use crate::{HarmonyConfig, HarmonyError};
 
@@ -246,9 +247,10 @@ pub fn solve_cbs_relax_warm(
 ///   price book that does not cover the catalog, or per-class cost
 ///   vectors of the wrong length.
 /// * [`HarmonyError::Optimization`] if the LP solve fails.
-// Index loops mirror the x[t][m][n] variable grid; iterators would
-// obscure the LP structure.
-#[allow(clippy::needless_range_loop)]
+#[expect(
+    clippy::needless_range_loop,
+    reason = "Index loops mirror the x[t][m][n] variable grid; iterators would obscure the LP structure."
+)]
 pub fn solve_cbs_relax_priced(
     inputs: &CbsInputs<'_>,
     config: &HarmonyConfig,
@@ -480,21 +482,21 @@ pub fn solve_cbs_relax_priced(
     let lp_vars = p.num_vars();
     let lp_constraints = p.num_constraints();
     let solution = p.solve_warm_with(&options, warm).map_err(|e| {
-        harmony_telemetry::global().counter("lp.failures").inc();
+        harmony_telemetry::global().counter(keys::LP_FAILURES).inc();
         HarmonyError::Optimization(e)
     })?;
     let registry = harmony_telemetry::global();
-    registry.counter("lp.solves").inc();
-    registry.counter("lp.pivots").add(solution.pivots() as u64);
-    registry.counter("lp.phase1_pivots").add(solution.phase1_pivots() as u64);
+    registry.counter(keys::LP_SOLVES).inc();
+    registry.counter(keys::LP_PIVOTS).add(solution.pivots() as u64);
+    registry.counter(keys::LP_PHASE1_PIVOTS).add(solution.phase1_pivots() as u64);
     // Fetch all three warm-start counters eagerly so every name exists in
     // every snapshot (a dashboard summing hits plus both fallback kinds
     // should never see a missing key), then bump the one that applies.
     // The three are mutually exclusive and, over solves that were handed
     // a basis, exhaustive.
-    let hits = registry.counter("lp.warm_start_hits");
-    let repair_fallbacks = registry.counter("lp.warm_start_repair_fallbacks");
-    let structural_fallbacks = registry.counter("lp.warm_start_structural_fallbacks");
+    let hits = registry.counter(keys::LP_WARM_START_HITS);
+    let repair_fallbacks = registry.counter(keys::LP_WARM_START_REPAIR_FALLBACKS);
+    let structural_fallbacks = registry.counter(keys::LP_WARM_START_STRUCTURAL_FALLBACKS);
     match solution.warm_outcome() {
         harmony_lp::WarmOutcome::Cold => {}
         harmony_lp::WarmOutcome::Hit => hits.inc(),
@@ -522,10 +524,10 @@ pub fn solve_cbs_relax_priced(
         .collect();
     let cost = costs.map(|c| {
         let plan_cost = account_plan(inputs, config, c, &z_out, &x_out);
-        registry.counter("cost.dollar_solves").inc();
-        registry.gauge("cost.plan_rental_dollars").set(plan_cost.rental_dollars);
-        registry.gauge("cost.plan_slo_dollars").set(plan_cost.slo_dollars);
-        registry.gauge("cost.spot_fraction").set(plan_cost.spot_fraction);
+        registry.counter(keys::COST_DOLLAR_SOLVES).inc();
+        registry.gauge(keys::COST_PLAN_RENTAL_DOLLARS).set(plan_cost.rental_dollars);
+        registry.gauge(keys::COST_PLAN_SLO_DOLLARS).set(plan_cost.slo_dollars);
+        registry.gauge(keys::COST_SPOT_FRACTION).set(plan_cost.spot_fraction);
         plan_cost
     });
     Ok(CbsSolve {

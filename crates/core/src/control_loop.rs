@@ -10,6 +10,7 @@
 
 use harmony_model::{EnergyPrice, MachineCatalog, Resources, SimTime, TaskClassId};
 use harmony_sim::{DegradationEvent, DegradationKind, TaskView};
+use harmony_telemetry::keys;
 
 use crate::cbs::{solve_cbs_relax_priced, CbsInputs, CbsObjective};
 use crate::classify::TaskClassifier;
@@ -150,10 +151,10 @@ impl ControlLoop {
     /// its own last rung and records it with [`ControlLoop::degrade`].
     pub fn run_period(&mut self, inputs: &PeriodInputs<'_>) -> Result<Period, HarmonyError> {
         let registry = harmony_telemetry::global();
-        registry.counter("pipeline.ticks").inc();
+        registry.counter(keys::PIPELINE_TICKS).inc();
         // The guard records the whole period even when a stage errors out.
-        let _period_span = registry.timer("pipeline.period_seconds");
-        let span = registry.timer("pipeline.classify_seconds");
+        let _period_span = registry.timer(keys::PIPELINE_PERIOD_SECONDS);
+        let span = registry.timer(keys::PIPELINE_CLASSIFY_SECONDS);
         self.monitor.record_period(inputs.arrived, inputs.classifier);
         drop(span);
         match self.plan(inputs) {
@@ -164,7 +165,7 @@ impl ControlLoop {
             Err(err) => {
                 self.errors += 1;
                 self.lp_basis = None;
-                registry.counter("pipeline.errors").inc();
+                registry.counter(keys::PIPELINE_ERRORS).inc();
                 let Some(plan) = self.last_plan.clone() else { return Err(err) };
                 self.degrade(inputs.now, DegradationKind::LpReusedPreviousPlan, &err);
                 Ok(Period { plan, first_step_rental_dollars: None })
@@ -179,9 +180,9 @@ impl ControlLoop {
         // Per-class forecast and sizing fan out over scoped workers;
         // plans stay bit-identical for any worker count.
         let workers = crate::par::effective_workers(self.config.pipeline_workers, n_classes);
-        registry.gauge("pipeline.workers").set(workers as f64);
+        registry.gauge(keys::PIPELINE_WORKERS).set(workers as f64);
 
-        let span = registry.timer("pipeline.forecast_seconds");
+        let span = registry.timer(keys::PIPELINE_FORECAST_SECONDS);
         let tiered = self.monitor.forecast_tiered_with_workers(self.config.horizon, workers);
         drop(span);
         for (n, class_fc) in tiered.iter().enumerate() {
@@ -195,7 +196,7 @@ impl ControlLoop {
         }
         let rates: Vec<Vec<f64>> = tiered.into_iter().map(|c| c.rates).collect();
 
-        let sizing_span = registry.timer("pipeline.sizing_seconds");
+        let sizing_span = registry.timer(keys::PIPELINE_SIZING_SECONDS);
         let mut backlog = vec![0.0f64; n_classes];
         for task in inputs.pending {
             backlog[inputs.classifier.initial_label(task).0] += 1.0;
@@ -217,7 +218,7 @@ impl ControlLoop {
             .iter()
             .map(|c| self.config.utility_for(c.group))
             .collect();
-        let lp_span = registry.timer("pipeline.lp_seconds");
+        let lp_span = registry.timer(keys::PIPELINE_LP_SECONDS);
         let solve = solve_cbs_relax_priced(
             &CbsInputs {
                 catalog: inputs.catalog,
@@ -235,7 +236,7 @@ impl ControlLoop {
         drop(lp_span);
         self.lp_basis = Some(solve.basis);
         let fractional = solve.plan;
-        let plan = registry.time("pipeline.rounding_seconds", || {
+        let plan = registry.time(keys::PIPELINE_ROUNDING_SECONDS, || {
             round_first_step(&fractional, inputs.catalog, &container_sizes)
         });
         Ok(Period {

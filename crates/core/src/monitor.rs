@@ -4,7 +4,7 @@
 use harmony_forecast::{Arima, Forecaster, MovingAverage};
 use harmony_model::{SimDuration, Task, TaskClassId};
 use harmony_sim::ForecastTier;
-use harmony_telemetry as telemetry;
+use harmony_telemetry::{self as telemetry, keys};
 use serde::{Deserialize, Serialize};
 
 use crate::classify::TaskClassifier;
@@ -88,7 +88,7 @@ impl ArrivalMonitor {
             }
         }
         if dropped > 0 {
-            telemetry::global().counter("monitor.dropped_arrivals").add(dropped as u64);
+            telemetry::global().counter(keys::MONITOR_DROPPED_ARRIVALS).add(dropped as u64);
             eprintln!(
                 "harmony: monitor dropped {dropped} arrival(s) with out-of-range \
                  class labels (classifier has more classes than the monitor?)"
@@ -321,10 +321,10 @@ fn record_tier_counts(forecasts: &[ClassForecast]) {
     }
     let registry = telemetry::global();
     for (name, n) in [
-        ("forecast.tier.arima", arima),
-        ("forecast.tier.moving_average", moving_average),
-        ("forecast.tier.last_observation", last_observation),
-        ("forecast.degraded", degraded),
+        (keys::FORECAST_TIER_ARIMA, arima),
+        (keys::FORECAST_TIER_MOVING_AVERAGE, moving_average),
+        (keys::FORECAST_TIER_LAST_OBSERVATION, last_observation),
+        (keys::FORECAST_DEGRADED, degraded),
     ] {
         if n > 0 {
             registry.counter(name).add(n);
@@ -406,16 +406,12 @@ mod tests {
         let period = SimDuration::from_mins(10.0);
         let mut monitor = ArrivalMonitor::new(1, period, 100, 24);
         let tasks = &trace.tasks()[..200];
-        let before = harmony_telemetry::global()
-            .snapshot()
-            .counter("monitor.dropped_arrivals");
+        let before = harmony_telemetry::global().snapshot().counter(keys::MONITOR_DROPPED_ARRIVALS);
         let dropped = monitor.record_period(tasks, &classifier);
         assert!(dropped > 0, "seed trace must spread over >1 class");
         // The drop surfaces in the telemetry snapshot (delta-based: the
         // global registry is shared across parallel tests).
-        let after = harmony_telemetry::global()
-            .snapshot()
-            .counter("monitor.dropped_arrivals");
+        let after = harmony_telemetry::global().snapshot().counter(keys::MONITOR_DROPPED_ARRIVALS);
         assert_eq!(after - before, dropped as u64);
         // Only in-range arrivals reach the rate history.
         let recorded = monitor.history(TaskClassId(0)).iter().sum::<f64>() * period.as_secs();

@@ -21,6 +21,7 @@
 
 use harmony_model::{EnergyPrice, MachineCatalog, SimTime, Task};
 use harmony_sim::{DegradationEvent, DegradationKind, TaskView};
+use harmony_telemetry::keys;
 use serde::{Deserialize, Serialize};
 
 use crate::cbs::CbsObjective;
@@ -198,7 +199,7 @@ impl OnlinePipeline {
                 if let Some(dollars) = period.first_step_rental_dollars {
                     self.cost_dollars += dollars;
                     harmony_telemetry::global()
-                        .gauge("cost.cumulative_dollars")
+                        .gauge(keys::COST_CUMULATIVE_DOLLARS)
                         .set(self.cost_dollars);
                 }
                 period.plan

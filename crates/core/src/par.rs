@@ -71,10 +71,10 @@ where
 
     let mut out = Vec::with_capacity(jobs);
     for slot in slots {
-        // Invariant: the chunks above partition 0..jobs exactly, and
-        // thread::scope joins every worker before returning, so every
-        // slot has been written.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "Invariant: the chunks above partition 0..jobs exactly, and thread::scope joins every worker before returning, so every slot has been written."
+        )]
         let result = slot.expect("scoped worker wrote every slot in its chunk");
         out.push(result?);
     }

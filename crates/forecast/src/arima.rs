@@ -85,8 +85,10 @@ impl Arima {
     /// * [`ForecastError::FitFailed`] when optimization diverges.
     pub fn fit(&self, history: &[f64]) -> Result<ArimaFit, ForecastError> {
         let fits = self.fit_many(&[history]);
-        // Invariant: fit_many returns one result per history.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "Invariant: fit_many returns one result per history."
+        )]
         fits.into_iter().next().expect("fit_many returns one result per history")
     }
 

@@ -95,9 +95,10 @@ impl KMeans {
                 best = Some(model);
             }
         }
-        // Invariant: `restarts` is clamped to >= 1 by the builder, so
-        // the loop above always produced at least one model.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "Invariant: `restarts` is clamped to >= 1 by the builder, so the loop above always produced at least one model."
+        )]
         Ok(best.expect("at least one restart ran"))
     }
 

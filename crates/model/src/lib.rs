@@ -14,6 +14,8 @@
 //! * [`PowerModel`], [`EnergyPrice`] — the linear utilization→power model of
 //!   Eq. (7) and the run-time electricity price `p_t`.
 //! * [`SimTime`], [`SimDuration`] — strongly-typed simulation clock values.
+//! * [`SplitMix64`] — the seeded PRNG behind every fault plan, price book
+//!   and chaos schedule.
 //!
 //! # Examples
 //!
@@ -35,6 +37,7 @@ mod error;
 mod machine;
 mod power;
 mod resources;
+mod rng;
 mod serde_impls;
 mod task;
 mod time;
@@ -45,5 +48,6 @@ pub use error::ModelError;
 pub use machine::{MachineCatalog, MachineType, MachineTypeId};
 pub use power::{EnergyPrice, PowerModel};
 pub use resources::{AccelResources, ResourceKind, Resources, NUM_RESOURCES};
+pub use rng::SplitMix64;
 pub use task::{JobId, Priority, PriorityGroup, SchedulingClass, Task, TaskId};
 pub use time::{SimDuration, SimTime};

@@ -138,9 +138,10 @@ impl MachineCatalog {
     /// the substitution note. The ordering they induce reproduces Fig. 9:
     /// the R210 draws the least at every load it can serve, the DL585 G7
     /// the most.
-    // Invariant: the literal catalog below is non-empty with positive
-    // counts and capacities, so construction cannot fail.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "Invariant: the literal catalog below is non-empty with positive counts and capacities, so construction cannot fail."
+    )]
     pub fn table2() -> Self {
         // Largest machine: HP DL585 G7 = 4 sockets x 12 cores, 64 GB.
         const MAX_CORES: f64 = 48.0;
@@ -180,9 +181,10 @@ impl MachineCatalog {
     /// compute capacity is dominated by the DL585 G7 — so existing
     /// energy-objective plans are unaffected; it exists for workloads
     /// with per-class accelerator demand priced by `harmony-pricing`.
-    // Invariant: table2() is valid and the appended type has positive
-    // count and capacity, so re-validation cannot fail.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "Invariant: table2() is valid and the appended type has positive count and capacity, so re-validation cannot fail."
+    )]
     pub fn table2_with_accel() -> Self {
         const MAX_CORES: f64 = 48.0;
         const MAX_MEM_GB: f64 = 64.0;
@@ -204,9 +206,10 @@ impl MachineCatalog {
     /// A ten-platform catalog mirroring the population skew of the Google
     /// cluster's machine mix (Fig. 5): two dominant platforms, two
     /// mid-size populations, six rare configurations.
-    // Invariant: the literal catalog below is non-empty with positive
-    // counts and capacities, so construction cannot fail.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "Invariant: the literal catalog below is non-empty with positive counts and capacities, so construction cannot fail."
+    )]
     pub fn google_ten_types() -> Self {
         let spec = |name: &str, pfid: u32, cpu: f64, mem: f64, count: usize| MachineType {
             id: MachineTypeId(0),
@@ -285,9 +288,10 @@ impl MachineCatalog {
     /// # Panics
     ///
     /// Panics if `divisor == 0`.
-    // Invariant: `self` was validated at construction and div_ceil
-    // keeps every count positive, so re-validation cannot fail.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "Invariant: `self` was validated at construction and div_ceil keeps every count positive, so re-validation cannot fail."
+    )]
     pub fn scaled(&self, divisor: usize) -> MachineCatalog {
         assert!(divisor > 0, "divisor must be positive");
         let types = self

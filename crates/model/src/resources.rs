@@ -241,9 +241,10 @@ impl fmt::Display for AccelResources {
 impl Index<usize> for Resources {
     type Output = f64;
 
-    // Out-of-range indexing panics by the `Index` contract, as for
-    // slices; every in-tree caller iterates 0..NUM_RESOURCES.
-    #[allow(clippy::panic)]
+    #[expect(
+        clippy::panic,
+        reason = "Out-of-range indexing panics by the `Index` contract, as for slices; every in-tree caller iterates 0..NUM_RESOURCES."
+    )]
     fn index(&self, index: usize) -> &f64 {
         match index {
             0 => &self.cpu,
@@ -254,8 +255,10 @@ impl Index<usize> for Resources {
 }
 
 impl IndexMut<usize> for Resources {
-    // Same `Index` contract as above.
-    #[allow(clippy::panic)]
+    #[expect(
+        clippy::panic,
+        reason = "Out-of-range indexing panics by the `Index` contract, as for slices."
+    )]
     fn index_mut(&mut self, index: usize) -> &mut f64 {
         match index {
             0 => &mut self.cpu,

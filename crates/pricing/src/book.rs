@@ -1,11 +1,10 @@
 //! Per-machine-type $/hour rates: on-demand, spot, and the planning
 //! rates the dollar objective feeds into the LP.
 
-use harmony_model::{MachineCatalog, MachineTypeId, SimTime};
+use harmony_model::{MachineCatalog, MachineTypeId, SimTime, SplitMix64};
 use serde::{Deserialize, Serialize};
 
 use crate::error::PricingError;
-use crate::rng::SplitMix64;
 
 /// How much of the market a plan may use when pricing capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -191,9 +190,10 @@ impl PriceBook {
     /// gets a spot pool at a deep, seeded discount. This mirrors real
     /// menus, where big and accelerator nodes are the ones with
     /// interruptible pools.
-    // Invariant: every generated rate below is positive and finite by
-    // construction, so PriceBook::new cannot fail.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "Invariant: every generated rate below is positive and finite by construction, so PriceBook::new cannot fail."
+    )]
     pub fn default_for(catalog: &MachineCatalog, seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed ^ 0xB00C_B00C_B00C_B00C);
         let rates = catalog

@@ -28,7 +28,6 @@
 mod book;
 mod error;
 mod report;
-mod rng;
 mod serde_impls;
 mod slo;
 mod spot;

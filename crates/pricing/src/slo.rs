@@ -65,8 +65,7 @@ impl SloCostCurve {
     /// objective's utilities: production violations are an order of
     /// magnitude costlier than gratis ones, and the critical segment
     /// grows with priority.
-    // Invariant: the literals below satisfy new()'s checks.
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "Invariant: the literals below satisfy new()'s checks.")]
     pub fn default_for_group(group: PriorityGroup) -> Self {
         let (frac, critical, tail) = match group {
             PriorityGroup::Gratis => (0.50, 0.04, 0.01),

@@ -1,12 +1,11 @@
 //! The spot market: turns a price book into a reproducible schedule of
 //! capacity reclaims, delivered through the simulator's fault machinery.
 
-use harmony_model::{MachineCatalog, SimDuration, SimTime};
+use harmony_model::{MachineCatalog, SimDuration, SimTime, SplitMix64};
 use harmony_sim::{FaultKind, FaultPlan};
 use serde::{Deserialize, Serialize};
 
 use crate::book::PriceBook;
-use crate::rng::SplitMix64;
 
 /// A seeded spot market. The market itself holds no price state — it
 /// reads eviction rates from a [`PriceBook`] and emits when (and how

@@ -27,8 +27,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use harmony_model::SplitMix64;
+
 use crate::protocol::{read_line, write_line, ErrorKind, Request, Response};
-use crate::rng::SplitMix64;
 
 /// Mixes a connection index into the base seed (the splitmix64 golden
 /// increment keeps neighbouring indices' streams uncorrelated).
@@ -220,12 +221,12 @@ fn pump(
             }
             Err(_) => break,
         };
-        let chunk = &buf[..n];
+        let Some(chunk) = buf.get(..n) else { break };
         if let Some(cut) = plan.cut_after {
             if forwarded + chunk.len() >= cut {
                 // Mid-frame disconnect: forward a prefix, then sever.
                 let keep = cut.saturating_sub(forwarded);
-                let _ = forward(&mut to, &chunk[..keep], plan, config);
+                let _ = forward(&mut to, chunk.get(..keep).unwrap_or(chunk), plan, config);
                 break;
             }
         }
@@ -328,8 +329,8 @@ fn flood_one(addr: SocketAddr, seed: u64) -> FloodReport {
             // A frame torn across two writes — the daemon must
             // reassemble it, not hang or mis-frame.
             let full = render(&Request::Status);
-            let split = full.len() / 2;
-            (full[..split].to_vec(), Some(full[split..].to_vec()))
+            let (head, tail) = full.split_at(full.len() / 2);
+            (head.to_vec(), Some(tail.to_vec()))
         }
     };
     if stream.write_all(&first).is_err() {

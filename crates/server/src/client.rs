@@ -16,11 +16,10 @@ use std::time::Duration;
 
 use harmony::monitor::ClassForecast;
 use harmony::rounding::IntegerPlan;
-use harmony_model::Task;
+use harmony_model::{SplitMix64, Task};
 use harmony_sim::DegradationEvent;
 
 use crate::protocol::{read_line, write_line, ErrorKind, Request, Response, StatusBody};
-use crate::rng::SplitMix64;
 
 /// Retry behavior for connecting and for `overloaded` responses.
 #[derive(Debug, Clone)]

@@ -23,7 +23,6 @@ pub mod chaos;
 pub mod client;
 pub mod net;
 pub mod protocol;
-pub mod rng;
 pub mod service;
 pub mod state;
 

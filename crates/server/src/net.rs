@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use harmony_telemetry as telemetry;
+use harmony_telemetry::{self as telemetry, keys};
 
 use crate::protocol::{read_line_deadline, write_line, MetricsBody, Request, Response};
 use crate::service::Service;
@@ -183,9 +183,9 @@ pub fn serve(
     // Pre-register the resilience counters so `metrics` reports them
     // (as zeros) even before the first shed / timeout / restart.
     let metrics = telemetry::global();
-    metrics.counter("server.shed_total").add(0);
-    metrics.counter("server.timeout_total").add(0);
-    metrics.counter("server.ticker_restarts").add(0);
+    metrics.counter(keys::SERVER_SHED_TOTAL).add(0);
+    metrics.counter(keys::SERVER_TIMEOUT_TOTAL).add(0);
+    metrics.counter(keys::SERVER_TICKER_RESTARTS).add(0);
 
     let ticker = options.tick_period.map(|period| {
         let service = Arc::clone(&service);
@@ -209,7 +209,7 @@ pub fn serve(
         };
         handles.retain(|h: &thread::JoinHandle<()>| !h.is_finished());
         if active.load(Ordering::SeqCst) >= limits.max_connections {
-            telemetry::global().counter("server.shed_total").inc();
+            telemetry::global().counter(keys::SERVER_SHED_TOTAL).inc();
             let mut stream = stream;
             let _ = write_line(
                 &mut stream,
@@ -274,6 +274,15 @@ struct TickerShared {
 
 const HEARTBEAT_IDLE: u64 = u64::MAX;
 
+/// The chaos harness's injected tick failure (`TickerChaos::panic_every`).
+#[expect(
+    clippy::panic,
+    reason = "deliberate fault injection: the tick runs inside catch_unwind, and this panic exercises the watchdog restart path"
+)]
+fn injected_tick_panic(serial: u64) -> ! {
+    panic!("chaos: injected tick panic #{serial}");
+}
+
 fn run_ticker_supervised(
     service: &Arc<RwLock<Service>>,
     stop: &Arc<AtomicBool>,
@@ -281,6 +290,10 @@ fn run_ticker_supervised(
     watchdog: &WatchdogPolicy,
     chaos: &TickerChaos,
 ) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the watchdog's heartbeat is real time by definition: it detects a wedged ticker thread"
+    )]
     let shared = Arc::new(TickerShared {
         epoch: Instant::now(),
         generation: AtomicU64::new(0),
@@ -369,7 +382,7 @@ fn backoff_sleep(stop: &AtomicBool, delay: Duration) {
 /// Uses `try_write`, never `write`: a wedged tick may still hold the
 /// write lock, and the watchdog must never block behind it.
 fn note_restart(service: &RwLock<Service>, why: &str) {
-    telemetry::global().counter("server.ticker_restarts").inc();
+    telemetry::global().counter(keys::SERVER_TICKER_RESTARTS).inc();
     eprintln!("harmonyd: ticker restart: {why}");
     match service.try_write() {
         Ok(mut svc) => svc.note_ticker_restart(why),
@@ -443,7 +456,7 @@ fn run_ticker(
             chaos.panic_every.is_some_and(|every| every > 0 && serial.is_multiple_of(every));
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             if panic_now {
-                panic!("chaos: injected tick panic #{serial}");
+                injected_tick_panic(serial);
             }
             // Tick and render the checkpoint under the write lock;
             // commit the file write only after the guard drops, so a
@@ -499,17 +512,21 @@ fn handle_connection(
     };
     let mut writer = stream;
     loop {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a socket read deadline is real time; it bounds slow clients and never reaches a plan"
+        )]
         let frame_deadline = Instant::now() + limits.read_timeout;
         let line = match read_line_deadline(&mut reader, frame_deadline) {
             Ok(Some(line)) => line,
             Ok(None) => break,
             Err(e) if e.kind() == io::ErrorKind::TimedOut => {
-                telemetry::global().counter("server.timeout_total").inc();
+                telemetry::global().counter(keys::SERVER_TIMEOUT_TOTAL).inc();
                 let _ = write_line(&mut writer, &Response::timeout(e.to_string()));
                 break;
             }
             Err(e) => {
-                telemetry::global().counter("server.errors").inc();
+                telemetry::global().counter(keys::SERVER_ERRORS).inc();
                 let _ = write_line(&mut writer, &Response::bad_request(format!("bad frame: {e}")));
                 break;
             }
@@ -520,7 +537,7 @@ fn handle_connection(
         let request: Request = match serde_json::from_str(&line) {
             Ok(request) => request,
             Err(e) => {
-                telemetry::global().counter("server.errors").inc();
+                telemetry::global().counter(keys::SERVER_ERRORS).inc();
                 let response = Response::bad_request(format!("bad request: {e}"));
                 if write_line(&mut writer, &response).is_err() {
                     break;
@@ -531,10 +548,10 @@ fn handle_connection(
         // Atomic counters: recorded here, before the service lock, so
         // concurrent connections never serialize on accounting.
         let metrics = telemetry::global();
-        metrics.counter("server.requests").inc();
-        metrics.counter(&format!("server.requests.{}", request.verb())).inc();
+        metrics.counter(keys::SERVER_REQUESTS).inc();
+        metrics.counter(&format!("{}.{}", keys::SERVER_REQUESTS, request.verb())).inc();
         let is_shutdown = matches!(request, Request::Shutdown);
-        let span = metrics.timer("server.request_seconds");
+        let span = metrics.timer(keys::SERVER_REQUEST_SECONDS);
         let response = match request {
             // Cheap verbs answer even while the daemon sheds load:
             // `metrics` never touches the service lock, `status` only
@@ -547,7 +564,7 @@ fn handle_connection(
             }
             request => match admit(inflight, limits.max_inflight) {
                 None => {
-                    metrics.counter("server.shed_total").inc();
+                    metrics.counter(keys::SERVER_SHED_TOTAL).inc();
                     Response::overloaded(
                         limits.retry_after_ms,
                         format!(
@@ -567,7 +584,7 @@ fn handle_connection(
         };
         span.stop();
         if matches!(response, Response::Error { .. }) {
-            metrics.counter("server.errors").inc();
+            metrics.counter(keys::SERVER_ERRORS).inc();
         }
         if write_line(&mut writer, &response).is_err() {
             break;

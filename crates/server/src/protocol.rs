@@ -361,9 +361,10 @@ impl Response {
 }
 
 impl Serialize for Response {
-    // The Error arm of the match below is unreachable: that variant
-    // returns early at the top of the fn.
-    #[allow(clippy::unreachable)]
+    #[expect(
+        clippy::unreachable,
+        reason = "The Error arm of the match below is unreachable: that variant returns early at the top of the fn."
+    )]
     fn to_value(&self) -> Value {
         let mut map = BTreeMap::new();
         if let Response::Error { kind, message } = self {
@@ -559,7 +560,7 @@ fn read_frame<R: BufRead>(reader: &mut R, deadline: Option<Instant>) -> io::Resu
             } else {
                 match chunk.iter().position(|&b| b == b'\n') {
                     Some(pos) => {
-                        buf.extend_from_slice(&chunk[..pos]);
+                        buf.extend(chunk.iter().take(pos));
                         (true, pos + 1)
                     }
                     None => {
@@ -582,13 +583,13 @@ fn read_frame<R: BufRead>(reader: &mut R, deadline: Option<Instant>) -> io::Resu
         if done {
             break;
         }
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "read deadline expired mid-frame",
-                ));
-            }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the frame deadline is real time; it bounds slow clients and never reaches a plan"
+        )]
+        let expired = deadline.is_some_and(|deadline| Instant::now() >= deadline);
+        if expired {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "read deadline expired mid-frame"));
         }
     }
     String::from_utf8(buf)
@@ -599,6 +600,7 @@ fn read_frame<R: BufRead>(reader: &mut R, deadline: Option<Instant>) -> io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmony_telemetry::keys;
 
     /// Asserts that `value` writes exactly `json` and reads back from it.
     fn pin<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: &T, json: &str) {
@@ -717,11 +719,11 @@ mod tests {
     #[test]
     fn metrics_response_roundtrips() {
         let registry = harmony_telemetry::Registry::new();
-        registry.counter("server.requests").add(7);
-        registry.gauge("sim.pending_peak").set(12.0);
-        registry.timer("pipeline.lp_seconds").stop();
+        registry.counter(keys::SERVER_REQUESTS).add(7);
+        registry.gauge(keys::SIM_PENDING_PEAK).set(12.0);
+        registry.timer(keys::PIPELINE_LP_SECONDS).stop();
         let body = MetricsBody::from(&registry.snapshot());
-        assert_eq!(body.counters.get("server.requests"), Some(&7));
+        assert_eq!(body.counters.get(keys::SERVER_REQUESTS), Some(&7));
         assert_eq!(body.histograms.len(), 1);
         assert_eq!(body.histograms[0].count, 1);
 
@@ -826,6 +828,7 @@ mod tests {
             }
         }
         let mut reader = io::BufReader::with_capacity(1, Dribble);
+        #[expect(clippy::disallowed_methods, reason = "the test drives a real-time deadline")]
         let deadline = Instant::now() + std::time::Duration::from_millis(30);
         let err = read_line_deadline(&mut reader, deadline).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
@@ -843,6 +846,7 @@ mod tests {
             }
         }
         let mut reader = io::BufReader::new(Silent);
+        #[expect(clippy::disallowed_methods, reason = "the test drives a real-time deadline")]
         let deadline = Instant::now() + std::time::Duration::from_secs(5);
         let err = read_line_deadline(&mut reader, deadline).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);

@@ -406,6 +406,7 @@ mod tests {
     use harmony::classify::{ClassifierConfig, TaskClassifier};
     use harmony::HarmonyConfig;
     use harmony_model::{MachineCatalog, SimDuration};
+    use harmony_telemetry::keys;
 
     fn test_service(snapshot: Option<PathBuf>) -> (Service, Vec<Task>) {
         // Build from the same source description a resume would refit
@@ -507,15 +508,15 @@ mod tests {
                 // The tick above drove the pipeline, so its counters and
                 // stage timings must be visible in the snapshot (≥, not
                 // ==: the registry is shared with parallel tests).
-                assert!(body.counters.get("pipeline.ticks").copied().unwrap_or(0) >= 1);
+                assert!(body.counters.get(keys::PIPELINE_TICKS).copied().unwrap_or(0) >= 1);
                 assert!(body
                     .histograms
                     .iter()
-                    .any(|h| h.name == "pipeline.period_seconds" && h.count >= 1));
+                    .any(|h| h.name == keys::PIPELINE_PERIOD_SECONDS && h.count >= 1));
                 assert!(body
                     .histograms
                     .iter()
-                    .any(|h| h.name == "pipeline.lp_seconds" && h.count >= 1));
+                    .any(|h| h.name == keys::PIPELINE_LP_SECONDS && h.count >= 1));
             }
             other => panic!("expected Metrics, got {other:?}"),
         }

@@ -30,6 +30,7 @@ use harmony_server::chaos::{flood, ChaosConfig, ChaosProxy};
 use harmony_server::protocol::{read_line, ErrorKind, Request, Response};
 use harmony_server::state;
 use harmony_server::Client;
+use harmony_telemetry::keys;
 use util::{assert_no_tmp_files, observation_chunks, temp_dir, Daemon};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
@@ -93,7 +94,7 @@ fn flood_and_deadlines_keep_the_daemon_responsive() {
         let mut client = daemon.client();
         let status = client.status().expect("status after chaos");
         assert_eq!(status.ticks, 0);
-        assert!(counter(&mut client, "server.timeout_total") >= 1, "seed {seed}");
+        assert!(counter(&mut client, keys::SERVER_TIMEOUT_TOTAL) >= 1, "seed {seed}");
         client.shutdown().expect("clean shutdown after chaos");
         daemon.wait_clean();
     }
@@ -138,7 +139,7 @@ fn connection_cap_sheds_with_a_typed_overloaded_response() {
         other => panic!("expected typed overloaded, got {other:?}"),
     }
 
-    assert!(counter(&mut holders[0], "server.shed_total") >= 1);
+    assert!(counter(&mut holders[0], keys::SERVER_SHED_TOTAL) >= 1);
     holders[0].shutdown().expect("shutdown");
     daemon.wait_clean();
 }
@@ -229,11 +230,12 @@ fn checkpoint_torture_resumes_the_exact_plan_sequence() {
 }
 
 fn wait_for_restarts(daemon: &Daemon, want: u64, deadline: Duration) -> u64 {
+    #[expect(clippy::disallowed_methods, reason = "the test waits on a live daemon in real time")]
     let start = Instant::now();
     let mut seen = 0;
     while start.elapsed() < deadline {
         let mut client = daemon.client();
-        seen = counter(&mut client, "server.ticker_restarts");
+        seen = counter(&mut client, keys::SERVER_TICKER_RESTARTS);
         if seen >= want {
             return seen;
         }

@@ -9,6 +9,7 @@ use harmony_model::{
     EnergyPrice, MachineCatalog, MachineTypeId, PriorityGroup, Resources, SimDuration, SimTime,
     Task, TaskId,
 };
+use harmony_telemetry::keys;
 use harmony_trace::Trace;
 
 use crate::calendar::CalendarQueue;
@@ -254,9 +255,10 @@ impl Placements {
         self.residents.entry(machine).or_default().push(idx);
     }
 
-    // Invariant: callers only remove tasks the engine placed earlier in
-    // the same run (host_of and residents are updated in lockstep).
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "Invariant: callers only remove tasks the engine placed earlier in the same run (host_of and residents are updated in lockstep)."
+    )]
     fn remove(&mut self, idx: usize) -> MachineId {
         let machine = self.host_of.remove(&idx).expect("task must be placed");
         if let Some(list) = self.residents.get_mut(&machine) {
@@ -614,7 +616,7 @@ impl<'t> Simulation<'t> {
                         // The sim clock is virtual; this times the real
                         // cost of the provisioning hot path per period.
                         let decision =
-                            harmony_telemetry::global().time("sim.controller_seconds", || {
+                            harmony_telemetry::global().time(keys::SIM_CONTROLLER_SECONDS, || {
                                 controller.decide(&Observation {
                                     now,
                                     cluster: &st.cluster,
@@ -835,26 +837,22 @@ impl<'t> Simulation<'t> {
 
         let registry = harmony_telemetry::global();
         for (name, n) in [
-            ("sim.events.arrival", event_counts[EV_ARRIVAL]),
-            ("sim.events.finish", event_counts[EV_FINISH]),
-            ("sim.events.boot", event_counts[EV_BOOT]),
-            ("sim.events.control", event_counts[EV_CONTROL]),
-            ("sim.events.sample", event_counts[EV_SAMPLE]),
-            ("sim.events.fault", event_counts[EV_FAULT]),
-            ("sim.drain_passes", st.drain.passes),
-            ("sim.drain_visits", st.drain.visits),
-            ("sim.drain_limit_hits", st.drain.limit_hits),
+            (keys::SIM_EVENTS_ARRIVAL, event_counts[EV_ARRIVAL]),
+            (keys::SIM_EVENTS_FINISH, event_counts[EV_FINISH]),
+            (keys::SIM_EVENTS_BOOT, event_counts[EV_BOOT]),
+            (keys::SIM_EVENTS_CONTROL, event_counts[EV_CONTROL]),
+            (keys::SIM_EVENTS_SAMPLE, event_counts[EV_SAMPLE]),
+            (keys::SIM_EVENTS_FAULT, event_counts[EV_FAULT]),
+            (keys::SIM_DRAIN_PASSES, st.drain.passes),
+            (keys::SIM_DRAIN_VISITS, st.drain.visits),
+            (keys::SIM_DRAIN_LIMIT_HITS, st.drain.limit_hits),
         ] {
             if n > 0 {
                 registry.counter(name).add(n);
             }
         }
-        registry
-            .gauge("sim.pending_peak")
-            .set_max(st.pending_peak as f64);
-        registry
-            .gauge("sim.heap_peak")
-            .set_max(st.queue.peak() as f64);
+        registry.gauge(keys::SIM_PENDING_PEAK).set_max(st.pending_peak as f64);
+        registry.gauge(keys::SIM_HEAP_PEAK).set_max(st.queue.peak() as f64);
 
         SimReport {
             delays_by_group: st.delays,

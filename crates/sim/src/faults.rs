@@ -11,51 +11,14 @@
 //! crashes, which tasks are evicted) is resolved at fire time by a
 //! [`FaultInjector`] seeded from the plan, because machine and task
 //! state only exist once the simulation is running. Both halves are
-//! driven by a local splitmix64 generator, keeping the crate free of
-//! external RNG dependencies and the schedule stable across platforms.
+//! driven by `harmony_model`'s splitmix64 generator, keeping the crate
+//! free of external RNG dependencies and the schedule stable across
+//! platforms.
 
-use harmony_model::{MachineTypeId, SimDuration, SimTime};
+use harmony_model::{MachineTypeId, SimDuration, SimTime, SplitMix64};
 use serde::{Deserialize, Serialize};
 
 use crate::machine::MachineId;
-
-/// A minimal splitmix64 PRNG: deterministic, seedable, dependency-free.
-#[derive(Debug, Clone)]
-pub(crate) struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    pub(crate) fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform f64 in `[0, 1)`.
-    pub(crate) fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform usize in `[0, n)`. Returns 0 for `n == 0`.
-    pub(crate) fn below(&mut self, n: usize) -> usize {
-        if n == 0 {
-            return 0;
-        }
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// Uniform f64 in `[lo, hi)`.
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.next_f64() * (hi - lo)
-    }
-}
 
 /// What kind of disruption a fault event causes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

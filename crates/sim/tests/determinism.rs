@@ -4,8 +4,8 @@
 //! `SimReport`s — checkpoint/resume replay (DESIGN.md §8) and the
 //! parallel-pipeline plan equality tests both rest on this, and it is
 //! exactly the invariant hash-map iteration order would silently break
-//! (harmony-lint's `nondeterministic-iteration` rule guards the source
-//! side; this test guards the behavior).
+//! (the `HashMap`/`HashSet` ban in the root `clippy.toml` guards the
+//! source side; this test guards the behavior).
 
 use harmony_model::MachineCatalog;
 use harmony_sim::{FaultPlan, FirstFit, Simulation, SimulationConfig};

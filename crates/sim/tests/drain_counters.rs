@@ -7,9 +7,11 @@
 
 use harmony_model::MachineCatalog;
 use harmony_sim::{FaultPlan, FirstFit, Simulation, SimulationConfig};
+use harmony_telemetry::keys;
 use harmony_trace::{Trace, TraceConfig, TraceGenerator};
 
-const KEYS: [&str; 3] = ["sim.drain_passes", "sim.drain_visits", "sim.drain_limit_hits"];
+const KEYS: [&str; 3] =
+    [keys::SIM_DRAIN_PASSES, keys::SIM_DRAIN_VISITS, keys::SIM_DRAIN_LIMIT_HITS];
 
 /// One saturated run with faults and a low failure limit; returns what
 /// it added to each drain counter.

@@ -1,69 +1,117 @@
 //! Central registry of every metric name the workspace records.
 //!
-//! Telemetry names are stringly typed at the call sites, so nothing in
-//! the type system stops a producer renaming `lp.pivots` while a
-//! consumer (the `metrics` verb, `replay --metrics`, the smoke script)
-//! keeps reading the old spelling. This module is the single source of
-//! truth: every key literal used anywhere in the workspace must appear
-//! here exactly once, and every entry here must be documented in
-//! DESIGN.md §9.2. `harmony-lint`'s `metric-name-drift` rule enforces
-//! both directions as a CI gate.
+//! Each name is a `pub const` here, and every emit and read site in the
+//! workspace names the constant rather than spelling the string, so a
+//! renamed or mistyped key is a compile error instead of a counter that
+//! silently never moves. [`REGISTERED_KEYS`] lists every constant once;
+//! `every_key_is_documented` below holds each entry against DESIGN.md
+//! §9.2.
 //!
-//! Keep the list sorted; `registry_is_sorted_and_unique` below and the
-//! lint's duplicate check both fail on violations.
+//! Keep the constants and the list sorted by name;
+//! `registry_is_sorted_and_unique` below fails on violations.
+
+// Each constant's value is its documentation; DESIGN.md §9.2 says what
+// it measures. (`missing_docs` is silent in test builds, so an
+// `#[expect]` here would go unfulfilled there.)
+#![allow(missing_docs)]
+
+pub const COST_CUMULATIVE_DOLLARS: &str = "cost.cumulative_dollars";
+pub const COST_DOLLAR_SOLVES: &str = "cost.dollar_solves";
+pub const COST_PLAN_RENTAL_DOLLARS: &str = "cost.plan_rental_dollars";
+pub const COST_PLAN_SLO_DOLLARS: &str = "cost.plan_slo_dollars";
+pub const COST_SPOT_FRACTION: &str = "cost.spot_fraction";
+pub const FORECAST_DEGRADED: &str = "forecast.degraded";
+pub const FORECAST_TIER_ARIMA: &str = "forecast.tier.arima";
+pub const FORECAST_TIER_LAST_OBSERVATION: &str = "forecast.tier.last_observation";
+pub const FORECAST_TIER_MOVING_AVERAGE: &str = "forecast.tier.moving_average";
+pub const LP_FAILURES: &str = "lp.failures";
+pub const LP_PHASE1_PIVOTS: &str = "lp.phase1_pivots";
+pub const LP_PIVOTS: &str = "lp.pivots";
+pub const LP_SOLVES: &str = "lp.solves";
+pub const LP_WARM_START_HITS: &str = "lp.warm_start_hits";
+pub const LP_WARM_START_REPAIR_FALLBACKS: &str = "lp.warm_start_repair_fallbacks";
+pub const LP_WARM_START_STRUCTURAL_FALLBACKS: &str = "lp.warm_start_structural_fallbacks";
+pub const MONITOR_DROPPED_ARRIVALS: &str = "monitor.dropped_arrivals";
+pub const PIPELINE_CLASSIFY_SECONDS: &str = "pipeline.classify_seconds";
+pub const PIPELINE_ERRORS: &str = "pipeline.errors";
+pub const PIPELINE_FORECAST_SECONDS: &str = "pipeline.forecast_seconds";
+pub const PIPELINE_LP_SECONDS: &str = "pipeline.lp_seconds";
+pub const PIPELINE_PERIOD_SECONDS: &str = "pipeline.period_seconds";
+pub const PIPELINE_ROUNDING_SECONDS: &str = "pipeline.rounding_seconds";
+pub const PIPELINE_SIZING_SECONDS: &str = "pipeline.sizing_seconds";
+pub const PIPELINE_TICKS: &str = "pipeline.ticks";
+pub const PIPELINE_WORKERS: &str = "pipeline.workers";
+pub const SERVER_ERRORS: &str = "server.errors";
+pub const SERVER_REQUEST_SECONDS: &str = "server.request_seconds";
+pub const SERVER_REQUESTS: &str = "server.requests";
+pub const SERVER_SHED_TOTAL: &str = "server.shed_total";
+pub const SERVER_TICKER_RESTARTS: &str = "server.ticker_restarts";
+pub const SERVER_TIMEOUT_TOTAL: &str = "server.timeout_total";
+pub const SIM_CONTROLLER_SECONDS: &str = "sim.controller_seconds";
+pub const SIM_DRAIN_LIMIT_HITS: &str = "sim.drain_limit_hits";
+pub const SIM_DRAIN_PASSES: &str = "sim.drain_passes";
+pub const SIM_DRAIN_VISITS: &str = "sim.drain_visits";
+pub const SIM_EVENTS_ARRIVAL: &str = "sim.events.arrival";
+pub const SIM_EVENTS_BOOT: &str = "sim.events.boot";
+pub const SIM_EVENTS_CONTROL: &str = "sim.events.control";
+pub const SIM_EVENTS_FAULT: &str = "sim.events.fault";
+pub const SIM_EVENTS_FINISH: &str = "sim.events.finish";
+pub const SIM_EVENTS_SAMPLE: &str = "sim.events.sample";
+pub const SIM_EVENTS_PER_SEC: &str = "sim.events_per_sec";
+pub const SIM_HEAP_PEAK: &str = "sim.heap_peak";
+pub const SIM_PENDING_PEAK: &str = "sim.pending_peak";
 
 /// Every concrete metric name the workspace records or reads.
 pub const REGISTERED_KEYS: &[&str] = &[
-    "cost.cumulative_dollars",
-    "cost.dollar_solves",
-    "cost.plan_rental_dollars",
-    "cost.plan_slo_dollars",
-    "cost.spot_fraction",
-    "forecast.degraded",
-    "forecast.tier.arima",
-    "forecast.tier.last_observation",
-    "forecast.tier.moving_average",
-    "lp.failures",
-    "lp.phase1_pivots",
-    "lp.pivots",
-    "lp.solves",
-    "lp.warm_start_hits",
-    "lp.warm_start_repair_fallbacks",
-    "lp.warm_start_structural_fallbacks",
-    "monitor.dropped_arrivals",
-    "pipeline.classify_seconds",
-    "pipeline.errors",
-    "pipeline.forecast_seconds",
-    "pipeline.lp_seconds",
-    "pipeline.period_seconds",
-    "pipeline.rounding_seconds",
-    "pipeline.sizing_seconds",
-    "pipeline.ticks",
-    "pipeline.workers",
-    "server.errors",
-    "server.request_seconds",
-    "server.requests",
-    "server.shed_total",
-    "server.ticker_restarts",
-    "server.timeout_total",
-    "sim.controller_seconds",
-    "sim.drain_limit_hits",
-    "sim.drain_passes",
-    "sim.drain_visits",
-    "sim.events.arrival",
-    "sim.events.boot",
-    "sim.events.control",
-    "sim.events.fault",
-    "sim.events.finish",
-    "sim.events.sample",
-    "sim.events_per_sec",
-    "sim.heap_peak",
-    "sim.pending_peak",
+    COST_CUMULATIVE_DOLLARS,
+    COST_DOLLAR_SOLVES,
+    COST_PLAN_RENTAL_DOLLARS,
+    COST_PLAN_SLO_DOLLARS,
+    COST_SPOT_FRACTION,
+    FORECAST_DEGRADED,
+    FORECAST_TIER_ARIMA,
+    FORECAST_TIER_LAST_OBSERVATION,
+    FORECAST_TIER_MOVING_AVERAGE,
+    LP_FAILURES,
+    LP_PHASE1_PIVOTS,
+    LP_PIVOTS,
+    LP_SOLVES,
+    LP_WARM_START_HITS,
+    LP_WARM_START_REPAIR_FALLBACKS,
+    LP_WARM_START_STRUCTURAL_FALLBACKS,
+    MONITOR_DROPPED_ARRIVALS,
+    PIPELINE_CLASSIFY_SECONDS,
+    PIPELINE_ERRORS,
+    PIPELINE_FORECAST_SECONDS,
+    PIPELINE_LP_SECONDS,
+    PIPELINE_PERIOD_SECONDS,
+    PIPELINE_ROUNDING_SECONDS,
+    PIPELINE_SIZING_SECONDS,
+    PIPELINE_TICKS,
+    PIPELINE_WORKERS,
+    SERVER_ERRORS,
+    SERVER_REQUEST_SECONDS,
+    SERVER_REQUESTS,
+    SERVER_SHED_TOTAL,
+    SERVER_TICKER_RESTARTS,
+    SERVER_TIMEOUT_TOTAL,
+    SIM_CONTROLLER_SECONDS,
+    SIM_DRAIN_LIMIT_HITS,
+    SIM_DRAIN_PASSES,
+    SIM_DRAIN_VISITS,
+    SIM_EVENTS_ARRIVAL,
+    SIM_EVENTS_BOOT,
+    SIM_EVENTS_CONTROL,
+    SIM_EVENTS_FAULT,
+    SIM_EVENTS_FINISH,
+    SIM_EVENTS_SAMPLE,
+    SIM_EVENTS_PER_SEC,
+    SIM_HEAP_PEAK,
+    SIM_PENDING_PEAK,
 ];
 
-/// Prefixes under which names are minted dynamically (one counter per
-/// protocol verb). A literal starting with one of these is legal even
-/// though the full name is not in [`REGISTERED_KEYS`].
+/// Prefixes under which names are minted dynamically:
+/// `server.requests.<verb>`, one counter per protocol verb.
 pub const REGISTERED_PREFIXES: &[&str] = &["server.requests."];
 
 /// Whether `name` is a registered key or falls under a registered
@@ -95,6 +143,37 @@ mod tests {
         assert!(is_registered("server.requests.tick"));
         assert!(!is_registered("lp.bogus"));
         assert!(!is_registered("server.requestsx"));
+    }
+
+    /// Every backticked name in DESIGN.md §9.2, with one `{a,b}` group
+    /// per name expanded (`lp.{solves,pivots}` → both keys).
+    fn documented_names() -> Vec<String> {
+        let design = include_str!("../../../DESIGN.md");
+        let start = design.find("### 9.2").expect("DESIGN.md has §9.2");
+        let len = design[start..].find("### 9.3").expect("§9.3 follows §9.2");
+        let mut names = Vec::new();
+        for span in design[start..start + len].split('`').skip(1).step_by(2) {
+            match (span.find('{'), span.find('}')) {
+                (Some(open), Some(close)) if open < close => {
+                    for alt in span[open + 1..close].split(',') {
+                        names.push(format!("{}{alt}{}", &span[..open], &span[close + 1..]));
+                    }
+                }
+                _ => names.push(span.to_owned()),
+            }
+        }
+        names
+    }
+
+    #[test]
+    fn every_key_is_documented() {
+        let documented = documented_names();
+        let missing: Vec<&str> = REGISTERED_KEYS
+            .iter()
+            .copied()
+            .filter(|key| !documented.iter().any(|d| d == key))
+            .collect();
+        assert!(missing.is_empty(), "not documented in DESIGN.md §9.2: {missing:?}");
     }
 
     #[test]

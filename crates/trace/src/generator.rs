@@ -163,9 +163,10 @@ impl TraceGenerator {
     }
 }
 
-// Invariant: every built-in TraceConfig ships non-empty mode lists; an
-// empty user-supplied list is a configuration bug worth a loud panic.
-#[allow(clippy::expect_used)]
+#[expect(
+    clippy::expect_used,
+    reason = "Invariant: every built-in TraceConfig ships non-empty mode lists; an empty user-supplied list is a configuration bug worth a loud panic."
+)]
 fn pick_mode<'m, R: Rng>(rng: &mut R, modes: &'m [SizeMode]) -> &'m SizeMode {
     let total: f64 = modes.iter().map(|m| m.weight).sum();
     let mut target = rng.gen::<f64>() * total;
@@ -202,15 +203,19 @@ fn sample_duration<R: Rng>(rng: &mut R, cfg: &DurationConfig) -> SimDuration {
     SimDuration::from_secs(secs)
 }
 
-// Invariant: PriorityGroup::level_range only yields in-range levels.
-#[allow(clippy::expect_used)]
+#[expect(
+    clippy::expect_used,
+    reason = "Invariant: PriorityGroup::level_range only yields in-range levels."
+)]
 fn sample_priority<R: Rng>(rng: &mut R, group: PriorityGroup) -> Priority {
     let (lo, hi) = group.level_range();
     Priority::new(rng.gen_range(lo..=hi)).expect("group ranges are valid priorities")
 }
 
-// Invariant: every literal below is within SchedulingClass's 0..=3.
-#[allow(clippy::expect_used)]
+#[expect(
+    clippy::expect_used,
+    reason = "Invariant: every literal below is within SchedulingClass's 0..=3."
+)]
 fn sample_sched_class<R: Rng>(rng: &mut R, group: PriorityGroup) -> SchedulingClass {
     // Scheduling class correlates with priority group (Section III):
     // batchy work dominates gratis, latency-sensitive classes dominate
@@ -332,7 +337,7 @@ mod tests {
     #[test]
     fn jobs_group_multiple_tasks() {
         let t = small_trace();
-        let mut per_job = std::collections::HashMap::new();
+        let mut per_job = std::collections::BTreeMap::new();
         for task in t.tasks() {
             *per_job.entry(task.job).or_insert(0usize) += 1;
         }
@@ -365,7 +370,8 @@ mod tests {
                 t.duration.as_secs().to_bits(),
             )
         };
-        let mut batched_keys: std::collections::HashMap<_, usize> = std::collections::HashMap::new();
+        let mut batched_keys: std::collections::BTreeMap<_, usize> =
+            std::collections::BTreeMap::new();
         for t in batched.tasks() {
             *batched_keys.entry(key(t)).or_insert(0) += 1;
         }
@@ -390,8 +396,8 @@ mod tests {
         // Fronts land whole groups of jobs at one instant: there must be
         // arrival timestamps shared by tasks of several distinct jobs,
         // which the continuous Poisson streams essentially never produce.
-        let mut jobs_at: std::collections::HashMap<u64, std::collections::HashSet<JobId>> =
-            std::collections::HashMap::new();
+        let mut jobs_at: std::collections::BTreeMap<u64, std::collections::BTreeSet<JobId>> =
+            std::collections::BTreeMap::new();
         for t in a.tasks() {
             jobs_at.entry(t.arrival.as_secs().to_bits()).or_default().insert(t.job);
         }

@@ -17,6 +17,7 @@
 //! trace. [`write_task_events`] emits the same layout, so synthetic
 //! traces can be fed to external clusterdata tooling.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 
 use harmony_model::{
@@ -52,10 +53,10 @@ fn classify_event(code: u32) -> EventType {
 ///
 /// * [`TraceError::Io`] on read failures.
 /// * [`TraceError::Malformed`] for rows with missing/unparsable columns.
-// Invariant: priority and sched_class are clamped to their valid ranges
-// (`.min(11)` / `.min(3)`) when the SUBMIT row is parsed, so the
-// constructors at Task-build time cannot fail.
-#[allow(clippy::expect_used)]
+#[expect(
+    clippy::expect_used,
+    reason = "Invariant: priority and sched_class are clamped to their valid ranges (`.min(11)` / `.min(3)`) when the SUBMIT row is parsed, so the constructors at Task-build time cannot fail."
+)]
 pub fn read_task_events<R: BufRead>(reader: R) -> Result<Trace, TraceError> {
     struct Open {
         submit_us: u64,
@@ -64,7 +65,9 @@ pub fn read_task_events<R: BufRead>(reader: R) -> Result<Trace, TraceError> {
         sched_class: u8,
         priority: u8,
     }
-    let mut open: std::collections::HashMap<(u64, u64), Open> = std::collections::HashMap::new();
+    // Keyed in (job, task index) order, so tasks censored below get
+    // their `TaskId`s in the same order on every read.
+    let mut open: BTreeMap<(u64, u64), Open> = BTreeMap::new();
     let mut finished: Vec<(u64, u64, Open, u64)> = Vec::new(); // job, idx, record, end_us
     let mut max_us = 0u64;
 
@@ -112,7 +115,7 @@ pub fn read_task_events<R: BufRead>(reader: R) -> Result<Trace, TraceError> {
     }
 
     // Censor still-open tasks at the span end.
-    for ((job, idx), o) in open.drain() {
+    for ((job, idx), o) in open {
         let end = max_us.max(o.submit_us);
         finished.push((job, idx, o, end));
     }
@@ -205,6 +208,29 @@ mod tests {
         // Unterminated task censored at the span end (5 s): 3 s run.
         let t1 = &trace.tasks()[1];
         assert_eq!(t1.duration, SimDuration::from_secs(3.0));
+    }
+
+    #[test]
+    fn tied_open_tasks_read_in_key_order_every_time() {
+        // Five tasks submitted at one instant and never terminated: all
+        // are censored at the span end (set by the SCHEDULE row), so
+        // their order and `TaskId`s come from the reader alone.
+        let csv = "\
+1000000,,9,1,,0,,0,0,0.1,0.1,,\n\
+1000000,,3,1,,0,,0,0,0.2,0.1,,\n\
+1000000,,7,2,,0,,0,0,0.3,0.1,,\n\
+1000000,,3,0,,0,,0,0,0.4,0.1,,\n\
+1000000,,5,0,,0,,0,0,0.5,0.1,,\n\
+2000000,,1,0,,1,,0,0,0.1,0.1,,\n";
+        let shape = |trace: &Trace| -> Vec<(u64, u64, u64)> {
+            trace.tasks().iter().map(|t| (t.id.0, t.job.0, t.demand.cpu.to_bits())).collect()
+        };
+        let first = read_task_events(csv.as_bytes()).unwrap();
+        for _ in 0..20 {
+            assert_eq!(shape(&read_task_events(csv.as_bytes()).unwrap()), shape(&first));
+        }
+        let cpus: Vec<f64> = first.tasks().iter().map(|t| t.demand.cpu).collect();
+        assert_eq!(cpus, [0.4, 0.2, 0.5, 0.3, 0.1], "censored tasks in (job, index) order");
     }
 
     #[test]

@@ -69,9 +69,10 @@ impl Trace {
     ///
     /// Panics if the tasks are not sorted by arrival time (generator
     /// output always is; use [`Trace::from_unsorted`] otherwise).
-    // The panic is this constructor's documented contract (see
-    // `# Panics` above); `from_unsorted` is the non-panicking path.
-    #[allow(clippy::panic)]
+    #[expect(
+        clippy::panic,
+        reason = "The panic is this constructor's documented contract (see `# Panics` above); `from_unsorted` is the non-panicking path."
+    )]
     pub fn new(tasks: Vec<Task>, span: SimDuration) -> Self {
         if let Some(i) = first_unsorted(&tasks) {
             panic!("tasks not sorted by arrival (violation at index {i})");

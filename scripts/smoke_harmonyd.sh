@@ -19,17 +19,7 @@ set -euo pipefail
 HARMONYD=${HARMONYD:-target/release/harmonyd}
 HARMONYCTL=${HARMONYCTL:-target/release/harmonyctl}
 REPLAY=${REPLAY:-target/release/harmony-bench replay}
-HARMONY_LINT=${HARMONY_LINT:-target/release/harmony-lint}
 RESULTS_DIR=${HARMONY_RESULTS_DIR:-results}
-
-# Before booting anything: every metric name the smoke checks below
-# key on must exist in the telemetry registry and DESIGN.md, or this
-# script would probe counters that can never move. The drift rule is
-# the cheap static version of that guarantee.
-if [[ ! -x "$HARMONY_LINT" ]]; then
-    cargo build --release -p harmony-lint
-fi
-"$HARMONY_LINT" --deny --rule metric-name-drift
 
 workdir=$(mktemp -d "${TMPDIR:-/tmp}/harmonyd-smoke.XXXXXX")
 daemon_pid=""
@@ -202,7 +192,7 @@ if snap.get("counters", {}).get("lp.pivots", 0) < 1:
 # Simulator gauges: the replay ran real simulations, so the pending
 # high-watermark and event-queue peak must have moved, and the bench
 # harness must have attached the wall-clock event throughput (the
-# simulator itself may not read clocks — wall-clock lint).
+# simulator itself may not read clocks; clippy.toml bans them).
 gauges = snap.get("gauges", {})
 for key in ("sim.pending_peak", "sim.heap_peak"):
     if gauges.get(key, -1.0) < 0.0:
