@@ -38,7 +38,7 @@ use harmony_model::SimDuration;
 use harmony_server::chaos::{flood, ChaosConfig, ChaosProxy};
 use harmony_server::net::{self, ConnectionLimits, ServeOptions, TickerChaos, WatchdogPolicy};
 use harmony_server::protocol::read_line;
-use harmony_server::state::{self, CatalogSpec, ObjectiveSpec};
+use harmony_server::state::{self, CatalogSpec};
 use harmony_server::{Client, Service};
 use harmony_telemetry::{self as telemetry, keys};
 use serde::value::Value;
@@ -58,14 +58,7 @@ fn build_service(snapshot: Option<PathBuf>) -> Service {
     let pipeline =
         OnlinePipeline::new(classifier, catalog, HarmonyConfig::default(), Default::default())
             .expect("pipeline");
-    Service::new(
-        pipeline,
-        classifier_config,
-        source,
-        catalog_spec,
-        ObjectiveSpec::Energy,
-        snapshot,
-    )
+    Service::new(pipeline, classifier_config, source, catalog_spec, snapshot)
 }
 
 /// The real serve loop on an ephemeral port, in a background thread.

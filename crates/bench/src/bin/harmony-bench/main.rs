@@ -11,7 +11,6 @@ mod ablation_mpc;
 mod ablation_omega;
 mod ablation_predictor;
 mod ablation_price;
-mod cost_matrix;
 mod fault_scenarios;
 mod fig01_02_demand;
 mod fig03_machines;
@@ -54,7 +53,6 @@ const SUBCOMMANDS: &[(&str, Run)] = &[
     ("ablation_omega", |_| ablation_omega::run()),
     ("ablation_predictor", |_| ablation_predictor::run()),
     ("ablation_price", |_| ablation_price::run()),
-    ("cost_matrix", cost_matrix::run),
     ("fault_scenarios", |_| fault_scenarios::run()),
     ("harmonyd_chaos", harmonyd_chaos::run),
     ("replay", replay::run),

@@ -255,6 +255,7 @@ pub fn run(args: &[String]) {
     );
 
     section("scheduling delay per priority group (seconds)");
+    let attainment = report.slo_attainment(config.slo_delay_secs);
     let rows: Vec<Vec<String>> = PriorityGroup::ALL
         .iter()
         .map(|&g| {
@@ -268,6 +269,8 @@ pub fn run(args: &[String]) {
                 fmt(s.p90),
                 fmt(s.p99),
                 fmt(s.max),
+                fmt(config.slo_delay_secs[g.index()]),
+                fmt(attainment[g.index()]),
             ]
         })
         .collect();
@@ -281,8 +284,14 @@ pub fn run(args: &[String]) {
             "p90",
             "p99",
             "max",
+            "slo",
+            "attained",
         ],
         &rows,
+    );
+    println!(
+        "SLO attainment overall: {}",
+        fmt(report.slo_attainment_overall(config.slo_delay_secs))
     );
 
     if metrics {
@@ -574,12 +583,6 @@ fn print_faults(report: &SimReport) {
             }
             FaultRecordKind::ArrivalBurst { tasks_warped } => {
                 println!("  {at:7.2} h  arrival burst: {tasks_warped} tasks warped")
-            }
-            FaultRecordKind::SpotEviction { machine_type, machines, evicted, failed } => {
-                println!(
-                    "  {at:7.2} h  spot reclaim {machine_type:?}: {machines} machines, \
-                     {evicted} evicted, {failed} failed"
-                )
             }
         }
     }

@@ -5,14 +5,14 @@
 //! [`ControlLoop`] owns what the loop carries between periods and
 //! [`ControlLoop::run_period`] is the only place the stages are chained.
 //! The simulator controllers and the daemon's `OnlinePipeline` are
-//! adapters: each fills a [`PeriodInputs`], consumes the [`Period`], and
+//! adapters: each fills a [`PeriodInputs`], actuates the plan, and
 //! supplies the ladder's last rung when there is no previous plan.
 
 use harmony_model::{EnergyPrice, MachineCatalog, Resources, SimTime, TaskClassId};
 use harmony_sim::{DegradationEvent, DegradationKind, TaskView};
 use harmony_telemetry::keys;
 
-use crate::cbs::{solve_cbs_relax_priced, CbsInputs, CbsObjective};
+use crate::cbs::{solve_cbs_relax_warm, CbsInputs};
 use crate::classify::TaskClassifier;
 use crate::containers::ContainerManager;
 use crate::monitor::ArrivalMonitor;
@@ -40,16 +40,6 @@ pub struct PeriodInputs<'a> {
     pub occupied: Vec<f64>,
 }
 
-/// The outcome of one control period.
-#[derive(Debug)]
-pub struct Period {
-    /// The integer plan to actuate.
-    pub plan: IntegerPlan,
-    /// Rental dollars of a fresh solve's first (actuated) step under a
-    /// dollar objective.
-    pub first_step_rental_dollars: Option<f64>,
-}
-
 /// The state of the control loop across periods.
 #[derive(Debug)]
 pub struct ControlLoop {
@@ -57,7 +47,6 @@ pub struct ControlLoop {
     manager: ContainerManager,
     monitor: ArrivalMonitor,
     price: EnergyPrice,
-    objective: CbsObjective,
     /// Periods that failed the full pipeline and took a degradation rung.
     pub(crate) errors: usize,
     /// The last successfully-solved plan, re-actuated when a period fails.
@@ -93,24 +82,11 @@ impl ControlLoop {
             manager,
             monitor,
             price,
-            objective: CbsObjective::Energy,
             errors: 0,
             last_plan: None,
             lp_basis: None,
             degradations: Vec::new(),
         })
-    }
-
-    /// Swaps the CBS-RELAX objective (default: energy) and drops the
-    /// carried basis — the dollar objective builds a different LP.
-    pub fn set_objective(&mut self, objective: CbsObjective) {
-        self.objective = objective;
-        self.lp_basis = None;
-    }
-
-    /// The objective in effect.
-    pub fn objective(&self) -> &CbsObjective {
-        &self.objective
     }
 
     /// The configuration in effect.
@@ -141,7 +117,8 @@ impl ControlLoop {
 
     /// One control period: records the arrivals, forecasts over the MPC
     /// horizon, sizes containers, solves CBS-RELAX from the carried
-    /// basis, and rounds the first step. A failing stage is counted,
+    /// basis, and rounds the first step into the integer plan to
+    /// actuate. A failing stage is counted,
     /// drops the carried basis (it may be stale relative to whatever
     /// failed), and re-actuates the previous plan.
     ///
@@ -149,7 +126,7 @@ impl ControlLoop {
     ///
     /// The stage's error when there is no previous plan; the caller takes
     /// its own last rung and records it with [`ControlLoop::degrade`].
-    pub fn run_period(&mut self, inputs: &PeriodInputs<'_>) -> Result<Period, HarmonyError> {
+    pub fn run_period(&mut self, inputs: &PeriodInputs<'_>) -> Result<IntegerPlan, HarmonyError> {
         let registry = harmony_telemetry::global();
         registry.counter(keys::PIPELINE_TICKS).inc();
         // The guard records the whole period even when a stage errors out.
@@ -158,9 +135,9 @@ impl ControlLoop {
         self.monitor.record_period(inputs.arrived, inputs.classifier);
         drop(span);
         match self.plan(inputs) {
-            Ok(period) => {
-                self.last_plan = Some(period.plan.clone());
-                Ok(period)
+            Ok(plan) => {
+                self.last_plan = Some(plan.clone());
+                Ok(plan)
             }
             Err(err) => {
                 self.errors += 1;
@@ -168,13 +145,13 @@ impl ControlLoop {
                 registry.counter(keys::PIPELINE_ERRORS).inc();
                 let Some(plan) = self.last_plan.clone() else { return Err(err) };
                 self.degrade(inputs.now, DegradationKind::LpReusedPreviousPlan, &err);
-                Ok(Period { plan, first_step_rental_dollars: None })
+                Ok(plan)
             }
         }
     }
 
     /// The fallible stages of [`ControlLoop::run_period`].
-    fn plan(&mut self, inputs: &PeriodInputs<'_>) -> Result<Period, HarmonyError> {
+    fn plan(&mut self, inputs: &PeriodInputs<'_>) -> Result<IntegerPlan, HarmonyError> {
         let registry = harmony_telemetry::global();
         let n_classes = self.manager.n_classes();
         // Per-class forecast and sizing fan out over scoped workers;
@@ -219,7 +196,7 @@ impl ControlLoop {
             .map(|c| self.config.utility_for(c.group))
             .collect();
         let lp_span = registry.timer(keys::PIPELINE_LP_SECONDS);
-        let solve = solve_cbs_relax_priced(
+        let solve = solve_cbs_relax_warm(
             &CbsInputs {
                 catalog: inputs.catalog,
                 container_sizes: &container_sizes,
@@ -230,19 +207,14 @@ impl ControlLoop {
                 now: inputs.now,
             },
             &self.config,
-            &self.objective,
             self.lp_basis.as_ref(),
         )?;
         drop(lp_span);
         self.lp_basis = Some(solve.basis);
         let fractional = solve.plan;
-        let plan = registry.time(keys::PIPELINE_ROUNDING_SECONDS, || {
+        Ok(registry.time(keys::PIPELINE_ROUNDING_SECONDS, || {
             round_first_step(&fractional, inputs.catalog, &container_sizes)
-        });
-        Ok(Period {
-            plan,
-            first_step_rental_dollars: solve.cost.map(|c| c.first_step_rental_dollars),
-        })
+        }))
     }
 }
 

@@ -18,7 +18,6 @@ use harmony_model::{
 };
 use harmony_sim::{ControlDecision, Controller, DegradationEvent, DegradationKind, Observation};
 
-use crate::cbs::CbsObjective;
 use crate::classify::TaskClassifier;
 use crate::control_loop::{ControlLoop, PeriodInputs};
 use crate::rounding::IntegerPlan;
@@ -52,14 +51,6 @@ impl CbpController {
     ) -> Result<Self, HarmonyError> {
         let control = ControlLoop::new(&classifier, config, price)?;
         Ok(CbpController { classifier, control })
-    }
-
-    /// Provisions under `objective` instead of the default energy
-    /// objective.
-    #[must_use]
-    pub fn with_objective(mut self, objective: CbsObjective) -> Self {
-        self.control.set_objective(objective);
-        self
     }
 
     /// Containers currently occupied per class. Labels use measured
@@ -130,7 +121,7 @@ impl CbpController {
             occupied: reserved,
         });
         let plan = match period {
-            Ok(period) => Some(period.plan),
+            Ok(plan) => Some(plan),
             Err(err) => {
                 let greedy = self.greedy_plan(observation, &occupied);
                 let rung = match greedy {
@@ -268,14 +259,6 @@ impl CbsController {
         quota: Rc<RefCell<QuotaState>>,
     ) -> Result<Self, HarmonyError> {
         Ok(CbsController { provisioner: CbpController::new(classifier, config, price)?, quota })
-    }
-
-    /// Provisions under `objective` instead of the default energy
-    /// objective.
-    #[must_use]
-    pub fn with_objective(mut self, objective: CbsObjective) -> Self {
-        self.provisioner = self.provisioner.with_objective(objective);
-        self
     }
 }
 

@@ -67,7 +67,6 @@ pub mod rounding;
 #[cfg(test)]
 mod serde_impls;
 
-pub use cbs::{CbsObjective, DollarCosts, PlanCost};
 pub use config::HarmonyConfig;
 // Re-exported so callers tallying warm-start outcomes need not depend
 // on harmony-lp directly.

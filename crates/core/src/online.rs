@@ -21,10 +21,8 @@
 
 use harmony_model::{EnergyPrice, MachineCatalog, SimTime, Task};
 use harmony_sim::{DegradationEvent, DegradationKind, TaskView};
-use harmony_telemetry::keys;
 use serde::{Deserialize, Serialize};
 
-use crate::cbs::CbsObjective;
 use crate::classify::TaskClassifier;
 use crate::control_loop::{ControlLoop, PeriodInputs};
 use crate::monitor::ClassForecast;
@@ -56,25 +54,17 @@ pub struct OnlineState {
     /// from before warm starts load as `None`.
     #[serde(default)]
     pub lp_basis: Option<harmony_lp::Basis>,
-    /// Cumulative first-step rental dollars actuated so far (stays 0.0
-    /// under the energy objective). Checkpoints from before the pricing
-    /// subsystem load as 0.
-    #[serde(default)]
-    pub cost_dollars: f64,
 }
 
 /// The long-lived online control pipeline: one [`OnlinePipeline::tick`]
 /// per control period. The daemon's adapter over `ControlLoop`: it owns
-/// the classifier and catalog, keeps the clock, accrues dollar spend.
+/// the classifier and catalog and keeps the clock.
 #[derive(Debug)]
 pub struct OnlinePipeline {
     classifier: TaskClassifier,
     catalog: MachineCatalog,
     control: ControlLoop,
     ticks: u64,
-    /// Cumulative first-step rental dollars actuated so far (dollar
-    /// objective only; checkpointed in [`OnlineState`]).
-    cost_dollars: f64,
 }
 
 impl OnlinePipeline {
@@ -91,26 +81,7 @@ impl OnlinePipeline {
         price: EnergyPrice,
     ) -> Result<Self, HarmonyError> {
         let control = ControlLoop::new(&classifier, config, price)?;
-        Ok(OnlinePipeline { classifier, catalog, control, ticks: 0, cost_dollars: 0.0 })
-    }
-
-    /// Provisions under `objective` instead of the default energy
-    /// objective.
-    #[must_use]
-    pub fn with_objective(mut self, objective: CbsObjective) -> Self {
-        self.control.set_objective(objective);
-        self
-    }
-
-    /// The objective in effect.
-    pub fn objective(&self) -> &CbsObjective {
-        self.control.objective()
-    }
-
-    /// Cumulative first-step rental dollars actuated so far (0.0 under
-    /// the energy objective).
-    pub fn cost_dollars(&self) -> f64 {
-        self.cost_dollars
+        Ok(OnlinePipeline { classifier, catalog, control, ticks: 0 })
     }
 
     /// The configuration in effect.
@@ -195,15 +166,7 @@ impl OnlinePipeline {
         });
         self.ticks += 1;
         match period {
-            Ok(period) => {
-                if let Some(dollars) = period.first_step_rental_dollars {
-                    self.cost_dollars += dollars;
-                    harmony_telemetry::global()
-                        .gauge(keys::COST_CUMULATIVE_DOLLARS)
-                        .set(self.cost_dollars);
-                }
-                period.plan
-            }
+            Ok(plan) => plan,
             Err(err) => {
                 self.control.degrade(now, DegradationKind::ControlHold, &err);
                 IntegerPlan {
@@ -223,7 +186,6 @@ impl OnlinePipeline {
             last_plan: self.control.last_plan.clone(),
             pending_events: self.control.degradations.clone(),
             lp_basis: self.control.lp_basis.clone(),
-            cost_dollars: self.cost_dollars,
         }
     }
 
@@ -260,7 +222,6 @@ impl OnlinePipeline {
         self.control.lp_basis = state.lp_basis;
         self.control.degradations = state.pending_events;
         self.ticks = state.ticks;
-        self.cost_dollars = state.cost_dollars;
         Ok(())
     }
 }
@@ -388,64 +349,36 @@ mod tests {
         assert!(pipeline.restore(bad_classes).is_err());
     }
 
-    /// A two-tick state as a checkpoint written before `key` existed
-    /// would carry it.
-    fn state_without(key: &str) -> OnlineState {
+    /// A two-tick state's JSON form, as a checkpoint would hold it.
+    fn two_tick_state() -> Value {
         let (mut pipeline, trace) = fixture();
         drive(&mut pipeline, &trace, 0..2);
-        let mut v = pipeline.state().to_value();
-        if let Value::Object(map) = &mut v {
-            map.remove(key);
-        }
-        OnlineState::from_value(&v).unwrap()
+        pipeline.state().to_value()
     }
 
     #[test]
     fn checkpoint_without_lp_basis_field_still_loads() {
         // Written before warm starts existed: loads with a cold basis.
-        let state = state_without("lp_basis");
+        let mut v = two_tick_state();
+        if let Value::Object(map) = &mut v {
+            map.remove("lp_basis");
+        }
+        let state = OnlineState::from_value(&v).unwrap();
         assert_eq!(state.lp_basis, None);
         assert_eq!(state.ticks, 2);
     }
 
     #[test]
-    fn checkpoint_without_cost_dollars_field_still_loads() {
-        // Written before the pricing subsystem: loads with zero spend.
-        let state = state_without("cost_dollars");
-        assert_eq!(state.cost_dollars, 0.0);
-        assert_eq!(state.ticks, 2);
-    }
-
-    #[test]
-    fn dollar_objective_accrues_and_checkpoints_spend() {
-        use crate::cbs::DollarCosts;
-        use harmony_pricing::MarketPolicy;
-
-        let priced_fixture = || {
-            let (pipeline, trace) = fixture();
-            let groups: Vec<_> =
-                pipeline.classifier().classes().iter().map(|c| c.group).collect();
-            let market = MarketPolicy::SpotAware;
-            let costs = DollarCosts::default_for(pipeline.catalog(), &groups, market, 2013);
-            (pipeline.with_objective(CbsObjective::Dollars(costs)), trace)
-        };
-        let (mut priced, trace) = priced_fixture();
-        drive(&mut priced, &trace, 0..3);
-        assert_eq!(priced.error_count(), 0);
-        assert!(
-            priced.cost_dollars() > 0.0,
-            "a served workload must accrue rental spend, got {}",
-            priced.cost_dollars()
-        );
-        // The spend survives a checkpoint/restore round trip.
-        let state = priced.state();
-        assert_eq!(state.cost_dollars, priced.cost_dollars());
-        let text = serde_json::to_string(&state).unwrap();
-        let back: OnlineState = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, state);
-        let (mut restored, _) = priced_fixture();
-        restored.restore(back).unwrap();
-        assert_eq!(restored.cost_dollars(), priced.cost_dollars());
+    fn checkpoint_with_retired_cost_dollars_field_still_loads() {
+        // Written while the state still carried the rental spend of the
+        // retired dollar objective: the key is ignored.
+        let v = two_tick_state();
+        let expected = OnlineState::from_value(&v).unwrap();
+        let mut with_spend = v;
+        if let Value::Object(map) = &mut with_spend {
+            map.insert("cost_dollars".into(), Value::from(12.5));
+        }
+        assert_eq!(OnlineState::from_value(&with_spend).unwrap(), expected);
     }
 
     #[test]

@@ -8,7 +8,6 @@ use harmony_model::{EnergyPrice, MachineCatalog};
 use harmony_sim::{EnergyEfficientFirstFit, FaultPlan, SimReport, Simulation, SimulationConfig};
 use harmony_trace::Trace;
 
-use crate::cbs::CbsObjective;
 use crate::classify::{ClassifierConfig, TaskClassifier};
 use crate::controllers::{
     BaselineController, CbpController, CbsController, QuotaScheduler, QuotaState,
@@ -74,33 +73,6 @@ pub fn run_variant_with_faults(
     variant: Variant,
     faults: Option<&FaultPlan>,
 ) -> Result<SimReport, HarmonyError> {
-    run_variant_priced(
-        trace,
-        catalog,
-        harmony_config,
-        classifier_config,
-        variant,
-        faults,
-        &CbsObjective::Energy,
-    )
-}
-
-/// Like [`run_variant_with_faults`], but provisioning under an explicit
-/// [`CbsObjective`] — the cost-matrix entry point. The baseline variant
-/// has no provisioning LP and ignores the objective.
-///
-/// # Errors
-///
-/// Propagates classifier/controller construction failures.
-pub fn run_variant_priced(
-    trace: &Trace,
-    catalog: &MachineCatalog,
-    harmony_config: &HarmonyConfig,
-    classifier_config: &ClassifierConfig,
-    variant: Variant,
-    faults: Option<&FaultPlan>,
-    objective: &CbsObjective,
-) -> Result<SimReport, HarmonyError> {
     let price = EnergyPrice::default();
     // The paper's Section IX evaluation charges queueing (scheduling
     // delay) rather than evicting running tasks; preemption stays off in
@@ -129,8 +101,7 @@ pub fn run_variant_priced(
                 harmony_config.clone(),
                 price,
                 quota.clone(),
-            )?
-            .with_objective(objective.clone());
+            )?;
             let scheduler = QuotaScheduler::new(classifier, quota);
             Simulation::new(sim_config, trace, Box::new(scheduler))
                 .with_controller(Box::new(controller))
@@ -142,8 +113,7 @@ pub fn run_variant_priced(
             // only changes how machines are provisioned.
             let classifier =
                 Rc::new(TaskClassifier::fit(trace.tasks(), classifier_config)?);
-            let controller = CbpController::new(classifier, harmony_config.clone(), price)?
-                .with_objective(objective.clone());
+            let controller = CbpController::new(classifier, harmony_config.clone(), price)?;
             let scheduler = EnergyEfficientFirstFit::new(&harmony_sim::Cluster::new(catalog.clone()));
             Simulation::new(sim_config, trace, Box::new(scheduler))
                 .with_controller(Box::new(controller))
@@ -211,39 +181,6 @@ mod tests {
         let (trace, catalog, config, cc) = small_setup();
         let report = run_variant(&trace, &catalog, &config, &cc, Variant::Cbs).unwrap();
         assert!(report.tasks_completed > 0);
-    }
-
-    #[test]
-    fn dollar_objective_runs_end_to_end() {
-        use crate::cbs::DollarCosts;
-        use harmony_pricing::MarketPolicy;
-
-        let (trace, _, config, cc) = small_setup();
-        let catalog = MachineCatalog::table2_with_accel().scaled(100);
-        let classifier = TaskClassifier::fit(trace.tasks(), &cc).unwrap();
-        let groups: Vec<_> = classifier.classes().iter().map(|c| c.group).collect();
-        let objective = CbsObjective::Dollars(DollarCosts::default_for(
-            &catalog,
-            &groups,
-            MarketPolicy::SpotAware,
-            2013,
-        ));
-        for variant in [Variant::Cbs, Variant::Cbp] {
-            let report =
-                run_variant_priced(&trace, &catalog, &config, &cc, variant, None, &objective)
-                    .unwrap();
-            assert!(report.tasks_completed > 0, "{variant:?}: {report:?}");
-        }
-        // Determinism: the priced path reproduces byte-identical reports.
-        let a = run_variant_priced(&trace, &catalog, &config, &cc, Variant::Cbs, None, &objective)
-            .unwrap();
-        let b = run_variant_priced(&trace, &catalog, &config, &cc, Variant::Cbs, None, &objective)
-            .unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "priced runs must be reproducible"
-        );
     }
 
     #[test]

@@ -47,9 +47,8 @@ mod tests {
                 detail: "pivot budget".to_owned(),
             }],
             lp_basis: None,
-            cost_dollars: 12.5,
         };
-        pin(&state, r#"{"cost_dollars":1.25e1,"errors":1,"histories":[[5e-1,1],[]],"last_plan":{"machines":[3,0],"quotas":[[2,0],[0,5]]},"lp_basis":null,"pending_events":[{"at":600,"detail":"pivot budget","kind":"LpGreedyFallback"}],"ticks":4}"#);
+        pin(&state, r#"{"errors":1,"histories":[[5e-1,1],[]],"last_plan":{"machines":[3,0],"quotas":[[2,0],[0,5]]},"lp_basis":null,"pending_events":[{"at":600,"detail":"pivot budget","kind":"LpGreedyFallback"}],"ticks":4}"#);
     }
 
     #[test]

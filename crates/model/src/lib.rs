@@ -14,8 +14,8 @@
 //! * [`PowerModel`], [`EnergyPrice`] — the linear utilization→power model of
 //!   Eq. (7) and the run-time electricity price `p_t`.
 //! * [`SimTime`], [`SimDuration`] — strongly-typed simulation clock values.
-//! * [`SplitMix64`] — the seeded PRNG behind every fault plan, price book
-//!   and chaos schedule.
+//! * [`SplitMix64`] — the seeded PRNG behind every fault plan and chaos
+//!   schedule.
 //!
 //! # Examples
 //!
@@ -47,7 +47,7 @@ pub use class::{ClassStats, TaskClassId};
 pub use error::ModelError;
 pub use machine::{MachineCatalog, MachineType, MachineTypeId};
 pub use power::{EnergyPrice, PowerModel};
-pub use resources::{AccelResources, ResourceKind, Resources, NUM_RESOURCES};
+pub use resources::{ResourceKind, Resources, NUM_RESOURCES};
 pub use rng::SplitMix64;
 pub use task::{JobId, Priority, PriorityGroup, SchedulingClass, Task, TaskId};
 pub use time::{SimDuration, SimTime};

@@ -15,7 +15,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{AccelResources, ModelError, PowerModel, Resources, SimDuration};
+use crate::{ModelError, PowerModel, Resources, SimDuration};
 
 /// Index of a machine type within a [`MachineCatalog`].
 #[derive(
@@ -51,11 +51,6 @@ pub struct MachineType {
     /// Switching cost `q_m` in dollars per on/off transition. Captures
     /// boot energy, wear, and container-reassignment overhead.
     pub switching_cost: f64,
-    /// Normalized accelerator slots per machine (GPUs or similar);
-    /// `0.0` for the pure-CPU platforms of the paper's Table II. Only
-    /// accelerator-aware paths (the pricing subsystem's dollar
-    /// objective) read this dimension.
-    pub accel_capacity: f64,
 }
 
 impl MachineType {
@@ -64,16 +59,6 @@ impl MachineType {
     /// "not every task can be scheduled on every type of machine").
     pub fn can_host(&self, demand: Resources) -> bool {
         demand.fits_within(self.capacity)
-    }
-
-    /// The full capacity vector including the accelerator axis.
-    pub fn accel_resources(&self) -> AccelResources {
-        AccelResources::new(self.capacity, self.accel_capacity)
-    }
-
-    /// `true` if an accelerator-extended demand fits this machine type.
-    pub fn can_host_accel(&self, demand: AccelResources) -> bool {
-        demand.fits_within(self.accel_resources())
     }
 
     /// Energy efficiency proxy: normalized capacity per peak watt.
@@ -164,7 +149,6 @@ impl MachineCatalog {
             power: PowerModel::new(idle, Resources::new(alpha_cpu, alpha_mem)),
             boot_time: SimDuration::from_secs(boot_s),
             switching_cost: q,
-            accel_capacity: 0.0,
         };
         MachineCatalog::new(vec![
             spec("Dell PowerEdge R210", 1, 4.0, 4.0, 7000, 40.0, 65.0, 12.0, 90.0, 0.001),
@@ -173,34 +157,6 @@ impl MachineCatalog {
             spec("HP DL585 G7", 4, 48.0, 64.0, 500, 280.0, 450.0, 70.0, 180.0, 0.008),
         ])
         .expect("table2 catalog is statically valid")
-    }
-
-    /// The Table II cluster extended with one accelerator-bearing
-    /// platform: an HP SL390s G7-style GPU node (2 sockets x 6 cores,
-    /// 48 GB, 4 GPU slots). Pure-CPU demand never needs it — its
-    /// compute capacity is dominated by the DL585 G7 — so existing
-    /// energy-objective plans are unaffected; it exists for workloads
-    /// with per-class accelerator demand priced by `harmony-pricing`.
-    #[expect(
-        clippy::expect_used,
-        reason = "Invariant: table2() is valid and the appended type has positive count and capacity, so re-validation cannot fail."
-    )]
-    pub fn table2_with_accel() -> Self {
-        const MAX_CORES: f64 = 48.0;
-        const MAX_MEM_GB: f64 = 64.0;
-        let mut types: Vec<MachineType> = MachineCatalog::table2().iter().cloned().collect();
-        types.push(MachineType {
-            id: MachineTypeId(0),
-            name: "HP SL390s G7 (GPU)".to_owned(),
-            platform_id: 5,
-            capacity: Resources::new(12.0 / MAX_CORES, 48.0 / MAX_MEM_GB),
-            count: 200,
-            power: PowerModel::new(220.0, Resources::new(160.0, 30.0)),
-            boot_time: SimDuration::from_secs(180.0),
-            switching_cost: 0.010,
-            accel_capacity: 4.0,
-        });
-        MachineCatalog::new(types).expect("table2_with_accel catalog is statically valid")
     }
 
     /// A ten-platform catalog mirroring the population skew of the Google
@@ -223,7 +179,6 @@ impl MachineCatalog {
             ),
             boot_time: SimDuration::from_secs(120.0),
             switching_cost: 0.002 + 0.006 * cpu,
-            accel_capacity: 0.0,
         };
         MachineCatalog::new(vec![
             spec("type-1", 1, 0.50, 0.50, 6200),
@@ -385,26 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn accel_catalog_extends_table2() {
-        let base = MachineCatalog::table2();
-        let c = MachineCatalog::table2_with_accel();
-        assert_eq!(c.len(), base.len() + 1);
-        // The first four types are Table II verbatim (ids included).
-        for (a, b) in base.iter().zip(c.iter()) {
-            assert_eq!(a, b);
-        }
-        let gpu = c.machine_type(MachineTypeId(4));
-        assert!(gpu.accel_capacity > 0.0);
-        assert!(gpu.can_host_accel(AccelResources::new(gpu.capacity, gpu.accel_capacity)));
-        assert!(!gpu.can_host_accel(AccelResources::new(Resources::ZERO, 5.0)));
-        // Every Table II platform stays accelerator-free.
-        for t in base.iter() {
-            assert_eq!(t.accel_capacity, 0.0);
-            assert!(!t.can_host_accel(AccelResources::new(Resources::ZERO, 1.0)));
-        }
-    }
-
-    #[test]
     fn ten_type_catalog_population_shape() {
         let c = MachineCatalog::google_ten_types();
         assert_eq!(c.len(), 10);
@@ -466,7 +401,6 @@ mod tests {
                 power: PowerModel::new(10.0, Resources::ZERO),
                 boot_time: SimDuration::ZERO,
                 switching_cost: 0.0,
-                accel_capacity: 0.0,
             },
         ])
         .unwrap();

@@ -162,82 +162,6 @@ impl Resources {
     }
 }
 
-/// A resource demand or capacity extended with an accelerator
-/// dimension (GPUs or other attached devices).
-///
-/// The accelerator axis is deliberately *not* folded into
-/// [`Resources`]: the paper's formulation (and the whole CPU/memory
-/// provisioning pipeline) is two-dimensional, and most machine types
-/// carry no accelerators at all. Accelerator-aware paths (the pricing
-/// subsystem's dollar objective, accelerator-bearing catalogs) carry
-/// this wider vector explicitly, while every legacy path keeps the
-/// compact two-dimensional form — and its serialized bytes — unchanged.
-///
-/// Units follow the machine-catalog convention: `accel` counts
-/// normalized accelerator slots (one slot = one device on the
-/// reference accelerator node), not shares of the largest machine.
-///
-/// # Examples
-///
-/// ```
-/// use harmony_model::{AccelResources, Resources};
-///
-/// let demand = AccelResources::new(Resources::new(0.1, 0.1), 0.5);
-/// let gpu_node = AccelResources::new(Resources::new(0.5, 0.75), 4.0);
-/// let cpu_node = AccelResources::new(Resources::new(0.5, 0.75), 0.0);
-/// assert!(demand.fits_within(gpu_node));
-/// assert!(!demand.fits_within(cpu_node));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
-pub struct AccelResources {
-    /// The CPU/memory part.
-    pub compute: Resources,
-    /// Normalized accelerator slots (0 for pure-CPU demands/machines).
-    pub accel: f64,
-}
-
-impl AccelResources {
-    /// The zero vector.
-    pub const ZERO: AccelResources = AccelResources { compute: Resources::ZERO, accel: 0.0 };
-
-    /// Creates an accelerator-extended resource vector.
-    pub fn new(compute: Resources, accel: f64) -> Self {
-        AccelResources { compute, accel }
-    }
-
-    /// A pure-compute vector with no accelerator demand.
-    pub fn compute_only(compute: Resources) -> Self {
-        AccelResources { compute, accel: 0.0 }
-    }
-
-    /// `true` if every dimension of `self` fits within `capacity`
-    /// (same tolerance as [`Resources::fits_within`]).
-    pub fn fits_within(self, capacity: AccelResources) -> bool {
-        const EPS: f64 = 1e-9;
-        self.compute.fits_within(capacity.compute) && self.accel <= capacity.accel + EPS
-    }
-
-    /// `true` if every dimension is finite and `>= 0`.
-    pub fn is_valid(self) -> bool {
-        self.compute.is_valid() && self.accel.is_finite() && self.accel >= 0.0
-    }
-
-    /// `true` if this vector actually uses the accelerator axis.
-    pub fn has_accel(self) -> bool {
-        self.accel > 0.0
-    }
-}
-
-impl fmt::Display for AccelResources {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "(cpu={:.4}, mem={:.4}, accel={:.4})",
-            self.compute.cpu, self.compute.mem, self.accel
-        )
-    }
-}
-
 impl Index<usize> for Resources {
     type Output = f64;
 
@@ -402,24 +326,6 @@ mod tests {
         assert!(!Resources::new(-0.1, 0.0).is_valid());
         assert!(!Resources::new(f64::NAN, 0.0).is_valid());
         assert!(!Resources::new(0.0, f64::INFINITY).is_valid());
-    }
-
-    #[test]
-    fn accel_resources_fit_and_validate() {
-        let gpu_node = AccelResources::new(Resources::new(0.5, 0.75), 4.0);
-        let cpu_node = AccelResources::compute_only(Resources::new(0.5, 0.75));
-        let demand = AccelResources::new(Resources::new(0.1, 0.1), 1.0);
-        assert!(demand.fits_within(gpu_node));
-        assert!(!demand.fits_within(cpu_node));
-        assert!(AccelResources::compute_only(demand.compute).fits_within(cpu_node));
-        assert!(demand.has_accel());
-        assert!(!cpu_node.has_accel());
-        assert!(demand.is_valid());
-        assert!(!AccelResources::new(Resources::new(0.1, 0.1), -1.0).is_valid());
-        assert!(!AccelResources::new(Resources::new(f64::NAN, 0.1), 0.0).is_valid());
-        assert_eq!(AccelResources::ZERO.accel, 0.0);
-        let s = format!("{}", demand);
-        assert!(s.contains("accel=1.0"), "{s}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The workspace's one splitmix64 PRNG.
 //!
-//! Fault plans, price books, spot evictions, the daemon's chaos
-//! schedules and its client retry jitter all draw from this generator:
+//! Fault plans, the daemon's chaos schedules and its client retry
+//! jitter all draw from this generator:
 //! deterministic, seedable, dependency-free and stable across
 //! platforms, so a seed replays the same stream everywhere.
 
@@ -48,16 +48,6 @@ impl SplitMix64 {
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
-
-    /// Exponentially distributed sample with the given rate (events per
-    /// unit). Returns infinity for a non-positive rate.
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        if rate <= 0.0 {
-            return f64::INFINITY;
-        }
-        // 1 - u is in (0, 1], so the log is finite and non-positive.
-        -(1.0 - self.next_f64()).ln() / rate
-    }
 }
 
 #[cfg(test)]
@@ -67,7 +57,7 @@ mod tests {
     #[test]
     fn first_outputs_are_pinned() {
         // The reference splitmix64 stream: every seeded schedule in the
-        // workspace (fault plans, price books, chaos plans) replays
+        // workspace (fault plans, chaos plans) replays
         // bit-identically only while these hold.
         let mut zero = SplitMix64::new(0);
         let got: Vec<u64> = (0..4).map(|_| zero.next_u64()).collect();
@@ -117,10 +107,8 @@ mod tests {
             let r = c.range(2.0, 5.0);
             assert!((2.0..5.0).contains(&r));
             assert!(c.below(7) < 7);
-            assert!(c.exponential(0.5) >= 0.0);
         }
         assert_eq!(c.below(0), 0);
-        assert!(c.exponential(0.0).is_infinite());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Hand-written `Deserialize` impls for the model types whose reads
 //! validate: a trace line or checkpoint cannot smuggle in a NaN time, a
-//! negative duration, an out-of-range priority or scheduling class, or a
-//! negative accelerator demand. These types derive `Serialize`.
+//! negative duration, or an out-of-range priority or scheduling class.
+//! These types derive `Serialize`.
 
 use serde::value::{DeError, Value};
 use serde::Deserialize;
 
-use crate::{AccelResources, Priority, Resources, SchedulingClass, SimDuration, SimTime};
+use crate::{Priority, SchedulingClass, SimDuration, SimTime};
 
 impl Deserialize for SimTime {
     fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -28,19 +28,6 @@ impl Deserialize for SimDuration {
     }
 }
 
-impl Deserialize for AccelResources {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let out = AccelResources {
-            compute: Resources::from_value(v.field("compute")?)?,
-            accel: f64::from_value(v.field("accel")?)?,
-        };
-        if !out.is_valid() {
-            return Err(DeError::new("AccelResources must be finite and non-negative"));
-        }
-        Ok(out)
-    }
-}
-
 impl Deserialize for Priority {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let level = u8::from_value(v)?;
@@ -58,7 +45,7 @@ impl Deserialize for SchedulingClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{JobId, MachineTypeId, Task, TaskId};
+    use crate::{JobId, MachineTypeId, Resources, Task, TaskId};
     use serde::Serialize;
 
     /// Asserts that `value` writes exactly `json` and reads back from it.
@@ -96,14 +83,5 @@ mod tests {
     fn negative_duration_rejected_on_read() {
         let v = Value::Number(-1.0);
         assert!(SimDuration::from_value(&v).is_err());
-    }
-
-    #[test]
-    fn accel_resources_round_trip_and_reject() {
-        let a = AccelResources::new(Resources::new(0.25, 0.5), 2.0);
-        let back = AccelResources::from_value(&a.to_value()).unwrap();
-        assert_eq!(a, back);
-        let bad = AccelResources { compute: Resources::new(0.1, 0.1), accel: -1.0 };
-        assert!(AccelResources::from_value(&bad.to_value()).is_err());
     }
 }

@@ -15,7 +15,7 @@ use std::time::Duration;
 use harmony::classify::{ClassifierConfig, TaskClassifier};
 use harmony::{HarmonyConfig, OnlinePipeline};
 use harmony_model::SimDuration;
-use harmony_server::state::{self, CatalogSpec, ObjectiveSpec};
+use harmony_server::state::{self, CatalogSpec};
 use harmony_server::{net, Service};
 
 const USAGE: &str = "\
@@ -36,16 +36,9 @@ OPTIONS:
   --format FMT             trace format: jsonl | google-csv (default jsonl)
   --synthetic-seed N       synthetic workload seed (default 2013)
   --synthetic-span-hours H synthetic workload span (default 24)
-  --catalog NAME           machine catalog: table2 | table2-accel | google10
+  --catalog NAME           machine catalog: table2 | google10
                            (default table2)
   --scale N                catalog population divisor (default 100)
-  --objective NAME         provisioning objective: energy | dollars |
-                           dollars-spot (default energy; the dollar
-                           objectives price machine rental and SLO
-                           violations, dollars-spot also bids on
-                           discounted evictable spot pools)
-  --price-seed N           price-book seed for the dollar objectives
-                           (default 2013)
   --period-mins M          control period override in minutes
   --tick-secs S            wall-clock seconds between automatic control
                            ticks; 0 = manual ticks only (default 0)
@@ -82,8 +75,6 @@ struct Args {
     synthetic_span_hours: f64,
     catalog: String,
     scale: usize,
-    objective: String,
-    price_seed: u64,
     period_mins: Option<f64>,
     tick_secs: f64,
     read_timeout_ms: u64,
@@ -108,8 +99,6 @@ fn parse_args() -> Result<Args, String> {
         synthetic_span_hours: 24.0,
         catalog: "table2".to_owned(),
         scale: 100,
-        objective: "energy".to_owned(),
-        price_seed: 2013,
         period_mins: None,
         tick_secs: 0.0,
         read_timeout_ms: 30_000,
@@ -144,12 +133,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--synthetic-span-hours: {e}"))?;
             }
             "--catalog" => args.catalog = grab("--catalog")?,
-            "--objective" => args.objective = grab("--objective")?,
-            "--price-seed" => {
-                args.price_seed = grab("--price-seed")?
-                    .parse()
-                    .map_err(|e| format!("--price-seed: {e}"))?;
-            }
             "--scale" => {
                 args.scale =
                     grab("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?;
@@ -254,33 +237,13 @@ fn build_service(args: &Args) -> Result<Service, String> {
         .map_err(|e| format!("classifier fit failed: {e}"))?;
     let catalog_spec = CatalogSpec { name: args.catalog.clone(), divisor: args.scale.max(1) };
     let catalog = catalog_spec.build()?;
-    let objective_spec = match args.objective.as_str() {
-        "energy" => ObjectiveSpec::Energy,
-        "dollars" => ObjectiveSpec::Dollars { spot: false, seed: args.price_seed },
-        "dollars-spot" => ObjectiveSpec::Dollars { spot: true, seed: args.price_seed },
-        other => {
-            return Err(format!(
-                "unknown objective `{other}` (energy, dollars, or dollars-spot)"
-            ))
-        }
-    };
-    let groups: Vec<_> = classifier.classes().iter().map(|c| c.group).collect();
-    let objective = objective_spec.build(&catalog, &groups);
     let mut config = HarmonyConfig::default();
     if let Some(mins) = args.period_mins {
         config.control_period = SimDuration::from_mins(mins);
     }
     let pipeline = OnlinePipeline::new(classifier, catalog, config, Default::default())
-        .map_err(|e| format!("pipeline construction failed: {e}"))?
-        .with_objective(objective);
-    Ok(Service::new(
-        pipeline,
-        classifier_config,
-        source,
-        catalog_spec,
-        objective_spec,
-        snapshot,
-    ))
+        .map_err(|e| format!("pipeline construction failed: {e}"))?;
+    Ok(Service::new(pipeline, classifier_config, source, catalog_spec, snapshot))
 }
 
 fn run() -> Result<(), String> {

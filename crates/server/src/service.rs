@@ -28,7 +28,7 @@ use harmony_model::Task;
 
 use crate::protocol::{MetricsBody, Request, Response, StatusBody};
 use crate::state::{
-    self, CatalogSpec, Checkpoint, ClassifierSource, ObjectiveSpec, CHECKPOINT_VERSION,
+    self, CatalogSpec, Checkpoint, ClassifierSource, CHECKPOINT_VERSION,
 };
 
 /// Orders checkpoint commits that happen outside the service lock.
@@ -104,7 +104,6 @@ pub struct Service {
     classifier_config: ClassifierConfig,
     source: ClassifierSource,
     catalog_spec: CatalogSpec,
-    objective_spec: ObjectiveSpec,
     buffered: Vec<Task>,
     total_observations: u64,
     snapshot_path: Option<PathBuf>,
@@ -117,15 +116,12 @@ pub struct Service {
 }
 
 impl Service {
-    /// Wraps a freshly built pipeline. `objective_spec` must be the
-    /// recipe the pipeline's objective was built from, so checkpoints
-    /// record how to rebuild it.
+    /// Wraps a freshly built pipeline.
     pub fn new(
         pipeline: OnlinePipeline,
         classifier_config: ClassifierConfig,
         source: ClassifierSource,
         catalog_spec: CatalogSpec,
-        objective_spec: ObjectiveSpec,
         snapshot_path: Option<PathBuf>,
     ) -> Self {
         Service {
@@ -133,7 +129,6 @@ impl Service {
             classifier_config,
             source,
             catalog_spec,
-            objective_spec,
             buffered: Vec::new(),
             total_observations: 0,
             snapshot_path,
@@ -157,15 +152,9 @@ impl Service {
     ) -> Result<Self, String> {
         let classifier = state::refit_classifier(&checkpoint.source, &checkpoint.classifier)?;
         let catalog = checkpoint.catalog.build()?;
-        // The objective rebuilds from its recipe exactly like the
-        // classifier: same catalog + same class groups + same seed give
-        // the same price book and SLO curves.
-        let groups: Vec<_> = classifier.classes().iter().map(|c| c.group).collect();
-        let objective = checkpoint.objective.build(&catalog, &groups);
         let mut pipeline =
             OnlinePipeline::new(classifier, catalog, checkpoint.config, Default::default())
-                .map_err(|e| format!("pipeline rebuild failed: {e}"))?
-                .with_objective(objective);
+                .map_err(|e| format!("pipeline rebuild failed: {e}"))?;
         pipeline
             .restore(checkpoint.state)
             .map_err(|e| format!("state restore failed: {e}"))?;
@@ -174,7 +163,6 @@ impl Service {
             classifier_config: checkpoint.classifier,
             source: checkpoint.source,
             catalog_spec: checkpoint.catalog,
-            objective_spec: checkpoint.objective,
             buffered: checkpoint.buffered,
             total_observations: checkpoint.total_observations,
             snapshot_path,
@@ -222,7 +210,6 @@ impl Service {
             classifier: self.classifier_config.clone(),
             source: self.source.clone(),
             catalog: self.catalog_spec.clone(),
-            objective: self.objective_spec,
             state: self.pipeline.state(),
             buffered: self.buffered.clone(),
             total_observations: self.total_observations,
@@ -433,14 +420,7 @@ mod tests {
         .unwrap();
         let spec = CatalogSpec { name: "table2".to_owned(), divisor: 100 };
         let tasks: Vec<Task> = trace.tasks().iter().take(200).cloned().collect();
-        let service = Service::new(
-            pipeline,
-            classifier_config,
-            source,
-            spec,
-            ObjectiveSpec::Energy,
-            snapshot,
-        );
+        let service = Service::new(pipeline, classifier_config, source, spec, snapshot);
         (service, tasks)
     }
 
@@ -526,65 +506,6 @@ mod tests {
     fn snapshot_without_path_is_an_error() {
         let (mut service, _) = test_service(None);
         assert!(matches!(service.handle(Request::Snapshot), Response::Error { .. }));
-    }
-
-    fn dollar_service(snapshot: Option<PathBuf>) -> (Service, Vec<Task>) {
-        let span = SimDuration::from_hours(2.0);
-        let (trace, source) = state::load_source(None, "jsonl", 33, span, None).unwrap();
-        let classifier_config = ClassifierConfig {
-            k_per_group: Some([2, 2, 2]),
-            ..ClassifierConfig::default()
-        };
-        let classifier = TaskClassifier::fit(trace.tasks(), &classifier_config).unwrap();
-        let config = HarmonyConfig {
-            horizon: 2,
-            control_period: SimDuration::from_mins(10.0),
-            ..HarmonyConfig::default()
-        };
-        let spec = CatalogSpec { name: "table2-accel".to_owned(), divisor: 100 };
-        let catalog = spec.build().unwrap();
-        let objective_spec = ObjectiveSpec::Dollars { spot: true, seed: 2013 };
-        let groups: Vec<_> = classifier.classes().iter().map(|c| c.group).collect();
-        let objective = objective_spec.build(&catalog, &groups);
-        let pipeline = OnlinePipeline::new(classifier, catalog, config, Default::default())
-            .unwrap()
-            .with_objective(objective);
-        let tasks: Vec<Task> = trace.tasks().iter().take(200).cloned().collect();
-        let service =
-            Service::new(pipeline, classifier_config, source, spec, objective_spec, snapshot);
-        (service, tasks)
-    }
-
-    #[test]
-    fn dollar_checkpoint_resumes_spend_and_objective() {
-        let dir = std::env::temp_dir()
-            .join(format!("harmonyd-service-dollar-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("svc.json");
-
-        let (mut service, tasks) = dollar_service(Some(path.clone()));
-        for chunk in tasks.chunks(100) {
-            service.handle(Request::SubmitObservations { tasks: chunk.to_vec() });
-            service.handle(Request::Tick);
-        }
-        let spent = service.pipeline().cost_dollars();
-        assert!(spent > 0.0, "dollar ticks must accrue rental spend");
-        assert!(matches!(service.handle(Request::Snapshot), Response::Snapshotted { .. }));
-        drop(service);
-
-        let checkpoint = state::load(&path).unwrap();
-        assert_eq!(checkpoint.objective, ObjectiveSpec::Dollars { spot: true, seed: 2013 });
-        let resumed = Service::from_checkpoint(checkpoint, Some(path)).unwrap();
-        assert_eq!(
-            resumed.pipeline().cost_dollars(),
-            spent,
-            "resume must restore the cumulative spend exactly"
-        );
-        assert!(
-            matches!(resumed.pipeline().objective(), harmony::CbsObjective::Dollars(_)),
-            "resume must rebuild the dollar objective from its recipe"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

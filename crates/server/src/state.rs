@@ -34,9 +34,8 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use harmony::classify::{ClassifierConfig, TaskClassifier};
-use harmony::{CbsObjective, DollarCosts, HarmonyConfig, OnlineState};
-use harmony_model::{wire, MachineCatalog, PriorityGroup, SimDuration, Task};
-use harmony_pricing::MarketPolicy;
+use harmony::{HarmonyConfig, OnlineState};
+use harmony_model::{wire, MachineCatalog, SimDuration, Task};
 use harmony_trace::{google_csv, Trace, TraceConfig, TraceGenerator};
 use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
@@ -109,7 +108,7 @@ impl Deserialize for ClassifierSource {
 /// so a spec rebuilds one exactly).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CatalogSpec {
-    /// `table2`, `table2-accel`, or `google10`.
+    /// `table2` or `google10`.
     pub name: String,
     /// Population divisor passed to [`MachineCatalog::scaled`].
     pub divisor: usize,
@@ -124,83 +123,15 @@ impl CatalogSpec {
     pub fn build(&self) -> Result<MachineCatalog, String> {
         let base = match self.name.as_str() {
             "table2" => MachineCatalog::table2(),
-            "table2-accel" => MachineCatalog::table2_with_accel(),
             "google10" => MachineCatalog::google_ten_types(),
-            other => {
-                return Err(format!(
-                    "unknown catalog `{other}` (table2, table2-accel, or google10)"
-                ))
-            }
+            other => return Err(format!("unknown catalog `{other}` (table2 or google10)")),
         };
         Ok(base.scaled(self.divisor.max(1)))
     }
 }
 
-/// The provisioning objective, in rebuildable form. Dollar costing is
-/// derived data — the default price book and SLO curves are
-/// deterministic functions of (catalog, classifier groups, seed) — so
-/// the checkpoint records the recipe rather than the tables, exactly
-/// like [`ClassifierSource`] records the fit recipe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObjectiveSpec {
-    /// Minimize energy + switching (the paper's Eq. 14 objective).
-    Energy,
-    /// Minimize dollars: rental + expected SLO-violation cost.
-    Dollars {
-        /// Allow spot pools (`true`) or stay on-demand only.
-        spot: bool,
-        /// Seed for the default price book.
-        seed: u64,
-    },
-}
-
-impl ObjectiveSpec {
-    /// Rebuilds the concrete [`CbsObjective`] for a catalog and the
-    /// refit classifier's per-class priority groups.
-    pub fn build(&self, catalog: &MachineCatalog, groups: &[PriorityGroup]) -> CbsObjective {
-        match self {
-            ObjectiveSpec::Energy => CbsObjective::Energy,
-            ObjectiveSpec::Dollars { spot, seed } => {
-                let market =
-                    if *spot { MarketPolicy::SpotAware } else { MarketPolicy::OnDemandOnly };
-                CbsObjective::Dollars(DollarCosts::default_for(catalog, groups, market, *seed))
-            }
-        }
-    }
-}
-
-impl Serialize for ObjectiveSpec {
-    fn to_value(&self) -> Value {
-        let mut map = std::collections::BTreeMap::new();
-        match self {
-            ObjectiveSpec::Energy => {
-                map.insert("kind".to_owned(), "energy".to_value());
-            }
-            ObjectiveSpec::Dollars { spot, seed } => {
-                map.insert("kind".to_owned(), "dollars".to_value());
-                map.insert("spot".to_owned(), spot.to_value());
-                map.insert("seed".to_owned(), seed.to_value());
-            }
-        }
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for ObjectiveSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match String::from_value(v.field("kind")?)?.as_str() {
-            "energy" => Ok(ObjectiveSpec::Energy),
-            "dollars" => Ok(ObjectiveSpec::Dollars {
-                spot: bool::from_value(v.field("spot")?)?,
-                seed: u64::from_value(v.field("seed")?)?,
-            }),
-            other => Err(DeError::new(format!("unknown objective `{other}`"))),
-        }
-    }
-}
-
 /// One complete daemon checkpoint. Reads are hand-written: they check
-/// the version and default a missing objective.
+/// the version and the retired `objective` key.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Checkpoint {
     /// Schema version ([`CHECKPOINT_VERSION`]).
@@ -214,9 +145,6 @@ pub struct Checkpoint {
     pub source: ClassifierSource,
     /// Catalog provenance.
     pub catalog: CatalogSpec,
-    /// Provisioning objective provenance (pre-cost checkpoints carry
-    /// none and default to [`ObjectiveSpec::Energy`]).
-    pub objective: ObjectiveSpec,
     /// The pipeline's mutable state.
     pub state: OnlineState,
     /// Observations buffered and not yet consumed by a tick.
@@ -233,19 +161,28 @@ impl Deserialize for Checkpoint {
                 "checkpoint version {version} is not supported (expected {CHECKPOINT_VERSION})"
             )));
         }
+        // Checkpoints once named their provisioning objective. New ones
+        // omit the key, which daemons that still read it take as energy,
+        // so the version stays put. One written under the retired dollar
+        // objective is refused rather than resumed as energy.
+        match v.get("objective") {
+            None | Some(Value::Null) => {}
+            Some(objective) => match String::from_value(objective.field("kind")?)?.as_str() {
+                "energy" => {}
+                "dollars" => {
+                    return Err(DeError::new(
+                        "checkpoint was written under the retired `dollars` objective",
+                    ))
+                }
+                other => return Err(DeError::new(format!("unknown objective `{other}`"))),
+            },
+        }
         Ok(Checkpoint {
             version,
             config: HarmonyConfig::from_value(v.field("config")?)?,
             classifier: ClassifierConfig::from_value(v.field("classifier")?)?,
             source: ClassifierSource::from_value(v.field("source")?)?,
             catalog: CatalogSpec::from_value(v.field("catalog")?)?,
-            // Checkpoints written before dollar costing have no
-            // objective field: treat missing/null as Energy (the
-            // lp_basis tolerance pattern), so old snapshots still load.
-            objective: match v.field("objective") {
-                Ok(Value::Null) | Err(_) => ObjectiveSpec::Energy,
-                Ok(other) => ObjectiveSpec::from_value(other)?,
-            },
             state: OnlineState::from_value(v.field("state")?)?,
             buffered: Vec::from_value(v.field("buffered")?)?,
             total_observations: u64::from_value(v.field("total_observations")?)?,
@@ -645,7 +582,6 @@ mod tests {
             classifier: ClassifierConfig { k_per_group: Some([2, 2, 2]), ..Default::default() },
             source: ClassifierSource::Synthetic { seed: 9, span_secs: 120.0 },
             catalog: CatalogSpec { name: "table2".to_owned(), divisor: 100 },
-            objective: ObjectiveSpec::Energy,
             state: OnlineState {
                 ticks,
                 errors: 0,
@@ -653,7 +589,6 @@ mod tests {
                 last_plan: None,
                 pending_events: Vec::new(),
                 lp_basis: None,
-                cost_dollars: 0.0,
             },
             buffered: Vec::new(),
             total_observations: ticks * 10,
@@ -793,7 +728,6 @@ mod tests {
                 hash: 0xdead_beef_cafe_f00d,
             },
             catalog: CatalogSpec { name: "table2".to_owned(), divisor: 100 },
-            objective: ObjectiveSpec::Dollars { spot: true, seed: 2013 },
             state: OnlineState {
                 ticks: 5,
                 errors: 1,
@@ -801,7 +735,6 @@ mod tests {
                 last_plan: None,
                 pending_events: Vec::new(),
                 lp_basis: None,
-                cost_dollars: 1.5,
             },
             buffered: Vec::new(),
             total_observations: 123,
@@ -822,7 +755,6 @@ mod tests {
             classifier: ClassifierConfig::default(),
             source: ClassifierSource::Synthetic { seed: 1, span_secs: 60.0 },
             catalog: CatalogSpec { name: "table2".to_owned(), divisor: 1 },
-            objective: ObjectiveSpec::Energy,
             state: OnlineState {
                 ticks: 0,
                 errors: 0,
@@ -830,7 +762,6 @@ mod tests {
                 last_plan: None,
                 pending_events: Vec::new(),
                 lp_basis: None,
-                cost_dollars: 0.0,
             },
             buffered: Vec::new(),
             total_observations: 0,
@@ -865,10 +796,8 @@ mod tests {
         assert_eq!(back.classifier.k_per_group, Some([2, 3, 4]));
         assert_eq!(back.source, ClassifierSource::Synthetic { seed: 2013, span_secs: 3600.0 });
         assert_eq!(back.catalog, CatalogSpec { name: "table2".to_owned(), divisor: 100 });
-        assert_eq!(back.objective, ObjectiveSpec::Energy);
         assert_eq!(back.state.last_plan.as_ref().map(|p| p.machines.clone()), Some(vec![1, 0]));
         assert_eq!(back.state.lp_basis, None);
-        assert_eq!(back.state.cost_dollars, 0.0);
         assert_eq!(back.total_observations, 7);
 
         // The other variants and the optional members, each with its
@@ -878,11 +807,10 @@ mod tests {
                 r#"{"kind":"synthetic","seed":2013,"span_secs":3600}"#,
                 r#"{"kind":"trace-file","path":"t.jsonl","format":"jsonl","hash":"0x00000000000000ff"}"#,
             )
-            .replace(r#""version":1,"#, r#""version":1,"objective":{"kind":"dollars","spot":true,"seed":7},"#)
+            .replace(r#""version":1,"#, r#""version":1,"objective":{"kind":"energy"},"#)
             .replace(r#""errors":0,"#, r#""errors":0,"lp_basis":{"cols":[2,0],"n_cols":3},"#);
         let back: Checkpoint = serde_json::from_str(&text).unwrap();
         assert!(matches!(back.source, ClassifierSource::TraceFile { hash: 0xff, .. }));
-        assert_eq!(back.objective, ObjectiveSpec::Dollars { spot: true, seed: 7 });
         let basis = back.state.lp_basis.unwrap();
         assert_eq!((basis.columns(), basis.num_cols()), (&[2, 0][..], 3));
         let fc: harmony::monitor::ClassForecast =
@@ -902,63 +830,46 @@ mod tests {
     fn catalog_spec_builds_known_catalogs() {
         let spec = CatalogSpec { name: "table2".to_owned(), divisor: 100 };
         assert_eq!(spec.build().unwrap().len(), 4);
-        let spec = CatalogSpec { name: "table2-accel".to_owned(), divisor: 100 };
-        let accel = spec.build().unwrap();
-        assert_eq!(accel.len(), 5);
-        assert!(accel.iter().any(|ty| ty.accel_capacity > 0.0));
         let spec = CatalogSpec { name: "google10".to_owned(), divisor: 100 };
         assert!(spec.build().unwrap().len() >= 10);
-        let spec = CatalogSpec { name: "nope".to_owned(), divisor: 1 };
-        assert!(spec.build().is_err());
+        // The accelerator catalog is retired along with the dollar
+        // objective that priced it.
+        for name in ["nope", "table2-accel"] {
+            let spec = CatalogSpec { name: name.to_owned(), divisor: 1 };
+            assert!(spec.build().is_err(), "{name}");
+        }
     }
 
-    #[test]
-    fn objective_spec_roundtrips_and_tolerates_absence() {
-        for spec in [
-            ObjectiveSpec::Energy,
-            ObjectiveSpec::Dollars { spot: false, seed: 7 },
-            ObjectiveSpec::Dollars { spot: true, seed: 2013 },
-        ] {
-            let back = ObjectiveSpec::from_value(&spec.to_value()).unwrap();
-            assert_eq!(back, spec);
-        }
-        // A checkpoint written before dollar costing existed has no
-        // `objective` key — it must still load, as Energy.
-        let checkpoint = test_checkpoint(4);
+    /// `checkpoint` as JSON, with its `objective` key set to `objective`.
+    fn keyed_objective(checkpoint: &Checkpoint, objective: Value) -> Value {
         let mut v = checkpoint.to_value();
         if let Value::Object(map) = &mut v {
-            assert!(map.remove("objective").is_some());
+            assert!(map.insert("objective".to_owned(), objective).is_none());
         }
-        let back = Checkpoint::from_value(&v).unwrap();
-        assert_eq!(back.objective, ObjectiveSpec::Energy);
-        assert_eq!(back.state.ticks, 4);
+        v
     }
 
     #[test]
-    fn dollar_checkpoint_roundtrips_objective() {
-        let dir = test_dir("objective");
-        let path = dir.join("ckpt.json");
-        let mut checkpoint = test_checkpoint(2);
-        checkpoint.objective = ObjectiveSpec::Dollars { spot: true, seed: 99 };
-        checkpoint.catalog = CatalogSpec { name: "table2-accel".to_owned(), divisor: 100 };
-        save_atomic(&checkpoint, &path).unwrap();
-        let back = load(&path).unwrap();
-        assert_eq!(back, checkpoint);
-        // The spec rebuilds a concrete dollar objective on the accel
-        // catalog for any class/group layout.
-        let catalog = back.catalog.build().unwrap();
-        let objective = back.objective.build(
-            &catalog,
-            &[PriorityGroup::Production, PriorityGroup::Other],
-        );
-        match objective {
-            CbsObjective::Dollars(costs) => {
-                assert_eq!(costs.slo_costs.len(), 2);
-                assert_eq!(costs.accel_demand, vec![0.0, 0.0]);
-                assert!(costs.book.check_covers(&catalog).is_ok());
-            }
-            CbsObjective::Energy => panic!("expected a dollar objective"),
+    fn energy_or_absent_objective_still_loads() {
+        // New checkpoints carry no `objective` key; older ones name the
+        // energy objective, or carry a null.
+        let checkpoint = test_checkpoint(4);
+        assert!(checkpoint.to_value().get("objective").is_none());
+        let energy = serde_json::from_str(r#"{"kind":"energy"}"#).unwrap();
+        for objective in [energy, Value::Null] {
+            let v = keyed_objective(&checkpoint, objective);
+            assert_eq!(Checkpoint::from_value(&v).unwrap(), checkpoint);
         }
-        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn retired_dollar_objective_is_refused() {
+        let checkpoint = test_checkpoint(4);
+        let dollars = serde_json::from_str(r#"{"kind":"dollars","spot":true,"seed":7}"#).unwrap();
+        let err = Checkpoint::from_value(&keyed_objective(&checkpoint, dollars)).unwrap_err();
+        assert!(err.to_string().contains("retired `dollars` objective"), "{err}");
+        let bogus = serde_json::from_str(r#"{"kind":"bogus"}"#).unwrap();
+        let err = Checkpoint::from_value(&keyed_objective(&checkpoint, bogus)).unwrap_err();
+        assert!(err.to_string().contains("unknown objective `bogus`"), "{err}");
     }
 }

@@ -765,47 +765,6 @@ impl<'t> Simulation<'t> {
                                 kind: FaultRecordKind::ArrivalBurst { tasks_warped },
                             });
                         }
-                        FaultKind::SpotEviction { machine_type, count, down } => {
-                            // A market reclaim is a typed multi-machine
-                            // crash: pick up to `count` victims of the
-                            // priced type (busy first, like crashes) and
-                            // take each through the crash path.
-                            let mut machines = 0usize;
-                            let mut evicted = 0usize;
-                            let mut failed = 0usize;
-                            let until = now + down;
-                            for _ in 0..count {
-                                let candidates = spot_candidates(&st, machine_type);
-                                let victim = injector
-                                    .as_mut()
-                                    .and_then(|inj| inj.pick_machine(&candidates));
-                                let Some(id) = victim else { break };
-                                let residents = st.placements.on(id).to_vec();
-                                for t_idx in residents {
-                                    if self.fault_interrupt(&mut st, tasks, t_idx, now, false) {
-                                        evicted += 1;
-                                    } else {
-                                        failed += 1;
-                                    }
-                                }
-                                if st.cluster.crash_machine(id, now, until) {
-                                    machines += 1;
-                                    st.push(until, EventKind::FaultRecover(id));
-                                }
-                            }
-                            if machines > 0 {
-                                st.faults.push(FaultRecord {
-                                    at: now,
-                                    kind: FaultRecordKind::SpotEviction {
-                                        machine_type,
-                                        machines,
-                                        evicted,
-                                        failed,
-                                    },
-                                });
-                                self.drain(&mut st, tasks, now);
-                            }
-                        }
                     }
                 }
                 EventKind::FaultRecover(id) => {
@@ -1104,28 +1063,6 @@ fn crash_candidates(st: &RunState) -> Vec<MachineId> {
         .machines()
         .iter()
         .filter(|m| m.is_active())
-        .map(|m| m.id())
-        .collect()
-}
-
-/// Machines a spot reclaim may take: active machines of the priced
-/// type, busy ones preferred (mirrors [`crash_candidates`], restricted
-/// to one type).
-fn spot_candidates(st: &RunState, ty: MachineTypeId) -> Vec<MachineId> {
-    let busy: Vec<MachineId> = st
-        .cluster
-        .machines()
-        .iter()
-        .filter(|m| m.type_id() == ty && m.is_active() && m.running_tasks() > 0)
-        .map(|m| m.id())
-        .collect();
-    if !busy.is_empty() {
-        return busy;
-    }
-    st.cluster
-        .machines()
-        .iter()
-        .filter(|m| m.type_id() == ty && m.is_active())
         .map(|m| m.id())
         .collect()
 }

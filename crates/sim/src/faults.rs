@@ -15,7 +15,7 @@
 //! free of external RNG dependencies and the schedule stable across
 //! platforms.
 
-use harmony_model::{MachineTypeId, SimDuration, SimTime, SplitMix64};
+use harmony_model::{SimDuration, SimTime, SplitMix64};
 use serde::{Deserialize, Serialize};
 
 use crate::machine::MachineId;
@@ -51,20 +51,6 @@ pub enum FaultKind {
     ArrivalBurst {
         /// Width of the arrival window pulled forward.
         window: SimDuration,
-    },
-    /// The spot market reclaims up to `count` active machines of one
-    /// machine type (busy machines preferred, victims chosen at fire
-    /// time). Each reclaimed machine behaves like a crash: residents are
-    /// re-queued, the machine hosts nothing until it recovers `down`
-    /// later. Emitted by `harmony-pricing`'s `SpotMarket` for types it
-    /// prices as spot-eligible.
-    SpotEviction {
-        /// Machine type the market reclaims capacity from.
-        machine_type: MachineTypeId,
-        /// Maximum number of machines reclaimed by this event.
-        count: usize,
-        /// How long reclaimed machines stay unavailable.
-        down: SimDuration,
     },
 }
 
@@ -288,19 +274,6 @@ pub enum FaultRecordKind {
     ArrivalBurst {
         /// Number of arrivals compressed into the burst instant.
         tasks_warped: usize,
-    },
-    /// A spot-market reclaim took `machines` machines of `machine_type`
-    /// offline; `evicted` resident tasks were re-queued and `failed`
-    /// exceeded their retry budget.
-    SpotEviction {
-        /// The machine type the market reclaimed from.
-        machine_type: MachineTypeId,
-        /// Machines actually taken offline (≤ the event's `count`).
-        machines: usize,
-        /// Tasks re-queued into the pending queue.
-        evicted: usize,
-        /// Tasks that exhausted their retry budget.
-        failed: usize,
     },
 }
 

@@ -130,6 +130,30 @@ impl SimReport {
         DelayStats::from_delays(&all)
     }
 
+    /// Fraction of placed tasks per priority group whose scheduling
+    /// delay met the group's target (`targets_secs`, indexed by
+    /// [`PriorityGroup::index`]); 1.0 for a group that placed nothing.
+    pub fn slo_attainment(&self, targets_secs: [f64; 3]) -> [f64; 3] {
+        let mut out = [1.0; 3];
+        for (g, delays) in self.delays_by_group.iter().enumerate() {
+            if !delays.is_empty() {
+                out[g] = met_count(delays, targets_secs[g]) as f64 / delays.len() as f64;
+            }
+        }
+        out
+    }
+
+    /// Task-weighted [`SimReport::slo_attainment`] over all groups.
+    pub fn slo_attainment_overall(&self, targets_secs: [f64; 3]) -> f64 {
+        let total: usize = self.delays_by_group.iter().map(Vec::len).sum();
+        if total == 0 {
+            return 1.0;
+        }
+        let met: usize =
+            self.delays_by_group.iter().zip(targets_secs).map(|(d, t)| met_count(d, t)).sum();
+        met as f64 / total as f64
+    }
+
     /// Total cost: energy plus switching.
     pub fn total_cost_dollars(&self) -> f64 {
         self.energy_cost_dollars + self.switch_cost_dollars
@@ -147,6 +171,11 @@ impl SimReport {
             .sum();
         total as f64 / self.series.len() as f64
     }
+}
+
+/// Delays that met `target_secs`.
+fn met_count(delays: &[f64], target_secs: f64) -> usize {
+    delays.iter().filter(|&&d| d <= target_secs).count()
 }
 
 #[cfg(test)]
@@ -250,5 +279,34 @@ mod tests {
         assert_eq!(report.delay_stats(PriorityGroup::Gratis).count, 2);
         assert_eq!(report.delay_stats_overall().count, 3);
         assert_eq!(report.delay_stats(PriorityGroup::Production).count, 0);
+    }
+
+    #[test]
+    fn slo_attainment_follows_targets() {
+        let mut report = SimReport {
+            // One production task an hour late, one on time; gratis all fine.
+            delays_by_group: [vec![10.0, 20.0], Vec::new(), vec![15.0 + 3600.0, 1.0]],
+            tasks_completed: 4,
+            tasks_running_at_end: 0,
+            tasks_pending_at_end: 0,
+            tasks_unschedulable: 0,
+            tasks_failed: 0,
+            total_energy_wh: 0.0,
+            energy_cost_dollars: 0.0,
+            switch_count: 0,
+            switch_cost_dollars: 0.0,
+            migrations: 0,
+            evictions: 0,
+            faults: Vec::new(),
+            degradations: Vec::new(),
+            series: Vec::new(),
+        };
+        let targets = [600.0, 120.0, 15.0];
+        assert_eq!(report.slo_attainment(targets), [1.0, 1.0, 0.5]);
+        assert!((report.slo_attainment_overall(targets) - 0.75).abs() < 1e-12);
+        // A report that placed nothing attains everything.
+        report.delays_by_group = Default::default();
+        assert_eq!(report.slo_attainment(targets), [1.0; 3]);
+        assert_eq!(report.slo_attainment_overall(targets), 1.0);
     }
 }

@@ -48,17 +48,6 @@ mod tests {
     }
 
     #[test]
-    fn spot_eviction_kind_roundtrips() {
-        let kind = FaultKind::SpotEviction {
-            machine_type: harmony_model::MachineTypeId(2),
-            count: 3,
-            down: SimDuration::from_secs(900.0),
-        };
-        let back = FaultKind::from_value(&kind.to_value()).unwrap();
-        assert_eq!(back, kind);
-    }
-
-    #[test]
     fn fault_record_kinds_roundtrip() {
         let kinds = vec![
             FaultRecordKind::MachineCrash {
@@ -76,12 +65,6 @@ mod tests {
                 failed: 0,
             },
             FaultRecordKind::ArrivalBurst { tasks_warped: 42 },
-            FaultRecordKind::SpotEviction {
-                machine_type: harmony_model::MachineTypeId(4),
-                machines: 2,
-                evicted: 6,
-                failed: 1,
-            },
         ];
         for kind in kinds {
             let record = FaultRecord {
@@ -168,7 +151,6 @@ mod tests {
 
     #[test]
     fn encodings_are_pinned() {
-        let machine_type = harmony_model::MachineTypeId(2);
         let down = SimDuration::from_secs(900.0);
         pin(&MachineId(7), "7");
         pin(&ForecastTier::LastObservation, r#""LastObservation""#);
@@ -182,9 +164,8 @@ mod tests {
             FaultKind::SlowBoot { factor: 2.5, duration: down },
             FaultKind::TaskEviction { count: 4 },
             FaultKind::ArrivalBurst { window: down },
-            FaultKind::SpotEviction { machine_type, count: 3, down },
         ];
-        for (kind, json) in kinds.iter().zip([r#"{"MachineCrash":{"down":900}}"#, r#"{"SlowBoot":{"duration":900,"factor":2.5e0}}"#, r#"{"TaskEviction":{"count":4}}"#, r#"{"ArrivalBurst":{"window":900}}"#, r#"{"SpotEviction":{"count":3,"down":900,"machine_type":2}}"#]) {
+        for (kind, json) in kinds.iter().zip([r#"{"MachineCrash":{"down":900}}"#, r#"{"SlowBoot":{"duration":900,"factor":2.5e0}}"#, r#"{"TaskEviction":{"count":4}}"#, r#"{"ArrivalBurst":{"window":900}}"#]) {
             pin(kind, json);
         }
         let fault = FaultEvent { at: SimTime::from_secs(1.5), kind: kinds[1] };
@@ -197,9 +178,8 @@ mod tests {
             FaultRecordKind::SlowBootEnd,
             FaultRecordKind::TaskEviction { evicted: 10, failed: 0 },
             FaultRecordKind::ArrivalBurst { tasks_warped: 42 },
-            FaultRecordKind::SpotEviction { machine_type, machines: 2, evicted: 6, failed: 1 },
         ];
-        for (kind, json) in records.iter().zip([r#"{"MachineCrash":{"evicted":3,"failed":1,"machine":7}}"#, r#"{"MachineRecovered":{"machine":7}}"#, r#"{"SlowBootStart":{"factor":3.5e0}}"#, r#""SlowBootEnd""#, r#"{"TaskEviction":{"evicted":10,"failed":0}}"#, r#"{"ArrivalBurst":{"tasks_warped":42}}"#, r#"{"SpotEviction":{"evicted":6,"failed":1,"machine_type":2,"machines":2}}"#]) {
+        for (kind, json) in records.iter().zip([r#"{"MachineCrash":{"evicted":3,"failed":1,"machine":7}}"#, r#"{"MachineRecovered":{"machine":7}}"#, r#"{"SlowBootStart":{"factor":3.5e0}}"#, r#""SlowBootEnd""#, r#"{"TaskEviction":{"evicted":10,"failed":0}}"#, r#"{"ArrivalBurst":{"tasks_warped":42}}"#]) {
             pin(kind, json);
         }
         let record = FaultRecord { at: SimTime::from_secs(10.0), kind: records[0].clone() };

@@ -1,7 +1,7 @@
 //! Property-based and scenario tests for the fault-injection subsystem:
 //! no fault plan may violate task conservation or crash the engine.
 
-use harmony_model::{MachineCatalog, MachineTypeId, SimDuration, SimTime};
+use harmony_model::{MachineCatalog, SimDuration, SimTime};
 use harmony_sim::{
     FaultKind, FaultPlan, FaultRecordKind, FirstFit, SimReport, Simulation, SimulationConfig,
     SCENARIOS,
@@ -55,97 +55,6 @@ proptest! {
             report.tasks_failed, trace.len()
         );
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
-
-    /// Spot-market reclaims staged through the `FaultInjector` obey the
-    /// same conservation law as every other fault: whatever mix of
-    /// types, counts, and downtimes the market throws, no task is lost
-    /// or duplicated.
-    #[test]
-    fn conservation_under_spot_evictions(
-        trace_seed in 0u64..5_000,
-        fault_seed in 0u64..5_000,
-        ty in 0usize..4,
-        count in 1usize..6,
-        down_secs in 120.0f64..1800.0,
-    ) {
-        let trace = trace(trace_seed);
-        let span = trace.span().as_secs();
-        let mut plan = FaultPlan::new(fault_seed);
-        for i in 0..3 {
-            plan = plan.with_event(
-                SimTime::from_secs(span * (0.2 + 0.2 * i as f64)),
-                FaultKind::SpotEviction {
-                    machine_type: MachineTypeId(ty),
-                    count,
-                    down: SimDuration::from_secs(down_secs),
-                },
-            );
-        }
-        let catalog = MachineCatalog::table2().scaled(150);
-        let config = SimulationConfig::new(catalog).all_machines_on().with_faults(plan);
-        let report = Simulation::new(config, &trace, Box::new(FirstFit)).run();
-        prop_assert!(
-            conserved(&report, &trace),
-            "spot conservation violated (trace {}, faults {}, ty {}): {} + {} + {} + {} + {} != {}",
-            trace_seed, fault_seed, ty,
-            report.tasks_completed, report.tasks_running_at_end,
-            report.tasks_pending_at_end, report.tasks_unschedulable,
-            report.tasks_failed, trace.len()
-        );
-        // Every recorded reclaim stayed inside the event's budget and
-        // hit only the priced type.
-        for f in &report.faults {
-            if let FaultRecordKind::SpotEviction { machine_type, machines, .. } = f.kind {
-                prop_assert_eq!(machine_type, MachineTypeId(ty));
-                prop_assert!(machines >= 1 && machines <= count);
-            }
-        }
-    }
-}
-
-/// A spot reclaim with a generous retry budget re-queues every resident
-/// task, and a second identical run reproduces the records byte for
-/// byte.
-#[test]
-fn spot_eviction_requeues_and_is_deterministic() {
-    let trace = trace(77);
-    let run = || {
-        let plan = FaultPlan::new(5).with_event(
-            SimTime::from_secs(900.0),
-            FaultKind::SpotEviction {
-                machine_type: MachineTypeId(0),
-                count: 4,
-                down: SimDuration::from_mins(10.0),
-            },
-        );
-        let config = SimulationConfig::new(MachineCatalog::table2().scaled(150))
-            .all_machines_on()
-            .with_faults(plan)
-            .max_task_retries(100);
-        Simulation::new(config, &trace, Box::new(FirstFit)).run()
-    };
-    let report = run();
-    assert!(conserved(&report, &trace));
-    let reclaim = report
-        .faults
-        .iter()
-        .find_map(|f| match f.kind {
-            FaultRecordKind::SpotEviction { machines, evicted, failed, .. } => {
-                Some((machines, evicted, failed))
-            }
-            _ => None,
-        })
-        .expect("the scheduled reclaim fired");
-    assert!(reclaim.0 >= 1 && reclaim.0 <= 4);
-    assert_eq!(reclaim.2, 0, "a generous retry budget fails no task");
-    assert_eq!(report.tasks_failed, 0);
-    let again = run();
-    assert_eq!(report.faults, again.faults, "spot reclaims not deterministic");
-    assert_eq!(report.tasks_completed, again.tasks_completed);
 }
 
 /// A machine crash mid-run re-queues the tasks it was hosting (suspend/

@@ -15,11 +15,6 @@
 // `#[expect]` here would go unfulfilled there.)
 #![allow(missing_docs)]
 
-pub const COST_CUMULATIVE_DOLLARS: &str = "cost.cumulative_dollars";
-pub const COST_DOLLAR_SOLVES: &str = "cost.dollar_solves";
-pub const COST_PLAN_RENTAL_DOLLARS: &str = "cost.plan_rental_dollars";
-pub const COST_PLAN_SLO_DOLLARS: &str = "cost.plan_slo_dollars";
-pub const COST_SPOT_FRACTION: &str = "cost.spot_fraction";
 pub const FORECAST_DEGRADED: &str = "forecast.degraded";
 pub const FORECAST_TIER_ARIMA: &str = "forecast.tier.arima";
 pub const FORECAST_TIER_LAST_OBSERVATION: &str = "forecast.tier.last_observation";
@@ -63,11 +58,6 @@ pub const SIM_PENDING_PEAK: &str = "sim.pending_peak";
 
 /// Every concrete metric name the workspace records or reads.
 pub const REGISTERED_KEYS: &[&str] = &[
-    COST_CUMULATIVE_DOLLARS,
-    COST_DOLLAR_SOLVES,
-    COST_PLAN_RENTAL_DOLLARS,
-    COST_PLAN_SLO_DOLLARS,
-    COST_SPOT_FRACTION,
     FORECAST_DEGRADED,
     FORECAST_TIER_ARIMA,
     FORECAST_TIER_LAST_OBSERVATION,

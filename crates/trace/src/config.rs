@@ -59,46 +59,6 @@ pub struct DurationConfig {
     pub max_secs: f64,
 }
 
-/// Calibration for the optional batch/MAP arrival stream: a two-state
-/// Markov-modulated process (quiet ↔ burst) that, while bursting, emits
-/// *batch fronts* — whole groups of jobs whose tasks all arrive at the
-/// same instant. This is the correlated-arrival structure of
-/// batch-processing workloads (Furman et al.), which the smooth
-/// per-group Poisson streams cannot express.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchArrivalConfig {
-    /// Which priority group the batch work belongs to, as a
-    /// [`PriorityGroup::index`] (batch tiers are usually gratis/other).
-    /// Sizes and durations are drawn from that group's calibration.
-    pub group_index: usize,
-    /// Mean dwell in the quiet state, seconds (exponential).
-    pub mean_quiet_secs: f64,
-    /// Mean dwell in the bursting state, seconds (exponential).
-    pub mean_burst_secs: f64,
-    /// Batch-front rate while bursting, fronts per second.
-    pub fronts_per_sec: f64,
-    /// Mean jobs arriving together at one front (geometric).
-    pub mean_jobs_per_front: f64,
-    /// Mean tasks per batch job (geometric).
-    pub mean_tasks_per_job: f64,
-}
-
-impl BatchArrivalConfig {
-    /// A gratis-tier batch stream: a burst every ~2 h on average,
-    /// lasting ~10 min, landing a front of ~8 jobs every ~20 s while it
-    /// runs. Heavy enough to move provisioning, far from a DoS.
-    pub fn gratis_default() -> Self {
-        BatchArrivalConfig {
-            group_index: 0,
-            mean_quiet_secs: 7200.0,
-            mean_burst_secs: 600.0,
-            fronts_per_sec: 0.05,
-            mean_jobs_per_front: 8.0,
-            mean_tasks_per_job: 6.0,
-        }
-    }
-}
-
 /// Full generator calibration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
@@ -115,12 +75,6 @@ pub struct TraceConfig {
     /// Per-group duration calibration, indexed by
     /// [`PriorityGroup::index`].
     pub durations: [DurationConfig; 3],
-    /// Optional correlated batch/MAP arrival stream layered on top of
-    /// the per-group Poisson streams. `None` (the default everywhere)
-    /// leaves existing traces byte-identical; `Some` adds batch tasks
-    /// from an independent RNG stream, so the base workload is
-    /// unchanged either way.
-    pub batches: Option<BatchArrivalConfig>,
 }
 
 impl TraceConfig {
@@ -194,7 +148,6 @@ impl TraceConfig {
                     max_secs: 17.0 * 86_400.0,
                 },
             ],
-            batches: None,
         }
     }
 
@@ -243,12 +196,6 @@ impl TraceConfig {
     /// Overrides the span.
     pub fn with_span(mut self, span: SimDuration) -> Self {
         self.span = span;
-        self
-    }
-
-    /// Layers a batch/MAP arrival stream on top of the Poisson streams.
-    pub fn with_batches(mut self, batches: BatchArrivalConfig) -> Self {
-        self.batches = Some(batches);
         self
     }
 

@@ -8,7 +8,7 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::config::{DurationConfig, SizeMode, TraceConfig};
-use crate::random::{exponential, lognormal, poisson, standard_normal};
+use crate::random::{lognormal, poisson, standard_normal};
 use crate::Trace;
 
 /// Generates deterministic synthetic traces from a [`TraceConfig`].
@@ -94,60 +94,6 @@ impl TraceGenerator {
                     }
                 }
                 t = bin_end;
-            }
-        }
-
-        // The optional batch/MAP stream: a two-state (quiet ↔ burst)
-        // modulated process whose bursts emit fronts of jobs arriving
-        // at the very same instant — the correlated structure of batch
-        // workloads. It draws from its own RNG stream so layering it on
-        // (or off) never perturbs the base workload above.
-        if let Some(batch) = &self.config.batches {
-            let group = PriorityGroup::ALL[batch.group_index.min(PriorityGroup::ALL.len() - 1)];
-            let modes = self.config.modes(group).to_vec();
-            let durations = *self.config.duration(group);
-            let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0xBA7C_BA7C_BA7C_BA7C);
-            let mut t = exponential(&mut rng, 1.0 / batch.mean_quiet_secs.max(1.0));
-            while t < span_secs {
-                let burst_end =
-                    (t + exponential(&mut rng, 1.0 / batch.mean_burst_secs.max(1.0))).min(span_secs);
-                loop {
-                    t += exponential(&mut rng, batch.fronts_per_sec.max(1e-9));
-                    if t >= burst_end {
-                        break;
-                    }
-                    let arrival = SimTime::from_secs(t);
-                    let p_front_stop = 1.0 / batch.mean_jobs_per_front.max(1.0);
-                    let mut n_jobs = 1usize;
-                    while rng.gen::<f64>() > p_front_stop && n_jobs < 100 {
-                        n_jobs += 1;
-                    }
-                    for _ in 0..n_jobs {
-                        let job = JobId(next_job);
-                        next_job += 1;
-                        let p_stop = 1.0 / batch.mean_tasks_per_job.max(1.0);
-                        let mut n_tasks = 1usize;
-                        while rng.gen::<f64>() > p_stop && n_tasks < 500 {
-                            n_tasks += 1;
-                        }
-                        let mode = pick_mode(&mut rng, &modes);
-                        let priority = sample_priority(&mut rng, group);
-                        let sched_class = sample_sched_class(&mut rng, group);
-                        for _ in 0..n_tasks {
-                            tasks.push(Task {
-                                id: TaskId(next_task),
-                                job,
-                                arrival,
-                                duration: sample_duration(&mut rng, &durations),
-                                demand: sample_size(&mut rng, mode),
-                                priority,
-                                sched_class,
-                            });
-                            next_task += 1;
-                        }
-                    }
-                }
-                t = burst_end + exponential(&mut rng, 1.0 / batch.mean_quiet_secs.max(1.0));
             }
         }
 
@@ -344,68 +290,6 @@ mod tests {
         let avg = t.len() as f64 / per_job.len() as f64;
         assert!(avg > 2.0, "mean tasks/job = {avg}");
         assert!(per_job.values().all(|&n| n <= 500));
-    }
-
-    #[test]
-    fn batch_stream_layers_without_perturbing_base_workload() {
-        use crate::config::BatchArrivalConfig;
-        let base = TraceGenerator::new(TraceConfig::small().with_seed(7)).generate();
-        let batched = TraceGenerator::new(
-            TraceConfig::small().with_seed(7).with_batches(BatchArrivalConfig::gratis_default()),
-        )
-        .generate();
-        assert!(batched.len() > base.len(), "batches must add tasks");
-        // The base workload is byte-identical inside the batched trace:
-        // stripping the batch arrivals (identifiable by their shared
-        // arrival instants being absent from the base) must leave
-        // exactly the base multiset. Cheaper equivalent check: every
-        // base task appears in the batched trace with identical
-        // (arrival, demand, duration) — ids are renumbered, so compare
-        // on content.
-        let key = |t: &Task| {
-            (
-                t.arrival.as_secs().to_bits(),
-                t.demand.cpu.to_bits(),
-                t.demand.mem.to_bits(),
-                t.duration.as_secs().to_bits(),
-            )
-        };
-        let mut batched_keys: std::collections::BTreeMap<_, usize> =
-            std::collections::BTreeMap::new();
-        for t in batched.tasks() {
-            *batched_keys.entry(key(t)).or_insert(0) += 1;
-        }
-        for t in base.tasks() {
-            let n = batched_keys.get_mut(&key(t)).expect("base task missing from batched trace");
-            assert!(*n > 0, "base task multiplicity exhausted");
-            *n -= 1;
-        }
-    }
-
-    #[test]
-    fn batch_fronts_are_correlated_arrivals() {
-        use crate::config::BatchArrivalConfig;
-        let cfg = TraceConfig::small().with_seed(11).with_batches(BatchArrivalConfig {
-            // Burst often enough that a 2 h trace sees several fronts.
-            mean_quiet_secs: 1200.0,
-            ..BatchArrivalConfig::gratis_default()
-        });
-        let a = TraceGenerator::new(cfg.clone()).generate();
-        let b = TraceGenerator::new(cfg).generate();
-        assert_eq!(a.len(), b.len(), "batched traces are deterministic");
-        // Fronts land whole groups of jobs at one instant: there must be
-        // arrival timestamps shared by tasks of several distinct jobs,
-        // which the continuous Poisson streams essentially never produce.
-        let mut jobs_at: std::collections::BTreeMap<u64, std::collections::BTreeSet<JobId>> =
-            std::collections::BTreeMap::new();
-        for t in a.tasks() {
-            jobs_at.entry(t.arrival.as_secs().to_bits()).or_default().insert(t.job);
-        }
-        let max_jobs_sharing_instant = jobs_at.values().map(|s| s.len()).max().unwrap_or(0);
-        assert!(
-            max_jobs_sharing_instant >= 3,
-            "expected a multi-job batch front, max sharing = {max_jobs_sharing_instant}"
-        );
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod random;
 pub mod stats;
 mod trace_data;
 
-pub use config::{ArrivalConfig, BatchArrivalConfig, DurationConfig, SizeMode, TraceConfig};
+pub use config::{ArrivalConfig, DurationConfig, SizeMode, TraceConfig};
 pub use generator::TraceGenerator;
-pub use random::{exponential, lognormal, poisson, standard_normal};
+pub use random::{lognormal, poisson, standard_normal};
 pub use trace_data::{Trace, TraceError};

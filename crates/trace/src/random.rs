@@ -21,17 +21,6 @@ pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
     (mu + sigma * standard_normal(rng)).exp()
 }
 
-/// An exponential draw with the given rate (events per unit time).
-///
-/// # Panics
-///
-/// Panics if `rate` is non-positive or non-finite.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
-    assert!(rate.is_finite() && rate > 0.0, "exponential rate must be positive, got {rate}");
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    -u.ln() / rate
-}
-
 /// A Poisson draw with the given mean.
 ///
 /// Uses Knuth's product method for small means and a clamped normal
@@ -107,23 +96,6 @@ mod tests {
         let var = samples.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - mean_target).abs() < 2.0, "mean = {mean}");
         assert!((var - mean_target).abs() < 30.0, "var = {var}");
-    }
-
-    #[test]
-    fn exponential_mean_matches_rate() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let n = 100_000;
-        let rate = 0.25;
-        let total: f64 = (0..n).map(|_| exponential(&mut rng, rate)).sum();
-        let mean = total / n as f64;
-        assert!((mean - 1.0 / rate).abs() < 0.1, "mean = {mean}");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn exponential_zero_rate_panics() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let _ = exponential(&mut rng, 0.0);
     }
 
     #[test]

@@ -29,7 +29,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             power: PowerModel::new(18.0, Resources::new(45.0, 8.0)),
             boot_time: SimDuration::from_secs(30.0),
             switching_cost: 0.0005,
-            accel_capacity: 0.0,
         },
         MachineType {
             id: MachineTypeId(1),
@@ -40,7 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             power: PowerModel::new(160.0, Resources::new(320.0, 55.0)),
             boot_time: SimDuration::from_secs(150.0),
             switching_cost: 0.005,
-            accel_capacity: 0.0,
         },
     ])?;
     println!(

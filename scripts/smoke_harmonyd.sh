@@ -33,16 +33,12 @@ trap cleanup EXIT
 
 snapshot="$workdir/harmonyd.ckpt.json"
 
-# Boot under the dollar objective on the accelerator catalog so the
-# cost.* telemetry keys move — the smoke then covers the priced LP
-# path end to end through the daemon, not just the energy default.
 "$HARMONYD" \
     --listen 127.0.0.1:0 \
     --snapshot "$snapshot" \
     --synthetic-seed 33 \
     --synthetic-span-hours 2 \
-    --catalog table2-accel \
-    --objective dollars-spot \
+    --catalog table2 \
     --scale 100 \
     >"$workdir/harmonyd.out" 2>"$workdir/harmonyd.err" &
 daemon_pid=$!
@@ -129,17 +125,10 @@ if not isinstance(gauges, dict):
     sys.exit(f"metrics response has no gauges object: {m}")
 if gauges.get("pipeline.workers", 0) < 1:
     sys.exit(f"pipeline.workers gauge missing: {gauges}")
-# The daemon booted with --objective dollars-spot: both ticks must
-# have priced their plans and accrued real spend.
-if counters.get("cost.dollar_solves", 0) < 2:
-    sys.exit(f"cost.dollar_solves counter missing or too low: {counters}")
-if gauges.get("cost.cumulative_dollars", 0) <= 0:
-    sys.exit(f"cost.cumulative_dollars gauge missing or zero: {gauges}")
 print(
     "metrics verb OK:", counters.get("server.requests"), "requests;",
     f"warm starts hit={warm} repair-fallback={repair} structural-fallback={structural};",
-    "workers =", gauges.get("pipeline.workers"), ";",
-    "spend = $%.2f" % gauges.get("cost.cumulative_dollars", 0.0),
+    "workers =", gauges.get("pipeline.workers"),
 )
 PY
 

@@ -28,7 +28,6 @@ fn roundtrip_via_checkpoint(basis: &harmony_lp::Basis) -> harmony_lp::Basis {
         last_plan: None,
         pending_events: Vec::new(),
         lp_basis: Some(basis.clone()),
-        cost_dollars: 1.25,
     };
     let text = serde_json::to_string(&state).expect("checkpoint state serializes");
     let back: OnlineState = serde_json::from_str(&text).expect("checkpoint state deserializes");

@@ -16,6 +16,13 @@
 //! state carries `lp_basis`, whose dimensions shrank. Both plan digests
 //! and the SimReports did not move.
 //!
+//! Re-pinned again by the change that retires the dollar objective: its
+//! half of the pins went, and the energy final-state digest moved from
+//! `99cb0749cf756246` to `85e1821b92dc1a01` only because `OnlineState`
+//! lost its `cost_dollars` field — the new state with `"cost_dollars":0`
+//! put back hashes to the old digest. The plan digest and the
+//! SimReports did not move.
+//!
 //! Adapters agree: from a cold start the three adapters hand the loop
 //! the same inputs, so they must decide the same machines, and differ
 //! only in the rung they take when the solve fails with no previous
@@ -23,14 +30,12 @@
 
 use std::rc::Rc;
 
-use harmony::cbs::{CbsObjective, DollarCosts};
 use harmony::classify::{ClassifierConfig, TaskClassifier};
 use harmony::controllers::{CbpController, CbsController};
 use harmony::pipeline::{run_variant, Variant};
 use harmony::rounding::IntegerPlan;
 use harmony::{HarmonyConfig, OnlinePipeline};
 use harmony_model::{EnergyPrice, MachineCatalog, SimDuration, SimTime};
-use harmony_pricing::MarketPolicy;
 use harmony_sim::{Cluster, Controller, DegradationEvent, DegradationKind, Observation, TaskView};
 use harmony_trace::{Trace, TraceConfig, TraceGenerator};
 
@@ -48,54 +53,41 @@ fn small_trace() -> Trace {
 }
 
 /// What every adapter is built from: six classes on a 100th of Table II.
-fn setup(
-    trace: &Trace,
-    dollars: bool,
-    max_lp_pivots: usize,
-) -> (TaskClassifier, MachineCatalog, HarmonyConfig, CbsObjective) {
+fn setup(trace: &Trace, max_lp_pivots: usize) -> (TaskClassifier, MachineCatalog, HarmonyConfig) {
     let classifier = TaskClassifier::fit(
         trace.tasks(),
         &ClassifierConfig { k_per_group: Some([2, 2, 2]), ..Default::default() },
     )
     .unwrap();
     let catalog = MachineCatalog::table2().scaled(100);
-    let groups: Vec<_> = classifier.classes().iter().map(|c| c.group).collect();
-    let objective = if dollars {
-        let market = MarketPolicy::SpotAware;
-        CbsObjective::Dollars(DollarCosts::default_for(&catalog, &groups, market, 2013))
-    } else {
-        CbsObjective::Energy
-    };
     let config = HarmonyConfig {
         horizon: 2,
         control_period: SimDuration::from_mins(10.0),
         max_lp_pivots,
         ..Default::default()
     };
-    (classifier, catalog, config, objective)
+    (classifier, catalog, config)
 }
 
-fn pipeline(trace: &Trace, dollars: bool, max_lp_pivots: usize) -> OnlinePipeline {
-    let (classifier, catalog, config, objective) = setup(trace, dollars, max_lp_pivots);
-    OnlinePipeline::new(classifier, catalog, config, EnergyPrice::default())
-        .unwrap()
-        .with_objective(objective)
+fn pipeline(trace: &Trace, max_lp_pivots: usize) -> OnlinePipeline {
+    let (classifier, catalog, config) = setup(trace, max_lp_pivots);
+    OnlinePipeline::new(classifier, catalog, config, EnergyPrice::default()).unwrap()
 }
 
 /// Eight ticks of 150 tasks each with the basis threaded; tick 3 runs on
 /// a pipeline with a one-pivot LP budget, restored from the first's
 /// state without its basis, so it fails and re-actuates tick 2's plan.
 /// Returns the digest of the plan sequence and of the final state.
-fn online_digests(dollars: bool) -> (String, String) {
+fn online_digests() -> (String, String) {
     let trace = small_trace();
     let tick = |p: &mut OnlinePipeline, i: usize| {
         let chunk = &trace.tasks()[(i * 150).min(trace.len())..((i + 1) * 150).min(trace.len())];
         p.tick(chunk, chunk)
     };
-    let mut healthy = pipeline(&trace, dollars, HarmonyConfig::default().max_lp_pivots);
+    let mut healthy = pipeline(&trace, HarmonyConfig::default().max_lp_pivots);
     let mut plans: Vec<IntegerPlan> = (0..3).map(|i| tick(&mut healthy, i)).collect();
 
-    let mut crippled = pipeline(&trace, dollars, 1);
+    let mut crippled = pipeline(&trace, 1);
     let mut state = healthy.state();
     state.lp_basis = None;
     crippled.restore(state).unwrap();
@@ -114,14 +106,11 @@ fn online_digests(dollars: bool) -> (String, String) {
 
 #[test]
 fn online_plan_sequence_is_pinned() {
-    let pinned = |plans: &str, state: &str| (plans.to_owned(), state.to_owned());
+    let (plans, state) = online_digests();
     assert_eq!(
-        [online_digests(false), online_digests(true)],
-        [
-            pinned("68c8fdc3a64c45a3", "99cb0749cf756246"),
-            pinned("46f597c1d4c25e07", "cb66988f9e852db3"),
-        ],
-        "(plans, final state) under [energy, dollars]"
+        (plans.as_str(), state.as_str()),
+        ("68c8fdc3a64c45a3", "85e1821b92dc1a01"),
+        "(plans, final state)"
     );
 }
 
@@ -151,13 +140,10 @@ fn sim_reports_are_pinned() {
 /// The first decision of `[CBP, CBS, OnlinePipeline]` for one slice of
 /// arrivals, all of it still pending, on a cluster with nothing powered
 /// on: the machines per type and the ladder rung taken, if any.
-fn first_decisions(
-    dollars: bool,
-    max_lp_pivots: usize,
-) -> [(Vec<usize>, Option<DegradationKind>); 3] {
+fn first_decisions(max_lp_pivots: usize) -> [(Vec<usize>, Option<DegradationKind>); 3] {
     let trace = small_trace();
     let arrived = &trace.tasks()[..300];
-    let (classifier, catalog, config, objective) = setup(&trace, dollars, max_lp_pivots);
+    let (classifier, catalog, config) = setup(&trace, max_lp_pivots);
     let cluster = Cluster::new(catalog.clone());
     let observation = Observation {
         now: SimTime::ZERO,
@@ -167,15 +153,12 @@ fn first_decisions(
         running: TaskView::default(),
     };
     let shared = Rc::new(classifier.clone());
-    let mut cbp = CbpController::new(shared.clone(), config.clone(), EnergyPrice::default())
-        .unwrap()
-        .with_objective(objective.clone());
-    let mut cbs = CbsController::new(shared, config.clone(), EnergyPrice::default(), Rc::default())
-        .unwrap()
-        .with_objective(objective.clone());
-    let mut online = OnlinePipeline::new(classifier, catalog, config, EnergyPrice::default())
-        .unwrap()
-        .with_objective(objective);
+    let mut cbp =
+        CbpController::new(shared.clone(), config.clone(), EnergyPrice::default()).unwrap();
+    let mut cbs =
+        CbsController::new(shared, config.clone(), EnergyPrice::default(), Rc::default()).unwrap();
+    let mut online =
+        OnlinePipeline::new(classifier, catalog, config, EnergyPrice::default()).unwrap();
     let rung = |events: Vec<DegradationEvent>| {
         events
             .into_iter()
@@ -191,20 +174,18 @@ fn first_decisions(
 
 #[test]
 fn adapters_agree_from_a_cold_start() {
-    for dollars in [false, true] {
-        let [cbp, cbs, online] = first_decisions(dollars, HarmonyConfig::default().max_lp_pivots);
-        assert!(cbp.0.iter().sum::<usize>() > 0, "dollars={dollars}: {cbp:?}");
-        assert_eq!(cbp.1, None, "dollars={dollars}");
-        assert_eq!(cbs, cbp, "dollars={dollars}");
-        assert_eq!(online, cbp, "dollars={dollars}");
+    let [cbp, cbs, online] = first_decisions(HarmonyConfig::default().max_lp_pivots);
+    assert!(cbp.0.iter().sum::<usize>() > 0, "{cbp:?}");
+    assert_eq!(cbp.1, None);
+    assert_eq!(cbs, cbp);
+    assert_eq!(online, cbp);
 
-        // The one documented difference: with the LP crippled and no
-        // previous plan, the sim adapters size greedily and the daemon
-        // adapter holds at zero machines.
-        let [cbp, cbs, online] = first_decisions(dollars, 1);
-        assert!(cbp.0.iter().sum::<usize>() > 0, "dollars={dollars}: {cbp:?}");
-        assert_eq!(cbp.1, Some(DegradationKind::LpGreedyFallback), "dollars={dollars}");
-        assert_eq!(cbs, cbp, "dollars={dollars}");
-        assert_eq!(online, (vec![0; 4], Some(DegradationKind::ControlHold)), "dollars={dollars}");
-    }
+    // The one documented difference: with the LP crippled and no
+    // previous plan, the sim adapters size greedily and the daemon
+    // adapter holds at zero machines.
+    let [cbp, cbs, online] = first_decisions(1);
+    assert!(cbp.0.iter().sum::<usize>() > 0, "{cbp:?}");
+    assert_eq!(cbp.1, Some(DegradationKind::LpGreedyFallback));
+    assert_eq!(cbs, cbp);
+    assert_eq!(online, (vec![0; 4], Some(DegradationKind::ControlHold)));
 }

@@ -57,8 +57,7 @@ fn fault_evictions(report: &SimReport) -> usize {
         .iter()
         .map(|f| match f.kind {
             FaultRecordKind::MachineCrash { evicted, .. }
-            | FaultRecordKind::TaskEviction { evicted, .. }
-            | FaultRecordKind::SpotEviction { evicted, .. } => evicted,
+            | FaultRecordKind::TaskEviction { evicted, .. } => evicted,
             _ => 0,
         })
         .sum()
