@@ -36,13 +36,10 @@ pub struct HarmonyConfig {
     /// stalling the control loop; the controller then walks its
     /// degradation ladder (previous plan → greedy sizing → hold).
     pub max_lp_pivots: usize,
-    /// Worker threads for the per-class forecast and container-sizing
-    /// stages. `None` (the default) uses
-    /// [`std::thread::available_parallelism`]; `Some(1)` forces the
-    /// serial path. Plans are bit-identical for every setting — results
-    /// are merged in deterministic class order — so this is purely a
-    /// latency/footprint knob. Checkpoints from before the field existed
-    /// load as `None`.
+    /// Has no effect: the control period runs on the caller's thread
+    /// (DESIGN §10.3). Kept so configurations and checkpoints that set
+    /// it still load; `Some(0)` is still rejected by
+    /// [`HarmonyConfig::validate`], and a missing key loads as `None`.
     #[serde(default)]
     pub pipeline_workers: Option<usize>,
 }

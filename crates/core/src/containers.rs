@@ -7,17 +7,6 @@ use harmony_queueing::{ContainerSizer, MgnQueue, QueueingError};
 use crate::classify::TaskClassifier;
 use crate::{HarmonyConfig, HarmonyError};
 
-/// The container requirement of one task class for one control period.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ContainerDemand {
-    /// The class.
-    pub class: TaskClassId,
-    /// Number of containers `c_i` needed so the class SLO holds.
-    pub count: usize,
-    /// Per-container reservation `c_n = μ + Z·σ` (Eq. 3).
-    pub size: Resources,
-}
-
 /// Computes per-class container demands from predicted arrival rates.
 #[derive(Debug, Clone)]
 pub struct ContainerManager {
@@ -107,57 +96,38 @@ impl ContainerManager {
         }
     }
 
-    /// Container demands for every class given predicted rates
-    /// (`rates[class]`, tasks/second).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first queueing failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates.len()` differs from [`ContainerManager::n_classes`].
-    pub fn demands(&self, rates: &[f64]) -> Result<Vec<ContainerDemand>, HarmonyError> {
-        assert_eq!(rates.len(), self.n_classes(), "one rate per class required");
-        let mut out = Vec::with_capacity(rates.len());
-        for (i, &rate) in rates.iter().enumerate() {
-            let class = TaskClassId(i);
-            out.push(ContainerDemand {
-                class,
-                count: self.containers_for_rate(class, rate)?,
-                size: self.sizes[i],
-            });
-        }
-        Ok(out)
-    }
-
     /// Container counts for every class across a whole forecast horizon,
-    /// fanned out over `workers` scoped threads, one job per class.
+    /// by [`ContainerManager::containers_for_rate`] in class order.
+    /// `workers` is ignored; it is kept for callers that still pass a
+    /// worker count.
     ///
     /// `rates[class][t]` is the predicted rate of `class` in horizon
     /// period `t`; the result is `counts[class][t]` as `f64` (the LP's
-    /// demand unit). Each class's sizing is a pure function of its own
-    /// rates, and results merge in class order, so the output is
-    /// bit-identical to calling [`ContainerManager::containers_for_rate`]
-    /// in a serial loop. Errors propagate lowest-class-first, matching
-    /// the serial loop's first failure.
+    /// demand unit).
     ///
     /// # Errors
     ///
     /// Propagates the first queueing failure (by class order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rates.len()` differs from [`ContainerManager::n_classes`].
     pub fn containers_for_rates(
         &self,
         rates: &[Vec<f64>],
-        workers: usize,
+        _workers: usize,
     ) -> Result<Vec<Vec<f64>>, HarmonyError> {
         assert_eq!(rates.len(), self.n_classes(), "one rate series per class required");
-        crate::par::map_indexed(rates.len(), workers, |n| {
-            let class = TaskClassId(n);
-            rates[n]
-                .iter()
-                .map(|&rate| Ok(self.containers_for_rate(class, rate)? as f64))
-                .collect::<Result<Vec<f64>, HarmonyError>>()
-        })
+        rates
+            .iter()
+            .enumerate()
+            .map(|(n, series)| {
+                series
+                    .iter()
+                    .map(|&rate| Ok(self.containers_for_rate(TaskClassId(n), rate)? as f64))
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -218,44 +188,10 @@ mod tests {
     }
 
     #[test]
-    fn demands_vector_is_aligned() {
-        let (m, _) = manager();
-        let rates = vec![0.05; m.n_classes()];
-        let demands = m.demands(&rates).unwrap();
-        assert_eq!(demands.len(), m.n_classes());
-        for (i, d) in demands.iter().enumerate() {
-            assert_eq!(d.class, TaskClassId(i));
-            assert_eq!(d.size, m.container_size(d.class));
-        }
-    }
-
-    #[test]
-    fn parallel_sizing_is_bit_identical_to_serial() {
-        let (m, _) = manager();
-        let horizon = 4;
-        let rates: Vec<Vec<f64>> = (0..m.n_classes())
-            .map(|n| (0..horizon).map(|t| 0.02 * (n + 1) as f64 + 0.01 * t as f64).collect())
-            .collect();
-        let serial: Vec<Vec<f64>> = rates
-            .iter()
-            .enumerate()
-            .map(|(n, series)| {
-                series
-                    .iter()
-                    .map(|&r| m.containers_for_rate(TaskClassId(n), r).unwrap() as f64)
-                    .collect()
-            })
-            .collect();
-        for workers in [1, 2, 5] {
-            assert_eq!(m.containers_for_rates(&rates, workers).unwrap(), serial);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one rate per class")]
+    #[should_panic(expected = "one rate series per class")]
     fn misaligned_rates_panic() {
         let (m, _) = manager();
-        let _ = m.demands(&[0.1]);
+        let _ = m.containers_for_rates(&[vec![0.1]], 1);
     }
 
     #[test]

@@ -13,10 +13,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use harmony_model::{
-    EnergyPrice, MachineCatalog, MachineTypeId, Resources, SimDuration, TaskClassId,
-};
-use harmony_sim::{ControlDecision, Controller, DegradationEvent, DegradationKind, Observation};
+use harmony_model::{EnergyPrice, SimDuration};
+use harmony_sim::{ControlDecision, Controller, DegradationEvent, Observation};
 
 use crate::classify::TaskClassifier;
 use crate::control_loop::{ControlLoop, PeriodInputs};
@@ -28,8 +26,8 @@ use super::quota::QuotaState;
 /// The CBP controller: HARMONY provisioning with the stock scheduler.
 ///
 /// The simulator's adapter over `ControlLoop`, which CBS builds on: it
-/// reads the period's inputs off the [`Observation`] and supplies the
-/// ladder's last rungs (greedy sizing, then hold).
+/// reads the period's inputs off the [`Observation`] and, when the
+/// ladder ends without a plan, leaves the cluster unchanged.
 #[derive(Debug)]
 pub struct CbpController {
     /// Shared with the [`super::QuotaScheduler`] under CBS.
@@ -53,9 +51,8 @@ impl CbpController {
         Ok(CbpController { classifier, control })
     }
 
-    /// Containers currently occupied per class. Labels use measured
-    /// running time, exercising the short→long relabeling path of
-    /// Section V.
+    /// Running tasks per class. Labels use measured running time,
+    /// exercising the short→long relabeling path of Section V.
     fn occupied_per_class(&self, observation: &Observation<'_>) -> Vec<f64> {
         let mut occupied = vec![0.0f64; self.control.manager().n_classes()];
         for task in observation.running {
@@ -65,157 +62,21 @@ impl CbpController {
         occupied
     }
 
-    /// Machine-type preference order per class: compatible types sorted
-    /// by the marginal energy cost of hosting one container.
-    fn type_orders(&self, catalog: &MachineCatalog) -> Vec<Vec<MachineTypeId>> {
-        (0..self.control.manager().n_classes())
-            .map(|n| {
-                let size = self.control.manager().container_size(TaskClassId(n));
-                let mut types: Vec<(MachineTypeId, f64)> = catalog
-                    .iter()
-                    .filter(|ty| size.fits_within(ty.capacity))
-                    .map(|ty| {
-                        let util = size.utilization_of(ty.capacity);
-                        let watts = ty.power.alpha_watts.cpu * util.cpu
-                            + ty.power.alpha_watts.mem * util.mem;
-                        (ty.id, watts)
-                    })
-                    .collect();
-                types.sort_by(|a, b| f64::total_cmp(&a.1, &b.1));
-                types.into_iter().map(|(id, _)| id).collect()
-            })
-            .collect()
-    }
-
-    /// One period's plan, walking the degradation ladder on failure:
-    /// full pipeline → previous plan (both `ControlLoop::run_period`) →
-    /// greedy per-class sizing → hold (`None`). Also returns the
-    /// per-class occupancy the plan was made against.
+    /// One period's plan (`ControlLoop::run_period`, `None` to hold) and
+    /// the per-class occupancy it was made against.
     fn plan(&mut self, observation: &Observation<'_>) -> (Option<IntegerPlan>, Vec<f64>) {
-        let occupied = self.occupied_per_class(observation);
-        // Tasks already executing keep their container (and their host
-        // powered) until they finish. Their true demand is known (they
-        // are placed), so they reserve at the class mean rather than the
-        // Z-inflated container size: scale the occupied count by
-        // mean/container per class.
-        let reserved = occupied
-            .iter()
-            .enumerate()
-            .map(|(n, &count)| {
-                let class = &self.classifier.classes()[n];
-                let c = self.control.manager().container_size(TaskClassId(n));
-                let ratio = (class.stats.mean_demand.cpu / c.cpu.max(1e-12))
-                    .max(class.stats.mean_demand.mem / c.mem.max(1e-12))
-                    .clamp(0.0, 1.0);
-                count * ratio
-            })
-            .collect();
         let active = observation.cluster.active_per_type();
-        let period = self.control.run_period(&PeriodInputs {
+        let inputs = PeriodInputs {
             now: observation.now,
             classifier: &self.classifier,
             catalog: observation.cluster.catalog(),
             arrived: observation.arrived_last_period,
             pending: observation.pending,
             initial_active: active.into_iter().map(|n| n as f64).collect(),
-            occupied: reserved,
-        });
-        let plan = match period {
-            Ok(plan) => Some(plan),
-            Err(err) => {
-                let greedy = self.greedy_plan(observation, &occupied);
-                let rung = match greedy {
-                    Some(_) => DegradationKind::LpGreedyFallback,
-                    None => DegradationKind::ControlHold,
-                };
-                self.control.degrade(observation.now, rung, &err);
-                greedy
-            }
+            occupied: self.occupied_per_class(observation),
         };
-        (plan, occupied)
-    }
-
-    /// Emergency sizing for when the LP fails with no previous plan to
-    /// reuse: count the containers each class needs *right now* (pending
-    /// backlog plus running occupancy) and First-Fit them onto the
-    /// population, opening machines lazily — cheapest compatible type
-    /// first, most-constrained classes first so flexible small
-    /// containers cannot starve the classes that only fit the big
-    /// machines. Crude — no horizon, no optimality — but total and
-    /// safe: the cluster stays provisioned while the optimizer is down.
-    ///
-    /// Returns `None` (→ hold) only when some class with demand cannot
-    /// be hosted at all.
-    fn greedy_plan(
-        &self,
-        observation: &Observation<'_>,
-        occupied: &[f64],
-    ) -> Option<IntegerPlan> {
-        let catalog = observation.cluster.catalog();
-        let n_classes = self.control.manager().n_classes();
-        // `occupied` holds whole-task counts.
-        let mut need: Vec<usize> = occupied.iter().map(|&count| count as usize).collect();
-        for task in observation.pending {
-            need[self.classifier.initial_label(task).0] += 1;
-        }
-        let orders = self.type_orders(catalog);
-        // Most-constrained classes first; within a constraint level,
-        // biggest containers first (First-Fit-Decreasing).
-        let mut class_order: Vec<usize> = (0..n_classes).collect();
-        class_order.sort_by(|&a, &b| {
-            orders[a].len().cmp(&orders[b].len()).then(f64::total_cmp(
-                &self.control.manager().container_size(TaskClassId(b)).sum_components(),
-                &self.control.manager().container_size(TaskClassId(a)).sum_components(),
-            ))
-        });
-        // Free space of machines opened so far, per type.
-        let mut open: Vec<Vec<Resources>> = vec![Vec::new(); catalog.len()];
-        let mut quotas = vec![vec![0usize; n_classes]; catalog.len()];
-        for &n in &class_order {
-            if need[n] == 0 {
-                continue;
-            }
-            let size = self.control.manager().container_size(TaskClassId(n));
-            let mut remaining = need[n];
-            'types: for &ty in &orders[n] {
-                // Fill leftover room on machines other classes opened.
-                for slot in open[ty.0].iter_mut() {
-                    while remaining > 0 && size.fits_within(*slot) {
-                        *slot -= size;
-                        quotas[ty.0][n] += 1;
-                        remaining -= 1;
-                    }
-                    if remaining == 0 {
-                        break 'types;
-                    }
-                }
-                // Open fresh machines up to the type's population.
-                let mt = catalog.machine_type(ty);
-                while remaining > 0 && open[ty.0].len() < mt.count {
-                    let mut slot = mt.capacity;
-                    let before = remaining;
-                    while remaining > 0 && size.fits_within(slot) {
-                        slot -= size;
-                        quotas[ty.0][n] += 1;
-                        remaining -= 1;
-                    }
-                    open[ty.0].push(slot);
-                    if remaining == before {
-                        break; // a fresh machine fits none: give up on ty
-                    }
-                }
-                if remaining == 0 {
-                    break;
-                }
-            }
-        }
-        // Only a complete failure (demand exists, nothing placed) falls
-        // through to hold; a plan serving most classes beats freezing a
-        // possibly powered-down cluster.
-        let total_need: usize = need.iter().sum();
-        let total_placed: usize = quotas.iter().flatten().sum();
-        let machines: Vec<usize> = open.iter().map(Vec::len).collect();
-        (total_need == 0 || total_placed > 0).then_some(IntegerPlan { machines, quotas })
+        let plan = self.control.run_period(&inputs);
+        (plan, inputs.occupied)
     }
 }
 
@@ -270,7 +131,7 @@ impl Controller for CbsController {
     fn decide(&mut self, observation: &Observation<'_>) -> ControlDecision {
         let (plan, occupied) = self.provisioner.plan(observation);
         let Some(plan) = plan else { return ControlDecision::unchanged(observation.cluster) };
-        let orders = self.provisioner.type_orders(observation.cluster.catalog());
+        let orders = self.provisioner.control.type_orders(observation.cluster.catalog());
         // The occupancy the plan's demand was counted against (with
         // short→long relabeling) keeps the ledger consistent with it.
         self.quota.borrow_mut().refresh(plan.quotas, orders, &occupied);
@@ -287,8 +148,8 @@ impl Controller for CbsController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmony_model::{SimTime, Task};
-    use harmony_sim::{Cluster, TaskView};
+    use harmony_model::{MachineCatalog, SimTime, Task};
+    use harmony_sim::{Cluster, DegradationKind, TaskView};
 
     fn fixture() -> (Rc<TaskClassifier>, harmony_trace::Trace, HarmonyConfig) {
         let (classifier, trace, config) = crate::control_loop::small_fixture();
@@ -365,32 +226,6 @@ mod tests {
         assert!(ctl.control.errors >= 1);
         // Drained: a second take returns nothing new without a decide.
         assert!(ctl.take_degradations().is_empty());
-    }
-
-    #[test]
-    fn parallel_pipeline_plans_are_bit_identical_to_serial() {
-        // Acceptance criterion for the parallel fan-out: the same
-        // observation sequence must produce the same decisions for any
-        // worker count, bit for bit.
-        let (classifier, trace, config) = fixture();
-        let run = |workers: Option<usize>| {
-            let cfg = HarmonyConfig { pipeline_workers: workers, ..config.clone() };
-            let mut ctl =
-                CbpController::new(classifier.clone(), cfg, EnergyPrice::default()).unwrap();
-            let cluster = Cluster::new(MachineCatalog::table2().scaled(100));
-            let mut decisions = Vec::new();
-            for i in 0..4 {
-                let lo = (i * 150).min(trace.len());
-                let hi = ((i + 1) * 150).min(trace.len());
-                decisions.push(ctl.decide(&observe(&cluster, &trace.tasks()[lo..hi], i)));
-            }
-            assert_eq!(ctl.control.errors, 0);
-            decisions
-        };
-        let serial = run(Some(1));
-        for workers in [Some(2), Some(4), None] {
-            assert_eq!(run(workers), serial, "workers={workers:?}");
-        }
     }
 
     #[test]

@@ -196,50 +196,34 @@ impl ArrivalMonitor {
     /// finite and non-negative; a class whose history itself is
     /// corrupted (non-finite) degrades to zero-rate last-observation
     /// output rather than poisoning the LP.
-    pub fn forecast_tiered(&self, horizon: usize) -> Vec<ClassForecast> {
-        self.forecast_tiered_with_workers(horizon, 1)
-    }
-
-    /// [`ArrivalMonitor::forecast_tiered`] fanned out over `workers`
-    /// scoped threads, each taking a contiguous chunk of classes.
     ///
-    /// A worker fits the ARIMA rung of every entitled class in its chunk
-    /// as one batch ([`Arima::fit_many`]), then walks each class's ladder.
-    /// Each class's forecast is a pure function of its own history (a
-    /// batched fit is bit-identical to a lone one), and results merge
-    /// back in class order, so the output is bit-identical to the serial
-    /// path for any worker count. Telemetry tier counts are tallied once,
-    /// after the merge.
-    pub fn forecast_tiered_with_workers(
-        &self,
-        horizon: usize,
-        workers: usize,
-    ) -> Vec<ClassForecast> {
-        let chunks: Vec<_> = crate::par::chunks(self.history.len(), workers).collect();
-        let result = crate::par::map_indexed(chunks.len(), workers, |w| {
-            let histories = &self.history[chunks[w].clone()];
-            Ok::<_, std::convert::Infallible>(self.forecast_chunk(histories, horizon))
-        });
-        let forecasts: Vec<ClassForecast> =
-            result.unwrap_or_else(|never| match never {}).into_iter().flatten().collect();
-        record_tier_counts(&forecasts);
-        forecasts
-    }
-
-    /// Forecasts a run of classes: one batched ARIMA fit over the
-    /// entitled histories, then the ladder per class. Pure: no telemetry,
-    /// no shared state — safe to run from worker threads.
-    fn forecast_chunk(&self, histories: &[Vec<f64>], horizon: usize) -> Vec<ClassForecast> {
+    /// The ARIMA rung of every entitled class is fitted in one
+    /// [`Arima::fit_many`] batch, whose fits are bit-identical to lone
+    /// ones; then each class walks its ladder.
+    pub fn forecast_tiered(&self, horizon: usize) -> Vec<ClassForecast> {
         let entitled: Vec<&[f64]> =
-            histories.iter().map(Vec::as_slice).filter(|h| self.arima_entitled(h)).collect();
+            self.history.iter().map(Vec::as_slice).filter(|h| self.arima_entitled(h)).collect();
         let mut arima = auto_forecasts(&entitled, horizon).into_iter();
-        histories
+        let forecasts: Vec<ClassForecast> = self
+            .history
             .iter()
             .map(|h| {
                 let fit = if self.arima_entitled(h) { arima.next() } else { None };
                 self.forecast_class(h, fit, horizon)
             })
-            .collect()
+            .collect();
+        record_tier_counts(&forecasts);
+        forecasts
+    }
+
+    /// [`ArrivalMonitor::forecast_tiered`]; `workers` is ignored. Kept
+    /// for callers that still pass a worker count.
+    pub fn forecast_tiered_with_workers(
+        &self,
+        horizon: usize,
+        _workers: usize,
+    ) -> Vec<ClassForecast> {
+        self.forecast_tiered(horizon)
     }
 
     /// Whether a history is long enough for the ARIMA rung.
@@ -484,23 +468,6 @@ mod tests {
         assert!(!usable(&[f64::INFINITY], 10.0));
         assert!(!usable(&[11.0], 10.0), "outliers above the cap are rejected");
         assert!(usable(&[-5.0], 10.0), "negatives pass here; the final clamp zeroes them");
-    }
-
-    #[test]
-    fn parallel_forecast_is_bit_identical_to_serial() {
-        let (classifier, trace) = setup();
-        let mut monitor =
-            ArrivalMonitor::new(classifier.classes().len(), SimDuration::from_mins(10.0), 50, 8);
-        for i in 0..10 {
-            let lo = i * 100;
-            let hi = (lo + 100).min(trace.len());
-            monitor.record_period(&trace.tasks()[lo..hi], &classifier);
-        }
-        let serial = monitor.forecast_tiered(4);
-        for workers in [2, 3, 8] {
-            let parallel = monitor.forecast_tiered_with_workers(4, workers);
-            assert_eq!(parallel, serial, "workers={workers}");
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! through a `kill -9`.
 
 use harmony_model::{EnergyPrice, MachineCatalog, SimTime, Task};
-use harmony_sim::{DegradationEvent, DegradationKind, TaskView};
+use harmony_sim::{DegradationEvent, TaskView};
 use serde::{Deserialize, Serialize};
 
 use crate::classify::TaskClassifier;
@@ -146,17 +146,16 @@ impl OnlinePipeline {
     /// the daemon actuated last period, so it is the switching-cost
     /// baseline; the daemon sees no running tasks.
     ///
-    /// Never fails: on a pipeline error the previous plan is re-actuated
-    /// ([`DegradationKind::LpReusedPreviousPlan`]) or, lacking one, zero
-    /// capacity is held ([`DegradationKind::ControlHold`]).
+    /// Never fails: on a pipeline error the loop's ladder re-actuates the
+    /// previous plan or sizes greedily; when that places nothing, zero
+    /// capacity is held ([`harmony_sim::DegradationKind::ControlHold`]).
     pub fn tick(&mut self, arrived: &[Task], pending: &[Task]) -> IntegerPlan {
-        let now = self.now();
         let initial_active = match self.last_plan() {
             Some(plan) => plan.machines.iter().map(|&m| m as f64).collect(),
             None => vec![0.0; self.catalog.len()],
         };
-        let period = self.control.run_period(&PeriodInputs {
-            now,
+        let plan = self.control.run_period(&PeriodInputs {
+            now: self.now(),
             classifier: &self.classifier,
             catalog: &self.catalog,
             arrived: TaskView::dense(arrived),
@@ -165,16 +164,10 @@ impl OnlinePipeline {
             occupied: vec![0.0; self.control.manager().n_classes()],
         });
         self.ticks += 1;
-        match period {
-            Ok(plan) => plan,
-            Err(err) => {
-                self.control.degrade(now, DegradationKind::ControlHold, &err);
-                IntegerPlan {
-                    machines: vec![0; self.catalog.len()],
-                    quotas: vec![vec![0; self.n_classes()]; self.catalog.len()],
-                }
-            }
-        }
+        plan.unwrap_or_else(|| IntegerPlan {
+            machines: vec![0; self.catalog.len()],
+            quotas: vec![vec![0; self.n_classes()]; self.catalog.len()],
+        })
     }
 
     /// Snapshots the pipeline's mutable state for a checkpoint.
@@ -229,6 +222,7 @@ impl OnlinePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmony_sim::DegradationKind;
     use serde::Value;
 
     fn fixture() -> (OnlinePipeline, harmony_trace::Trace) {
@@ -238,10 +232,17 @@ mod tests {
     /// A pipeline whose LP budget is `max_lp_pivots`; one pivot makes
     /// every real solve hit the iteration limit.
     fn fixture_with_pivots(max_lp_pivots: usize) -> (OnlinePipeline, harmony_trace::Trace) {
+        fixture_on(MachineCatalog::table2().scaled(100), max_lp_pivots)
+    }
+
+    fn fixture_on(
+        catalog: MachineCatalog,
+        max_lp_pivots: usize,
+    ) -> (OnlinePipeline, harmony_trace::Trace) {
         let (classifier, trace, config) = crate::control_loop::small_fixture();
         let pipeline = OnlinePipeline::new(
             classifier,
-            MachineCatalog::table2().scaled(100),
+            catalog,
             HarmonyConfig { max_lp_pivots, ..config },
             EnergyPrice::default(),
         )
@@ -312,15 +313,34 @@ mod tests {
     }
 
     #[test]
-    fn failure_without_previous_plan_holds_at_zero() {
+    fn failure_without_previous_plan_sizes_greedily() {
         let (mut pipeline, trace) = fixture_with_pivots(1);
         let chunk = &trace.tasks()[..150];
         let plan = pipeline.tick(chunk, chunk);
-        assert_eq!(plan.machines.iter().sum::<usize>(), 0);
+        assert!(plan.machines.iter().sum::<usize>() > 0, "greedy rung provisions: {plan:?}");
+        let placed: usize = plan.quotas.iter().flatten().sum();
+        assert!(0 < placed && placed <= chunk.len(), "at most one container per task: {placed}");
+        assert_eq!(pipeline.error_count(), 1);
+        assert_eq!(pipeline.last_plan(), None, "a greedy plan is not a solved one");
+        let kinds: Vec<_> = pipeline.take_degradations().into_iter().map(|d| d.kind).collect();
+        assert!(kinds.contains(&DegradationKind::LpGreedyFallback), "{kinds:?}");
+        assert!(!kinds.contains(&DegradationKind::ControlHold), "{kinds:?}");
+        assert!(pipeline.take_degradations().is_empty());
+    }
+
+    #[test]
+    fn failure_with_nothing_placeable_holds_at_zero() {
+        // One machine type too small for any container: the greedy rung
+        // places nothing, so the tick holds at zero machines.
+        let mut tiny = MachineCatalog::table2().scaled(100).iter().next().unwrap().clone();
+        tiny.capacity = harmony_model::Resources::splat(1e-5);
+        let (mut pipeline, trace) = fixture_on(MachineCatalog::new(vec![tiny]).unwrap(), 1);
+        let chunk = &trace.tasks()[..150];
+        let plan = pipeline.tick(chunk, chunk);
+        assert_eq!(plan, IntegerPlan { machines: vec![0], quotas: vec![vec![0; pipeline.n_classes()]] });
         assert_eq!(pipeline.error_count(), 1);
         let events = pipeline.take_degradations();
         assert!(events.iter().any(|d| matches!(d.kind, DegradationKind::ControlHold)));
-        assert!(pipeline.take_degradations().is_empty());
     }
 
     #[test]

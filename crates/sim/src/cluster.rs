@@ -60,11 +60,6 @@ impl Cluster {
         self.index = Some(FreeIndex::new(&self.machines, &self.by_type));
     }
 
-    /// `true` if the incremental capacity index is maintained.
-    pub fn index_enabled(&self) -> bool {
-        self.index.is_some()
-    }
-
     /// Re-reads one machine into the index after a mutation.
     #[inline]
     fn touch(&mut self, id: MachineId) {

@@ -35,7 +35,6 @@ pub const PIPELINE_PERIOD_SECONDS: &str = "pipeline.period_seconds";
 pub const PIPELINE_ROUNDING_SECONDS: &str = "pipeline.rounding_seconds";
 pub const PIPELINE_SIZING_SECONDS: &str = "pipeline.sizing_seconds";
 pub const PIPELINE_TICKS: &str = "pipeline.ticks";
-pub const PIPELINE_WORKERS: &str = "pipeline.workers";
 pub const SERVER_ERRORS: &str = "server.errors";
 pub const SERVER_REQUEST_SECONDS: &str = "server.request_seconds";
 pub const SERVER_REQUESTS: &str = "server.requests";
@@ -78,7 +77,6 @@ pub const REGISTERED_KEYS: &[&str] = &[
     PIPELINE_ROUNDING_SECONDS,
     PIPELINE_SIZING_SECONDS,
     PIPELINE_TICKS,
-    PIPELINE_WORKERS,
     SERVER_ERRORS,
     SERVER_REQUEST_SECONDS,
     SERVER_REQUESTS,

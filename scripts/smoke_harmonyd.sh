@@ -123,12 +123,9 @@ for key in ("server.shed_total", "server.timeout_total", "server.ticker_restarts
 gauges = m.get("gauges")
 if not isinstance(gauges, dict):
     sys.exit(f"metrics response has no gauges object: {m}")
-if gauges.get("pipeline.workers", 0) < 1:
-    sys.exit(f"pipeline.workers gauge missing: {gauges}")
 print(
     "metrics verb OK:", counters.get("server.requests"), "requests;",
-    f"warm starts hit={warm} repair-fallback={repair} structural-fallback={structural};",
-    "workers =", gauges.get("pipeline.workers"),
+    f"warm starts hit={warm} repair-fallback={repair} structural-fallback={structural}",
 )
 PY
 
