@@ -6,15 +6,17 @@
 //! [`FaultPlan`] (machine crashes, slow boots, eviction waves, arrival
 //! bursts). The interesting question is whether HARMONY's provisioning
 //! advantage survives infrastructure faults — and whether any variant
-//! loses tasks (none may: task conservation is asserted per run).
+//! loses tasks (none may: [`run_fault_comparison`] asserts task
+//! conservation per run).
 //!
 //! Honors `HARMONY_SCALE` and `HARMONY_SEED`. Besides the stdout
 //! tables, writes a machine-readable copy of every row to
 //! `results/BENCH_fault_scenarios.json` (see [`harmony_bench::json`]).
 
-use harmony::pipeline::{run_variant_with_faults, Variant};
 use harmony_bench::json;
-use harmony_bench::{evaluation_setup, fmt, section, seed_from_env, table, Scale};
+use harmony_bench::{
+    evaluation_setup, fmt, run_fault_comparison, section, seed_from_env, table, Scale,
+};
 use harmony_model::PriorityGroup;
 use harmony_sim::{FaultPlan, SCENARIOS};
 use serde::value::Value;
@@ -37,30 +39,17 @@ pub fn run() {
             "scenario: {scenario} ({} fault events)",
             plan.events().len()
         ));
+        let reports = run_fault_comparison(
+            &trace,
+            &catalog,
+            &config,
+            &classifier_config,
+            scenario,
+            &plan,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
         let mut rows = Vec::new();
-        for variant in Variant::ALL {
-            let report = run_variant_with_faults(
-                &trace,
-                &catalog,
-                &config,
-                &classifier_config,
-                variant,
-                Some(&plan),
-            )
-            .unwrap_or_else(|e| panic!("{} failed under {scenario}: {e}", variant.name()));
-
-            let accounted = report.tasks_completed
-                + report.tasks_running_at_end
-                + report.tasks_pending_at_end
-                + report.tasks_unschedulable
-                + report.tasks_failed;
-            assert_eq!(
-                accounted,
-                trace.len(),
-                "{} under {scenario}: lost tasks",
-                variant.name()
-            );
-
+        for (variant, report) in reports {
             let prod = report.delay_stats(PriorityGroup::Production);
             let others = report.delay_stats(PriorityGroup::Other);
             json_rows.push(Value::object(&[

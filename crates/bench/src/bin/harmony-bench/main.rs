@@ -23,7 +23,6 @@ mod fig10_18_classification;
 mod fig19_arrivals;
 mod fig20_containers;
 mod fig21_26_controllers;
-mod harmonyd_chaos;
 mod replay;
 mod table2_machines;
 
@@ -54,7 +53,6 @@ const SUBCOMMANDS: &[(&str, Run)] = &[
     ("ablation_predictor", |_| ablation_predictor::run()),
     ("ablation_price", |_| ablation_price::run()),
     ("fault_scenarios", |_| fault_scenarios::run()),
-    ("harmonyd_chaos", harmonyd_chaos::run),
     ("replay", replay::run),
 ];
 

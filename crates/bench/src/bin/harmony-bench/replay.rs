@@ -3,10 +3,10 @@
 //! Usage:
 //!
 //! ```sh
-//! replay <trace-file> [--controller baseline|cbs|cbp|none] \
-//!        [--catalog table2|google10] [--scale <divisor>] \
+//! replay [<trace-file>] [--controller baseline|cbs|cbp|none] \
+//!        [--catalog table2|google10] [--scale <divisor>|paper] \
 //!        [--format jsonl|google-csv] [--period-mins <f64>] \
-//!        [--faults <scenario>] [--fault-seed <u64>]
+//!        [--faults <scenario>] [--fault-seed <u64>] [--metrics]
 //! ```
 //!
 //! `--controller none` replays on a fully-on cluster (no DCP). Trace
@@ -21,12 +21,6 @@
 //! event. The trace file is optional in this mode — omitting it replays
 //! the synthetic evaluation trace.
 //!
-//! Fault mode is resumable: `--snapshot <path>` checkpoints the run
-//! after every finished variant (atomic tmp+rename), `--resume <path>`
-//! picks an interrupted run back up with bit-identical results, and
-//! `--stop-after <n>` exits deliberately after `n` variants (the hook
-//! the resume test uses to simulate an interruption).
-//!
 //! `--metrics` resets the global telemetry registry before the run and
 //! writes the post-run snapshot (per-stage control-loop timings, simplex
 //! pivot counters, forecast tier counts, simulator event tallies) to
@@ -34,17 +28,16 @@
 
 use std::fs::File;
 use std::io::BufReader;
-use std::path::PathBuf;
 use std::process::exit;
 
 use harmony::classify::ClassifierConfig;
 use harmony::pipeline::{run_variant, Variant};
 use harmony::HarmonyConfig;
-use harmony_bench::checkpoint::{self, ReplayInputs, ResumableRun};
-use harmony_bench::{fmt, section, seed_from_env, table, Scale};
+use harmony_bench::{evaluation_setup, fmt, run_fault_comparison, section, table, Scale};
 use harmony_model::{wire, MachineCatalog, PriorityGroup, SimDuration};
 use harmony_sim::{
-    DegradationKind, FaultRecordKind, FirstFit, SimReport, Simulation, SimulationConfig, SCENARIOS,
+    DegradationKind, FaultPlan, FaultRecordKind, FirstFit, SimReport, Simulation,
+    SimulationConfig, SCENARIOS,
 };
 use harmony_telemetry::keys;
 use harmony_trace::{google_csv, Trace, TraceConfig, TraceGenerator};
@@ -54,8 +47,7 @@ fn usage() -> ! {
         "usage: replay [<trace-file>] [--controller baseline|cbs|cbp|none] \
          [--catalog table2|google10] [--scale <divisor>|paper] \
          [--format jsonl|google-csv] [--period-mins <f64>] \
-         [--faults <scenario>] [--fault-seed <u64>] \
-         [--snapshot <path>] [--resume <path>] [--stop-after <n>] [--metrics]\n\
+         [--faults <scenario>] [--fault-seed <u64>] [--metrics]\n\
          fault scenarios: {}",
         SCENARIOS.join(", ")
     );
@@ -72,9 +64,6 @@ pub fn run(args: &[String]) {
     let mut period_mins = 15.0f64;
     let mut fault_scenario: Option<String> = None;
     let mut fault_seed = 2013u64;
-    let mut snapshot: Option<PathBuf> = None;
-    let mut resume: Option<PathBuf> = None;
-    let mut stop_after: Option<usize> = None;
     let mut metrics = false;
 
     let mut it = args.iter().cloned();
@@ -102,7 +91,15 @@ pub fn run(args: &[String]) {
             }
             "--format" => format = grab("--format"),
             "--period-mins" => {
-                period_mins = grab("--period-mins").parse().unwrap_or_else(|_| usage());
+                let value = grab("--period-mins");
+                period_mins = value
+                    .parse()
+                    .ok()
+                    .filter(|mins: &f64| mins.is_finite() && *mins > 0.0)
+                    .unwrap_or_else(|| {
+                        eprintln!("--period-mins: `{value}` is not a finite number above 0");
+                        usage()
+                    });
             }
             "--faults" => fault_scenario = Some(grab("--faults")),
             "--fault-seed" => {
@@ -110,11 +107,6 @@ pub fn run(args: &[String]) {
                     eprintln!("--fault-seed {e}");
                     usage()
                 });
-            }
-            "--snapshot" => snapshot = Some(PathBuf::from(grab("--snapshot"))),
-            "--resume" => resume = Some(PathBuf::from(grab("--resume"))),
-            "--stop-after" => {
-                stop_after = Some(grab("--stop-after").parse().unwrap_or_else(|_| usage()));
             }
             "--metrics" => metrics = true,
             "--help" | "-h" => usage(),
@@ -125,89 +117,75 @@ pub fn run(args: &[String]) {
             }
         }
     }
+    if let Some(scenario) = &fault_scenario {
+        if !SCENARIOS.contains(&scenario.as_str()) {
+            eprintln!("unknown fault scenario `{scenario}`");
+            usage();
+        }
+    }
     if metrics {
         // Clean measurement window: only this run's instrumentation
         // lands in the artifact, not counts from earlier activity.
         harmony_telemetry::global().reset();
     }
-    if let Some(resume_path) = resume {
-        // The checkpoint records the full setup; workload flags on the
-        // command line are ignored on resume.
-        let loaded = checkpoint::load(&resume_path).unwrap_or_else(|e| {
-            eprintln!("cannot load checkpoint {}: {e}", resume_path.display());
-            exit(1);
-        });
-        let run = ResumableRun::from_checkpoint(loaded).unwrap_or_else(|e| {
-            eprintln!("cannot resume: {e}");
-            exit(1);
-        });
-        #[expect(clippy::disallowed_methods, reason = "measures the replay's events/sec")]
-        let started = std::time::Instant::now();
-        fault_mode(run, snapshot.or(Some(resume_path)), stop_after);
-        record_events_per_sec(started);
-        if metrics {
-            write_metrics_artifact();
-        }
-        return;
-    }
-    if let Some(scenario) = fault_scenario {
-        if !SCENARIOS.contains(&scenario.as_str()) {
-            eprintln!("unknown fault scenario `{scenario}`");
-            usage();
-        }
-        let inputs = ReplayInputs {
-            scenario,
-            fault_seed,
-            trace_path: path.clone(),
-            trace_format: format.clone(),
-            trace_hash: None,
-            scale: Scale::from_env().name().to_owned(),
-            workload_seed: seed_from_env(),
-            catalog: catalog_name.clone(),
-            catalog_scale: scale,
-            period_mins,
-        };
-        let run = ResumableRun::from_inputs(inputs).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(1);
-        });
-        #[expect(clippy::disallowed_methods, reason = "measures the replay's events/sec")]
-        let started = std::time::Instant::now();
-        fault_mode(run, snapshot, stop_after);
-        record_events_per_sec(started);
-        if metrics {
-            write_metrics_artifact();
-        }
-        return;
-    }
 
-    let trace = match (&path, paper) {
-        (Some(p), _) => load_trace(p, &format),
-        (None, true) => {
-            eprintln!("generating paper-scale synthetic trace (29 days, >1M tasks)...");
-            TraceGenerator::new(TraceConfig::paper_scale()).generate()
+    // Without a trace file, fault mode replays the synthetic evaluation
+    // setup and the plain replay needs `--scale paper`.
+    let (trace, catalog, config, classifier_config) = match (&path, &fault_scenario, paper) {
+        (None, Some(_), _) => evaluation_setup(Scale::from_env()),
+        (None, None, false) => usage(),
+        (path, _, _) => {
+            let trace = match path {
+                Some(p) => load_trace(p, &format),
+                None => {
+                    eprintln!("generating paper-scale synthetic trace (29 days, >1M tasks)...");
+                    TraceGenerator::new(TraceConfig::paper_scale()).generate()
+                }
+            };
+            let catalog = parse_catalog(&catalog_name).scaled(scale.max(1));
+            let config = HarmonyConfig {
+                control_period: SimDuration::from_mins(period_mins),
+                ..Default::default()
+            };
+            (trace, catalog, config, ClassifierConfig::default())
         }
-        (None, false) => usage(),
     };
-    let catalog = parse_catalog(&catalog_name).scaled(scale.max(1));
 
-    eprintln!(
-        "replaying {} tasks over {:.1} h on {} machines ({catalog_name}/{scale}), controller {controller}",
-        trace.len(),
-        trace.span().as_hours(),
-        catalog.total_machines(),
-    );
-
-    let config = HarmonyConfig {
-        control_period: SimDuration::from_mins(period_mins),
-        ..Default::default()
-    };
     #[expect(clippy::disallowed_methods, reason = "measures the replay's events/sec")]
     let started = std::time::Instant::now();
-    let report = match controller.as_str() {
+    match &fault_scenario {
+        Some(scenario) => {
+            fault_mode(&trace, &catalog, &config, &classifier_config, scenario, fault_seed)
+        }
+        None => {
+            eprintln!(
+                "replaying {} tasks over {:.1} h on {} machines ({catalog_name}/{scale}), controller {controller}",
+                trace.len(),
+                trace.span().as_hours(),
+                catalog.total_machines(),
+            );
+            replay_mode(&trace, catalog, &config, &classifier_config, &controller);
+        }
+    }
+    record_events_per_sec(started);
+    if metrics {
+        write_metrics_artifact();
+    }
+}
+
+/// One controller (or none: a fully-on cluster) over the trace; prints
+/// the outcome, the per-group scheduling delays and SLO attainment.
+fn replay_mode(
+    trace: &Trace,
+    catalog: MachineCatalog,
+    config: &HarmonyConfig,
+    classifier_config: &ClassifierConfig,
+    controller: &str,
+) {
+    let report = match controller {
         "none" => {
             let sim_config = SimulationConfig::new(catalog).all_machines_on();
-            Simulation::new(sim_config, &trace, Box::new(FirstFit)).run()
+            Simulation::new(sim_config, trace, Box::new(FirstFit)).run()
         }
         name => {
             let variant = match name {
@@ -219,20 +197,12 @@ pub fn run(args: &[String]) {
                     usage();
                 }
             };
-            run_variant(
-                &trace,
-                &catalog,
-                &config,
-                &ClassifierConfig::default(),
-                variant,
-            )
-            .unwrap_or_else(|e| {
+            run_variant(trace, &catalog, config, classifier_config, variant).unwrap_or_else(|e| {
                 eprintln!("controller failed: {e}");
                 exit(1);
             })
         }
     };
-    record_events_per_sec(started);
 
     section("replay report");
     println!("tasks completed:      {}", report.tasks_completed);
@@ -293,10 +263,6 @@ pub fn run(args: &[String]) {
         "SLO attainment overall: {}",
         fmt(report.slo_attainment_overall(config.slo_delay_secs))
     );
-
-    if metrics {
-        write_metrics_artifact();
-    }
 }
 
 /// Computes simulator event throughput over the elapsed wall clock and
@@ -446,74 +412,33 @@ fn parse_catalog(name: &str) -> MachineCatalog {
 
 /// Robustness mode: all three controller variants run under one named
 /// fault scenario; the output lists every injected fault, every
-/// degradation event, and a cross-variant comparison. With a snapshot
-/// path the run checkpoints after every variant; `stop_after` exits
-/// deliberately partway through (for the resume test).
-fn fault_mode(mut run: ResumableRun, snapshot: Option<PathBuf>, stop_after: Option<usize>) {
-    let scenario = run.inputs().scenario.clone();
+/// degradation event, and a cross-variant comparison.
+fn fault_mode(
+    trace: &Trace,
+    catalog: &MachineCatalog,
+    config: &HarmonyConfig,
+    classifier_config: &ClassifierConfig,
+    scenario: &str,
+    fault_seed: u64,
+) {
+    let plan =
+        FaultPlan::scenario(scenario, fault_seed, trace.span()).unwrap_or_else(|| usage());
     eprintln!(
-        "fault replay: {} tasks over {:.1} h, scenario {scenario} ({} events, seed {})",
-        run.trace().len(),
-        run.trace().span().as_hours(),
-        run.plan().events().len(),
-        run.inputs().fault_seed,
+        "fault replay: {} tasks over {:.1} h, scenario {scenario} ({} events, seed {fault_seed})",
+        trace.len(),
+        trace.span().as_hours(),
+        plan.events().len(),
     );
-    if !run.completed().is_empty() {
-        eprintln!(
-            "resumed from checkpoint: {} of {} variants already complete",
-            run.completed().len(),
-            Variant::ALL.len(),
-        );
-    }
-
-    let save = |run: &ResumableRun, path: &PathBuf| {
-        checkpoint::save_atomic(&run.checkpoint(), path).unwrap_or_else(|e| {
-            eprintln!("cannot write checkpoint {}: {e}", path.display());
-            exit(1);
-        });
-    };
-
-    while !run.is_done() {
-        if let Some(limit) = stop_after {
-            if run.completed().len() >= limit {
-                let Some(path) = &snapshot else {
-                    eprintln!("--stop-after requires --snapshot");
-                    exit(2);
-                };
-                save(&run, path);
-                eprintln!(
-                    "stopped after {} variant(s); resume with --resume {}",
-                    run.completed().len(),
-                    path.display(),
-                );
-                return;
-            }
-        }
-        let variant = match run.run_next() {
-            Ok((variant, _)) => variant,
-            Err(e) => {
+    let reports =
+        run_fault_comparison(trace, catalog, config, classifier_config, scenario, &plan)
+            .unwrap_or_else(|e| {
                 eprintln!("{e}");
                 exit(1);
-            }
-        };
-        if let Some(path) = &snapshot {
-            save(&run, path);
-        }
-        let (_, report) = run.completed().last().expect("variant just completed");
-
-        let accounted = report.tasks_completed
-            + report.tasks_running_at_end
-            + report.tasks_pending_at_end
-            + report.tasks_unschedulable
-            + report.tasks_failed;
-        assert_eq!(
-            accounted,
-            run.trace().len(),
-            "{}: task conservation violated under {scenario}",
-            variant.name()
-        );
-
+            });
+    for (variant, report) in &reports {
         section(&format!("{} under {scenario}", variant.name()));
+        // `run_fault_comparison` asserted that the five outcomes add up
+        // to the trace's task count.
         println!(
             "completed {} / running {} / pending {} / unschedulable {} / failed {}  (conserved: {} of {})",
             report.tasks_completed,
@@ -521,15 +446,14 @@ fn fault_mode(mut run: ResumableRun, snapshot: Option<PathBuf>, stop_after: Opti
             report.tasks_pending_at_end,
             report.tasks_unschedulable,
             report.tasks_failed,
-            accounted,
-            run.trace().len(),
+            trace.len(),
+            trace.len(),
         );
         print_faults(report);
         print_degradations(report);
     }
 
-    let rows: Vec<Vec<String>> = run
-        .completed()
+    let rows: Vec<Vec<String>> = reports
         .iter()
         .map(|(variant, report)| {
             let p95 = report.delay_stats(PriorityGroup::Production).p95;

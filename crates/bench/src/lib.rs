@@ -15,12 +15,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod checkpoint;
 pub mod json;
 
 use harmony::classify::ClassifierConfig;
+use harmony::pipeline::{run_variant_with_faults, Variant};
 use harmony::HarmonyConfig;
 use harmony_model::{MachineCatalog, SimDuration};
+use harmony_sim::{FaultPlan, SimReport};
 use harmony_trace::{Trace, TraceConfig, TraceGenerator};
 
 /// Experiment scale presets.
@@ -84,16 +85,6 @@ pub fn analysis_trace(scale: Scale) -> Trace {
 /// The closed-loop evaluation setup (Section IX / Figs. 19–26): trace,
 /// catalog, controller and classifier configuration.
 pub fn evaluation_setup(scale: Scale) -> (Trace, MachineCatalog, HarmonyConfig, ClassifierConfig) {
-    evaluation_setup_seeded(scale, seed_from_env())
-}
-
-/// [`evaluation_setup`] with an explicit workload seed, for callers that
-/// must reproduce a run independently of the environment (e.g. replay
-/// checkpoints).
-pub fn evaluation_setup_seeded(
-    scale: Scale,
-    seed: u64,
-) -> (Trace, MachineCatalog, HarmonyConfig, ClassifierConfig) {
     // Catalog divisors keep peak concurrent demand near ~65-70% of
     // cluster capacity, the regime where provisioning choices matter
     // (measured: ~26 cpu units at 4 h, ~133 at 1 day, ~201 at 3 days).
@@ -102,8 +93,8 @@ pub fn evaluation_setup_seeded(
         Scale::Default => (SimDuration::from_days(1.0), 10, 15.0),
         Scale::Full => (SimDuration::from_days(3.0), 7, 10.0),
     };
-    let trace =
-        TraceGenerator::new(TraceConfig::evaluation().with_span(span).with_seed(seed)).generate();
+    let workload = TraceConfig::evaluation().with_span(span).with_seed(seed_from_env());
+    let trace = TraceGenerator::new(workload).generate();
     let catalog = MachineCatalog::table2().scaled(catalog_divisor);
     let harmony_config = HarmonyConfig {
         control_period: SimDuration::from_mins(control_mins),
@@ -112,6 +103,54 @@ pub fn evaluation_setup_seeded(
     };
     let classifier_config = ClassifierConfig::default();
     (trace, catalog, harmony_config, classifier_config)
+}
+
+/// Runs every controller variant ([`Variant::ALL`], in order) over
+/// `trace` under one fault plan and returns their reports.
+///
+/// Every run must account for each task of the trace exactly once —
+/// completed, running, pending, unschedulable or failed — whatever the
+/// faults did; a run that loses or duplicates one panics, naming the
+/// variant and `scenario`.
+///
+/// # Errors
+///
+/// Returns a message naming the variant and `scenario` when a
+/// controller fails.
+pub fn run_fault_comparison(
+    trace: &Trace,
+    catalog: &MachineCatalog,
+    config: &HarmonyConfig,
+    classifier_config: &ClassifierConfig,
+    scenario: &str,
+    plan: &FaultPlan,
+) -> Result<Vec<(Variant, SimReport)>, String> {
+    Variant::ALL
+        .into_iter()
+        .map(|variant| {
+            let report = run_variant_with_faults(
+                trace,
+                catalog,
+                config,
+                classifier_config,
+                variant,
+                Some(plan),
+            )
+            .map_err(|e| format!("{} failed under {scenario}: {e}", variant.name()))?;
+            let accounted = report.tasks_completed
+                + report.tasks_running_at_end
+                + report.tasks_pending_at_end
+                + report.tasks_unschedulable
+                + report.tasks_failed;
+            assert_eq!(
+                accounted,
+                trace.len(),
+                "{}: task conservation violated under {scenario}",
+                variant.name()
+            );
+            Ok((variant, report))
+        })
+        .collect()
 }
 
 /// Prints a section header.

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use harmony::classify::{ClassifierConfig, TaskClassifier};
 use harmony::{HarmonyConfig, OnlinePipeline};
-use harmony_model::SimDuration;
+use harmony_model::{wire, SimDuration};
 use harmony_server::state::{self, CatalogSpec};
 use harmony_server::{net, Service};
 
@@ -123,14 +123,12 @@ fn parse_args() -> Result<Args, String> {
             "--trace" => args.trace = Some(grab("--trace")?),
             "--format" => args.format = grab("--format")?,
             "--synthetic-seed" => {
-                args.synthetic_seed = grab("--synthetic-seed")?
-                    .parse()
+                args.synthetic_seed = wire::parse_seed(&grab("--synthetic-seed")?)
                     .map_err(|e| format!("--synthetic-seed: {e}"))?;
             }
             "--synthetic-span-hours" => {
-                args.synthetic_span_hours = grab("--synthetic-span-hours")?
-                    .parse()
-                    .map_err(|e| format!("--synthetic-span-hours: {e}"))?;
+                args.synthetic_span_hours =
+                    positive_finite("--synthetic-span-hours", &grab("--synthetic-span-hours")?)?;
             }
             "--catalog" => args.catalog = grab("--catalog")?,
             "--scale" => {
@@ -138,11 +136,7 @@ fn parse_args() -> Result<Args, String> {
                     grab("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?;
             }
             "--period-mins" => {
-                args.period_mins = Some(
-                    grab("--period-mins")?
-                        .parse()
-                        .map_err(|e| format!("--period-mins: {e}"))?,
-                );
+                args.period_mins = Some(positive_finite("--period-mins", &grab("--period-mins")?)?);
             }
             "--tick-secs" => {
                 args.tick_secs =
@@ -205,6 +199,17 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
+}
+
+/// Parses a duration flag's value: a finite number above zero (a
+/// negative, zero, NaN or infinite span cannot drive the control loop).
+fn positive_finite(name: &str, value: &str) -> Result<f64, String> {
+    let parsed: f64 = value.parse().map_err(|e| format!("{name}: {e}"))?;
+    if parsed.is_finite() && parsed > 0.0 {
+        Ok(parsed)
+    } else {
+        Err(format!("{name}: `{value}` is not a finite number above 0"))
+    }
 }
 
 fn build_service(args: &Args) -> Result<Service, String> {

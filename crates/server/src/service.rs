@@ -247,22 +247,6 @@ impl Service {
         }
     }
 
-    /// Renders and immediately commits a checkpoint (no-op returning
-    /// `Ok(None)` when no snapshot path is configured, or when a newer
-    /// checkpoint already committed). Prefer
-    /// [`Service::pending_checkpoint`] when holding the service lock —
-    /// this method writes the file inline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from the atomic save.
-    pub fn save_checkpoint(&self) -> io::Result<Option<u64>> {
-        match self.make_pending(false)? {
-            Some(pending) => pending.commit(),
-            None => Ok(None),
-        }
-    }
-
     /// Builds the `status` response body. Public (rather than routed
     /// through [`Service::handle`]) so the network layer can answer
     /// `status` under a *read* lock even while sheddable verbs queue

@@ -118,3 +118,39 @@ fn harmonyctl_refuses_a_seed_beyond_exact_json_range() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--seed: `9007199254740992` is above"), "{stderr}");
 }
+
+#[test]
+fn harmonyd_refuses_out_of_range_numeric_flags() {
+    // A daemon that took one of these would serve until killed, so each
+    // run gets ten seconds to exit before the test kills it. A seed
+    // above 2^53 - 1 would be written to the checkpoint rounded, and
+    // `--resume` would then refuse that checkpoint.
+    for (flag, bad) in [
+        ("--period-mins", "-5"),
+        ("--synthetic-span-hours", "nan"),
+        ("--period-mins", "inf"),
+        ("--period-mins", "0"),
+        ("--synthetic-span-hours", "-1"),
+        ("--synthetic-seed", "9007199254740993"),
+    ] {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_harmonyd"))
+            .args(["--listen", "127.0.0.1:0", "--synthetic-seed", util::SEED])
+            .args(["--synthetic-span-hours", util::SPAN_HOURS, flag, bad])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn harmonyd");
+        for _ in 0..100 {
+            if child.try_wait().expect("poll harmonyd").is_some() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(100));
+        }
+        let _ = child.kill();
+        let out = child.wait_with_output().expect("reap harmonyd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {bad}: {stderr}");
+        assert!(stderr.contains(&format!("harmonyd: {flag}: `{bad}`")), "{stderr}");
+        assert!(stderr.contains("USAGE:"), "{stderr}");
+    }
+}
