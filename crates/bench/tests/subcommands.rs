@@ -88,7 +88,10 @@ fn fault_replay_over_a_trace_file_is_deterministic() {
         assert!(stdout.contains(section), "missing {section:?}:\n{stdout}");
     }
     assert_eq!(stdout.as_bytes(), second.stdout, "same inputs, same report");
+}
 
+#[test]
+fn replay_refuses_an_unknown_fault_scenario() {
     let unknown = harmony_bench(&["replay", "--faults", "meteor-strike"]);
     assert_eq!(unknown.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&unknown.stderr);
