@@ -139,8 +139,7 @@ fn parse_args() -> Result<Args, String> {
                 args.period_mins = Some(positive_finite("--period-mins", &grab("--period-mins")?)?);
             }
             "--tick-secs" => {
-                args.tick_secs =
-                    grab("--tick-secs")?.parse().map_err(|e| format!("--tick-secs: {e}"))?;
+                args.tick_secs = non_negative_finite("--tick-secs", &grab("--tick-secs")?)?;
             }
             "--read-timeout-ms" => {
                 args.read_timeout_ms = grab("--read-timeout-ms")?
@@ -209,6 +208,20 @@ fn positive_finite(name: &str, value: &str) -> Result<f64, String> {
         Ok(parsed)
     } else {
         Err(format!("{name}: `{value}` is not a finite number above 0"))
+    }
+}
+
+/// Parses the tick interval: a finite number at or above zero, 0 meaning
+/// manual ticks (an infinite interval would be a ticker that never
+/// fires, and a negative or NaN one would silently mean manual ticks).
+fn non_negative_finite(name: &str, value: &str) -> Result<f64, String> {
+    let parsed: f64 = value.parse().map_err(|e| format!("{name}: {e}"))?;
+    if parsed.is_finite() && parsed >= 0.0 {
+        Ok(parsed)
+    } else {
+        Err(format!(
+            "{name}: `{value}` is not a finite number at or above 0"
+        ))
     }
 }
 

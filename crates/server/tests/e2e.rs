@@ -124,7 +124,9 @@ fn harmonyd_refuses_out_of_range_numeric_flags() {
     // A daemon that took one of these would serve until killed, so each
     // run gets ten seconds to exit before the test kills it. A seed
     // above 2^53 - 1 would be written to the checkpoint rounded, and
-    // `--resume` would then refuse that checkpoint.
+    // `--resume` would then refuse that checkpoint. A `--tick-secs` of
+    // `inf` would be a ticker that never fires, and a negative or NaN one
+    // would silently mean manual ticks.
     for (flag, bad) in [
         ("--period-mins", "-5"),
         ("--synthetic-span-hours", "nan"),
@@ -132,6 +134,9 @@ fn harmonyd_refuses_out_of_range_numeric_flags() {
         ("--period-mins", "0"),
         ("--synthetic-span-hours", "-1"),
         ("--synthetic-seed", "9007199254740993"),
+        ("--tick-secs", "inf"),
+        ("--tick-secs", "-1"),
+        ("--tick-secs", "nan"),
     ] {
         let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_harmonyd"))
             .args(["--listen", "127.0.0.1:0", "--synthetic-seed", util::SEED])

@@ -9,9 +9,10 @@ use crate::machine::{Machine, MachineId};
 /// type, with bulk power-state management and cluster-level accounting.
 ///
 /// With [`Cluster::enable_index`] the cluster additionally maintains an
-/// incremental free-capacity index (per-type max-free segment trees and
-/// active/busy counters — see [`crate::index`]), making placement and
-/// capacity queries O(log machines) instead of O(machines). Queries fall
+/// incremental free-capacity index (per-type fit-summary segment trees
+/// and active/busy counters — see [`crate::index`]), making placement a
+/// pruned tree descent and capacity queries O(types) instead of
+/// O(machines) scans. Queries fall
 /// back to exact linear scans when the index is off, and both paths
 /// return identical results.
 #[derive(Debug, Clone)]
@@ -55,7 +56,7 @@ impl Cluster {
 
     /// Builds (or rebuilds) the incremental capacity index from the
     /// current machine states. Every subsequent mutation keeps it in
-    /// sync; queries then run in O(log machines).
+    /// sync; queries then descend the index instead of scanning.
     pub fn enable_index(&mut self) {
         self.index = Some(FreeIndex::new(&self.machines, &self.by_type));
     }
@@ -139,7 +140,8 @@ impl Cluster {
 
     /// The lowest-id machine on which `demand` can be placed right now
     /// (First-Fit order: ids are contiguous per type, in catalog order).
-    /// O(log machines) with the index, an exact linear scan without.
+    /// A pruned tree descent with the index, an exact linear scan
+    /// without.
     pub fn first_fit_machine(&self, demand: Resources) -> Option<MachineId> {
         if let Some(index) = &self.index {
             return index.first_fit(&self.machines, demand);

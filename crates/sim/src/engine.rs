@@ -1,9 +1,9 @@
 //! The discrete-event loop.
 
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 #[cfg(test)]
 use std::collections::BinaryHeap;
-use std::collections::{BTreeMap, BTreeSet};
 
 use harmony_model::{
     EnergyPrice, MachineCatalog, MachineTypeId, PriorityGroup, Resources, SimDuration, SimTime,
@@ -26,9 +26,9 @@ use crate::scheduler::Scheduler;
 /// and assert byte-identical [`SimReport`]s against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// Indexed cluster state (per-type max-free segment trees,
+    /// Indexed cluster state (per-type fit-summary segment trees,
     /// incremental active/busy counters) and a calendar event queue —
-    /// O(log machines) placement, O(types) drain pre-filter, O(1)
+    /// pruned tree-descent placement, O(types) drain pre-filter, O(1)
     /// amortized event scheduling. Runs paper scale (10,000 machines,
     /// millions of tasks) in CI-feasible wall time.
     #[default]
@@ -238,21 +238,36 @@ impl PendKey {
     }
 }
 
-/// Bidirectional task↔machine placement book.
+/// No host: the task is not running.
+const NO_HOST: u32 = u32::MAX;
+
+/// Bidirectional task↔machine placement book, dense by task index and
+/// by machine id.
 ///
-/// Ordered maps, deliberately: crash handling and repack iterate these,
-/// and the run must be bit-identical across repeats for checkpoint
-/// replay (see `tests/determinism.rs`), so no hash-order dependence.
-#[derive(Debug, Default)]
+/// Crash handling, preemption and repack walk a machine's residents, so
+/// their order is part of the run's outcome: each machine keeps its
+/// residents in insertion order, and nothing here depends on hash order,
+/// so repeats of a run are bit-identical (see `tests/determinism.rs`).
+#[derive(Debug)]
 struct Placements {
-    host_of: BTreeMap<usize, MachineId>,
-    residents: BTreeMap<MachineId, Vec<usize>>,
+    /// Per task index: its host's machine id, or [`NO_HOST`].
+    host_of: Vec<u32>,
+    /// Per machine id: the tasks running there, in insertion order.
+    residents: Vec<Vec<usize>>,
 }
 
 impl Placements {
+    fn new(tasks: usize, machines: usize) -> Self {
+        Placements {
+            host_of: vec![NO_HOST; tasks],
+            residents: vec![Vec::new(); machines],
+        }
+    }
+
     fn insert(&mut self, idx: usize, machine: MachineId) {
-        self.host_of.insert(idx, machine);
-        self.residents.entry(machine).or_default().push(idx);
+        debug_assert!(machine.0 < NO_HOST as usize, "machine id fits a u32");
+        self.host_of[idx] = machine.0 as u32;
+        self.residents[machine.0].push(idx);
     }
 
     #[expect(
@@ -260,14 +275,13 @@ impl Placements {
         reason = "Invariant: callers only remove tasks the engine placed earlier in the same run (host_of and residents are updated in lockstep)."
     )]
     fn remove(&mut self, idx: usize) -> MachineId {
-        let machine = self.host_of.remove(&idx).expect("task must be placed");
-        if let Some(list) = self.residents.get_mut(&machine) {
-            list.retain(|&i| i != idx);
-            if list.is_empty() {
-                self.residents.remove(&machine);
-            }
+        let host = std::mem::replace(&mut self.host_of[idx], NO_HOST) as usize;
+        // `NO_HOST` is past every machine id.
+        let list = self.residents.get_mut(host).expect("task must be placed");
+        if let Some(pos) = list.iter().position(|&i| i == idx) {
+            list.remove(pos);
         }
-        machine
+        MachineId(host)
     }
 
     fn relocate(&mut self, idx: usize, to: MachineId) {
@@ -276,10 +290,57 @@ impl Placements {
     }
 
     fn on(&self, machine: MachineId) -> &[usize] {
-        self.residents
-            .get(&machine)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        &self.residents[machine.0]
+    }
+}
+
+/// The running tasks: a bitset over task indices, iterated in ascending
+/// index order.
+#[derive(Debug)]
+struct RunningSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl RunningSet {
+    fn new(tasks: usize) -> Self {
+        RunningSet {
+            words: vec![0; tasks.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    fn insert(&mut self, idx: usize) {
+        let (word, bit) = (&mut self.words[idx / 64], 1u64 << (idx % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            self.len += 1;
+        }
+    }
+
+    fn remove(&mut self, idx: usize) {
+        let (word, bit) = (&mut self.words[idx / 64], 1u64 << (idx % 64));
+        if *word & bit != 0 {
+            *word &= !bit;
+            self.len -= 1;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
     }
 }
 
@@ -336,7 +397,7 @@ struct RunState {
     pending: BTreeMap<PendKey, usize>,
     placements: Placements,
     task_state: TaskState,
-    running_set: BTreeSet<usize>,
+    running_set: RunningSet,
     delays: [Vec<f64>; 3],
     completed: usize,
     unschedulable: usize,
@@ -479,12 +540,13 @@ impl<'t> Simulation<'t> {
             #[cfg(test)]
             EngineMode::Reference => EventQueue::Heap { heap: BinaryHeap::new(), peak: 0 },
         };
+        let placements = Placements::new(tasks.len(), cluster.len());
         let mut st = RunState {
             cluster,
             pending: BTreeMap::new(),
-            placements: Placements::default(),
+            placements,
             task_state: TaskState::new(tasks, effective_arrival.clone()),
-            running_set: BTreeSet::new(),
+            running_set: RunningSet::new(tasks.len()),
             delays: [Vec::new(), Vec::new(), Vec::new()],
             completed: 0,
             unschedulable: 0,
@@ -598,7 +660,7 @@ impl<'t> Simulation<'t> {
                     let machine = st.placements.remove(task_idx);
                     st.cluster.release(machine, task.demand, now);
                     self.scheduler.on_finished(task, machine, &st.cluster);
-                    st.running_set.remove(&task_idx);
+                    st.running_set.remove(task_idx);
                     st.completed += 1;
                     self.drain(&mut st, tasks, now);
                 }
@@ -612,7 +674,7 @@ impl<'t> Simulation<'t> {
                         pending_view.clear();
                         pending_view.extend(st.pending.values().map(|&i| i as u32));
                         running_view.clear();
-                        running_view.extend(st.running_set.iter().map(|&i| i as u32));
+                        running_view.extend(st.running_set.iter().map(|i| i as u32));
                         // The sim clock is virtual; this times the real
                         // cost of the provisioning hot path per period.
                         let decision =
@@ -735,7 +797,7 @@ impl<'t> Simulation<'t> {
                             // Evict the lowest-priority running tasks, a
                             // stand-in for the Google trace's EVICT
                             // events.
-                            let mut running: Vec<usize> = st.running_set.iter().copied().collect();
+                            let mut running: Vec<usize> = st.running_set.iter().collect();
                             running.sort_by_key(|&i| (tasks[i].priority.level(), i));
                             let mut evicted = 0usize;
                             let mut failed = 0usize;
@@ -852,7 +914,7 @@ impl<'t> Simulation<'t> {
             st.cluster.release(machine, task.demand, now);
         }
         self.scheduler.on_finished(task, machine, &st.cluster);
-        st.running_set.remove(&idx);
+        st.running_set.remove(idx);
         let ran = now
             .saturating_since(st.task_state.started_at[idx])
             .as_secs();
@@ -952,7 +1014,7 @@ impl<'t> Simulation<'t> {
             let vt = &tasks[victim];
             st.cluster.release(host, vt.demand, now);
             self.scheduler.on_finished(vt, host, &st.cluster);
-            st.running_set.remove(&victim);
+            st.running_set.remove(victim);
             // Suspend/resume: keep the work done so far, only the
             // remainder runs after re-placement. Bump the epoch so the
             // scheduled finish event is ignored.

@@ -112,6 +112,37 @@ fn engines_agree_under_fault_plans() {
     }
 }
 
+/// A rate-scaled Google-like trace on `table2().scaled(5)` (2,000
+/// machines), all on, no controller: first-fit packs type 0's low ids
+/// with tasks of mixed shapes until their free vectors fragment into
+/// cpu-rich and memory-rich machines side by side, as in the
+/// 10,000-machine replay, so the descent leans on the index's ratio
+/// summaries: its 28,741 tasks make the indexed run pop 561,095 tree
+/// nodes, against 3,415,983 with the ratio tests switched off. The other
+/// cases' 100- and 200-machine catalogs never get there.
+#[test]
+fn engines_agree_where_type_0_fragments() {
+    let mut config = TraceConfig::google_like()
+        .with_span(SimDuration::from_mins(20.0))
+        .with_seed(2013);
+    for arrivals in &mut config.arrivals {
+        arrivals.base_jobs_per_sec *= 200.0;
+    }
+    let trace = TraceGenerator::new(config).generate();
+    let run = |mode| {
+        let config = SimulationConfig::new(MachineCatalog::table2().scaled(5))
+            .all_machines_on()
+            .engine_mode(mode);
+        let report = Simulation::new(config, &trace, Box::new(FirstFit)).run();
+        serde_json::to_string(&report).expect("report serializes")
+    };
+    assert_eq!(
+        run(EngineMode::Reference),
+        run(EngineMode::Indexed),
+        "engines diverged where type 0 fragments"
+    );
+}
+
 #[test]
 fn default_mode_is_indexed() {
     // The accelerated engine is the default; `Reference` exists as the

@@ -31,9 +31,9 @@ pub trait Scheduler: std::fmt::Debug {
 /// First-Fit: the first `On` machine (in id order) with room.
 ///
 /// Machine ids are contiguous per type, so id order is also "type 0
-/// first" order — the classic heterogeneity-oblivious scan. Runs in
-/// O(log machines) on an indexed cluster (identical machine choice —
-/// see [`Cluster::first_fit_machine`]).
+/// first" order — the classic heterogeneity-oblivious scan. Runs as a
+/// pruned tree descent on an indexed cluster (identical machine choice
+/// — see [`Cluster::first_fit_machine`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FirstFit;
 
