@@ -23,18 +23,26 @@
 //! put back hashes to the old digest. The plan digest and the
 //! SimReports did not move.
 //!
+//! One CBS-RELAX solve is pinned below the loop: a cold 72-class,
+//! horizon-4 solve on the unscaled Table II catalog, long enough to pass
+//! several refactorizations of the basis. Its digest covers the objective
+//! bits, the pivot count (708) and the optimal basis, so it moves
+//! whenever a change to the simplex engine moves a single pivot. It was
+//! generated at commit 2fe3fe5, before pricing tracked its reduced costs.
+//!
 //! Adapters agree: from a cold start the three adapters hand the loop
 //! the same inputs, so they must decide the same machines and take the
 //! same rung, also when the solve fails with no previous plan.
 
 use std::rc::Rc;
 
+use harmony::cbs::{solve_cbs_relax_warm, CbsInputs, CbsSolve};
 use harmony::classify::{ClassifierConfig, TaskClassifier};
 use harmony::controllers::{CbpController, CbsController};
 use harmony::pipeline::{run_variant, Variant};
 use harmony::rounding::IntegerPlan;
 use harmony::{HarmonyConfig, OnlinePipeline};
-use harmony_model::{EnergyPrice, MachineCatalog, SimDuration, SimTime};
+use harmony_model::{EnergyPrice, MachineCatalog, Resources, SimDuration, SimTime, SplitMix64};
 use harmony_sim::{Cluster, Controller, DegradationEvent, DegradationKind, Observation, TaskView};
 use harmony_trace::{Trace, TraceConfig, TraceGenerator};
 
@@ -134,6 +142,51 @@ fn sim_reports_are_pinned() {
         ["b8906cb5550aaa4f", "5ad6c46a0a73775e"],
         "SimReport under [CBS, CBP]"
     );
+}
+
+/// A cold CBS-RELAX solve at a tenth of the Table II instance's class
+/// count: 72 classes with seeded container sizes and demands, horizon 4,
+/// on the unscaled catalog.
+fn mid_size_cold_solve() -> CbsSolve {
+    const CLASSES: usize = 72;
+    let mut rng = SplitMix64::new(44);
+    let catalog = MachineCatalog::table2();
+    let config = HarmonyConfig {
+        horizon: 4,
+        control_period: SimDuration::from_mins(15.0),
+        ..Default::default()
+    };
+    let sizes: Vec<Resources> = (0..CLASSES)
+        .map(|_| Resources::new(rng.range(0.002, 0.12), rng.range(0.002, 0.12)))
+        .collect();
+    let utility: Vec<f64> =
+        (0..CLASSES).map(|n| config.utility_per_container_hour[n % 3]).collect();
+    let demand: Vec<Vec<f64>> = (0..config.horizon)
+        .map(|_| (0..CLASSES).map(|_| rng.range(0.0, 400.0).floor()).collect())
+        .collect();
+    let inputs = CbsInputs {
+        catalog: &catalog,
+        container_sizes: &sizes,
+        utility_per_hour: &utility,
+        demand: &demand,
+        initial_active: &[300.0, 80.0, 40.0, 10.0],
+        price: &EnergyPrice::default(),
+        now: SimTime::ZERO,
+    };
+    solve_cbs_relax_warm(&inputs, &config, None).unwrap()
+}
+
+#[test]
+fn mid_size_cbs_solve_is_pinned() {
+    let solve = mid_size_cold_solve();
+    assert!(solve.pivots >= 3 * 64, "too few pivots for three refactorizations: {}", solve.pivots);
+    let mut bytes = solve.plan.objective.to_bits().to_le_bytes().to_vec();
+    bytes.extend((solve.pivots as u64).to_le_bytes());
+    for &col in solve.basis.columns() {
+        bytes.extend((col as u64).to_le_bytes());
+    }
+    let digest = format!("{:016x}", fnv1a64(&bytes));
+    assert_eq!(digest, "9a7331f08f992b44", "(objective bits, pivots, basis)");
 }
 
 /// The first decision of `[CBP, CBS, OnlinePipeline]` for one slice of
