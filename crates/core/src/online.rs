@@ -65,6 +65,11 @@ pub struct OnlinePipeline {
     catalog: MachineCatalog,
     control: ControlLoop,
     ticks: u64,
+    /// Machines per type of the plan `tick` last returned, whichever
+    /// rung made it: what the daemon actuated, so the next tick's
+    /// switching-cost baseline. Not checkpointed; a restored pipeline
+    /// starts from its last solved plan.
+    actuated: Vec<f64>,
 }
 
 impl OnlinePipeline {
@@ -81,7 +86,8 @@ impl OnlinePipeline {
         price: EnergyPrice,
     ) -> Result<Self, HarmonyError> {
         let control = ControlLoop::new(&classifier, config, price)?;
-        Ok(OnlinePipeline { classifier, catalog, control, ticks: 0 })
+        let actuated = vec![0.0; catalog.len()];
+        Ok(OnlinePipeline { classifier, catalog, control, ticks: 0, actuated })
     }
 
     /// The configuration in effect.
@@ -142,32 +148,31 @@ impl OnlinePipeline {
 
     /// One control period (`ControlLoop::run_period`) over `arrived`
     /// and the unserved backlog `pending`, which must be provisioned for
-    /// immediately, on top of the forecast. The previous plan is what
-    /// the daemon actuated last period, so it is the switching-cost
-    /// baseline; the daemon sees no running tasks.
+    /// immediately, on top of the forecast. The plan the last tick
+    /// returned — solved, reused, greedy or an all-zero hold — is what
+    /// the daemon actuated, so it is the switching-cost baseline; the
+    /// daemon sees no running tasks.
     ///
     /// Never fails: on a pipeline error the loop's ladder re-actuates the
     /// previous plan or sizes greedily; when that places nothing, zero
     /// capacity is held ([`harmony_sim::DegradationKind::ControlHold`]).
     pub fn tick(&mut self, arrived: &[Task], pending: &[Task]) -> IntegerPlan {
-        let initial_active = match self.last_plan() {
-            Some(plan) => plan.machines.iter().map(|&m| m as f64).collect(),
-            None => vec![0.0; self.catalog.len()],
-        };
         let plan = self.control.run_period(&PeriodInputs {
             now: self.now(),
             classifier: &self.classifier,
             catalog: &self.catalog,
             arrived: TaskView::dense(arrived),
             pending: TaskView::dense(pending),
-            initial_active,
+            initial_active: self.actuated.clone(),
             occupied: vec![0.0; self.control.manager().n_classes()],
         });
         self.ticks += 1;
-        plan.unwrap_or_else(|| IntegerPlan {
+        let plan = plan.unwrap_or_else(|| IntegerPlan {
             machines: vec![0; self.catalog.len()],
             quotas: vec![vec![0; self.n_classes()]; self.catalog.len()],
-        })
+        });
+        self.actuated = plan.machines.iter().map(|&m| m as f64).collect();
+        plan
     }
 
     /// Snapshots the pipeline's mutable state for a checkpoint.
@@ -210,6 +215,10 @@ impl OnlinePipeline {
             }
         }
         self.control.restore_histories(state.histories)?;
+        self.actuated = match &state.last_plan {
+            Some(plan) => plan.machines.iter().map(|&m| m as f64).collect(),
+            None => vec![0.0; self.catalog.len()],
+        };
         self.control.errors = state.errors;
         self.control.last_plan = state.last_plan;
         self.control.lp_basis = state.lp_basis;
@@ -326,6 +335,43 @@ mod tests {
         assert!(kinds.contains(&DegradationKind::LpGreedyFallback), "{kinds:?}");
         assert!(!kinds.contains(&DegradationKind::ControlHold), "{kinds:?}");
         assert!(pipeline.take_degradations().is_empty());
+    }
+
+    #[test]
+    fn the_tick_after_a_greedy_one_switches_from_its_plan() {
+        // The greedy rung's plan was actuated, so the next tick prices
+        // switching from its machines, not from a powered-off cluster.
+        let (mut pipeline, trace) = fixture_with_pivots(1);
+        let first = &trace.tasks()[..150];
+        let greedy = pipeline.tick(first, first);
+        assert_eq!(pipeline.last_plan(), None);
+        let state = pipeline.state();
+        // Heal the solver: the same loop state under the default budget.
+        let (mut healed, _) = fixture();
+        healed.restore(state.clone()).unwrap();
+        std::mem::swap(&mut pipeline.control, &mut healed.control);
+        let second = &trace.tasks()[150..300];
+        let plan = pipeline.tick(second, second);
+
+        // The same period run by the loop itself from either baseline.
+        let from = |initial_active: Vec<f64>| {
+            let (mut reference, _) = fixture();
+            reference.restore(state.clone()).unwrap();
+            let n_classes = reference.n_classes();
+            reference.control.run_period(&PeriodInputs {
+                now: reference.now(),
+                classifier: &reference.classifier,
+                catalog: &reference.catalog,
+                arrived: TaskView::dense(second),
+                pending: TaskView::dense(second),
+                initial_active,
+                occupied: vec![0.0; n_classes],
+            })
+        };
+        let zeros = from(vec![0.0; greedy.machines.len()]);
+        let actuated = from(greedy.machines.iter().map(|&m| m as f64).collect());
+        assert_ne!(zeros, actuated, "the baseline must matter for this test to say anything");
+        assert_eq!(Some(plan), actuated);
     }
 
     #[test]

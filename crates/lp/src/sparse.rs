@@ -9,9 +9,15 @@
 //! (`crate::factor`):
 //!
 //! 1. **Pricing.** One BTRAN gives the simplex multipliers
-//!    `y = B⁻ᵀc_B`; reduced costs `c_j − y·A_j` then cost one sparse
-//!    dot per column, O(nnz(A)) for a full Dantzig pass, with Bland's
-//!    anti-cycling rule after a degeneracy streak.
+//!    `y = B⁻ᵀc_B`; the entering column is Dantzig's most negative
+//!    reduced cost `c_j − y·A_j`, with Bland's anti-cycling rule after a
+//!    degeneracy streak. Until a solve phase first refactorizes, every
+//!    column is priced with one sparse dot. From then on the engine
+//!    tracks approximate reduced costs ([`Tracked`]): each pivot moves
+//!    them by `−Δy·A_j` along a row-wise copy of the matrix, visiting
+//!    only the rows whose multiplier changed, and re-prices exactly just
+//!    the few columns within a proven error bound of the minimum. The
+//!    choice is the full pass's, bit for bit.
 //! 2. **Ratio test.** One FTRAN gives the pivot direction
 //!    `d = B⁻¹A_j`; ties on the ratio go to the smaller basis column.
 //! 3. **Update.** The basic values update in place
@@ -20,7 +26,8 @@
 //!
 //! The eta file is rebuilt from the current basis columns every
 //! [`REFACTOR_EVERY`] pivots, which bounds both the per-iteration solve
-//! cost and the accumulated rounding error.
+//! cost and the accumulated rounding error; each rebuild also re-prices
+//! every column exactly, which bounds the tracked values' drift.
 //!
 //! Warm starts refactorize the supplied basis from scratch (a structural
 //! mismatch, a retained artificial or a singular basis is rejected), and
@@ -109,6 +116,31 @@ impl Csc {
         self.row_idx[lo..hi].iter().copied().zip(self.values[lo..hi].iter().copied())
     }
 
+    /// The transpose of the first `cols` columns: its column `i` lists
+    /// row `i`'s `(column, value)` entries in column order.
+    fn transpose(&self, cols: usize) -> Csc {
+        let mut col_ptr = vec![0usize; self.nrows + 1];
+        for &i in &self.row_idx[..self.col_ptr[cols]] {
+            col_ptr[i + 1] += 1;
+        }
+        for i in 0..self.nrows {
+            col_ptr[i + 1] += col_ptr[i];
+        }
+        let nnz = col_ptr[self.nrows];
+        let mut row_idx = vec![0usize; nnz];
+        let mut values = vec![0.0; nnz];
+        let mut cursor = col_ptr.clone();
+        for j in 0..cols {
+            for (i, a) in self.col(j) {
+                let k = cursor[i];
+                cursor[i] += 1;
+                row_idx[k] = j;
+                values[k] = a;
+            }
+        }
+        Csc { nrows: cols, col_ptr, row_idx, values }
+    }
+
     /// Appends a column holding `entries` and returns its index.
     pub(crate) fn push_col(&mut self, entries: &[(usize, f64)]) -> usize {
         for &(i, a) in entries {
@@ -119,6 +151,121 @@ impl Csc {
         self.col_ptr.push(self.row_idx.len());
         self.col_ptr.len() - 2
     }
+}
+
+/// Tracked reduced costs: `d̃_j ≈ r_j = c_j − y·A_j` for every priced
+/// nonbasic column `j`, kept consistent with the multipliers of the
+/// latest pivot. Basic columns hold `+∞`, so the scan for the minimum
+/// needs no basis test.
+///
+/// A refresh (each refactorization, and each Bland pivot) sets `d̃`
+/// exactly, and a column leaving the basis is priced exactly at its
+/// pivot. In between, each pivot scatters `Δy = y − y_prev` along the
+/// row-wise copy `rows`, from the rows whose multiplier changed. So `d̃`
+/// drifts from `r` by rounding alone. Write `S = 1 + max|c| +
+/// max|y|·max‖A_j‖₁`, with `max|y|` over the pivots since the refresh.
+/// Each of at most [`REFACTOR_EVERY`] pivots adds to `d̃_j` at most
+/// `nnz(A_j) + 2` roundings of values no larger than `3S`, and the two
+/// exact dots it is compared through carry fewer still, so the drift
+/// stays below `3e-14·(nnz(A_j) + 2)·S`. [`Tracked::delta`] is over 300
+/// times that. With every `|d̃_j − r_j| ≤ δ`, the exact argmin of `r` —
+/// and so the optimality test — lies among the columns whose `d̃_j` is
+/// within `2δ` of `min d̃`.
+struct Tracked {
+    /// Row-wise copy of the priced columns.
+    rows: Csc,
+    /// `d̃_j` per priced column, `+∞` for a basic one.
+    d: Vec<f64>,
+    /// The multipliers `d` is consistent with.
+    y: Vec<f64>,
+    /// `max|y_i|` over every `y` since the last refresh.
+    y_max: f64,
+    /// `1e-11·(max nnz(A_j) + 2)`: δ per unit of scale.
+    unit: f64,
+    /// `1 + max|c_j|` over the priced columns.
+    cost_scale: f64,
+    /// `max‖A_j‖₁` over the priced columns.
+    col_norm: f64,
+    /// Whether `d` holds values (false until the first refresh).
+    primed: bool,
+    /// The columns within `2δ` of `min d̃`, in index order.
+    candidates: Vec<usize>,
+}
+
+impl Tracked {
+    /// Starts tracking the first `cols` columns; the first refresh
+    /// fills in `d̃`.
+    #[inline(never)]
+    fn new(matrix: &Csc, cost: &[f64], cols: usize) -> Tracked {
+        let mut max_nnz = 0usize;
+        let mut col_norm = 0.0f64;
+        for j in 0..cols {
+            max_nnz = max_nnz.max(matrix.col_nnz(j));
+            col_norm = col_norm.max(matrix.col(j).map(|(_, a)| a.abs()).sum());
+        }
+        Tracked {
+            rows: matrix.transpose(cols),
+            d: vec![0.0; cols],
+            y: vec![0.0; matrix.num_rows()],
+            y_max: 0.0,
+            unit: 1e-11 * (max_nnz as f64 + 2.0),
+            cost_scale: 1.0 + cost[..cols].iter().fold(0.0f64, |acc, c| acc.max(c.abs())),
+            col_norm,
+            primed: false,
+            candidates: Vec::new(),
+        }
+    }
+
+    /// Moves `d̃` to the multipliers `y` by `−Δy·A_j`, visiting only the
+    /// rows whose multiplier changed.
+    fn advance(&mut self, y: &[f64]) {
+        for (i, (&yi, prev)) in y.iter().zip(self.y.iter_mut()).enumerate() {
+            let dy = yi - *prev;
+            if dy != 0.0 {
+                *prev = yi;
+                self.y_max = self.y_max.max(yi.abs());
+                for (j, a) in self.rows.col(i) {
+                    self.d[j] -= dy * a;
+                }
+            }
+        }
+    }
+
+    /// The bound δ on `|d̃_j − r_j|` (see [`Tracked`]).
+    fn delta(&self) -> f64 {
+        self.unit * (self.cost_scale + self.y_max * self.col_norm)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Pivots priced from tracked values on this thread.
+    static TRACKED_PIVOTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Refreshes of the tracked values by a Bland pivot on this thread.
+    static BLAND_REFRESHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Dantzig's rule over `(column, reduced cost)` pairs in increasing
+/// column order: the most negative reduced cost below `−tol`, the first
+/// on ties; under Bland's rule, the first below `−tol`.
+fn choose(
+    columns: impl Iterator<Item = (usize, f64)>,
+    tol: f64,
+    use_bland: bool,
+) -> Option<(usize, f64)> {
+    let mut entering: Option<(usize, f64)> = None;
+    for (j, r) in columns {
+        if r >= -tol {
+            continue;
+        }
+        if use_bland {
+            return Some((j, r)); // first (smallest) index
+        }
+        if entering.is_none_or(|(_, best)| r < best) {
+            entering = Some((j, r));
+        }
+    }
+    entering
 }
 
 /// Revised-simplex working state: the (artificial-extended) matrix, the
@@ -203,9 +350,13 @@ impl Revised {
 
     /// Runs primal simplex minimizing `cost`, allowing only columns
     /// `< allowed_cols` to enter the basis. Returns the objective value.
-    /// Pricing is Dantzig's most-negative reduced cost, with Bland's
-    /// smallest-index rule after a streak of degenerate pivots; leaving
-    /// ties are broken on the smaller basis column.
+    /// Pricing is Dantzig's most-negative reduced cost (lowest index on
+    /// ties), with Bland's smallest-index rule after a streak of
+    /// degenerate pivots; leaving ties are broken on the smaller basis
+    /// column. Up to the run's first refactorization every pivot prices
+    /// all columns ([`Revised::price_full`]); from there on
+    /// [`Revised::run_tracked`] tracks the reduced costs. Both pick the
+    /// same column.
     fn run(&mut self, cost: &[f64], allowed_cols: usize) -> Result<f64, LpError> {
         let m = self.matrix.num_rows();
         let mut y = vec![0.0; m];
@@ -214,94 +365,259 @@ impl Revised {
         loop {
             if self.etas.len() >= self.fresh_len + REFACTOR_EVERY {
                 self.refactorize()?;
+                let tracked = Tracked::new(&self.matrix, cost, allowed_cols);
+                return self.run_tracked(cost, allowed_cols, tracked, degenerate_streak);
             }
             let use_bland = degenerate_streak > 64;
-            // Simplex multipliers: y = B⁻ᵀ c_B (one BTRAN).
-            for (i, v) in y.iter_mut().enumerate() {
-                *v = cost[self.basis[i]];
-            }
-            self.etas.btran(&mut y);
-            // Pricing: r_j = c_j − y·A_j, one sparse dot per column.
-            let mut entering: Option<(usize, f64)> = None;
-            for (j, &basic) in self.is_basic.iter().enumerate().take(allowed_cols) {
-                if basic {
-                    continue;
-                }
-                let mut dot = 0.0;
-                for (i, a) in self.matrix.col(j) {
-                    dot += y[i] * a;
-                }
-                let r = cost[j] - dot;
-                if r >= -self.tol {
-                    continue;
-                }
-                if use_bland {
-                    entering = Some((j, r)); // first (smallest) index
-                    break;
-                }
-                if entering.is_none_or(|(_, best)| r < best) {
-                    entering = Some((j, r));
-                }
-            }
-            let Some((j, _)) = entering else {
-                // Optimal. Recompute xb once through the eta file: the
-                // FTRAN result carries less drift than the incrementally
-                // updated values, and extraction reads xb directly.
-                self.recompute_xb();
-                let obj: f64 = (0..m).map(|i| cost[self.basis[i]] * self.xb[i]).sum();
-                return Ok(obj);
+            self.multipliers(cost, &mut y);
+            let Some((j, _)) = self.price_full(cost, &y, allowed_cols, use_bland) else {
+                return Ok(self.finish(cost));
             };
-            // Pivot direction: d = B⁻¹ A_j (one FTRAN).
-            dir.fill(0.0);
-            for (i, a) in self.matrix.col(j) {
-                dir[i] = a;
-            }
-            self.etas.ftran(&mut dir);
-            // Ratio test with Bland tie-breaking on the leaving basis
-            // column index (as in the dense oracle).
-            let mut leave: Option<(usize, f64)> = None;
-            for (i, &d) in dir.iter().enumerate() {
-                if d > self.tol {
-                    let ratio = self.xb[i].max(0.0) / d;
-                    match leave {
-                        None => leave = Some((i, ratio)),
-                        Some((li, lr)) => {
-                            if ratio < lr - self.tol
-                                || (ratio < lr + self.tol && self.basis[i] < self.basis[li])
-                            {
-                                leave = Some((i, ratio));
-                            }
-                        }
-                    }
-                }
-            }
-            let Some((r, ratio)) = leave else {
-                return Err(LpError::Unbounded);
-            };
-            if ratio <= self.tol {
-                degenerate_streak += 1;
-            } else {
-                degenerate_streak = 0;
-            }
-            // Update basic values: x_B ← x_B − θd, entering takes θ.
-            for (v, &d) in self.xb.iter_mut().zip(dir.iter()) {
-                if d != 0.0 {
-                    *v -= ratio * d;
-                    if *v < 0.0 && *v >= -self.feas {
-                        *v = 0.0;
-                    }
-                }
-            }
-            self.xb[r] = ratio;
-            self.is_basic[self.basis[r]] = false;
-            self.is_basic[j] = true;
-            self.etas.push_pivot(r, &dir, ETA_DROP_TOL);
-            self.basis[r] = j;
-            self.pivots += 1;
+            let (_, ratio) = self.pivot(j, &mut dir)?;
+            degenerate_streak = if ratio <= self.tol { degenerate_streak + 1 } else { 0 };
             if self.pivots > self.max_pivots {
                 return Err(LpError::IterationLimit { limit: self.max_pivots });
             }
         }
+    }
+
+    /// [`Revised::run`] from its first refactorization on, with the
+    /// degenerate streak carried across: prices from the tracked values
+    /// `t`, refreshed in full at each refactorization and each Bland
+    /// pivot ([`Revised::refresh`]).
+    #[inline(never)]
+    fn run_tracked(
+        &mut self,
+        cost: &[f64],
+        allowed_cols: usize,
+        mut t: Tracked,
+        mut degenerate_streak: usize,
+    ) -> Result<f64, LpError> {
+        let m = self.matrix.num_rows();
+        let mut y = vec![0.0; m];
+        let mut dir = vec![0.0; m];
+        let mut refresh = true; // entered right after a refactorization
+        loop {
+            if self.etas.len() >= self.fresh_len + REFACTOR_EVERY {
+                self.refactorize()?;
+                refresh = true;
+            }
+            let use_bland = degenerate_streak > 64;
+            self.multipliers(cost, &mut y);
+            let entering = if refresh || use_bland {
+                self.refresh(&mut t, cost, &y, allowed_cols, use_bland)
+            } else {
+                self.price_tracked(&mut t, cost, &y, allowed_cols)
+            };
+            refresh = false;
+            let Some((j, _)) = entering else {
+                return Ok(self.finish(cost));
+            };
+            let (left, ratio) = self.pivot(j, &mut dir)?;
+            degenerate_streak = if ratio <= self.tol { degenerate_streak + 1 } else { 0 };
+            // The entering column is basic now; the leaving one is priced
+            // exactly, at the multipliers `t` holds.
+            t.d[j] = f64::INFINITY;
+            if left < allowed_cols {
+                t.d[left] = self.reduced_cost(cost, &y, left);
+            }
+            if self.pivots > self.max_pivots {
+                return Err(LpError::IterationLimit { limit: self.max_pivots });
+            }
+        }
+    }
+
+    /// The simplex multipliers `y = B⁻ᵀc_B` (one BTRAN).
+    fn multipliers(&self, cost: &[f64], y: &mut [f64]) {
+        for (i, v) in y.iter_mut().enumerate() {
+            *v = cost[self.basis[i]];
+        }
+        self.etas.btran(y);
+    }
+
+    /// At the optimum: recomputes `xb` once through the eta file (the
+    /// FTRAN result carries less drift than the incrementally updated
+    /// values, and extraction reads `xb` directly) and returns the
+    /// objective.
+    fn finish(&mut self, cost: &[f64]) -> f64 {
+        self.recompute_xb();
+        self.basis.iter().zip(&self.xb).map(|(&j, &x)| cost[j] * x).sum()
+    }
+
+    /// Brings column `j` into the basis: one FTRAN for the direction
+    /// `d = B⁻¹A_j` (left in `dir`), the ratio test, the basic-value
+    /// update and one eta. Returns the leaving column and the step θ.
+    #[inline(never)]
+    fn pivot(&mut self, j: usize, dir: &mut [f64]) -> Result<(usize, f64), LpError> {
+        dir.fill(0.0);
+        for (i, a) in self.matrix.col(j) {
+            dir[i] = a;
+        }
+        self.etas.ftran(dir);
+        // Ratio test with Bland tie-breaking on the leaving basis
+        // column index (as in the dense oracle).
+        let mut leave: Option<(usize, f64)> = None;
+        for (i, &d) in dir.iter().enumerate() {
+            if d > self.tol {
+                let ratio = self.xb[i].max(0.0) / d;
+                match leave {
+                    None => leave = Some((i, ratio)),
+                    Some((li, lr)) => {
+                        if ratio < lr - self.tol
+                            || (ratio < lr + self.tol && self.basis[i] < self.basis[li])
+                        {
+                            leave = Some((i, ratio));
+                        }
+                    }
+                }
+            }
+        }
+        let Some((r, ratio)) = leave else {
+            return Err(LpError::Unbounded);
+        };
+        // Update basic values: x_B ← x_B − θd, entering takes θ.
+        for (v, &d) in self.xb.iter_mut().zip(dir.iter()) {
+            if d != 0.0 {
+                *v -= ratio * d;
+                if *v < 0.0 && *v >= -self.feas {
+                    *v = 0.0;
+                }
+            }
+        }
+        self.xb[r] = ratio;
+        let left = self.basis[r];
+        self.is_basic[left] = false;
+        self.is_basic[j] = true;
+        self.etas.push_pivot(r, dir, ETA_DROP_TOL);
+        self.basis[r] = j;
+        self.pivots += 1;
+        Ok((left, ratio))
+    }
+
+    /// `c_j − y·A_j`: one sparse dot in column order. Every pricing path
+    /// computes a reduced cost here, so they agree bit for bit.
+    fn reduced_cost(&self, cost: &[f64], y: &[f64], j: usize) -> f64 {
+        let mut dot = 0.0;
+        for (i, a) in self.matrix.col(j) {
+            dot += y[i] * a;
+        }
+        cost[j] - dot
+    }
+
+    /// Prices every nonbasic column `< allowed_cols` with one sparse dot
+    /// each and returns the entering column with its reduced cost, by
+    /// [`choose`]'s rule. Written out and inlined: the small LPs of the
+    /// closed loop rarely refactorize, and measured slower through an
+    /// iterator or a call.
+    #[inline(always)]
+    fn price_full(
+        &self,
+        cost: &[f64],
+        y: &[f64],
+        allowed_cols: usize,
+        use_bland: bool,
+    ) -> Option<(usize, f64)> {
+        let mut entering: Option<(usize, f64)> = None;
+        for (j, &basic) in self.is_basic.iter().enumerate().take(allowed_cols) {
+            if basic {
+                continue;
+            }
+            // The dot of `reduced_cost`, spelled out.
+            let mut dot = 0.0;
+            for (i, a) in self.matrix.col(j) {
+                dot += y[i] * a;
+            }
+            let r = cost[j] - dot;
+            if r >= -self.tol {
+                continue;
+            }
+            if use_bland {
+                entering = Some((j, r)); // first (smallest) index
+                break;
+            }
+            if entering.is_none_or(|(_, best)| r < best) {
+                entering = Some((j, r));
+            }
+        }
+        entering
+    }
+
+    /// [`Revised::price_full`] that also refreshes the tracked values:
+    /// every nonbasic column's exact reduced cost, `+∞` for a basic one.
+    /// Under `debug_assertions` it first checks each value's drift
+    /// against the exact price at the multipliers it was tracked to.
+    #[inline(never)]
+    fn refresh(
+        &self,
+        t: &mut Tracked,
+        cost: &[f64],
+        y: &[f64],
+        allowed_cols: usize,
+        use_bland: bool,
+    ) -> Option<(usize, f64)> {
+        #[cfg(test)]
+        if use_bland {
+            BLAND_REFRESHES.with(|n| n.set(n.get() + 1));
+        }
+        let drift_limit = 1e-3 * t.delta();
+        for (j, &basic) in self.is_basic.iter().enumerate().take(allowed_cols) {
+            if basic {
+                t.d[j] = f64::INFINITY;
+                continue;
+            }
+            if cfg!(debug_assertions) && t.primed {
+                let drift = t.d[j] - self.reduced_cost(cost, &t.y, j);
+                debug_assert!(drift.abs() <= drift_limit, "column {j} drifted by {drift:e}");
+            }
+            t.d[j] = self.reduced_cost(cost, y, j);
+        }
+        t.y.copy_from_slice(y);
+        t.y_max = y.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+        t.primed = true;
+        choose(t.d.iter().copied().enumerate(), self.tol, use_bland)
+    }
+
+    /// [`Revised::price_full`]'s Dantzig choice from the tracked values:
+    /// moves `d̃` by `−Δy·A_j`, finds `min d̃` and the columns within `2δ`
+    /// of it in one scan, and re-prices just those exactly.
+    #[inline(never)]
+    fn price_tracked(
+        &self,
+        t: &mut Tracked,
+        cost: &[f64],
+        y: &[f64],
+        allowed_cols: usize,
+    ) -> Option<(usize, f64)> {
+        #[cfg(test)]
+        TRACKED_PIVOTS.with(|n| n.set(n.get() + 1));
+        t.advance(y);
+        // One scan keeps every column within 2δ of the running minimum;
+        // those the final minimum leaves behind are skipped below.
+        let window = 2.0 * t.delta();
+        let mut min = f64::INFINITY;
+        let mut limit = f64::MAX; // basic columns (+∞) never qualify
+        t.candidates.clear();
+        for (j, &dj) in t.d.iter().enumerate() {
+            if dj <= limit {
+                if dj < min - window {
+                    t.candidates.clear(); // all beyond the new limit
+                }
+                if dj < min {
+                    min = dj;
+                    limit = min + window;
+                }
+                t.candidates.push(j);
+            }
+        }
+        let candidates = t.candidates.iter().filter(|&&j| t.d[j] <= limit);
+        let entering =
+            choose(candidates.map(|&j| (j, self.reduced_cost(cost, y, j))), self.tol, false);
+        debug_assert_eq!(
+            entering.map(|(j, _)| j),
+            self.price_full(cost, y, allowed_cols, false).map(|(j, _)| j),
+            "tracked pricing must choose the full pass's column"
+        );
+        entering
     }
 
     /// After a successful phase 1, swaps still-basic artificials for
@@ -540,4 +856,87 @@ fn solve_cold(
     rev.run(&cost, struct_and_slack)?;
 
     Ok(rev.extract_solution(p, std_form, phase1_pivots, warm_outcome))
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    use super::{BLAND_REFRESHES, TRACKED_PIVOTS};
+    use crate::dense::solve_dense;
+    use crate::{Problem, Sense, SimplexOptions, Solution, WarmOutcome};
+
+    /// Maximize `c·x` over `Ax ≤ b`, `x ≥ 0`, each column with entries
+    /// in three distinct rows. Columns come in threes: a column, an
+    /// exact copy (a tie the lowest index must win) and a copy worth one
+    /// ulp more (a near tie only the exact reduced cost tells apart).
+    fn tied_lp(rows: usize, triples: usize, b: &[f64]) -> Problem {
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let mut p = Problem::new(Sense::Maximize);
+        let mut terms = vec![Vec::new(); rows];
+        for k in 0..triples {
+            let c: f64 = rng.gen_range(1.0..10.0);
+            let mut entries: Vec<(usize, f64)> = Vec::new();
+            while entries.len() < 3 {
+                let i = rng.gen_range(0..rows);
+                if entries.iter().all(|&(e, _)| e != i) {
+                    entries.push((i, rng.gen_range(0.5..2.0)));
+                }
+            }
+            for (copy, obj) in [c, c, c + c * f64::EPSILON].into_iter().enumerate() {
+                let x = p.add_var(format!("x{k}_{copy}"), 0.0, f64::INFINITY, obj);
+                for &(i, a) in &entries {
+                    terms[i].push((x, a));
+                }
+            }
+        }
+        for (row, &rhs) in terms.into_iter().zip(b) {
+            p.add_le(row, rhs);
+        }
+        p
+    }
+
+    /// Solves with the engine, counting the pivots priced from tracked
+    /// values and the Bland refreshes, and checks the objective against
+    /// the dense oracle's.
+    fn solve_counted(p: &Problem, warm: Option<&Solution>) -> (Solution, usize, usize) {
+        let count = || (TRACKED_PIVOTS.with(|n| n.get()), BLAND_REFRESHES.with(|n| n.get()));
+        let before = count();
+        let options = SimplexOptions::default();
+        let solution = p.solve_warm_with(&options, warm.map(Solution::basis)).unwrap();
+        let after = count();
+        let oracle = solve_dense(p, &options).unwrap().objective();
+        assert!(
+            (solution.objective() - oracle).abs() <= 1e-9 * oracle.abs(),
+            "{} against the oracle's {oracle}",
+            solution.objective()
+        );
+        (solution, after.0 - before.0, after.1 - before.1)
+    }
+
+    /// Under `debug_assertions` every tracked pivot is checked against
+    /// the full pass, and each refresh checks the drift. This LP runs
+    /// long enough for several refreshes, its ties and near ties decide
+    /// pivots, and its zero right-hand sides make the warm solve's
+    /// repair phase 1 degenerate for long enough to engage Bland's rule.
+    #[test]
+    fn tracked_pricing_takes_the_full_pass_pivots() {
+        const ROWS: usize = 150;
+        let mut rng = ChaCha8Rng::seed_from_u64(101);
+        let b: Vec<f64> =
+            (0..ROWS).map(|i| if i % 3 == 0 { rng.gen_range(10.0..100.0) } else { 0.0 }).collect();
+        let (cold, tracked, _) = solve_counted(&tied_lp(ROWS, 600, &b), None);
+        assert!(cold.pivots() >= 130, "{} pivots: fewer than two refactorizations", cold.pivots());
+        assert!(tracked > 0, "no tracked pivot in {} pivots", cold.pivots());
+
+        // Shrink half the capacities: the old vertex violates rows, and
+        // the repair phase 1 prices its artificials too.
+        let shrunk: Vec<f64> =
+            b.iter().map(|&v| if rng.gen_bool(0.5) { 0.2 * v } else { v }).collect();
+        let (warm, tracked, bland) = solve_counted(&tied_lp(ROWS, 600, &shrunk), Some(&cold));
+        assert_eq!(warm.warm_outcome(), WarmOutcome::Hit);
+        assert!(warm.phase1_pivots() > 70, "repair phase 1 of {}", warm.phase1_pivots());
+        assert!(tracked > 0 && bland > 0, "{tracked} tracked pivots, {bland} Bland refreshes");
+    }
 }
