@@ -164,10 +164,10 @@ impl Csc {
 /// row-wise copy `rows`, from the rows whose multiplier changed. So `d̃`
 /// drifts from `r` by rounding alone. Write `S = 1 + max|c| +
 /// max|y|·max‖A_j‖₁`, with `max|y|` over the pivots since the refresh.
-/// Each of at most [`REFACTOR_EVERY`] pivots adds to `d̃_j` at most
-/// `nnz(A_j) + 2` roundings of values no larger than `3S`, and the two
-/// exact dots it is compared through carry fewer still, so the drift
-/// stays below `3e-14·(nnz(A_j) + 2)·S`. [`Tracked::delta`] is over 300
+/// Each of at most [`REFACTOR_EVERY`] pivots adds to `d̃_j` an error
+/// below `(nnz(A_j) + 2)·3S·2⁻⁵³`, and the two exact dots it is compared
+/// through carry less still, so the drift stays below
+/// `3e-14·(nnz(A_j) + 2)·S`. [`Tracked::delta`] is over 300
 /// times that. With every `|d̃_j − r_j| ≤ δ`, the exact argmin of `r` —
 /// and so the optimality test — lies among the columns whose `d̃_j` is
 /// within `2δ` of `min d̃`.
@@ -186,15 +186,13 @@ struct Tracked {
     cost_scale: f64,
     /// `max‖A_j‖₁` over the priced columns.
     col_norm: f64,
-    /// Whether `d` holds values (false until the first refresh).
-    primed: bool,
     /// The columns within `2δ` of `min d̃`, in index order.
     candidates: Vec<usize>,
 }
 
 impl Tracked {
-    /// Starts tracking the first `cols` columns; the first refresh
-    /// fills in `d̃`.
+    /// Starts tracking the first `cols` columns at `y = 0`, where each
+    /// reduced cost is exactly `c_j`.
     #[inline(never)]
     fn new(matrix: &Csc, cost: &[f64], cols: usize) -> Tracked {
         let mut max_nnz = 0usize;
@@ -205,13 +203,12 @@ impl Tracked {
         }
         Tracked {
             rows: matrix.transpose(cols),
-            d: vec![0.0; cols],
+            d: cost[..cols].to_vec(),
             y: vec![0.0; matrix.num_rows()],
             y_max: 0.0,
             unit: 1e-11 * (max_nnz as f64 + 2.0),
             cost_scale: 1.0 + cost[..cols].iter().fold(0.0f64, |acc, c| acc.max(c.abs())),
             col_norm,
-            primed: false,
             candidates: Vec::new(),
         }
     }
@@ -495,7 +492,8 @@ impl Revised {
     }
 
     /// `c_j − y·A_j`: one sparse dot in column order. Every pricing path
-    /// computes a reduced cost here, so they agree bit for bit.
+    /// computes a reduced cost with these operations ([`Revised::price_full`]
+    /// spells them out), so they agree bit for bit.
     fn reduced_cost(&self, cost: &[f64], y: &[f64], j: usize) -> f64 {
         let mut dot = 0.0;
         for (i, a) in self.matrix.col(j) {
@@ -565,7 +563,7 @@ impl Revised {
                 t.d[j] = f64::INFINITY;
                 continue;
             }
-            if cfg!(debug_assertions) && t.primed {
+            if cfg!(debug_assertions) {
                 let drift = t.d[j] - self.reduced_cost(cost, &t.y, j);
                 debug_assert!(drift.abs() <= drift_limit, "column {j} drifted by {drift:e}");
             }
@@ -573,7 +571,6 @@ impl Revised {
         }
         t.y.copy_from_slice(y);
         t.y_max = y.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-        t.primed = true;
         choose(t.d.iter().copied().enumerate(), self.tol, use_bland)
     }
 
