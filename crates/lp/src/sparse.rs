@@ -381,7 +381,9 @@ impl Revised {
     /// [`Revised::run`] from its first refactorization on, with the
     /// degenerate streak carried across: prices from the tracked values
     /// `t`, refreshed in full at each refactorization and each Bland
-    /// pivot ([`Revised::refresh`]).
+    /// pivot ([`Revised::refresh`]). The tracking code is kept out of
+    /// line (here, in `pivot` and in `Tracked::new`): inlined into `run`,
+    /// it measured slower on the small solves that never engage it.
     #[inline(never)]
     fn run_tracked(
         &mut self,
