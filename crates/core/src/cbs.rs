@@ -80,12 +80,10 @@ pub struct CbsSolve {
     pub plan: CbsPlan,
     /// The optimal simplex basis, to pass as `warm` next period.
     pub basis: harmony_lp::Basis,
-    /// Whether the solver actually restarted from the supplied basis
-    /// (`false` on a cold solve *or* a fallback after an unusable basis).
-    pub warm_started: bool,
-    /// How the warm-start attempt resolved — [`WarmOutcome::Hit`],
-    /// one of the two fallback kinds, or [`WarmOutcome::Cold`] when no
-    /// basis was supplied. Refines [`CbsSolve::warm_started`].
+    /// How the warm-start attempt resolved — `Hit` when the solver
+    /// restarted from the supplied basis, one of the two fallback kinds,
+    /// or `Cold` when no basis was supplied (see
+    /// [`harmony_lp::WarmOutcome`]).
     pub warm_outcome: harmony_lp::WarmOutcome,
     /// Simplex pivots this solve took (phase 1 + phase 2).
     pub pivots: usize,
@@ -198,9 +196,9 @@ pub fn solve_cbs_relax_warm(
             let ty = inputs.catalog.machine_type(MachineTypeId(m));
             // Energy cost of keeping one machine idle for one period.
             let idle_cost = price * ty.power.idle_watts / 1000.0 * period_hours;
-            z[t][m] = p.add_var(format!("z_{m}_{t}"), 0.0, ty.count as f64, -idle_cost);
-            dp[t][m] = p.add_var(format!("dp_{m}_{t}"), 0.0, f64::INFINITY, -ty.switching_cost);
-            dm[t][m] = p.add_var(format!("dm_{m}_{t}"), 0.0, f64::INFINITY, -ty.switching_cost);
+            z[t][m] = p.add_var(0.0, ty.count as f64, -idle_cost);
+            dp[t][m] = p.add_var(0.0, f64::INFINITY, -ty.switching_cost);
+            dm[t][m] = p.add_var(0.0, f64::INFINITY, -ty.switching_cost);
             for n in 0..n_classes {
                 if !compatible[m][n] {
                     continue;
@@ -212,12 +210,7 @@ pub fn solve_cbs_relax_warm(
                 let watts = ty.power.alpha_watts.cpu * util.cpu + ty.power.alpha_watts.mem * util.mem;
                 let energy_cost = price * watts / 1000.0 * period_hours;
                 let utility = inputs.utility_per_hour[n] * period_hours;
-                x[t][m][n] = Some(p.add_var(
-                    format!("x_{m}_{n}_{t}"),
-                    0.0,
-                    f64::INFINITY,
-                    utility - energy_cost,
-                ));
+                x[t][m][n] = Some(p.add_var(0.0, f64::INFINITY, utility - energy_cost));
             }
         }
     }
@@ -320,7 +313,6 @@ pub fn solve_cbs_relax_warm(
     Ok(CbsSolve {
         plan: CbsPlan { z: z_out, x: x_out, objective: solution.objective() },
         basis: solution.basis().clone(),
-        warm_started: solution.warm_started(),
         warm_outcome: solution.warm_outcome(),
         pivots: solution.pivots(),
         lp_vars,
@@ -592,7 +584,7 @@ mod tests {
             None,
         )
         .unwrap();
-        assert!(!first.warm_started);
+        assert_eq!(first.warm_outcome, harmony_lp::WarmOutcome::Cold);
         // Next tick: same structure, perturbed demand.
         let cold = solve_cbs_relax_warm(
             &inputs(&catalog, &sizes, &utility, &demand_24, &initial, &price),
@@ -606,7 +598,11 @@ mod tests {
             Some(&first.basis),
         )
         .unwrap();
-        assert!(warm.warm_started, "same-structure re-solve must warm start");
+        assert_eq!(
+            warm.warm_outcome,
+            harmony_lp::WarmOutcome::Hit,
+            "same-structure re-solve must warm start"
+        );
         assert!(
             (warm.plan.objective - cold.plan.objective).abs()
                 < 1e-6 * (1.0 + cold.plan.objective.abs()),

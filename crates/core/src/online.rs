@@ -463,7 +463,7 @@ mod tests {
         // shape, the cold fallback hits the budget and fails, and the
         // failure must drop the carried basis, not keep the stale one.
         let mut tiny = harmony_lp::Problem::new(harmony_lp::Sense::Minimize);
-        let x = tiny.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = tiny.add_var(0.0, f64::INFINITY, 1.0);
         tiny.add_ge(vec![(x, 1.0)], 1.0);
         let stale = tiny.solve().unwrap().basis().clone();
         let (mut crippled, _) = fixture_with_pivots(1);

@@ -343,7 +343,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, v)| {
                     let (lb, ub, cost) = v.def();
-                    p.add_var(format!("x{i}"), lb, ub, cost * cost_scales[i])
+                    p.add_var(lb, ub, cost * cost_scales[i])
                 })
                 .collect();
             let point: Vec<f64> =
@@ -427,9 +427,9 @@ mod tests {
             for t in 0..self.horizon {
                 let mut caps = vec![Vec::new(); self.classes.len()];
                 for (m, &(count, idle, switching, capacity)) in self.types.iter().enumerate() {
-                    let z = p.add_var(format!("z_{m}_{t}"), 0.0, count, -period.price * idle);
-                    let dp = p.add_var(format!("dp_{m}_{t}"), 0.0, f64::INFINITY, -switching);
-                    let dm = p.add_var(format!("dm_{m}_{t}"), 0.0, f64::INFINITY, -switching);
+                    let z = p.add_var(0.0, count, -period.price * idle);
+                    let dp = p.add_var(0.0, f64::INFINITY, -switching);
+                    let dm = p.add_var(0.0, f64::INFINITY, -switching);
                     let mut state = vec![(z, 1.0), (dp, -1.0), (dm, 1.0)];
                     let rhs = match prev_z[m] {
                         Some(prev) => {
@@ -443,7 +443,7 @@ mod tests {
                     let mut usage = [Vec::new(), Vec::new()];
                     for (n, &(utility, size)) in self.classes.iter().enumerate() {
                         let obj = utility - period.price * self.energy[m][n];
-                        let x = p.add_var(format!("x_{m}_{n}_{t}"), 0.0, f64::INFINITY, obj);
+                        let x = p.add_var(0.0, f64::INFINITY, obj);
                         caps[n].push((x, 1.0));
                         for (r, row) in usage.iter_mut().enumerate() {
                             row.push((x, size[r]));

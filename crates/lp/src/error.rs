@@ -1,9 +1,11 @@
-//! Error type for LP modeling and solving.
+//! Error type for LP solving.
 
 use std::error::Error;
 use std::fmt;
 
-/// Errors returned by LP construction and the simplex solver.
+/// Errors returned by the simplex solver. A malformed model panics
+/// while it is built instead; [`LpError::NonFiniteInput`] is for callers
+/// that check their own inputs before building one.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum LpError {
@@ -21,16 +23,6 @@ pub enum LpError {
     NonFiniteInput {
         /// Where the bad value appeared.
         context: &'static str,
-    },
-    /// A variable's lower bound exceeds its upper bound.
-    EmptyDomain {
-        /// The variable's name.
-        name: String,
-    },
-    /// A variable id from a different problem (or out of range) was used.
-    UnknownVariable {
-        /// The raw index supplied.
-        index: usize,
     },
     /// The basis factorization broke down numerically:
     /// a basis whose pivots were all accepted refactorized as singular,
@@ -51,12 +43,6 @@ impl fmt::Display for LpError {
             LpError::NonFiniteInput { context } => {
                 write!(f, "non-finite value supplied in {context}")
             }
-            LpError::EmptyDomain { name } => {
-                write!(f, "variable {name:?} has lower bound above upper bound")
-            }
-            LpError::UnknownVariable { index } => {
-                write!(f, "variable index {index} does not belong to this problem")
-            }
             LpError::SingularBasis => {
                 f.write_str("basis factorization broke down numerically")
             }
@@ -74,7 +60,6 @@ mod tests {
     fn displays() {
         assert_eq!(LpError::Infeasible.to_string(), "problem is infeasible");
         assert!(LpError::IterationLimit { limit: 10 }.to_string().contains("10"));
-        assert!(LpError::EmptyDomain { name: "x".into() }.to_string().contains("x"));
     }
 
     #[test]

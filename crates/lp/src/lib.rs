@@ -28,8 +28,10 @@
 //!
 //! A successful solve always yields an optimal [`Solution`]; every
 //! failure outcome — infeasible, unbounded, pivot budget exhausted,
-//! malformed model — is an [`LpError`]. There is no status enum to
-//! inspect on the success path.
+//! numerical breakdown — is an [`LpError`]. There is no status enum to
+//! inspect on the success path. A malformed model (a non-finite
+//! coefficient, an empty domain, a foreign variable) is a programming
+//! error and panics while it is built.
 //!
 //! # Examples
 //!
@@ -39,8 +41,8 @@
 //! use harmony_lp::{Problem, Sense};
 //!
 //! let mut p = Problem::new(Sense::Maximize);
-//! let x = p.add_var("x", 0.0, f64::INFINITY, 3.0);
-//! let y = p.add_var("y", 0.0, f64::INFINITY, 2.0);
+//! let x = p.add_var(0.0, f64::INFINITY, 3.0);
+//! let y = p.add_var(0.0, f64::INFINITY, 2.0);
 //! p.add_le(vec![(x, 1.0), (y, 1.0)], 4.0);
 //! p.add_le(vec![(x, 1.0)], 2.0);
 //! let sol = p.solve()?;

@@ -53,7 +53,6 @@ pub struct Constraint {
 
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct VarDef {
-    pub name: String,
     pub lb: f64,
     pub ub: f64,
     pub obj: f64,
@@ -84,15 +83,15 @@ impl Problem {
     /// # Panics
     ///
     /// Panics if `obj` is non-finite, a bound is NaN, or `lb > ub` —
-    /// these are programming errors in model construction.
-    pub fn add_var(&mut self, name: impl Into<String>, lb: f64, ub: f64, obj: f64) -> VarId {
-        let name = name.into();
-        assert!(obj.is_finite(), "objective coefficient for {name:?} must be finite");
-        assert!(!lb.is_nan() && !ub.is_nan(), "bounds for {name:?} must not be NaN");
-        assert!(lb <= ub, "variable {name:?} has empty domain [{lb}, {ub}]");
-        let id = VarId(self.vars.len());
-        self.vars.push(VarDef { name, lb, ub, obj });
-        id
+    /// these are programming errors in model construction. The message
+    /// names the variable by its index.
+    pub fn add_var(&mut self, lb: f64, ub: f64, obj: f64) -> VarId {
+        let v = self.vars.len();
+        assert!(obj.is_finite(), "objective coefficient for variable {v} must be finite");
+        assert!(!lb.is_nan() && !ub.is_nan(), "bounds for variable {v} must not be NaN");
+        assert!(lb <= ub, "variable {v} has empty domain [{lb}, {ub}]");
+        self.vars.push(VarDef { lb, ub, obj });
+        VarId(v)
     }
 
     /// Overwrites the objective coefficient of `var`.
@@ -147,15 +146,6 @@ impl Problem {
         self.constraints.len()
     }
 
-    /// The name a variable was created with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` does not belong to this problem.
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.vars[var.0].name
-    }
-
     /// Solves with default [`SimplexOptions`].
     ///
     /// # Errors
@@ -187,7 +177,7 @@ impl Problem {
     /// basis no longer fits — the model's standardized dimensions changed
     /// or the basis is singular for the new coefficients — the solver
     /// silently falls back to the cold two-phase path;
-    /// [`crate::Solution::warm_started`] reports which path ran.
+    /// [`crate::Solution::warm_outcome`] reports which path ran.
     /// `solve_warm_with(opts, None)` is exactly `solve_with(opts)`.
     ///
     /// # Errors
@@ -211,11 +201,11 @@ mod tests {
     #[test]
     fn construction() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, 10.0, 1.0);
-        let y = p.add_var("y", -1.0, f64::INFINITY, 2.0);
+        let x = p.add_var(0.0, 10.0, 1.0);
+        let y = p.add_var(-1.0, f64::INFINITY, 2.0);
         assert_eq!(p.num_vars(), 2);
         assert_eq!(x.index(), 0);
-        assert_eq!(p.var_name(y), "y");
+        assert_eq!(y.index(), 1);
         p.add_le(vec![(x, 1.0), (y, 1.0)], 5.0);
         assert_eq!(p.num_constraints(), 1);
         p.set_objective(x, 3.0);
@@ -226,14 +216,14 @@ mod tests {
     #[should_panic(expected = "empty domain")]
     fn empty_domain_panics() {
         let mut p = Problem::new(Sense::Minimize);
-        p.add_var("x", 2.0, 1.0, 0.0);
+        p.add_var(2.0, 1.0, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "must be finite")]
     fn nan_objective_panics() {
         let mut p = Problem::new(Sense::Minimize);
-        p.add_var("x", 0.0, 1.0, f64::NAN);
+        p.add_var(0.0, 1.0, f64::NAN);
     }
 
     #[test]
@@ -247,7 +237,7 @@ mod tests {
     #[should_panic(expected = "rhs must be finite")]
     fn infinite_rhs_panics() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, 1.0, 0.0);
+        let x = p.add_var(0.0, 1.0, 0.0);
         p.add_le(vec![(x, 1.0)], f64::INFINITY);
     }
 }

@@ -26,13 +26,13 @@
 //! **Warm starts.** Every [`Solution`] carries the optimal [`Basis`] out
 //! in standardized column space. [`crate::Problem::solve_warm_with`]
 //! re-installs that basis on the freshly standardized problem when only
-//! costs and right-hand sides changed since the previous solve. A
-//! still-feasible restart skips phase 1 entirely; a restart the new RHS
-//! pushed outside the polytope gets a *repair* phase 1 restricted to
-//! the violated rows, costing pivots proportional to the damage rather
-//! than to the whole problem. A basis whose dimensions no longer match
-//! or that has gone singular falls back to the cold two-phase path
-//! transparently.
+//! costs and right-hand sides changed since the previous solve, and
+//! runs the same two phases from it: each row the new RHS pushed outside
+//! the polytope takes an artificial in place of its basic column, so
+//! phase 1 is a *repair* costing pivots proportional to the damage, and
+//! a still-feasible restart has none and skips it. A basis whose
+//! dimensions no longer match, that has gone singular, or whose repair
+//! fails falls back to the cold start transparently.
 
 use serde::{Deserialize, Serialize};
 
@@ -117,8 +117,8 @@ impl Basis {
 /// An optimal solution to a [`Problem`].
 ///
 /// A `Solution` always represents an optimal basic point: every failure
-/// outcome (infeasible, unbounded, pivot budget exhausted, malformed
-/// model) surfaces as an [`crate::LpError`] from the solve call
+/// outcome (infeasible, unbounded, pivot budget exhausted, numerical
+/// breakdown) surfaces as an [`crate::LpError`] from the solve call
 /// instead. There is deliberately no `status` field — an enum with a
 /// single reachable variant would be a misleading always-true API.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,9 +176,10 @@ impl Solution {
         &self.values
     }
 
-    /// Total simplex pivots across both phases. Warm-started solves
-    /// count only phase-2 iterations (basis re-installation is a
-    /// factorization, not simplex pivoting).
+    /// Total simplex pivots across both phases, so never fewer than
+    /// [`Solution::phase1_pivots`]; a warm-started solve counts its
+    /// repair pivots too. Re-installing a warm basis is a
+    /// factorization, not simplex pivoting, and counts nothing.
     pub fn pivots(&self) -> usize {
         self.pivots
     }
@@ -198,19 +199,9 @@ impl Solution {
         &self.basis
     }
 
-    /// Whether this solve restarted from a supplied warm basis (`false`
-    /// when no basis was given *or* the given basis was unusable and the
-    /// solver fell back to the cold two-phase path). Shorthand for
-    /// `warm_outcome() == WarmOutcome::Hit`.
-    pub fn warm_started(&self) -> bool {
-        self.warm == WarmOutcome::Hit
-    }
-
-    /// How the supplied warm basis fared — see [`WarmOutcome`]. Callers
-    /// that account for warm-start effectiveness should match on this
-    /// rather than [`Solution::warm_started`]: the two fallback variants
-    /// distinguish a basis that never installed from one that installed
-    /// but could not be repaired.
+    /// How the supplied warm basis fared — see [`WarmOutcome`]. The two
+    /// fallback variants distinguish a basis that never installed from
+    /// one that installed but could not be repaired.
     pub fn warm_outcome(&self) -> WarmOutcome {
         self.warm
     }
@@ -419,8 +410,8 @@ mod tests {
     fn textbook_maximization() {
         // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  → 36 at (2, 6).
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 3.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 5.0);
+        let x = p.add_var(0.0, f64::INFINITY, 3.0);
+        let y = p.add_var(0.0, f64::INFINITY, 5.0);
         p.add_le(vec![(x, 1.0)], 4.0);
         p.add_le(vec![(y, 2.0)], 12.0);
         p.add_le(vec![(x, 3.0), (y, 2.0)], 18.0);
@@ -430,7 +421,7 @@ mod tests {
         assert_near(s.value(y), 6.0);
         assert!(s.pivots() > 0, "optimum is off the origin, so pivots happened");
         assert_eq!(s.phase1_pivots(), 0, "all-slack basis needs no phase 1");
-        assert!(!s.warm_started());
+        assert_eq!(s.warm_outcome(), WarmOutcome::Cold);
     }
 
     #[test]
@@ -438,8 +429,8 @@ mod tests {
         // min 2x + 3y s.t. x + y >= 10, x >= 2, y >= 3 → 23 at (7, 3)?
         // Gradient favors x (cost 2 < 3) so push y to its bound: (7, 3) → 23.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 2.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 3.0);
+        let x = p.add_var(0.0, f64::INFINITY, 2.0);
+        let y = p.add_var(0.0, f64::INFINITY, 3.0);
         p.add_ge(vec![(x, 1.0), (y, 1.0)], 10.0);
         p.add_ge(vec![(x, 1.0)], 2.0);
         p.add_ge(vec![(y, 1.0)], 3.0);
@@ -455,8 +446,8 @@ mod tests {
     fn equality_constraints() {
         // min x + y s.t. x + 2y = 4, x - y = 1 → x = 2, y = 1.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
+        let y = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_eq(vec![(x, 1.0), (y, 2.0)], 4.0);
         p.add_eq(vec![(x, 1.0), (y, -1.0)], 1.0);
         let s = p.solve().unwrap();
@@ -467,7 +458,7 @@ mod tests {
     #[test]
     fn infeasible_detected() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_le(vec![(x, 1.0)], 1.0);
         p.add_ge(vec![(x, 1.0)], 2.0);
         assert!(matches!(p.solve(), Err(LpError::Infeasible)));
@@ -476,8 +467,8 @@ mod tests {
     #[test]
     fn unbounded_detected() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 0.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
+        let y = p.add_var(0.0, f64::INFINITY, 0.0);
         p.add_ge(vec![(x, 1.0), (y, -1.0)], 0.0);
         assert!(matches!(p.solve(), Err(LpError::Unbounded)));
     }
@@ -485,8 +476,8 @@ mod tests {
     #[test]
     fn variable_upper_bounds_respected() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, 3.0, 1.0);
-        let y = p.add_var("y", 1.0, 2.0, 1.0);
+        let x = p.add_var(0.0, 3.0, 1.0);
+        let y = p.add_var(1.0, 2.0, 1.0);
         p.add_le(vec![(x, 1.0), (y, 1.0)], 100.0);
         let s = p.solve().unwrap();
         assert_near(s.value(x), 3.0);
@@ -498,8 +489,8 @@ mod tests {
     fn nonzero_lower_bounds_shift_correctly() {
         // min x + y with x >= 5, y >= 7, x + y >= 15 → 15 (e.g. x = 8, y = 7).
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 5.0, f64::INFINITY, 1.0);
-        let y = p.add_var("y", 7.0, f64::INFINITY, 1.0);
+        let x = p.add_var(5.0, f64::INFINITY, 1.0);
+        let y = p.add_var(7.0, f64::INFINITY, 1.0);
         p.add_ge(vec![(x, 1.0), (y, 1.0)], 15.0);
         let s = p.solve().unwrap();
         assert_near(s.objective(), 15.0);
@@ -512,7 +503,7 @@ mod tests {
         // min |shape|: free variable pushed negative.
         // min x s.t. x >= -8 expressed via free var + constraint.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 1.0);
+        let x = p.add_var(f64::NEG_INFINITY, f64::INFINITY, 1.0);
         p.add_ge(vec![(x, 1.0)], -8.0);
         let s = p.solve().unwrap();
         assert_near(s.value(x), -8.0);
@@ -522,7 +513,7 @@ mod tests {
     fn mirrored_variable_with_only_upper_bound() {
         // max x s.t. x <= 4 declared as a bound, plus x <= 10 row.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", f64::NEG_INFINITY, 4.0, 1.0);
+        let x = p.add_var(f64::NEG_INFINITY, 4.0, 1.0);
         p.add_le(vec![(x, 1.0)], 10.0);
         let s = p.solve().unwrap();
         assert_near(s.value(x), 4.0);
@@ -532,8 +523,8 @@ mod tests {
     fn negative_rhs_rows_normalize() {
         // x - y <= -2 with x, y >= 0: max x + y <= bounded by y >= x + 2.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 0.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 0.0);
+        let y = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_le(vec![(x, 1.0), (y, -1.0)], -2.0);
         let s = p.solve().unwrap();
         assert_near(s.value(y), 2.0);
@@ -543,7 +534,7 @@ mod tests {
     fn duplicate_terms_accumulate() {
         // max 2*(x) where constraint lists x twice: x + x <= 6 → x = 3.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_le(vec![(x, 1.0), (x, 1.0)], 6.0);
         let s = p.solve().unwrap();
         assert_near(s.value(x), 3.0);
@@ -553,10 +544,10 @@ mod tests {
     fn degenerate_problem_terminates() {
         // Classic degenerate example; Bland's rule must not cycle.
         let mut p = Problem::new(Sense::Maximize);
-        let x1 = p.add_var("x1", 0.0, f64::INFINITY, 0.75);
-        let x2 = p.add_var("x2", 0.0, f64::INFINITY, -150.0);
-        let x3 = p.add_var("x3", 0.0, f64::INFINITY, 0.02);
-        let x4 = p.add_var("x4", 0.0, f64::INFINITY, -6.0);
+        let x1 = p.add_var(0.0, f64::INFINITY, 0.75);
+        let x2 = p.add_var(0.0, f64::INFINITY, -150.0);
+        let x3 = p.add_var(0.0, f64::INFINITY, 0.02);
+        let x4 = p.add_var(0.0, f64::INFINITY, -6.0);
         p.add_le(vec![(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)], 0.0);
         p.add_le(vec![(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)], 0.0);
         p.add_le(vec![(x3, 1.0)], 1.0);
@@ -568,8 +559,8 @@ mod tests {
     fn redundant_equalities_handled() {
         // Two copies of the same equality: phase 1 leaves a redundant row.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
+        let y = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_eq(vec![(x, 1.0), (y, 1.0)], 5.0);
         p.add_eq(vec![(x, 2.0), (y, 2.0)], 10.0);
         let s = p.solve().unwrap();
@@ -579,7 +570,7 @@ mod tests {
     #[test]
     fn empty_objective_is_fine() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, 5.0, 0.0);
+        let x = p.add_var(0.0, 5.0, 0.0);
         p.add_le(vec![(x, 1.0)], 4.0);
         let s = p.solve().unwrap();
         assert_near(s.objective(), 0.0);
@@ -588,8 +579,8 @@ mod tests {
     #[test]
     fn iteration_limit_reported() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
+        let y = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_le(vec![(x, 1.0), (y, 1.0)], 4.0);
         let opts = SimplexOptions { max_pivots: Some(0), ..SimplexOptions::default() };
         assert!(matches!(p.solve_with(&opts), Err(LpError::IterationLimit { limit: 0 })));
@@ -598,8 +589,8 @@ mod tests {
     #[test]
     fn fixed_variable_via_equal_bounds() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 2.5, 2.5, 1.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(2.5, 2.5, 1.0);
+        let y = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_le(vec![(x, 1.0), (y, 1.0)], 10.0);
         let s = p.solve().unwrap();
         assert_near(s.value(x), 2.5);
@@ -619,7 +610,7 @@ mod tests {
         let mut vars = Vec::new();
         for (i, row) in costs.iter().enumerate() {
             for (j, &c) in row.iter().enumerate() {
-                vars.push((i, j, p.add_var(format!("x{i}{j}"), 0.0, f64::INFINITY, c)));
+                vars.push((i, j, p.add_var(0.0, f64::INFINITY, c)));
             }
         }
         for (i, &s) in supply.iter().enumerate() {
@@ -665,8 +656,8 @@ mod tests {
     /// phase 1, parameterized by its right-hand sides.
     fn phase1_heavy(rhs: [f64; 3]) -> (Problem, VarId, VarId) {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 2.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 3.0);
+        let x = p.add_var(0.0, f64::INFINITY, 2.0);
+        let y = p.add_var(0.0, f64::INFINITY, 3.0);
         p.add_ge(vec![(x, 1.0), (y, 1.0)], rhs[0]);
         p.add_ge(vec![(x, 1.0)], rhs[1]);
         p.add_ge(vec![(y, 1.0)], rhs[2]);
@@ -679,7 +670,7 @@ mod tests {
         let cold = p.solve().unwrap();
         assert!(cold.pivots() > 0);
         let warm = p.solve_warm_with(&SimplexOptions::default(), Some(cold.basis())).unwrap();
-        assert!(warm.warm_started());
+        assert_eq!(warm.warm_outcome(), WarmOutcome::Hit);
         assert_eq!(warm.pivots(), 0, "the old optimum is still optimal");
         assert_eq!(warm.phase1_pivots(), 0);
         assert_near(warm.objective(), cold.objective());
@@ -703,7 +694,7 @@ mod tests {
         let cold1 = p1.solve().unwrap();
         let warm1 =
             p1.solve_warm_with(&SimplexOptions::default(), Some(cold0.basis())).unwrap();
-        assert!(warm1.warm_started());
+        assert_eq!(warm1.warm_outcome(), WarmOutcome::Hit);
         assert_near(warm1.objective(), cold1.objective());
         assert_near(warm1.value(x), cold1.value(x));
         assert_near(warm1.value(y), cold1.value(y));
@@ -726,7 +717,7 @@ mod tests {
         let cold1 = p1.solve().unwrap();
         let warm1 =
             p1.solve_warm_with(&SimplexOptions::default(), Some(cold0.basis())).unwrap();
-        assert!(warm1.warm_started());
+        assert_eq!(warm1.warm_outcome(), WarmOutcome::Hit);
         assert_near(warm1.objective(), cold1.objective());
     }
 
@@ -736,9 +727,9 @@ mod tests {
         let cold0 = p0.solve().unwrap();
         // A structurally different problem (extra variable and row).
         let mut p1 = Problem::new(Sense::Minimize);
-        let x = p1.add_var("x", 0.0, f64::INFINITY, 2.0);
-        let y = p1.add_var("y", 0.0, f64::INFINITY, 3.0);
-        let w = p1.add_var("w", 0.0, f64::INFINITY, 1.0);
+        let x = p1.add_var(0.0, f64::INFINITY, 2.0);
+        let y = p1.add_var(0.0, f64::INFINITY, 3.0);
+        let w = p1.add_var(0.0, f64::INFINITY, 1.0);
         p1.add_ge(vec![(x, 1.0), (y, 1.0), (w, 1.0)], 10.0);
         p1.add_ge(vec![(x, 1.0)], 2.0);
         p1.add_ge(vec![(y, 1.0)], 3.0);
@@ -746,7 +737,11 @@ mod tests {
         let cold1 = p1.solve().unwrap();
         let warm1 =
             p1.solve_warm_with(&SimplexOptions::default(), Some(cold0.basis())).unwrap();
-        assert!(!warm1.warm_started(), "mismatched basis must fall back cleanly");
+        assert_eq!(
+            warm1.warm_outcome(),
+            WarmOutcome::StructuralFallback,
+            "mismatched basis must fall back cleanly"
+        );
         assert_near(warm1.objective(), cold1.objective());
         assert_eq!(warm1.pivots(), cold1.pivots());
     }
@@ -759,8 +754,8 @@ mod tests {
         // rejecting the basis.
         let build = |cap: f64| {
             let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-            let y = p.add_var("y", 0.0, f64::INFINITY, 4.0);
+            let x = p.add_var(0.0, f64::INFINITY, 1.0);
+            let y = p.add_var(0.0, f64::INFINITY, 4.0);
             p.add_ge(vec![(x, 1.0), (y, 1.0)], 10.0);
             p.add_le(vec![(x, 1.0)], cap);
             p
@@ -771,7 +766,11 @@ mod tests {
         let cold1 = p1.solve().unwrap();
         let warm1 =
             p1.solve_warm_with(&SimplexOptions::default(), Some(cold0.basis())).unwrap();
-        assert!(warm1.warm_started(), "same-structure basis must be repaired, not rejected");
+        assert_eq!(
+            warm1.warm_outcome(),
+            WarmOutcome::Hit,
+            "same-structure basis must be repaired, not rejected"
+        );
         assert!(warm1.phase1_pivots() >= 1, "the moved RHS requires repair pivots");
         assert_near(warm1.objective(), cold1.objective());
         let warm_vals = warm1.values().to_vec();
@@ -827,8 +826,8 @@ mod tests {
     fn borderline_restart_classifies_consistently_across_backends() {
         let build = |cap: f64| {
             let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-            let y = p.add_var("y", 0.0, f64::INFINITY, 4.0);
+            let x = p.add_var(0.0, f64::INFINITY, 1.0);
+            let y = p.add_var(0.0, f64::INFINITY, 4.0);
             p.add_ge(vec![(x, 1.0), (y, 1.0)], 10.0);
             p.add_le(vec![(x, 1.0)], cap);
             p
@@ -840,11 +839,11 @@ mod tests {
         let options = SimplexOptions::default();
         // δ below the 1e-7 feasibility floor: zeroed, not repaired.
         let near = build(10.0 - 5e-8).solve_warm_with(&options, Some(cold.basis())).unwrap();
-        assert!(near.warm_started(), "sub-tolerance restart is a hit");
+        assert_eq!(near.warm_outcome(), WarmOutcome::Hit, "sub-tolerance restart is a hit");
         assert_eq!(near.phase1_pivots(), 0, "sub-tolerance violation must not trigger repair");
         // δ above the floor: repaired in place, still a hit.
         let repaired = build(10.0 - 1e-3).solve_warm_with(&options, Some(cold.basis())).unwrap();
-        assert!(repaired.warm_started(), "violated restart is repaired");
+        assert_eq!(repaired.warm_outcome(), WarmOutcome::Hit, "violated restart is repaired");
         assert!(repaired.phase1_pivots() >= 1, "real violation must cost repair pivots");
     }
 
@@ -856,21 +855,18 @@ mod tests {
         let options = SimplexOptions::default();
         let cold = p.solve_with(&options).unwrap();
         assert_eq!(cold.warm_outcome(), WarmOutcome::Cold);
-        assert!(!cold.warm_started());
 
         let warm = p.solve_warm_with(&options, Some(cold.basis())).unwrap();
         assert_eq!(warm.warm_outcome(), WarmOutcome::Hit);
-        assert!(warm.warm_started());
 
         // A basis from a different standardized shape: structural fallback.
         let (other, _, _) = phase1_heavy([1.0, 0.5, 0.2]);
         let mut bigger = other.clone();
-        let z = bigger.add_var("z", 0.0, f64::INFINITY, 1.0);
+        let z = bigger.add_var(0.0, f64::INFINITY, 1.0);
         bigger.add_ge(vec![(z, 1.0)], 1.0);
         let stale = bigger.solve_with(&options).unwrap();
         let fell_back = p.solve_warm_with(&options, Some(stale.basis())).unwrap();
         assert_eq!(fell_back.warm_outcome(), WarmOutcome::StructuralFallback);
-        assert!(!fell_back.warm_started());
         assert_near(fell_back.objective(), cold.objective());
     }
 
@@ -891,7 +887,7 @@ mod tests {
         let warm = p
             .solve_warm_with(&options, Some(cold.basis()))
             .expect("identical restart needs zero simplex pivots, so a zero budget passes");
-        assert!(warm.warm_started());
+        assert_eq!(warm.warm_outcome(), WarmOutcome::Hit);
         assert_eq!(warm.pivots(), 0);
     }
 
@@ -911,8 +907,8 @@ mod tests {
         // 3 + 3 columns (x, y⁺, y⁻ structural? no: x shifted, y free →
         // 3 structural) + 3 slacks.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 1.0, 5.0, 1.0); // shifted + bound row
-        let y = p.add_var("y", f64::NEG_INFINITY, f64::INFINITY, -1.0); // free: 2 cols
+        let x = p.add_var(1.0, 5.0, 1.0); // shifted + bound row
+        let y = p.add_var(f64::NEG_INFINITY, f64::INFINITY, -1.0); // free: 2 cols
         p.add_le(vec![(x, 1.0), (y, 1.0)], 10.0);
         p.add_ge(vec![(y, 1.0)], -3.0);
         let std_form = standardize(&p);

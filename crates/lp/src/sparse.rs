@@ -12,7 +12,7 @@
 //!    `y = B⁻ᵀc_B`; the entering column is Dantzig's most negative
 //!    reduced cost `c_j − y·A_j`, with Bland's anti-cycling rule after a
 //!    degeneracy streak. Until a solve phase first refactorizes, every
-//!    column is priced with one sparse dot. From then on the engine
+//!    column is priced with one sparse dot. From then on the same loop
 //!    tracks approximate reduced costs ([`Tracked`]): each pivot moves
 //!    them by `−Δy·A_j` along a row-wise copy of the matrix, visiting
 //!    only the rows whose multiplier changed, and re-prices exactly just
@@ -29,13 +29,13 @@
 //! cost and the accumulated rounding error; each rebuild also re-prices
 //! every column exactly, which bounds the tracked values' drift.
 //!
-//! Warm starts refactorize the supplied basis from scratch (a structural
-//! mismatch, a retained artificial or a singular basis is rejected), and
-//! a restart the new RHS pushed outside the polytope is repaired by
-//! swapping each violated row's basic column for an artificial equal to
-//! its *negation* — which keeps the basis factorization valid at the
-//! cost of one sign-flip eta per violated row — then minimizing the
-//! artificial sum from that start.
+//! Cold and warm solves differ only in their [`Start`]: a cold one is the
+//! ready slacks plus artificial unit columns; a warm one refactorizes the
+//! supplied basis (rejecting a structural mismatch, a retained artificial
+//! or a singular basis) and swaps each row the new RHS violates for an
+//! artificial equal to its basic column's *negation*, one sign-flip eta
+//! per row. [`two_phase`] then minimizes the artificial sum if any,
+//! drives them out and minimizes the objective.
 //!
 //! The pricing and ratio-test rules are the test-only dense oracle's
 //! (`crate::dense`), whose property tests hold this engine's objectives
@@ -193,7 +193,6 @@ struct Tracked {
 impl Tracked {
     /// Starts tracking the first `cols` columns at `y = 0`, where each
     /// reduced cost is exactly `c_j`.
-    #[inline(never)]
     fn new(matrix: &Csc, cost: &[f64], cols: usize) -> Tracked {
         let mut max_nnz = 0usize;
         let mut col_norm = 0.0f64;
@@ -265,6 +264,71 @@ fn choose(
     entering
 }
 
+/// Where [`two_phase`] starts: the matrix, whose columns from the
+/// standardized problem's `struct_and_slack` on are artificials, a basis
+/// of it with its eta file, and the basic values `x_B = B⁻¹b ≥ 0`.
+struct Start {
+    matrix: Csc,
+    basis: Vec<usize>,
+    etas: EtaFile,
+    xb: Vec<f64>,
+}
+
+impl Start {
+    /// Ready slacks where available, fresh artificial unit columns
+    /// elsewhere. Both are unit columns, so B = I and the eta file starts
+    /// empty with x_B = b.
+    fn cold(std_form: &Standardized) -> Start {
+        let mut matrix = Csc::from_rows(&std_form.rows, std_form.struct_and_slack);
+        let basis = std_form
+            .ready_basis
+            .iter()
+            .enumerate()
+            .map(|(i, ready)| ready.unwrap_or_else(|| matrix.push_col(&[(i, 1.0)])))
+            .collect();
+        Start { matrix, basis, etas: EtaFile::identity(), xb: std_form.b.clone() }
+    }
+
+    /// The supplied basis refactorized for today's matrix, or `None` when
+    /// it no longer fits: a structural change, a retained artificial, or
+    /// a basis singular for the new coefficients. Each row whose restart
+    /// value `B⁻¹b` went negative — the previous vertex is outside today's
+    /// polytope — swaps its basic column for an artificial equal to its
+    /// negation: the basis becomes `B·S` for a diagonal ±1 `S`, one
+    /// sign-flip eta per row keeps the factorization valid, and the
+    /// row's value becomes `−x_i > 0`. Minimizing the artificial sum from
+    /// a basis optimal everywhere else costs pivots in proportion to the
+    /// damage.
+    fn warm(std_form: &Standardized, basis: &Basis, options: &SimplexOptions) -> Option<Start> {
+        let struct_and_slack = std_form.struct_and_slack;
+        if basis.cols.len() != std_form.rows.len()
+            || basis.n_cols != struct_and_slack
+            || basis.cols.iter().any(|&j| j >= struct_and_slack)
+        {
+            return None;
+        }
+        let mut matrix = Csc::from_rows(&std_form.rows, struct_and_slack);
+        let (mut etas, mut basis) =
+            factorize(&matrix, &basis.cols, options.tolerance, ETA_DROP_TOL)?;
+        let mut xb = std_form.b.clone();
+        etas.ftran(&mut xb);
+        let feas = options.feas_tol();
+        let mut negated: Vec<(usize, f64)> = Vec::new();
+        for (i, x) in xb.iter_mut().enumerate() {
+            if *x < -feas {
+                negated.clear();
+                negated.extend(matrix.col(basis[i]).map(|(r, a)| (r, -a)));
+                basis[i] = matrix.push_col(&negated);
+                etas.push_sign_flip(i);
+                *x = -*x;
+            } else if *x < 0.0 {
+                *x = 0.0;
+            }
+        }
+        Some(Start { matrix, basis, etas, xb })
+    }
+}
+
 /// Revised-simplex working state: the (artificial-extended) matrix, the
 /// current basis with its eta-file factorization, and the basic values.
 struct Revised {
@@ -286,15 +350,8 @@ struct Revised {
 }
 
 impl Revised {
-    fn new(
-        matrix: Csc,
-        b: Vec<f64>,
-        basis: Vec<usize>,
-        xb: Vec<f64>,
-        etas: EtaFile,
-        options: &SimplexOptions,
-        max_pivots: usize,
-    ) -> Revised {
+    fn new(start: Start, b: Vec<f64>, options: &SimplexOptions, max_pivots: usize) -> Revised {
+        let Start { matrix, basis, etas, xb } = start;
         let mut is_basic = vec![false; matrix.num_cols()];
         for &j in &basis {
             is_basic[j] = true;
@@ -351,62 +408,31 @@ impl Revised {
     /// ties), with Bland's smallest-index rule after a streak of
     /// degenerate pivots; leaving ties are broken on the smaller basis
     /// column. Up to the run's first refactorization every pivot prices
-    /// all columns ([`Revised::price_full`]); from there on
-    /// [`Revised::run_tracked`] tracks the reduced costs. Both pick the
-    /// same column.
+    /// all columns ([`Revised::price_full`]), which is where most small
+    /// solves end; from there on it prices from [`Tracked`] values,
+    /// refreshed in full at each refactorization and each Bland pivot
+    /// ([`Revised::refresh`]). Both pick the same column.
     fn run(&mut self, cost: &[f64], allowed_cols: usize) -> Result<f64, LpError> {
         let m = self.matrix.num_rows();
         let mut y = vec![0.0; m];
         let mut dir = vec![0.0; m];
+        let mut tracked: Option<Tracked> = None;
+        let mut refresh = false;
         let mut degenerate_streak = 0usize;
         loop {
             if self.etas.len() >= self.fresh_len + REFACTOR_EVERY {
                 self.refactorize()?;
-                let tracked = Tracked::new(&self.matrix, cost, allowed_cols);
-                return self.run_tracked(cost, allowed_cols, tracked, degenerate_streak);
-            }
-            let use_bland = degenerate_streak > 64;
-            self.multipliers(cost, &mut y);
-            let Some((j, _)) = self.price_full(cost, &y, allowed_cols, use_bland) else {
-                return Ok(self.finish(cost));
-            };
-            let (_, ratio) = self.pivot(j, &mut dir)?;
-            degenerate_streak = if ratio <= self.tol { degenerate_streak + 1 } else { 0 };
-            if self.pivots > self.max_pivots {
-                return Err(LpError::IterationLimit { limit: self.max_pivots });
-            }
-        }
-    }
-
-    /// [`Revised::run`] from its first refactorization on, with the
-    /// degenerate streak carried across: prices from the tracked values
-    /// `t`, refreshed in full at each refactorization and each Bland
-    /// pivot ([`Revised::refresh`]). The tracking code is kept out of
-    /// line (here, in `pivot` and in `Tracked::new`): inlined into `run`,
-    /// it measured slower on the small solves that never engage it.
-    #[inline(never)]
-    fn run_tracked(
-        &mut self,
-        cost: &[f64],
-        allowed_cols: usize,
-        mut t: Tracked,
-        mut degenerate_streak: usize,
-    ) -> Result<f64, LpError> {
-        let m = self.matrix.num_rows();
-        let mut y = vec![0.0; m];
-        let mut dir = vec![0.0; m];
-        let mut refresh = true; // entered right after a refactorization
-        loop {
-            if self.etas.len() >= self.fresh_len + REFACTOR_EVERY {
-                self.refactorize()?;
+                tracked.get_or_insert_with(|| Tracked::new(&self.matrix, cost, allowed_cols));
                 refresh = true;
             }
             let use_bland = degenerate_streak > 64;
             self.multipliers(cost, &mut y);
-            let entering = if refresh || use_bland {
-                self.refresh(&mut t, cost, &y, allowed_cols, use_bland)
-            } else {
-                self.price_tracked(&mut t, cost, &y, allowed_cols)
+            let entering = match &mut tracked {
+                None => self.price_full(cost, &y, allowed_cols, use_bland),
+                Some(t) if refresh || use_bland => {
+                    self.refresh(t, cost, &y, allowed_cols, use_bland)
+                }
+                Some(t) => self.price_tracked(t, cost, &y, allowed_cols),
             };
             refresh = false;
             let Some((j, _)) = entering else {
@@ -414,11 +440,13 @@ impl Revised {
             };
             let (left, ratio) = self.pivot(j, &mut dir)?;
             degenerate_streak = if ratio <= self.tol { degenerate_streak + 1 } else { 0 };
-            // The entering column is basic now; the leaving one is priced
-            // exactly, at the multipliers `t` holds.
-            t.d[j] = f64::INFINITY;
-            if left < allowed_cols {
-                t.d[left] = self.reduced_cost(cost, &y, left);
+            if let Some(t) = &mut tracked {
+                // The entering column is basic now; the leaving one is
+                // priced exactly, at the multipliers `t` holds.
+                t.d[j] = f64::INFINITY;
+                if left < allowed_cols {
+                    t.d[left] = self.reduced_cost(cost, &y, left);
+                }
             }
             if self.pivots > self.max_pivots {
                 return Err(LpError::IterationLimit { limit: self.max_pivots });
@@ -446,7 +474,6 @@ impl Revised {
     /// Brings column `j` into the basis: one FTRAN for the direction
     /// `d = B⁻¹A_j` (left in `dir`), the ratio test, the basic-value
     /// update and one eta. Returns the leaving column and the step θ.
-    #[inline(never)]
     fn pivot(&mut self, j: usize, dir: &mut [f64]) -> Result<(usize, f64), LpError> {
         dir.fill(0.0);
         for (i, a) in self.matrix.col(j) {
@@ -506,10 +533,8 @@ impl Revised {
 
     /// Prices every nonbasic column `< allowed_cols` with one sparse dot
     /// each and returns the entering column with its reduced cost, by
-    /// [`choose`]'s rule. Written out and inlined: the small LPs of the
-    /// closed loop rarely refactorize, and measured slower through an
-    /// iterator or a call.
-    #[inline(always)]
+    /// [`choose`]'s rule, written out: the small LPs of the closed loop
+    /// rarely refactorize, and measured slower through an iterator.
     fn price_full(
         &self,
         cost: &[f64],
@@ -546,7 +571,6 @@ impl Revised {
     /// every nonbasic column's exact reduced cost, `+∞` for a basic one.
     /// Under `debug_assertions` it first checks each value's drift
     /// against the exact price at the multipliers it was tracked to.
-    #[inline(never)]
     fn refresh(
         &self,
         t: &mut Tracked,
@@ -579,7 +603,6 @@ impl Revised {
     /// [`Revised::price_full`]'s Dantzig choice from the tracked values:
     /// moves `d̃` by `−Δy·A_j`, finds `min d̃` and the columns within `2δ`
     /// of it in one scan, and re-prices just those exactly.
-    #[inline(never)]
     fn price_tracked(
         &self,
         t: &mut Tracked,
@@ -617,6 +640,14 @@ impl Revised {
             "tracked pricing must choose the full pass's column"
         );
         entering
+    }
+
+    /// Phase 1: minimizes the sum of the artificial columns, those from
+    /// `art_start` on, and returns it.
+    fn minimize_artificials(&mut self, art_start: usize) -> Result<f64, LpError> {
+        let mut cost = vec![0.0; self.matrix.num_cols()];
+        cost[art_start..].fill(1.0);
+        self.run(&cost, cost.len())
     }
 
     /// After a successful phase 1, swaps still-basic artificials for
@@ -672,21 +703,6 @@ impl Revised {
             self.xb[r] = 0.0;
         }
     }
-
-    /// Maps the current basic point back to user space.
-    fn extract_solution(
-        &self,
-        p: &Problem,
-        std_form: &Standardized,
-        phase1_pivots: usize,
-        warm: WarmOutcome,
-    ) -> Solution {
-        let mut col_values = vec![0.0; self.matrix.num_cols()];
-        for (i, &j) in self.basis.iter().enumerate() {
-            col_values[j] = self.xb[i].max(0.0);
-        }
-        extract(p, std_form, &col_values, &self.basis, self.pivots, phase1_pivots, warm)
-    }
 }
 
 /// Solves `p`, warm-starting from `warm` when one is given (see
@@ -697,164 +713,53 @@ pub(crate) fn solve_sparse(
     warm: Option<&Basis>,
 ) -> Result<Solution, LpError> {
     let std_form = standardize(p);
-    let m = std_form.rows.len();
-    let struct_and_slack = std_form.struct_and_slack;
-    let max_pivots = options
-        .max_pivots
-        .unwrap_or_else(|| SimplexOptions::auto_pivot_budget(m, struct_and_slack));
-
-    let mut warm_outcome = WarmOutcome::Cold;
+    let max_pivots = options.max_pivots.unwrap_or_else(|| {
+        SimplexOptions::auto_pivot_budget(std_form.rows.len(), std_form.struct_and_slack)
+    });
+    let mut outcome = WarmOutcome::Cold;
     if let Some(basis) = warm {
-        match try_warm(p, &std_form, basis, options, max_pivots)? {
-            WarmAttempt::Solved(solution) => return Ok(solution),
-            WarmAttempt::RepairFailed => warm_outcome = WarmOutcome::RepairFallback,
-            WarmAttempt::NotInstalled => warm_outcome = WarmOutcome::StructuralFallback,
-        }
-    }
-    solve_cold(p, &std_form, options, max_pivots, warm_outcome)
-}
-
-enum WarmAttempt {
-    Solved(Solution),
-    /// Installed but the repair phase 1 bottomed out above tolerance.
-    RepairFailed,
-    /// Dimension mismatch, retained artificial, or singular basis.
-    NotInstalled,
-}
-
-fn try_warm(
-    p: &Problem,
-    std_form: &Standardized,
-    basis: &Basis,
-    options: &SimplexOptions,
-    max_pivots: usize,
-) -> Result<WarmAttempt, LpError> {
-    let m = std_form.rows.len();
-    let struct_and_slack = std_form.struct_and_slack;
-    let feas = options.feas_tol();
-    if basis.cols.len() != m || basis.n_cols != struct_and_slack {
-        return Ok(WarmAttempt::NotInstalled); // structural change
-    }
-    if basis.cols.iter().any(|&j| j >= struct_and_slack) {
-        return Ok(WarmAttempt::NotInstalled); // artificial stayed basic
-    }
-    let mut matrix = Csc::from_rows(&std_form.rows, struct_and_slack);
-    let Some((mut etas, mut basis_by_row)) =
-        factorize(&matrix, &basis.cols, options.tolerance, ETA_DROP_TOL)
-    else {
-        return Ok(WarmAttempt::NotInstalled); // singular for the new A
-    };
-    let mut xb = std_form.b.clone();
-    etas.ftran(&mut xb);
-    // Rows where the restart point B⁻¹b went negative: the previous
-    // vertex is outside today's polytope (RHS moved against it).
-    let violated: Vec<usize> = (0..m).filter(|&i| xb[i] < -feas).collect();
-    for v in &mut xb {
-        if *v < 0.0 && *v >= -feas {
-            *v = 0.0;
-        }
-    }
-
-    if violated.is_empty() {
-        let cost = phase2_cost(p, &std_form.maps, struct_and_slack);
-        let mut rev =
-            Revised::new(matrix, std_form.b.clone(), basis_by_row, xb, etas, options, max_pivots);
-        rev.run(&cost, struct_and_slack)?;
-        return Ok(WarmAttempt::Solved(rev.extract_solution(p, std_form, 0, WarmOutcome::Hit)));
-    }
-
-    // Repair: swap each violated row's basic column for an artificial
-    // equal to its negation. The new basis is the old one with those
-    // columns sign-flipped — one sign-flip eta each keeps the
-    // factorization valid — and the restart point becomes |x_B| ≥ 0 by
-    // construction. Minimizing the artificial sum from that start is an
-    // ordinary phase 1 seeded with a basis already optimal everywhere
-    // else, so it costs pivots proportional to the damage.
-    let mut col_buf: Vec<(usize, f64)> = Vec::new();
-    for &i in &violated {
-        col_buf.clear();
-        for (r, a) in matrix.col(basis_by_row[i]) {
-            col_buf.push((r, -a));
-        }
-        let art = matrix.push_col(&col_buf);
-        etas.push_sign_flip(i);
-        basis_by_row[i] = art;
-        xb[i] = -xb[i];
-    }
-    let total = matrix.num_cols();
-    let mut cost = vec![0.0; total];
-    for c in cost.iter_mut().skip(struct_and_slack) {
-        *c = 1.0;
-    }
-    let mut rev =
-        Revised::new(matrix, std_form.b.clone(), basis_by_row, xb, etas, options, max_pivots);
-    let obj = rev.run(&cost, total)?;
-    if obj > feas {
-        return Ok(WarmAttempt::RepairFailed); // cold solve decides
-    }
-    rev.drive_out_artificials(struct_and_slack);
-    let phase1_pivots = rev.pivots;
-    let cost = phase2_cost(p, &std_form.maps, total);
-    rev.run(&cost, struct_and_slack)?;
-    Ok(WarmAttempt::Solved(rev.extract_solution(p, std_form, phase1_pivots, WarmOutcome::Hit)))
-}
-
-fn solve_cold(
-    p: &Problem,
-    std_form: &Standardized,
-    options: &SimplexOptions,
-    max_pivots: usize,
-    warm_outcome: WarmOutcome,
-) -> Result<Solution, LpError> {
-    let struct_and_slack = std_form.struct_and_slack;
-    let mut matrix = Csc::from_rows(&std_form.rows, struct_and_slack);
-    // Initial basis: ready slacks where available, fresh artificial unit
-    // columns elsewhere. Both are unit columns, so B = I and the eta
-    // file starts empty with x_B = b.
-    let mut n_art = 0usize;
-    let mut basis: Vec<usize> = Vec::with_capacity(std_form.rows.len());
-    for (i, ready) in std_form.ready_basis.iter().enumerate() {
-        match ready {
-            Some(col) => basis.push(*col),
-            None => {
-                basis.push(matrix.push_col(&[(i, 1.0)]));
-                n_art += 1;
+        outcome = WarmOutcome::StructuralFallback;
+        if let Some(start) = Start::warm(&std_form, basis, options) {
+            match two_phase(p, &std_form, start, options, max_pivots, WarmOutcome::Hit) {
+                // The repair could not reach feasibility: a cold solve decides.
+                Err(LpError::Infeasible) => outcome = WarmOutcome::RepairFallback,
+                solved => return solved,
             }
         }
     }
-    let total = matrix.num_cols();
-    let xb = std_form.b.clone();
-    let mut rev = Revised::new(
-        matrix,
-        std_form.b.clone(),
-        basis,
-        xb,
-        EtaFile::identity(),
-        options,
-        max_pivots,
-    );
+    two_phase(p, &std_form, Start::cold(&std_form), options, max_pivots, outcome)
+}
 
-    // Phase 1: minimize sum of artificials.
-    if n_art > 0 {
-        let mut cost = vec![0.0; total];
-        for c in cost.iter_mut().skip(struct_and_slack) {
-            *c = 1.0;
-        }
-        let obj = rev.run(&cost, total)?;
-        if obj > options.feas_tol() {
+/// Solves `p` from `start`. Phase 1, run only when the start holds
+/// artificials, minimizes their sum and reports [`LpError::Infeasible`]
+/// if it stays above `feas_tol()`; the artificials still basic are then
+/// driven out, and phase 2 minimizes the (sign-adjusted) user objective
+/// over the structural and slack columns only.
+fn two_phase(
+    p: &Problem,
+    std_form: &Standardized,
+    start: Start,
+    options: &SimplexOptions,
+    max_pivots: usize,
+    warm: WarmOutcome,
+) -> Result<Solution, LpError> {
+    let struct_and_slack = std_form.struct_and_slack;
+    let total = start.matrix.num_cols();
+    let mut rev = Revised::new(start, std_form.b.clone(), options, max_pivots);
+    if total > struct_and_slack {
+        if rev.minimize_artificials(struct_and_slack)? > options.feas_tol() {
             return Err(LpError::Infeasible);
         }
         rev.drive_out_artificials(struct_and_slack);
     }
-
     let phase1_pivots = rev.pivots;
-
-    // Phase 2: minimize the (sign-adjusted) user objective over
-    // structural+slack columns only.
     let cost = phase2_cost(p, &std_form.maps, total);
     rev.run(&cost, struct_and_slack)?;
-
-    Ok(rev.extract_solution(p, std_form, phase1_pivots, warm_outcome))
+    let mut col_values = vec![0.0; total];
+    for (&j, &x) in rev.basis.iter().zip(&rev.xb) {
+        col_values[j] = x.max(0.0);
+    }
+    Ok(extract(p, std_form, &col_values, &rev.basis, rev.pivots, phase1_pivots, warm))
 }
 
 #[cfg(test)]
@@ -862,9 +767,10 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    use super::{BLAND_REFRESHES, TRACKED_PIVOTS};
+    use super::{Revised, Start, BLAND_REFRESHES, TRACKED_PIVOTS};
     use crate::dense::solve_dense;
-    use crate::{Problem, Sense, SimplexOptions, Solution, WarmOutcome};
+    use crate::simplex::standardize;
+    use crate::{LpError, Problem, Sense, SimplexOptions, Solution, WarmOutcome};
 
     /// Maximize `c·x` over `Ax ≤ b`, `x ≥ 0`, each column with entries
     /// in three distinct rows. Columns come in threes: a column, an
@@ -874,7 +780,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let mut p = Problem::new(Sense::Maximize);
         let mut terms = vec![Vec::new(); rows];
-        for k in 0..triples {
+        for _ in 0..triples {
             let c: f64 = rng.gen_range(1.0..10.0);
             let mut entries: Vec<(usize, f64)> = Vec::new();
             while entries.len() < 3 {
@@ -883,8 +789,8 @@ mod tests {
                     entries.push((i, rng.gen_range(0.5..2.0)));
                 }
             }
-            for (copy, obj) in [c, c, c + c * f64::EPSILON].into_iter().enumerate() {
-                let x = p.add_var(format!("x{k}_{copy}"), 0.0, f64::INFINITY, obj);
+            for obj in [c, c, c + c * f64::EPSILON] {
+                let x = p.add_var(0.0, f64::INFINITY, obj);
                 for &(i, a) in &entries {
                     terms[i].push((x, a));
                 }
@@ -937,5 +843,32 @@ mod tests {
         assert_eq!(warm.warm_outcome(), WarmOutcome::Hit);
         assert!(warm.phase1_pivots() > 70, "repair phase 1 of {}", warm.phase1_pivots());
         assert!(tracked > 0 && bland > 0, "{tracked} tracked pivots, {bland} Bland refreshes");
+    }
+
+    /// A warm start whose repair cannot reach feasibility: `x + y ≥ 10`
+    /// with `x ≤ 2`, `y ≤ 3`, restarted from the optimum of `x + y ≥ 4`.
+    /// The installed start carries artificials, its phase 1 bottoms out
+    /// above `feas_tol()`, and the cold solve it falls back to reports
+    /// the problem infeasible.
+    #[test]
+    fn a_failed_repair_falls_back_to_a_cold_solve() {
+        let build = |demand: f64| {
+            let mut p = Problem::new(Sense::Minimize);
+            let x = p.add_var(0.0, 2.0, 1.0);
+            let y = p.add_var(0.0, 3.0, 4.0);
+            p.add_ge(vec![(x, 1.0), (y, 1.0)], demand);
+            p
+        };
+        let options = SimplexOptions::default();
+        let cold = build(4.0).solve_with(&options).unwrap();
+        let p = build(10.0);
+        let std_form = standardize(&p);
+        let start = Start::warm(&std_form, cold.basis(), &options).expect("the basis installs");
+        let art_start = std_form.struct_and_slack;
+        assert!(start.matrix.num_cols() > art_start, "no row needed an artificial");
+        let mut rev = Revised::new(start, std_form.b.clone(), &options, usize::MAX);
+        let infeasibility = rev.minimize_artificials(art_start).unwrap();
+        assert!(infeasibility > options.feas_tol(), "phase 1 reached {infeasibility}");
+        assert_eq!(p.solve_warm_with(&options, Some(cold.basis())), Err(LpError::Infeasible));
     }
 }

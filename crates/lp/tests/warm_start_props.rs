@@ -7,7 +7,7 @@
 //! longer fits the problem must fall back to the cold path instead of
 //! corrupting the answer.
 
-use harmony_lp::{Problem, Sense, SimplexOptions};
+use harmony_lp::{Problem, Sense, SimplexOptions, WarmOutcome};
 use proptest::prelude::*;
 
 const TOL: f64 = 1e-6;
@@ -34,8 +34,7 @@ impl CoverLp {
         let vars: Vec<_> = self
             .costs
             .iter()
-            .enumerate()
-            .map(|(i, &c)| p.add_var(format!("x{i}"), 0.0, f64::INFINITY, c))
+            .map(|&c| p.add_var(0.0, f64::INFINITY, c))
             .collect();
         for (row, &rhs) in self.rows.iter().zip(&self.rhs) {
             let terms: Vec<_> = vars
@@ -107,7 +106,7 @@ proptest! {
         // and any primal infeasibility from the moved RHS is repaired in
         // place (CoverLp is always feasible, so repair phase 1 must reach
         // zero) — the warm path is always taken, never the cold fallback.
-        prop_assert!(warm1.warm_started());
+        prop_assert_eq!(warm1.warm_outcome(), WarmOutcome::Hit);
         prop_assert!(warm1.phase1_pivots() <= warm1.pivots());
     }
 
@@ -139,7 +138,7 @@ proptest! {
         );
         // Same structure + same RHS: the old basis stays primal-feasible,
         // so the warm path must actually be taken.
-        prop_assert!(warm1.warm_started());
+        prop_assert_eq!(warm1.warm_outcome(), WarmOutcome::Hit);
     }
 
     /// A basis from a differently-shaped problem falls back to the cold
@@ -155,7 +154,11 @@ proptest! {
         let warm = p
             .solve_warm_with(&SimplexOptions::default(), Some(stale.basis()))
             .unwrap();
-        prop_assert!(!warm.warm_started(), "mismatched dimensions must force cold");
+        prop_assert_eq!(
+            warm.warm_outcome(),
+            WarmOutcome::StructuralFallback,
+            "mismatched dimensions must force cold"
+        );
         prop_assert!(
             (warm.objective() - cold.objective()).abs()
                 <= TOL * (1.0 + cold.objective().abs())
@@ -173,7 +176,7 @@ proptest! {
         let warm = p
             .solve_warm_with(&SimplexOptions::default(), Some(cold.basis()))
             .unwrap();
-        prop_assert!(warm.warm_started());
+        prop_assert_eq!(warm.warm_outcome(), WarmOutcome::Hit);
         prop_assert_eq!(warm.pivots(), 0);
         prop_assert!(
             (warm.objective() - cold.objective()).abs()

@@ -139,7 +139,6 @@ proptest! {
         .unwrap();
         objectives_agree(warm.plan.objective, cold2.plan.objective)?;
         prop_assert_eq!(warm.warm_outcome, WarmOutcome::Hit);
-        prop_assert!(warm.warm_started);
     }
 }
 
@@ -152,8 +151,8 @@ fn redundant_row_basis_survives_checkpoint_but_is_rejected_by_both_backends() {
     use harmony_lp::{Problem, Sense, SimplexOptions};
 
     let mut p = Problem::new(Sense::Minimize);
-    let x = p.add_var("x", 0.0, f64::INFINITY, 2.0);
-    let y = p.add_var("y", 0.0, f64::INFINITY, 3.0);
+    let x = p.add_var(0.0, f64::INFINITY, 2.0);
+    let y = p.add_var(0.0, f64::INFINITY, 3.0);
     // The duplicated equality row leaves one artificial basic at zero.
     p.add_eq(vec![(x, 1.0), (y, 1.0)], 4.0);
     p.add_eq(vec![(x, 1.0), (y, 1.0)], 4.0);
@@ -169,6 +168,5 @@ fn redundant_row_basis_survives_checkpoint_but_is_rejected_by_both_backends() {
 
     let warm = p.solve_warm_with(&SimplexOptions::default(), Some(&restored)).unwrap();
     assert_eq!(warm.warm_outcome(), WarmOutcome::StructuralFallback);
-    assert!(!warm.warm_started());
     assert!((warm.objective() - first.objective()).abs() < 1e-9);
 }
