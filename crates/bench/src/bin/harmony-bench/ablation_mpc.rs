@@ -3,12 +3,18 @@
 //! Longer horizons let the controller see payback periods for switching
 //! machines off; higher switching costs damp machine-count churn.
 
-use harmony::pipeline::{run_variant, Variant};
+use std::rc::Rc;
+
+use harmony::classify::TaskClassifier;
+use harmony::pipeline::{simulate, Variant};
 use harmony_bench::{evaluation_setup, fmt, section, table, Scale};
-use harmony_model::MachineCatalog;
+use harmony_model::{EnergyPrice, MachineCatalog};
 
 pub fn run() {
     let (trace, catalog, base_config, classifier_config) = evaluation_setup(Scale::Quick);
+    let classifier =
+        Rc::new(TaskClassifier::fit(trace.tasks(), &classifier_config).expect("fit"));
+    let price = EnergyPrice::default();
 
     section("Ablation: MPC horizon W (CBP)");
     let mut rows = Vec::new();
@@ -16,7 +22,8 @@ pub fn run() {
         let mut config = base_config.clone();
         config.horizon = horizon;
         let report =
-            run_variant(&trace, &catalog, &config, &classifier_config, Variant::Cbp).expect("run");
+            simulate(&trace, &catalog, &config, Some(&classifier), Variant::Cbp, &price, None)
+                .expect("run");
         rows.push(vec![
             horizon.to_string(),
             fmt(report.total_energy_wh / 1000.0),
@@ -42,12 +49,14 @@ pub fn run() {
             })
             .collect();
         let scaled_catalog = MachineCatalog::new(types).expect("valid catalog");
-        let report = run_variant(
+        let report = simulate(
             &trace,
             &scaled_catalog,
             &base_config,
-            &classifier_config,
+            Some(&classifier),
             Variant::Cbp,
+            &price,
+            None,
         )
         .expect("run");
         rows.push(vec![

@@ -4,11 +4,18 @@
 //! bin-packing inefficiency. The paper samples ω in [1, 2|R|]; we sweep
 //! the same range and report the energy/delay trade-off.
 
-use harmony::pipeline::{run_variant, Variant};
+use std::rc::Rc;
+
+use harmony::classify::TaskClassifier;
+use harmony::pipeline::{simulate, Variant};
 use harmony_bench::{evaluation_setup, fmt, section, table, Scale};
+use harmony_model::EnergyPrice;
 
 pub fn run() {
     let (trace, catalog, base_config, classifier_config) = evaluation_setup(Scale::Quick);
+    let classifier =
+        Rc::new(TaskClassifier::fit(trace.tasks(), &classifier_config).expect("fit"));
+    let price = EnergyPrice::default();
 
     section("Ablation: over-provisioning factor omega (CBS)");
     let mut rows = Vec::new();
@@ -16,7 +23,8 @@ pub fn run() {
         let mut config = base_config.clone();
         config.omega = omega;
         let report =
-            run_variant(&trace, &catalog, &config, &classifier_config, Variant::Cbs).expect("run");
+            simulate(&trace, &catalog, &config, Some(&classifier), Variant::Cbs, &price, None)
+                .expect("run");
         rows.push(vec![
             fmt(omega),
             fmt(report.total_energy_wh / 1000.0),

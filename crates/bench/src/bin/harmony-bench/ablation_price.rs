@@ -6,15 +6,13 @@
 //! increasing peak ratio at equal average price, over the same CBS
 //! setup. The sweep lands in `results/BENCH_ablation_price.json`.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use harmony::classify::TaskClassifier;
-use harmony::controllers::{CbsController, QuotaScheduler, QuotaState};
+use harmony::pipeline::{simulate, Variant};
 use harmony_bench::json::write_bench_json;
 use harmony_bench::{evaluation_setup, fmt, section, seed_from_env, table, Scale};
 use harmony_model::EnergyPrice;
-use harmony_sim::{Simulation, SimulationConfig};
 use serde::value::Value;
 
 pub fn run() {
@@ -46,21 +44,9 @@ pub fn run() {
     ];
     let mut rows = Vec::new();
     for (name, price) in tariffs {
-        let quota = Rc::new(RefCell::new(QuotaState::default()));
-        let controller = CbsController::new(
-            classifier.clone(),
-            config.clone(),
-            price.clone(),
-            quota.clone(),
-        )
-        .expect("controller");
-        let scheduler = QuotaScheduler::new(classifier.clone(), quota);
-        let sim_config = SimulationConfig::new(catalog.clone())
-            .price(price)
-            .without_preemption();
-        let report = Simulation::new(sim_config, &trace, Box::new(scheduler))
-            .with_controller(Box::new(controller))
-            .run();
+        let report =
+            simulate(&trace, &catalog, &config, Some(&classifier), Variant::Cbs, &price, None)
+                .expect("run");
         rows.push(vec![
             name.to_owned(),
             fmt(report.total_energy_wh / 1000.0),

@@ -11,7 +11,6 @@ mod ablation_mpc;
 mod ablation_omega;
 mod ablation_predictor;
 mod ablation_price;
-mod fault_scenarios;
 mod fig01_02_demand;
 mod fig03_machines;
 mod fig04_delay_cdf;
@@ -52,7 +51,6 @@ const SUBCOMMANDS: &[(&str, Run)] = &[
     ("ablation_omega", |_| ablation_omega::run()),
     ("ablation_predictor", |_| ablation_predictor::run()),
     ("ablation_price", |_| ablation_price::run()),
-    ("fault_scenarios", |_| fault_scenarios::run()),
     ("replay", replay::run),
 ];
 

@@ -101,7 +101,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let payload = Value::object(&[
             ("answer", Value::Number(42.0)),
-            ("name", Value::String("fault_scenarios".to_owned())),
+            ("name", Value::String("ablation_price".to_owned())),
         ]);
         // Exercise the serialization path write_bench_json uses,
         // including the provenance header it stamps in.

@@ -17,10 +17,12 @@
 
 pub mod json;
 
-use harmony::classify::ClassifierConfig;
-use harmony::pipeline::{run_variant_with_faults, Variant};
+use std::rc::Rc;
+
+use harmony::classify::{ClassifierConfig, TaskClassifier};
+use harmony::pipeline::{simulate, Variant};
 use harmony::HarmonyConfig;
-use harmony_model::{MachineCatalog, SimDuration};
+use harmony_model::{EnergyPrice, MachineCatalog, SimDuration};
 use harmony_sim::{FaultPlan, SimReport};
 use harmony_trace::{Trace, TraceConfig, TraceGenerator};
 
@@ -106,7 +108,8 @@ pub fn evaluation_setup(scale: Scale) -> (Trace, MachineCatalog, HarmonyConfig, 
 }
 
 /// Runs every controller variant ([`Variant::ALL`], in order) over
-/// `trace` under one fault plan and returns their reports.
+/// `trace` under one fault plan and returns their reports. CBS and CBP
+/// share one classifier fit.
 ///
 /// Every run must account for each task of the trace exactly once —
 /// completed, running, pending, unschedulable or failed — whatever the
@@ -115,8 +118,8 @@ pub fn evaluation_setup(scale: Scale) -> (Trace, MachineCatalog, HarmonyConfig, 
 ///
 /// # Errors
 ///
-/// Returns a message naming the variant and `scenario` when a
-/// controller fails.
+/// Returns a message naming `scenario` when the classifier fit fails,
+/// and naming the variant too when a controller fails.
 pub fn run_fault_comparison(
     trace: &Trace,
     catalog: &MachineCatalog,
@@ -125,18 +128,16 @@ pub fn run_fault_comparison(
     scenario: &str,
     plan: &FaultPlan,
 ) -> Result<Vec<(Variant, SimReport)>, String> {
+    let classifier = TaskClassifier::fit(trace.tasks(), classifier_config)
+        .map(Rc::new)
+        .map_err(|e| format!("classifier fit failed under {scenario}: {e}"))?;
+    let price = EnergyPrice::default();
     Variant::ALL
         .into_iter()
         .map(|variant| {
-            let report = run_variant_with_faults(
-                trace,
-                catalog,
-                config,
-                classifier_config,
-                variant,
-                Some(plan),
-            )
-            .map_err(|e| format!("{} failed under {scenario}: {e}", variant.name()))?;
+            let report =
+                simulate(trace, catalog, config, Some(&classifier), variant, &price, Some(plan))
+                    .map_err(|e| format!("{} failed under {scenario}: {e}", variant.name()))?;
             let accounted = report.tasks_completed
                 + report.tasks_running_at_end
                 + report.tasks_pending_at_end

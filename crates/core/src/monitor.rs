@@ -191,7 +191,7 @@ impl ArrivalMonitor {
     ///
     /// A tier's output is rejected — and the next rung tried — when it
     /// contains non-finite values or an outlier above
-    /// [`OUTLIER_FACTOR`]× the largest observed rate (a blown-up model
+    /// `OUTLIER_FACTOR`× the largest observed rate (a blown-up model
     /// fit must not drive provisioning). The final rates are always
     /// finite and non-negative; a class whose history itself is
     /// corrupted (non-finite) degrades to zero-rate last-observation

@@ -10,7 +10,7 @@ use crate::machine::{Machine, MachineId};
 ///
 /// With [`Cluster::enable_index`] the cluster additionally maintains an
 /// incremental free-capacity index (per-type fit-summary segment trees
-/// and active/busy counters — see [`crate::index`]), making placement a
+/// and active/busy counters — see `index.rs`), making placement a
 /// pruned tree descent and capacity queries O(types) instead of
 /// O(machines) scans. Queries fall
 /// back to exact linear scans when the index is off, and both paths

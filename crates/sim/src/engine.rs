@@ -39,13 +39,15 @@ pub enum EngineMode {
     Reference,
 }
 
+/// Minutes between two [`TimePoint`] samples of a run's series.
+const SAMPLE_INTERVAL_MINS: f64 = 15.0;
+
 /// Static configuration of a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimulationConfig {
     catalog: MachineCatalog,
     price: EnergyPrice,
     all_on: bool,
-    sample_interval: SimDuration,
     drain_failure_limit: usize,
     preemption: bool,
     faults: Option<FaultPlan>,
@@ -55,16 +57,15 @@ pub struct SimulationConfig {
 
 impl SimulationConfig {
     /// Creates a configuration for the given machine catalog with a flat
-    /// default energy price, all machines initially off, 15-minute metric
-    /// samples, a drain batch limit of 256 distinct failures, and
-    /// priority preemption enabled (higher priority groups may evict
-    /// lower ones, as in the Google cluster the paper analyses).
+    /// default energy price, all machines initially off, a drain batch
+    /// limit of 256 distinct failures, and priority preemption enabled
+    /// (higher priority groups may evict lower ones, as in the Google
+    /// cluster the paper analyses). Metrics are sampled every 15 minutes.
     pub fn new(catalog: MachineCatalog) -> Self {
         SimulationConfig {
             catalog,
             price: EnergyPrice::default(),
             all_on: false,
-            sample_interval: SimDuration::from_mins(15.0),
             drain_failure_limit: 256,
             preemption: true,
             faults: None,
@@ -90,17 +91,6 @@ impl SimulationConfig {
     /// Sets the electricity price curve `p_t`.
     pub fn price(mut self, price: EnergyPrice) -> Self {
         self.price = price;
-        self
-    }
-
-    /// Sets the metric sampling interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn sample_interval(mut self, interval: SimDuration) -> Self {
-        assert!(interval.as_secs() > 0.0, "sample interval must be positive");
-        self.sample_interval = interval;
         self
     }
 
@@ -742,7 +732,7 @@ impl<'t> Simulation<'t> {
                         used_per_type: st.cluster.used_per_type(),
                         pending_tasks: st.pending.len(),
                     });
-                    let next = now + self.config.sample_interval;
+                    let next = now + SimDuration::from_mins(SAMPLE_INTERVAL_MINS);
                     if next <= end {
                         st.push(next, EventKind::Sample);
                     }
@@ -1336,13 +1326,12 @@ mod tests {
     fn controller_tick_runs_and_samples_recorded() {
         let trace = small_trace();
         let config = SimulationConfig::new(MachineCatalog::table2().scaled(50))
-            .all_machines_on()
-            .sample_interval(SimDuration::from_mins(10.0));
+            .all_machines_on();
         let report = Simulation::new(config, &trace, Box::new(FirstFit))
             .with_controller(Box::new(NullController))
             .run();
-        // 2-hour trace, 10-min samples → 13 samples (0..=120 min).
-        assert_eq!(report.series.len(), 13);
+        // 2-hour trace, 15-min samples → 9 samples (0..=120 min).
+        assert_eq!(report.series.len(), 9);
         assert!(report
             .series
             .iter()

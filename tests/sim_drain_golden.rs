@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 use harmony::classify::{ClassifierConfig, TaskClassifier};
 use harmony::controllers::{CbsController, QuotaScheduler, QuotaState};
-use harmony::pipeline::{run_variant_with_faults, Variant};
+use harmony::pipeline::{simulate, Variant};
 use harmony::HarmonyConfig;
 use harmony_model::{EnergyPrice, MachineCatalog, SimDuration};
 use harmony_sim::{FaultPlan, FaultRecordKind, FirstFit, SimReport, Simulation, SimulationConfig};
@@ -115,25 +115,28 @@ fn quota_scheduler_drain_paths_are_pinned() {
     let trace = trace();
     let catalog = catalog();
 
+    let classifier =
+        Rc::new(TaskClassifier::fit(trace.tasks(), &classifier_config()).unwrap());
+    let price = EnergyPrice::default();
+
     let plan = FaultPlan::scenario("eviction-wave", 3, trace.span()).unwrap();
-    let faulted = run_variant_with_faults(
+    let faulted = simulate(
         &trace,
         &catalog,
         &harmony_config(),
-        &classifier_config(),
+        Some(&classifier),
         Variant::Cbs,
+        &price,
         Some(&plan),
     )
     .unwrap();
     assert!(conserved(&faulted, &trace));
     assert!(fault_evictions(&faulted) > 0, "faults must re-queue evicted tasks");
 
-    // The CBS variant with preemption left on: victims leave the quota
-    // ledger through `on_finished` and re-enter the queue mid-drain.
-    let classifier =
-        Rc::new(TaskClassifier::fit(trace.tasks(), &classifier_config()).unwrap());
+    // The CBS variant with preemption left on, which `simulate` does not
+    // offer: victims leave the quota ledger through `on_finished` and
+    // re-enter the queue mid-drain.
     let quota = Rc::new(RefCell::new(QuotaState::default()));
-    let price = EnergyPrice::default();
     let controller =
         CbsController::new(classifier.clone(), harmony_config(), price.clone(), quota.clone())
             .unwrap();
