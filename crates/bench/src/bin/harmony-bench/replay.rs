@@ -10,8 +10,7 @@
 //! ```
 //!
 //! `--controller none` replays on a fully-on cluster (no DCP). Trace
-//! files come from [`harmony_trace::Trace::write_jsonl`], from
-//! [`harmony_trace::google_csv::write_task_events`], or from the real
+//! files come from [`harmony_trace::Trace::write_jsonl`] or from the real
 //! Google cluster-data v1 `task_events` tables.
 //!
 //! `--faults <scenario>` switches to robustness mode: all three

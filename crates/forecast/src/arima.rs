@@ -29,7 +29,6 @@ pub struct Arima {
     d: usize,
     q: usize,
     include_mean: bool,
-    optimizer: NelderMeadOptions,
 }
 
 impl Arima {
@@ -51,18 +50,12 @@ impl Arima {
         if d > MAX_D {
             return Err(ForecastError::InvalidParameter { name: "d", value: d.to_string() });
         }
-        Ok(Arima { p, d, q, include_mean: false, optimizer: NelderMeadOptions::default() })
+        Ok(Arima { p, d, q, include_mean: false })
     }
 
     /// Includes a mean (drift, once differenced) term.
     pub fn with_mean(mut self) -> Self {
         self.include_mean = true;
-        self
-    }
-
-    /// Overrides the Nelder–Mead options used for CSS minimization.
-    pub fn optimizer(mut self, options: NelderMeadOptions) -> Self {
-        self.optimizer = options;
         self
     }
 
@@ -168,6 +161,7 @@ impl Arima {
         let mut theta = [[0.0; LANES]; MAX_ORDER];
         let mut lanes: [Option<Lane>; LANES] = std::array::from_fn(|_| None);
         let mut queue = 0..jobs.len();
+        let options = NelderMeadOptions::default();
         loop {
             let mut running = false;
             for (l, slot) in lanes.iter_mut().enumerate() {
@@ -184,7 +178,7 @@ impl Arima {
                         for (row, &v) in w.iter_mut().zip(&jobs[job].centered) {
                             row[l] = v;
                         }
-                        let search = NelderMead::new(&jobs[job].x0, &self.optimizer);
+                        let search = NelderMead::new(&jobs[job].x0, &options);
                         *slot = Some(Lane { job, search, seeded_sse: f64::INFINITY });
                     }
                 }
@@ -445,7 +439,7 @@ impl Arima {
             let obj = move |x: &[f64]| css(&series, &x[..p], &x[p..p + q]);
             let seeded_sse = obj(&x0);
             let (best, best_sse) =
-                crate::neldermead::nelder_mead_oracle(obj, &x0, &self.optimizer);
+                crate::neldermead::nelder_mead_oracle(obj, &x0, &NelderMeadOptions::default());
             if best_sse.is_finite() && best_sse <= seeded_sse {
                 (best, best_sse)
             } else if seeded_sse.is_finite() {

@@ -5,8 +5,8 @@
 //! the Box–Jenkins ARIMA(p, d, q) family from scratch, plus the simple
 //! baselines the ablation benchmarks compare against:
 //!
-//! * [`series`] — differencing/integration, ACF/PACF (Durbin–Levinson),
-//!   summary statistics.
+//! * [`series`] — differencing/integration, ACF, Yule–Walker AR
+//!   (Durbin–Levinson), summary statistics.
 //! * [`Arima`] — conditional-sum-of-squares fitting (Nelder–Mead over the
 //!   AR/MA coefficients, seeded by a Yule–Walker AR fit) and multi-step
 //!   forecasting through the integration chain.

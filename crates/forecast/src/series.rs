@@ -121,35 +121,6 @@ pub fn acf(series: &[f64], max_lag: usize) -> Result<Vec<f64>, ForecastError> {
     Ok(out)
 }
 
-/// Sample partial autocorrelation via the Durbin–Levinson recursion,
-/// lags `1..=max_lag`.
-///
-/// # Errors
-///
-/// Same as [`acf`].
-pub fn pacf(series: &[f64], max_lag: usize) -> Result<Vec<f64>, ForecastError> {
-    let r = acf(series, max_lag)?;
-    let mut pacf = Vec::with_capacity(max_lag);
-    let mut phi_prev: Vec<f64> = Vec::new();
-    let mut v = 1.0_f64; // prediction error variance (normalized)
-    for k in 1..=max_lag {
-        let mut num = r[k];
-        for (j, &p) in phi_prev.iter().enumerate() {
-            num -= p * r[k - 1 - j];
-        }
-        let phi_kk = if v.abs() > 1e-15 { num / v } else { 0.0 };
-        let mut phi_new = Vec::with_capacity(k);
-        for j in 0..k - 1 {
-            phi_new.push(phi_prev[j] - phi_kk * phi_prev[k - 2 - j]);
-        }
-        phi_new.push(phi_kk);
-        v *= 1.0 - phi_kk * phi_kk;
-        pacf.push(phi_kk);
-        phi_prev = phi_new;
-    }
-    Ok(pacf)
-}
-
 /// Yule–Walker AR(p) coefficients via Durbin–Levinson. Returns the `p`
 /// AR coefficients `φ_1..φ_p` of the centered series.
 ///
@@ -259,26 +230,6 @@ mod tests {
     fn acf_zero_variance_errors() {
         let s = vec![3.0; 10];
         assert!(matches!(acf(&s, 2), Err(ForecastError::FitFailed { .. })));
-    }
-
-    #[test]
-    fn pacf_of_ar1_cuts_off_after_lag_one() {
-        // AR(1): x_t = 0.7 x_{t-1} + e_t with deterministic noise.
-        let mut x = 42u64;
-        let mut noise = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((x >> 33) as f64 / (1u64 << 30) as f64) - 1.0
-        };
-        let mut s = vec![0.0f64];
-        for _ in 0..3000 {
-            let prev = *s.last().unwrap();
-            s.push(0.7 * prev + noise());
-        }
-        let p = pacf(&s, 4).unwrap();
-        assert!((p[0] - 0.7).abs() < 0.06, "pacf lag1 = {}", p[0]);
-        for (lag, v) in p.iter().enumerate().skip(1) {
-            assert!(v.abs() < 0.08, "pacf lag{} = {v}", lag + 1);
-        }
     }
 
     #[test]

@@ -52,30 +52,6 @@ impl Dataset {
         Ok(Dataset { values, dim })
     }
 
-    /// Builds a dataset from a flat row-major buffer.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Dataset::from_rows`], plus
-    /// [`KMeansError::RaggedRows`] when `values.len()` is not a multiple of
-    /// `dim`.
-    pub fn from_flat(values: Vec<f64>, dim: usize) -> Result<Self, KMeansError> {
-        if values.is_empty() || dim == 0 {
-            return Err(KMeansError::EmptyDataset);
-        }
-        if !values.len().is_multiple_of(dim) {
-            return Err(KMeansError::RaggedRows {
-                row: values.len() / dim,
-                expected: dim,
-                got: values.len() % dim,
-            });
-        }
-        if let Some(pos) = values.iter().position(|v| !v.is_finite()) {
-            return Err(KMeansError::NonFiniteValue { row: pos / dim });
-        }
-        Ok(Dataset { values, dim })
-    }
-
     /// Number of observations (rows).
     pub fn len(&self) -> usize {
         self.values.len() / self.dim
@@ -104,29 +80,6 @@ impl Dataset {
     /// Iterator over observation rows.
     pub fn iter(&self) -> impl Iterator<Item = &[f64]> {
         self.values.chunks_exact(self.dim)
-    }
-
-    /// Column `j` gathered into a vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.dim()`.
-    pub fn column(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.dim, "column {j} out of range for dim {}", self.dim);
-        self.iter().map(|r| r[j]).collect()
-    }
-
-    /// A new dataset containing only the rows at `indices` (in order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn select(&self, indices: &[usize]) -> Dataset {
-        let mut values = Vec::with_capacity(indices.len() * self.dim);
-        for &i in indices {
-            values.extend_from_slice(self.row(i));
-        }
-        Dataset { values, dim: self.dim }
     }
 
     /// Squared Euclidean distance between row `i` and an external point.
@@ -159,16 +112,8 @@ mod tests {
         assert_eq!(d.len(), 3);
         assert_eq!(d.dim(), 2);
         assert_eq!(d.row(2), &[5.0, 6.0]);
-        assert_eq!(d.column(1), vec![2.0, 4.0, 6.0]);
         assert_eq!(d.iter().count(), 3);
         assert!(!d.is_empty());
-    }
-
-    #[test]
-    fn from_flat_matches_from_rows() {
-        let a = Dataset::from_flat(vec![1.0, 2.0, 3.0, 4.0], 2).unwrap();
-        let b = Dataset::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -183,22 +128,6 @@ mod tests {
             Dataset::from_rows(vec![vec![f64::NAN]]),
             Err(KMeansError::NonFiniteValue { row: 0 })
         ));
-        assert!(matches!(
-            Dataset::from_flat(vec![1.0, 2.0, 3.0], 2),
-            Err(KMeansError::RaggedRows { .. })
-        ));
-        assert!(matches!(
-            Dataset::from_flat(vec![1.0, f64::INFINITY], 2),
-            Err(KMeansError::NonFiniteValue { row: 0 })
-        ));
-    }
-
-    #[test]
-    fn select_gathers_rows() {
-        let d = Dataset::from_rows(vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0]]).unwrap();
-        let s = d.select(&[3, 1]);
-        assert_eq!(s.row(0), &[3.0]);
-        assert_eq!(s.row(1), &[1.0]);
     }
 
     #[test]

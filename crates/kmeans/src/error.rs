@@ -32,13 +32,6 @@ pub enum KMeansError {
         /// Number of observations available.
         points: usize,
     },
-    /// A point's dimension does not match the fitted model.
-    DimensionMismatch {
-        /// The model/dataset dimension.
-        expected: usize,
-        /// The supplied point's dimension.
-        got: usize,
-    },
 }
 
 impl fmt::Display for KMeansError {
@@ -55,9 +48,6 @@ impl fmt::Display for KMeansError {
             KMeansError::TooFewPoints { k, points } => {
                 write!(f, "cannot form {k} clusters from {points} points")
             }
-            KMeansError::DimensionMismatch { expected, got } => {
-                write!(f, "point has dimension {got}, model expects {expected}")
-            }
         }
     }
 }
@@ -72,7 +62,6 @@ mod tests {
     fn displays_are_informative() {
         assert!(KMeansError::ZeroK.to_string().contains("positive"));
         assert!(KMeansError::TooFewPoints { k: 5, points: 2 }.to_string().contains("5"));
-        assert!(KMeansError::DimensionMismatch { expected: 2, got: 3 }.to_string().contains("3"));
     }
 
     #[test]

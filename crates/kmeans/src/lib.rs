@@ -5,16 +5,15 @@
 //! substrate:
 //!
 //! * [`Dataset`] — a dense row-major feature matrix.
-//! * [`Standardizer`] and [`Log10Transform`] — feature scaling; task sizes
-//!   span several orders of magnitude (Section III-D), so clustering is
-//!   typically run in log space.
+//! * [`Log10Transform`] — feature scaling; task sizes span several
+//!   orders of magnitude (Section III-D), so clustering runs in log space.
 //! * [`KMeans`] — Lloyd's algorithm with k-means++ seeding, empty-cluster
 //!   repair, and deterministic seeded runs. The assignment step skips
 //!   points whose Hamerly bounds prove their centroid still the nearest,
 //!   with output identical to the plain loop.
-//! * [`quality`] — inertia, silhouette scores, and the elbow rule used in
-//!   Section IX-A ("the best value of k ... is selected as the one for
-//!   which no significant benefit can be achieved by increasing k").
+//! * [`quality`] — the elbow rule over inertia, used in Section IX-A
+//!   ("the best value of k ... is selected as the one for which no
+//!   significant benefit can be achieved by increasing k").
 //!
 //! # Examples
 //!
@@ -47,5 +46,5 @@ mod scale;
 pub use dataset::Dataset;
 pub use error::KMeansError;
 pub use lloyd::{KMeans, KMeansModel};
-pub use quality::{davies_bouldin, elbow_k, silhouette_score, ElbowReport};
-pub use scale::{Log10Transform, Standardizer};
+pub use quality::{elbow_k, ElbowReport};
+pub use scale::Log10Transform;

@@ -108,9 +108,7 @@ impl KMeans {
         let mut assignments = vec![0usize; data.len()];
         let mut bounds = Bounds::new(data.len(), self.k);
         let mut drift = vec![0.0f64; self.k];
-        let mut iterations = 0;
-        for iter in 0..self.max_iterations.max(1) {
-            iterations = iter + 1;
+        for _ in 0..self.max_iterations.max(1) {
             // Assignment step.
             bounds.assign(data, &centroids, &mut assignments);
             // Update step.
@@ -154,7 +152,7 @@ impl KMeans {
             assignments[i] = c;
             inertia += d2;
         }
-        KMeansModel { centroids, assignments, inertia, iterations }
+        KMeansModel { centroids, assignments, inertia }
     }
 }
 
@@ -330,18 +328,12 @@ pub struct KMeansModel {
     centroids: Vec<Vec<f64>>,
     assignments: Vec<usize>,
     inertia: f64,
-    iterations: usize,
 }
 
 impl KMeansModel {
     /// Number of clusters.
     pub fn k(&self) -> usize {
         self.centroids.len()
-    }
-
-    /// Feature dimension.
-    pub fn dim(&self) -> usize {
-        self.centroids.first().map_or(0, Vec::len)
     }
 
     /// Converged centroids, indexed by cluster label.
@@ -359,52 +351,6 @@ impl KMeansModel {
     pub fn inertia(&self) -> f64 {
         self.inertia
     }
-
-    /// Lloyd iterations performed by the winning restart.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Labels a new point with the nearest centroid (the paper's run-time
-    /// "similarity score ... Euclidean distance between the task and the
-    /// centroid").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KMeansError::DimensionMismatch`] if the point's dimension
-    /// differs from the model's.
-    pub fn predict(&self, point: &[f64]) -> Result<usize, KMeansError> {
-        if point.len() != self.dim() {
-            return Err(KMeansError::DimensionMismatch { expected: self.dim(), got: point.len() });
-        }
-        Ok(nearest_centroid(point, &self.centroids).0)
-    }
-
-    /// Number of training points per cluster.
-    pub fn cluster_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.k()];
-        for &a in &self.assignments {
-            sizes[a] += 1;
-        }
-        sizes
-    }
-
-    /// Per-cluster, per-feature standard deviation over the training set
-    /// (reported alongside centroids in Figs. 13/15/17).
-    pub fn cluster_stds(&self, data: &Dataset) -> Vec<Vec<f64>> {
-        let sizes = self.cluster_sizes();
-        let mut sq = vec![vec![0.0f64; self.dim()]; self.k()];
-        for (i, row) in data.iter().enumerate() {
-            let c = self.assignments[i];
-            for (j, (&v, m)) in row.iter().zip(&self.centroids[c]).enumerate() {
-                sq[c][j] += (v - m) * (v - m);
-            }
-        }
-        sq.into_iter()
-            .zip(&sizes)
-            .map(|(col, &n)| col.into_iter().map(|s| if n > 0 { (s / n as f64).sqrt() } else { 0.0 }).collect())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -419,10 +365,8 @@ mod tests {
         let dim = data.dim();
         let mut centroids = plus_plus_init(data, km.k, rng);
         let mut assignments = vec![0usize; data.len()];
-        let mut iterations = 0;
         let mut repairs = 0;
-        for iter in 0..km.max_iterations.max(1) {
-            iterations = iter + 1;
+        for _ in 0..km.max_iterations.max(1) {
             for (i, row) in data.iter().enumerate() {
                 assignments[i] = nearest_centroid(row, &centroids).0;
             }
@@ -460,15 +404,15 @@ mod tests {
             assignments[i] = c;
             inertia += d2;
         }
-        (KMeansModel { centroids, assignments, inertia, iterations }, repairs)
+        (KMeansModel { centroids, assignments, inertia }, repairs)
     }
 
-    type Bits = (Vec<Vec<u64>>, Vec<usize>, u64, usize);
+    type Bits = (Vec<Vec<u64>>, Vec<usize>, u64);
 
     fn bits(m: &KMeansModel) -> Bits {
         let centroids =
             m.centroids.iter().map(|c| c.iter().map(|v| v.to_bits()).collect()).collect();
-        (centroids, m.assignments.clone(), m.inertia.to_bits(), m.iterations)
+        (centroids, m.assignments.clone(), m.inertia.to_bits())
     }
 
     /// Compares every restart of `km` on `data`, and the kept model,
@@ -565,6 +509,14 @@ mod tests {
         }
     }
 
+    fn cluster_sizes(model: &KMeansModel) -> Vec<usize> {
+        let mut sizes = vec![0usize; model.k()];
+        for &a in model.assignments() {
+            sizes[a] += 1;
+        }
+        sizes
+    }
+
     fn blobs() -> Dataset {
         let mut rows = Vec::new();
         for i in 0..20 {
@@ -580,7 +532,7 @@ mod tests {
     fn recovers_three_blobs() {
         let data = blobs();
         let model = KMeans::new(3).seed(42).fit(&data).unwrap();
-        let sizes = model.cluster_sizes();
+        let sizes = cluster_sizes(&model);
         assert_eq!(sizes.iter().sum::<usize>(), 60);
         assert!(sizes.iter().all(|&s| s == 20), "balanced blobs: {sizes:?}");
         // Inertia is tiny relative to blob separation.
@@ -600,7 +552,7 @@ mod tests {
         let data = Dataset::from_rows(vec![vec![1.0], vec![2.0], vec![3.0]]).unwrap();
         let model = KMeans::new(3).seed(0).fit(&data).unwrap();
         assert!(model.inertia() < 1e-12);
-        let mut sizes = model.cluster_sizes();
+        let mut sizes = cluster_sizes(&model);
         sizes.sort();
         assert_eq!(sizes, vec![1, 1, 1]);
     }
@@ -621,29 +573,6 @@ mod tests {
             KMeans::new(3).fit(&data),
             Err(KMeansError::TooFewPoints { k: 3, points: 2 })
         ));
-    }
-
-    #[test]
-    fn predict_labels_near_centroid() {
-        let data = blobs();
-        let model = KMeans::new(3).seed(1).fit(&data).unwrap();
-        let near_origin = model.predict(&[0.3, -0.1]).unwrap();
-        assert_eq!(near_origin, model.assignments()[0]);
-        assert!(matches!(
-            model.predict(&[1.0]),
-            Err(KMeansError::DimensionMismatch { expected: 2, got: 1 })
-        ));
-    }
-
-    #[test]
-    fn cluster_stds_are_small_within_tight_blobs() {
-        let data = blobs();
-        let model = KMeans::new(3).seed(3).fit(&data).unwrap();
-        for stds in model.cluster_stds(&data) {
-            for s in stds {
-                assert!(s < 0.05, "std too large: {s}");
-            }
-        }
     }
 
     #[test]

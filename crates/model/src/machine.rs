@@ -54,13 +54,6 @@ pub struct MachineType {
 }
 
 impl MachineType {
-    /// `true` if a container/task of the given size can ever be hosted on
-    /// this machine type (schedulability, Section III-D's observation that
-    /// "not every task can be scheduled on every type of machine").
-    pub fn can_host(&self, demand: Resources) -> bool {
-        demand.fits_within(self.capacity)
-    }
-
     /// Energy efficiency proxy: normalized capacity per peak watt.
     pub fn capacity_per_watt(&self) -> f64 {
         self.power.capacity_per_watt(self.capacity)
@@ -77,8 +70,8 @@ impl MachineType {
 /// let catalog = MachineCatalog::table2();
 /// assert_eq!(catalog.total_machines(), 10_000);
 /// // Small tasks fit everywhere, the largest only on the DL585 G7.
-/// let hosts = catalog.hosts_for(Resources::new(0.6, 0.6));
-/// assert_eq!(hosts.len(), 1);
+/// let big = Resources::new(0.6, 0.6);
+/// assert_eq!(catalog.iter().filter(|t| big.fits_within(t.capacity)).count(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineCatalog {
@@ -257,11 +250,6 @@ impl MachineCatalog {
         MachineCatalog::new(types).expect("scaling preserves validity")
     }
 
-    /// Machine types able to host a task/container of size `demand`.
-    pub fn hosts_for(&self, demand: Resources) -> Vec<MachineTypeId> {
-        self.types.iter().filter(|t| t.can_host(demand)).map(|t| t.id).collect()
-    }
-
     /// Machine type ids ordered by decreasing energy efficiency
     /// (capacity per peak watt) — the provisioning order of the
     /// heterogeneity-oblivious baseline.
@@ -332,11 +320,14 @@ mod tests {
     fn schedulability_gaps_exist() {
         // A 0.2-CPU container does not fit on the R210 (Fig. 9 discussion).
         let c = MachineCatalog::table2();
-        let hosts = c.hosts_for(Resources::new(0.2, 0.01));
+        let hosts_for = |demand: Resources| -> Vec<MachineTypeId> {
+            c.iter().filter(|t| demand.fits_within(t.capacity)).map(|t| t.id).collect()
+        };
+        let hosts = hosts_for(Resources::new(0.2, 0.01));
         assert!(!hosts.contains(&MachineTypeId(0)));
         assert_eq!(hosts.len(), 3);
         // And a full-machine task fits only on the DL585 G7.
-        assert_eq!(c.hosts_for(Resources::ONE), vec![MachineTypeId(3)]);
+        assert_eq!(hosts_for(Resources::ONE), vec![MachineTypeId(3)]);
     }
 
     #[test]

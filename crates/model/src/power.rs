@@ -88,30 +88,9 @@ pub enum EnergyPrice {
         /// Hour of day (0–24) when the peak period ends.
         peak_end_hour: f64,
     },
-    /// An arbitrary per-hour price curve that repeats daily
-    /// (`prices[h]` applies during hour `h`); e.g. a real day-ahead
-    /// market curve.
-    Hourly {
-        /// 24 prices in $/kWh, one per hour of day.
-        prices: Vec<f64>,
-    },
 }
 
 impl EnergyPrice {
-    /// Builds a daily-repeating hourly tariff from 24 prices.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless exactly 24 non-negative finite prices are given.
-    pub fn from_hourly(prices: Vec<f64>) -> Self {
-        assert_eq!(prices.len(), 24, "hourly tariff needs 24 prices");
-        assert!(
-            prices.iter().all(|p| p.is_finite() && *p >= 0.0),
-            "prices must be non-negative and finite"
-        );
-        EnergyPrice::Hourly { prices }
-    }
-
     /// The price in effect at instant `t`, in $/kWh.
     pub fn price_at(&self, t: SimTime) -> f64 {
         match *self {
@@ -123,13 +102,6 @@ impl EnergyPrice {
                 } else {
                     off_peak
                 }
-            }
-            EnergyPrice::Hourly { ref prices } => {
-                if prices.is_empty() {
-                    return 0.0;
-                }
-                let hour = (t.as_hours() % 24.0).floor() as usize;
-                prices[hour.min(prices.len() - 1)]
             }
         }
     }
@@ -204,21 +176,5 @@ mod tests {
     #[test]
     fn default_price_is_flat() {
         assert_eq!(EnergyPrice::default(), EnergyPrice::Flat(0.10));
-    }
-
-    #[test]
-    fn hourly_curve_repeats_daily() {
-        let mut prices = vec![0.05; 24];
-        prices[18] = 0.30; // evening spike
-        let p = EnergyPrice::from_hourly(prices);
-        assert_eq!(p.price_at(SimTime::from_hours(18.5)), 0.30);
-        assert_eq!(p.price_at(SimTime::from_hours(42.5)), 0.30); // next day
-        assert_eq!(p.price_at(SimTime::from_hours(3.0)), 0.05);
-    }
-
-    #[test]
-    #[should_panic(expected = "24 prices")]
-    fn hourly_curve_needs_24_entries() {
-        let _ = EnergyPrice::from_hourly(vec![0.1; 23]);
     }
 }

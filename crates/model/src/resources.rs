@@ -115,17 +115,6 @@ impl Resources {
         Resources::new(self.cpu.min(other.cpu), self.mem.min(other.mem))
     }
 
-    /// The largest component — the *bottleneck* dimension used by the
-    /// heterogeneity-oblivious baseline's 80%-utilization rule.
-    pub fn max_component(self) -> f64 {
-        self.cpu.max(self.mem)
-    }
-
-    /// The smallest component.
-    pub fn min_component(self) -> f64 {
-        self.cpu.min(self.mem)
-    }
-
     /// Sum of components (used for effective-utilization arguments in
     /// Lemma 1, where effective utilization is `1/|R| · Σ_r u_r`).
     pub fn sum_components(self) -> f64 {
@@ -309,9 +298,6 @@ mod tests {
         let b = Resources::new(0.5, 0.1);
         assert_eq!(a.max(b), Resources::new(0.5, 0.8));
         assert_eq!(a.min(b), Resources::new(0.2, 0.1));
-        assert_eq!(a.max_component(), 0.8);
-        assert_eq!(b.max_component(), 0.5);
-        assert_eq!(a.min_component(), 0.2);
     }
 
     #[test]

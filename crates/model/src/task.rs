@@ -44,8 +44,6 @@ impl fmt::Display for JobId {
 pub struct Priority(u8);
 
 impl Priority {
-    /// Lowest (free-tier) priority.
-    pub const MIN: Priority = Priority(0);
     /// Highest (production) priority.
     pub const MAX: Priority = Priority(11);
 
@@ -143,8 +141,6 @@ pub struct SchedulingClass(u8);
 impl SchedulingClass {
     /// Least latency-sensitive (batch).
     pub const BATCH: SchedulingClass = SchedulingClass(0);
-    /// Most latency-sensitive (serving).
-    pub const SERVING: SchedulingClass = SchedulingClass(3);
 
     /// Creates a scheduling class, validating the range `0..=3`.
     ///
@@ -212,11 +208,6 @@ pub struct Task {
 }
 
 impl Task {
-    /// The moment the task would finish if it started executing at `start`.
-    pub fn finish_if_started_at(&self, start: SimTime) -> SimTime {
-        start + self.duration
-    }
-
     /// Validates the task's invariants: non-negative finite demand that
     /// fits in a normalized machine, and a finite duration.
     ///
@@ -293,16 +284,7 @@ mod tests {
         assert!(SchedulingClass::new(3).is_ok());
         assert!(SchedulingClass::new(4).is_err());
         assert_eq!(SchedulingClass::BATCH.level(), 0);
-        assert_eq!(SchedulingClass::SERVING.level(), 3);
-    }
-
-    #[test]
-    fn task_finish_time() {
-        let t = sample_task();
-        assert_eq!(
-            t.finish_if_started_at(SimTime::from_secs(50.0)),
-            SimTime::from_secs(150.0)
-        );
+        assert_eq!(SchedulingClass::new(3).unwrap().level(), 3);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl SimTime {
         self.0 / 3600.0
     }
 
-    /// Days since the origin.
-    pub fn as_days(self) -> f64 {
-        self.0 / 86_400.0
-    }
-
     /// The non-negative span from `earlier` to `self`, saturating at zero
     /// when `earlier` is in the future.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
@@ -286,7 +281,6 @@ mod tests {
         assert_eq!(SimDuration::from_days(1.0).as_hours(), 24.0);
         assert_eq!(SimDuration::from_mins(3.0).as_secs(), 180.0);
         assert_eq!(SimTime::from_hours(1.0).as_secs(), 3600.0);
-        assert!((SimTime::from_secs(86_400.0).as_days() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -194,11 +194,6 @@ impl Cluster {
         max
     }
 
-    /// Total active machines.
-    pub fn total_active(&self) -> usize {
-        self.machines.iter().filter(|m| m.is_active()).count()
-    }
-
     /// Instantaneous cluster draw in watts.
     pub fn total_power_watts(&self) -> f64 {
         self.machines.iter().map(Machine::power_watts).sum()
@@ -423,7 +418,7 @@ mod tests {
         assert_eq!(c.len(), 7 + 2 + 1 + 1);
         assert_eq!(c.machines_of_type(MachineTypeId(0)).len(), 7);
         assert_eq!(c.machines_of_type(MachineTypeId(3)).len(), 1);
-        assert_eq!(c.total_active(), 0);
+        assert_eq!(c.active_per_type().iter().sum::<usize>(), 0);
         assert!(!c.is_empty());
         // Ids are dense and match positions.
         for (i, m) in c.machines().iter().enumerate() {
@@ -465,7 +460,7 @@ mod tests {
         assert_eq!(c.used_per_type()[1], 1);
         c.release(ids[0], Resources::new(0.1, 0.1), ready);
         assert_eq!(c.power_off_idle(MachineTypeId(1), 2, ready), 1);
-        assert_eq!(c.total_active(), 0);
+        assert_eq!(c.active_per_type().iter().sum::<usize>(), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   lifecycle, per-machine utilization, and lazily-integrated energy
 //!   metering under the linear power model of Eq. (7).
 //! * [`Scheduler`] — pluggable task-placement policies ([`FirstFit`],
-//!   [`BestFit`], [`EnergyEfficientFirstFit`]); controllers that need to
+//!   [`EnergyEfficientFirstFit`]); controllers that need to
 //!   coordinate with scheduling (the paper's CBS) wrap these with quota
 //!   logic in the `harmony` crate.
 //! * [`Controller`] — the dynamic-capacity-provisioning hook: once per
@@ -67,4 +67,4 @@ pub use faults::{
 };
 pub use machine::{Machine, MachineId, MachineState};
 pub use metrics::{DelayStats, SimReport, TimePoint};
-pub use scheduler::{BestFit, EnergyEfficientFirstFit, FirstFit, Scheduler};
+pub use scheduler::{EnergyEfficientFirstFit, FirstFit, Scheduler};

@@ -154,11 +154,6 @@ impl SimReport {
         met as f64 / total as f64
     }
 
-    /// Total cost: energy plus switching.
-    pub fn total_cost_dollars(&self) -> f64 {
-        self.energy_cost_dollars + self.switch_cost_dollars
-    }
-
     /// Mean active machines over the sampled series.
     pub fn mean_active_machines(&self) -> f64 {
         if self.series.is_empty() {
@@ -274,7 +269,6 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(report.total_cost_dollars(), 2.5);
         assert_eq!(report.mean_active_machines(), 3.0);
         assert_eq!(report.delay_stats(PriorityGroup::Gratis).count, 2);
         assert_eq!(report.delay_stats_overall().count, 3);

@@ -43,30 +43,6 @@ impl Scheduler for FirstFit {
     }
 }
 
-/// Best-Fit: the `On` machine with room whose remaining free capacity
-/// (sum over dimensions, after placement) is smallest — packs tightly.
-///
-/// Inherently a full scan (the objective ranks every feasible machine);
-/// not accelerated by the cluster index.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BestFit;
-
-impl Scheduler for BestFit {
-    fn place(&mut self, task: &Task, cluster: &Cluster) -> Option<MachineId> {
-        let mut best: Option<(MachineId, f64)> = None;
-        for m in cluster.machines() {
-            if !m.can_place(task.demand) {
-                continue;
-            }
-            let leftover = (m.free() - task.demand).sum_components();
-            if best.is_none_or(|(_, b)| leftover < b) {
-                best = Some((m.id(), leftover));
-            }
-        }
-        best.map(|(id, _)| id)
-    }
-}
-
 /// First-Fit over machine types sorted by decreasing energy efficiency
 /// (capacity per peak watt) — the placement half of the
 /// heterogeneity-oblivious baseline, which provisions and fills
@@ -149,17 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn best_fit_packs_tightest_machine() {
-        let c = cluster_all_on();
-        let mut bf = BestFit;
-        // 0.2/0.2 fits R515 (0.25/0.5, leftover 0.35), DL385 (0.5/0.25,
-        // leftover 0.35), DL585 (1/1, leftover 1.6). Tie between R515 and
-        // DL385; either acceptable — must not be DL585.
-        let id = bf.place(&task(0.2, 0.2), &c).unwrap();
-        assert_ne!(c.machine(id).type_id(), MachineTypeId(3));
-    }
-
-    #[test]
     fn energy_efficient_prefers_efficient_type() {
         let c = cluster_all_on();
         let mut ee = EnergyEfficientFirstFit::new(&c);
@@ -175,7 +140,6 @@ mod tests {
         let c = Cluster::new(MachineCatalog::table2().scaled(1000)); // all off
         let t = task(0.01, 0.01);
         assert!(FirstFit.place(&t, &c).is_none());
-        assert!(BestFit.place(&t, &c).is_none());
         assert!(EnergyEfficientFirstFit::new(&c).place(&t, &c).is_none());
     }
 }

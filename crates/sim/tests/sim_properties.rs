@@ -2,7 +2,7 @@
 //! traces and cluster scales.
 
 use harmony_model::{MachineCatalog, SimDuration};
-use harmony_sim::{BestFit, FirstFit, Scheduler, Simulation, SimulationConfig};
+use harmony_sim::{FirstFit, Simulation, SimulationConfig};
 use harmony_trace::{TraceConfig, TraceGenerator};
 use proptest::prelude::*;
 
@@ -18,14 +18,13 @@ fn trace(seed: u64, minutes: f64) -> harmony_trace::Trace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Task conservation holds for any seed, scale, scheduler, and
-    /// preemption setting.
+    /// Task conservation holds for any seed, scale, and preemption
+    /// setting.
     #[test]
     fn conservation_universal(
         seed in 0u64..10_000,
         divisor in prop::sample::select(vec![60usize, 150, 400]),
         preemption in any::<bool>(),
-        best_fit in any::<bool>(),
     ) {
         let trace = trace(seed, 40.0);
         let catalog = MachineCatalog::table2().scaled(divisor);
@@ -33,9 +32,7 @@ proptest! {
         if !preemption {
             config = config.without_preemption();
         }
-        let scheduler: Box<dyn Scheduler> =
-            if best_fit { Box::new(BestFit) } else { Box::new(FirstFit) };
-        let report = Simulation::new(config, &trace, scheduler).run();
+        let report = Simulation::new(config, &trace, Box::new(FirstFit)).run();
         prop_assert_eq!(
             report.tasks_completed
                 + report.tasks_running_at_end

@@ -1,4 +1,4 @@
-//! Import/export in the Google cluster-data v1 `task_events` layout.
+//! Import from the Google cluster-data v1 `task_events` layout.
 //!
 //! The public `clusterdata-2011` trace the paper analyses ships task
 //! events as headerless CSV with these columns:
@@ -14,11 +14,10 @@
 //! (event 0) with the matching FINISH/FAIL/KILL/EVICT/LOST terminal
 //! event of the same `(job_id, task_index)`; unterminated tasks are
 //! truncated at the span end, mirroring the censoring in the real
-//! trace. [`write_task_events`] emits the same layout, so synthetic
-//! traces can be fed to external clusterdata tooling.
+//! trace.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 use harmony_model::{
     JobId, Priority, Resources, SchedulingClass, SimDuration, SimTime, Task, TaskId,
@@ -140,42 +139,6 @@ pub fn read_task_events<R: BufRead>(reader: R) -> Result<Trace, TraceError> {
     Ok(Trace::from_unsorted(tasks, SimDuration::from_secs(max_us as f64 / 1e6)))
 }
 
-/// Writes a trace as `task_events`-format CSV: one SUBMIT and one FINISH
-/// row per task.
-///
-/// # Errors
-///
-/// Returns [`TraceError::Io`] on write failures.
-pub fn write_task_events<W: Write>(trace: &Trace, mut writer: W) -> Result<(), TraceError> {
-    for task in trace.tasks() {
-        let submit_us = (task.arrival.as_secs() * 1e6).round() as u64;
-        let finish_us = submit_us + (task.duration.as_secs() * 1e6).round() as u64;
-        // SUBMIT (event 0).
-        writeln!(
-            writer,
-            "{submit_us},,{job},{idx},,0,,{class},{prio},{cpu},{mem},,",
-            job = task.job.0,
-            idx = task.id.0,
-            class = task.sched_class.level(),
-            prio = task.priority.level(),
-            cpu = task.demand.cpu,
-            mem = task.demand.mem,
-        )?;
-        // FINISH (event 4).
-        writeln!(
-            writer,
-            "{finish_us},,{job},{idx},,4,,{class},{prio},{cpu},{mem},,",
-            job = task.job.0,
-            idx = task.id.0,
-            class = task.sched_class.level(),
-            prio = task.priority.level(),
-            cpu = task.demand.cpu,
-            mem = task.demand.mem,
-        )?;
-    }
-    Ok(())
-}
-
 fn malformed(line_no: usize) -> TraceError {
     TraceError::Malformed {
         line: line_no + 1,
@@ -189,7 +152,6 @@ fn malformed(line_no: usize) -> TraceError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TraceConfig, TraceGenerator};
     use harmony_model::PriorityGroup;
 
     #[test]
@@ -264,19 +226,34 @@ mod tests {
 
     #[test]
     fn roundtrip_through_task_events_format() {
-        let config = TraceConfig::small().with_span(SimDuration::from_mins(20.0)).with_seed(3);
-        let original = TraceGenerator::new(config).generate();
-        let mut buf = Vec::new();
-        write_task_events(&original, &mut buf).unwrap();
-        let back = read_task_events(buf.as_slice()).unwrap();
-        assert_eq!(back.len(), original.len());
-        // Arrival order and group mix survive; durations match to µs
-        // rounding.
-        assert_eq!(back.group_counts(), original.group_counts());
-        for (a, b) in back.tasks().iter().zip(original.tasks()) {
-            assert!((a.arrival.as_secs() - b.arrival.as_secs()).abs() < 1e-5);
-            assert!((a.duration.as_secs() - b.duration.as_secs()).abs() < 1e-5);
-            assert_eq!(a.priority, b.priority);
-        }
+        // One SUBMIT and one FINISH row per task, finishes interleaved
+        // with later submits, one task from each priority group.
+        let csv = "\
+1500000,,10,0,,0,,1,0,0.0625,0.03125,,\n\
+2250000,,11,0,,0,,3,11,0.5,0.25,,\n\
+2500000,,12,3,,0,,2,4,0.125,0.375,,\n\
+3000000,,10,0,,4,,1,0,0.0625,0.03125,,\n\
+9250000,,12,3,,4,,2,4,0.125,0.375,,\n\
+62250000,,11,0,,4,,3,11,0.5,0.25,,\n";
+        let trace = read_task_events(csv.as_bytes()).unwrap();
+        let got: Vec<_> = trace
+            .tasks()
+            .iter()
+            .map(|t| {
+                let shape = (t.job.0, t.priority.level(), t.sched_class.level(), t.demand);
+                (t.arrival.as_secs(), t.duration.as_secs(), shape)
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (1.5, 1.5, (10, 0, 1, Resources::new(0.0625, 0.03125))),
+                (2.25, 60.0, (11, 11, 3, Resources::new(0.5, 0.25))),
+                (2.5, 6.75, (12, 4, 2, Resources::new(0.125, 0.375))),
+            ]
+        );
+        assert_eq!(trace.span(), SimDuration::from_secs(62.25));
+        let groups: Vec<PriorityGroup> = trace.tasks().iter().map(|t| t.priority.group()).collect();
+        assert_eq!(groups, [PriorityGroup::Gratis, PriorityGroup::Production, PriorityGroup::Other]);
     }
 }
