@@ -61,7 +61,24 @@ fn names() -> String {
         .collect()
 }
 
+/// A reader that closes stdout early (`harmony-bench … | head`) makes
+/// the next `println!` panic with "failed printing to stdout: Broken
+/// pipe". End the process instead, silently and with the status a
+/// SIGPIPE death reports in the shell (128 + 13); any other panic keeps
+/// the default report.
+fn exit_quietly_on_broken_pipe() {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let message = info.payload_as_str().unwrap_or_default();
+        if message.starts_with("failed printing to stdout") && message.contains("Broken pipe") {
+            std::process::exit(141);
+        }
+        report(info);
+    }));
+}
+
 fn main() {
+    exit_quietly_on_broken_pipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = args.first().map_or("list", String::as_str);
     if name == "list" {

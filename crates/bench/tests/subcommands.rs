@@ -1,10 +1,11 @@
 //! Drives the `harmony-bench` binary: `list` names the subcommands,
 //! every `fig*`/`table*` one runs to completion at quick scale, an
-//! unknown name is refused with the list, and `replay` runs a fault
-//! comparison over a trace file and refuses bad flag values.
+//! unknown name is refused with the list, a closed stdout ends a run
+//! without a panic, and `replay` runs a fault comparison over a trace
+//! file and refuses bad flag values.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use harmony_trace::{TraceConfig, TraceGenerator};
 
@@ -51,6 +52,24 @@ fn every_figure_and_table_subcommand_runs_at_quick_scale() {
     let unknown = harmony_bench(&["fig99_nonesuch"]);
     assert!(!unknown.status.success());
     assert!(String::from_utf8_lossy(&unknown.stderr).contains(&list));
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_without_a_panic() {
+    // The read end closes before the subcommand prints its first line,
+    // so every write it makes meets a broken pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_harmony-bench"))
+        .arg("fig07_task_sizes")
+        .env("HARMONY_SCALE", "quick")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn harmony-bench");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for harmony-bench");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(141), "{stderr}");
 }
 
 /// Writes a small synthetic trace to a fresh JSONL file.
