@@ -19,7 +19,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod chaos;
 pub mod client;
 pub mod net;
 pub mod protocol;

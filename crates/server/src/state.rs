@@ -305,12 +305,6 @@ pub enum RecoveryEvent {
         /// The generation file that was loaded.
         path: String,
     },
-    /// A pre-CRC (bare-payload) checkpoint was accepted without
-    /// integrity verification.
-    LegacyUnverified {
-        /// The legacy file.
-        path: String,
-    },
 }
 
 impl std::fmt::Display for RecoveryEvent {
@@ -324,9 +318,6 @@ impl std::fmt::Display for RecoveryEvent {
             }
             RecoveryEvent::RecoveredFromGeneration { path } => {
                 write!(f, "recovered from previous checkpoint generation {path}")
-            }
-            RecoveryEvent::LegacyUnverified { path } => {
-                write!(f, "loaded legacy (pre-CRC) checkpoint {path} without verification")
             }
         }
     }
@@ -426,28 +417,15 @@ pub fn write_atomic(text: &str, path: &Path) -> io::Result<u64> {
     Ok(text.len() as u64)
 }
 
-/// Reads and verifies one checkpoint file. The bool is `true` when the
-/// file was a legacy bare payload accepted without CRC verification.
-fn read_verified(path: &Path) -> Result<(Checkpoint, bool), String> {
+/// Reads one checkpoint file and verifies its CRC envelope.
+fn read_verified(path: &Path) -> Result<Checkpoint, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-    if text.starts_with(ENVELOPE_PREFIX) {
-        let (stored, payload) = decode_envelope(&text)?;
-        let computed = crc32(payload.as_bytes());
-        if computed != stored {
-            return Err(format!(
-                "crc mismatch (stored {stored:#010x}, computed {computed:#010x})"
-            ));
-        }
-        let checkpoint =
-            serde_json::from_str(payload).map_err(|e| format!("payload parse failed: {e}"))?;
-        Ok((checkpoint, false))
-    } else {
-        // Pre-CRC checkpoints are bare payloads; accept them so old
-        // snapshots keep loading, but flag the missing verification.
-        let checkpoint =
-            serde_json::from_str(&text).map_err(|e| format!("parse failed: {e}"))?;
-        Ok((checkpoint, true))
+    let (stored, payload) = decode_envelope(&text)?;
+    let computed = crc32(payload.as_bytes());
+    if computed != stored {
+        return Err(format!("crc mismatch (stored {stored:#010x}, computed {computed:#010x})"));
     }
+    serde_json::from_str(payload).map_err(|e| format!("payload parse failed: {e}"))
 }
 
 /// Loads a checkpoint, surviving a corrupt or missing primary: removes
@@ -468,12 +446,7 @@ pub fn load_with_recovery(path: &Path) -> io::Result<(Checkpoint, Vec<RecoveryEv
         events.push(RecoveryEvent::StaleTmpRemoved { path: tmp.display().to_string() });
     }
     match read_verified(path) {
-        Ok((checkpoint, legacy)) => {
-            if legacy {
-                events.push(RecoveryEvent::LegacyUnverified { path: path.display().to_string() });
-            }
-            Ok((checkpoint, events))
-        }
+        Ok(checkpoint) => Ok((checkpoint, events)),
         Err(reason) => {
             events.push(RecoveryEvent::PrimaryRejected {
                 path: path.display().to_string(),
@@ -481,12 +454,7 @@ pub fn load_with_recovery(path: &Path) -> io::Result<(Checkpoint, Vec<RecoveryEv
             });
             let generation = generation_path(path);
             match read_verified(&generation) {
-                Ok((checkpoint, legacy)) => {
-                    if legacy {
-                        events.push(RecoveryEvent::LegacyUnverified {
-                            path: generation.display().to_string(),
-                        });
-                    }
+                Ok(checkpoint) => {
                     events.push(RecoveryEvent::RecoveredFromGeneration {
                         path: generation.display().to_string(),
                     });
@@ -515,38 +483,6 @@ pub fn load_with_recovery(path: &Path) -> io::Result<(Checkpoint, Vec<RecoveryEv
 /// generations yield [`io::ErrorKind::InvalidData`].
 pub fn load(path: &Path) -> io::Result<Checkpoint> {
     load_with_recovery(path).map(|(checkpoint, _)| checkpoint)
-}
-
-/// Truncates a checkpoint file to `len` bytes — the torture helper the
-/// chaos harness uses to simulate a torn write.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn truncate_to(path: &Path, len: u64) -> io::Result<()> {
-    let file = fs::OpenOptions::new().write(true).open(path)?;
-    file.set_len(len)?;
-    file.sync_all()
-}
-
-/// Flips one bit of a checkpoint file (`byte_index` wraps modulo the
-/// file length) — the torture helper the chaos harness uses to
-/// simulate bit rot.
-///
-/// # Errors
-///
-/// Propagates I/O failures; flipping a bit of an empty file is an
-/// [`io::ErrorKind::InvalidInput`] error.
-pub fn flip_bit(path: &Path, byte_index: u64, bit: u8) -> io::Result<()> {
-    let mut bytes = fs::read(path)?;
-    if bytes.is_empty() {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "cannot flip a bit of an empty file"));
-    }
-    let idx = (byte_index % bytes.len() as u64) as usize;
-    if let Some(byte) = bytes.get_mut(idx) {
-        *byte ^= 1 << (bit % 8);
-    }
-    fs::write(path, bytes)
 }
 
 #[cfg(test)]
@@ -595,6 +531,10 @@ mod tests {
         }
     }
 
+    fn truncate(path: &Path, len: u64) -> io::Result<()> {
+        fs::OpenOptions::new().write(true).open(path)?.set_len(len)
+    }
+
     fn test_dir(label: &str) -> PathBuf {
         let dir = std::env::temp_dir()
             .join(format!("harmonyd-state-{label}-{}", std::process::id()));
@@ -623,7 +563,9 @@ mod tests {
         save_atomic(&test_checkpoint(1), &path).unwrap();
         save_atomic(&test_checkpoint(2), &path).unwrap();
         // Flip a bit somewhere in the payload region (past the header).
-        flip_bit(&path, 40, 2).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[40] ^= 1 << 2;
+        fs::write(&path, bytes).unwrap();
         let (back, events) = load_with_recovery(&path).unwrap();
         assert_eq!(back.state.ticks, 1, "the intact generation serves the restore");
         assert!(
@@ -644,7 +586,7 @@ mod tests {
         save_atomic(&test_checkpoint(1), &path).unwrap();
         save_atomic(&test_checkpoint(2), &path).unwrap();
         let len = fs::metadata(&path).unwrap().len();
-        truncate_to(&path, len / 2).unwrap();
+        truncate(&path, len / 2).unwrap();
         let (back, events) = load_with_recovery(&path).unwrap();
         assert_eq!(back.state.ticks, 1);
         assert!(events.iter().any(|e| matches!(e, RecoveryEvent::PrimaryRejected { .. })));
@@ -670,8 +612,8 @@ mod tests {
         let path = dir.join("ckpt.json");
         save_atomic(&test_checkpoint(1), &path).unwrap();
         save_atomic(&test_checkpoint(2), &path).unwrap();
-        truncate_to(&path, 10).unwrap();
-        truncate_to(&generation_path(&path), 10).unwrap();
+        truncate(&path, 10).unwrap();
+        truncate(&generation_path(&path), 10).unwrap();
         let err = load_with_recovery(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("unrecoverable"), "{err}");
@@ -701,14 +643,29 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_payload_checkpoints_still_load() {
+    fn legacy_bare_payload_primary_falls_back_to_generation() {
         let dir = test_dir("legacy");
         let path = dir.join("ckpt.json");
-        let payload = serde_json::to_string(&test_checkpoint(3)).unwrap();
-        fs::write(&path, format!("{payload}\n")).unwrap();
+        let bare = |ticks| format!("{}\n", serde_json::to_string(&test_checkpoint(ticks)).unwrap());
+        save_atomic(&test_checkpoint(1), &path).unwrap();
+        save_atomic(&test_checkpoint(2), &path).unwrap();
+        // A pre-CRC bare payload is unverifiable: rejected like any
+        // other bad primary, and the generation serves the restore.
+        fs::write(&path, bare(3)).unwrap();
         let (back, events) = load_with_recovery(&path).unwrap();
-        assert_eq!(back.state.ticks, 3);
-        assert!(events.iter().any(|e| matches!(e, RecoveryEvent::LegacyUnverified { .. })));
+        assert_eq!(back.state.ticks, 1);
+        assert!(
+            events.iter().any(|e| matches!(
+                e,
+                RecoveryEvent::PrimaryRejected { reason, .. } if reason.contains("envelope")
+            )),
+            "events: {events:?}"
+        );
+        assert!(events.iter().any(|e| matches!(e, RecoveryEvent::RecoveredFromGeneration { .. })));
+        // A bare generation is rejected too.
+        fs::write(generation_path(&path), bare(1)).unwrap();
+        let err = load_with_recovery(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -18,6 +18,7 @@
 //! Assertions are timing-independent (typed errors, counters, plan
 //! equality) per the determinism contract in DESIGN.md §13.
 
+mod chaos_harness;
 mod util;
 
 use std::io::Write;
@@ -26,11 +27,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use harmony::rounding::IntegerPlan;
-use harmony_server::chaos::{flood, ChaosConfig, ChaosProxy};
 use harmony_server::protocol::{read_line, ErrorKind, Request, Response};
-use harmony_server::state;
 use harmony_server::Client;
 use harmony_telemetry::keys;
+use chaos_harness::{flip_bit, flood, truncate_to, ChaosConfig, ChaosProxy};
 use util::{assert_no_tmp_files, observation_chunks, temp_dir, Daemon};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
@@ -186,7 +186,7 @@ fn checkpoint_torture_resumes_the_exact_plan_sequence() {
         // Torture 1: flip a bit in the primary. The CRC must reject it
         // and the resume must fall back to the previous generation
         // (tick 1, chunk 1 still buffered) and re-derive plan 2.
-        state::flip_bit(&snapshot, 200, 3).expect("flip a checkpoint bit");
+        flip_bit(&snapshot, 200, 3).expect("flip a checkpoint bit");
         let resumed = Daemon::spawn(&["--resume", snapshot_arg]);
         let mut client = resumed.client();
         let status = client.status().expect("status");
@@ -207,7 +207,7 @@ fn checkpoint_torture_resumes_the_exact_plan_sequence() {
         // on the post-tick-2 generation (empty buffer), so we re-submit
         // and re-tick to reproduce plan 3.
         let len = std::fs::metadata(&snapshot).expect("checkpoint metadata").len();
-        state::truncate_to(&snapshot, len / 2).expect("truncate checkpoint");
+        truncate_to(&snapshot, len / 2).expect("truncate checkpoint");
         let resumed = Daemon::spawn(&["--resume", snapshot_arg]);
         let mut client = resumed.client();
         let status = client.status().expect("status");

@@ -16,12 +16,13 @@
 //! sequence equality) rather than exact per-connection outcomes — see
 //! DESIGN.md §13.
 //!
-//! Filesystem torture (bit flips, truncation) lives next to the
-//! checkpoint code it attacks: [`crate::state::flip_bit`] and
-//! [`crate::state::truncate_to`].
+//! Filesystem torture: [`flip_bit`] and [`truncate_to`] corrupt a
+//! checkpoint file at rest.
 
+use std::fs;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -29,7 +30,7 @@ use std::time::Duration;
 
 use harmony_model::SplitMix64;
 
-use crate::protocol::{read_line, write_line, ErrorKind, Request, Response};
+use harmony_server::protocol::{read_line, write_line, ErrorKind, Request, Response};
 
 /// Mixes a connection index into the base seed (the splitmix64 golden
 /// increment keeps neighbouring indices' streams uncorrelated).
@@ -366,6 +367,36 @@ fn flood_one(addr: SocketAddr, seed: u64) -> FloodReport {
         Err(_) => report.errors = 1,
     }
     report
+}
+
+/// Truncates a checkpoint file to `len` bytes, simulating a torn write.
+///
+/// # Errors
+///
+/// Propagates I/O failures.
+pub fn truncate_to(path: &Path, len: u64) -> io::Result<()> {
+    let file = fs::OpenOptions::new().write(true).open(path)?;
+    file.set_len(len)?;
+    file.sync_all()
+}
+
+/// Flips one bit of a checkpoint file (`byte_index` wraps modulo the
+/// file length), simulating bit rot.
+///
+/// # Errors
+///
+/// Propagates I/O failures; flipping a bit of an empty file is an
+/// [`io::ErrorKind::InvalidInput`] error.
+pub fn flip_bit(path: &Path, byte_index: u64, bit: u8) -> io::Result<()> {
+    let mut bytes = fs::read(path)?;
+    if bytes.is_empty() {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, "cannot flip a bit of an empty file"));
+    }
+    let idx = (byte_index % bytes.len() as u64) as usize;
+    if let Some(byte) = bytes.get_mut(idx) {
+        *byte ^= 1 << (bit % 8);
+    }
+    fs::write(path, bytes)
 }
 
 #[cfg(test)]
