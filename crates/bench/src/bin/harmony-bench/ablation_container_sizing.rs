@@ -17,11 +17,7 @@ pub fn run() {
     let trace = analysis_trace(Scale::from_env());
     let classifier = TaskClassifier::fit(trace.tasks(), &ClassifierConfig::default()).expect("fit");
     // The most populous class drives the study.
-    let class = classifier
-        .classes()
-        .iter()
-        .max_by_key(|c| c.stats.count)
-        .expect("classes exist");
+    let class = classifier.classes().iter().max_by_key(|c| c.stats.count).expect("classes exist");
 
     section("Ablation: container sizing quantile (Eq. 3)");
     let mut rows = Vec::new();
@@ -62,15 +58,7 @@ pub fn run() {
         ]);
     }
     table(
-        &[
-            "epsilon",
-            "Z",
-            "c_cpu",
-            "c_mem",
-            "inflation",
-            "containers/machine",
-            "mc_violation_rate",
-        ],
+        &["epsilon", "Z", "c_cpu", "c_mem", "inflation", "containers/machine", "mc_violation_rate"],
         &rows,
     );
     println!(

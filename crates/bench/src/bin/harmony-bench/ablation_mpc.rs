@@ -12,8 +12,7 @@ use harmony_model::{EnergyPrice, MachineCatalog};
 
 pub fn run() {
     let (trace, catalog, base_config, classifier_config) = evaluation_setup(Scale::Quick);
-    let classifier =
-        Rc::new(TaskClassifier::fit(trace.tasks(), &classifier_config).expect("fit"));
+    let classifier = Rc::new(TaskClassifier::fit(trace.tasks(), &classifier_config).expect("fit"));
     let price = EnergyPrice::default();
 
     section("Ablation: MPC horizon W (CBP)");
@@ -32,10 +31,7 @@ pub fn run() {
             report.tasks_pending_at_end.to_string(),
         ]);
     }
-    table(
-        &["W", "energy_kWh", "switches", "mean_delay_s", "pending_end"],
-        &rows,
-    );
+    table(&["W", "energy_kWh", "switches", "mean_delay_s", "pending_end"], &rows);
 
     section("Ablation: switching-cost multiplier (CBP, W=4)");
     let mut rows = Vec::new();
@@ -67,14 +63,5 @@ pub fn run() {
             fmt(report.delay_stats_overall().mean),
         ]);
     }
-    table(
-        &[
-            "q_multiplier",
-            "energy_kWh",
-            "switches",
-            "switch_$",
-            "mean_delay_s",
-        ],
-        &rows,
-    );
+    table(&["q_multiplier", "energy_kWh", "switches", "switch_$", "mean_delay_s"], &rows);
 }

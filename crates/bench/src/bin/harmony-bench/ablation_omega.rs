@@ -13,8 +13,7 @@ use harmony_model::EnergyPrice;
 
 pub fn run() {
     let (trace, catalog, base_config, classifier_config) = evaluation_setup(Scale::Quick);
-    let classifier =
-        Rc::new(TaskClassifier::fit(trace.tasks(), &classifier_config).expect("fit"));
+    let classifier = Rc::new(TaskClassifier::fit(trace.tasks(), &classifier_config).expect("fit"));
     let price = EnergyPrice::default();
 
     section("Ablation: over-provisioning factor omega (CBS)");
@@ -35,14 +34,7 @@ pub fn run() {
         ]);
     }
     table(
-        &[
-            "omega",
-            "energy_kWh",
-            "mean_active",
-            "mean_delay_s",
-            "p99_delay_s",
-            "pending_end",
-        ],
+        &["omega", "energy_kWh", "mean_active", "mean_delay_s", "p99_delay_s", "pending_end"],
         &rows,
     );
     println!(

@@ -32,12 +32,9 @@ pub fn run() {
         let warmup = (s.len() / 4).max(12).max(97).min(s.len().saturating_sub(4));
         for p in &predictors {
             match rolling_evaluate(*p, s, warmup) {
-                Ok((mae, rmse)) => rows.push(vec![
-                    group.to_string(),
-                    p.name().to_owned(),
-                    fmt(mae),
-                    fmt(rmse),
-                ]),
+                Ok((mae, rmse)) => {
+                    rows.push(vec![group.to_string(), p.name().to_owned(), fmt(mae), fmt(rmse)])
+                }
                 Err(e) => rows.push(vec![
                     group.to_string(),
                     p.name().to_owned(),

@@ -63,16 +63,7 @@ pub fn run() {
             ("mean_delay_s", Value::Number(report.delay_stats_overall().mean)),
         ]));
     }
-    table(
-        &[
-            "tariff",
-            "energy_kWh",
-            "energy_$",
-            "mean_active",
-            "mean_delay_s",
-        ],
-        &rows,
-    );
+    table(&["tariff", "energy_kWh", "energy_$", "mean_active", "mean_delay_s"], &rows);
     println!(
         "\n(the horizon sees price steps coming: under steeper tariffs the \
          controller defers optional capacity to off-peak periods)"

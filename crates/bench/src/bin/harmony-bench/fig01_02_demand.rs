@@ -12,10 +12,8 @@ pub fn run() {
     let bin = SimDuration::from_hours(1.0);
     let series = demand_over_time(&trace, bin);
     section("Fig. 1-2: total CPU and memory demand over time (hourly)");
-    let rows: Vec<Vec<String>> = series
-        .iter()
-        .map(|(t, r)| vec![fmt(t.as_hours()), fmt(r.cpu), fmt(r.mem)])
-        .collect();
+    let rows: Vec<Vec<String>> =
+        series.iter().map(|(t, r)| vec![fmt(t.as_hours()), fmt(r.cpu), fmt(r.mem)]).collect();
     table(&["hour", "cpu_demand", "mem_demand"], &rows);
 
     let cpus: Vec<f64> = series.iter().map(|(_, r)| r.cpu).collect();

@@ -37,12 +37,9 @@ pub fn run() {
         .collect();
     table(&["hour", "available", "used"], &rows);
 
-    let mean_used: f64 = report
-        .series
-        .iter()
-        .map(|p| p.used_per_type.iter().sum::<usize>() as f64)
-        .sum::<f64>()
-        / report.series.len().max(1) as f64;
+    let mean_used: f64 =
+        report.series.iter().map(|p| p.used_per_type.iter().sum::<usize>() as f64).sum::<f64>()
+            / report.series.len().max(1) as f64;
     println!(
         "\navailable: {available}  mean used: {}  idle headroom: {}%",
         fmt(mean_used),

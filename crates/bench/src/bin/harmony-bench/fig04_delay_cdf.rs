@@ -41,10 +41,8 @@ pub fn run() {
         rows.push(row);
     }
     let mut headers = vec!["group", "tasks", "immediate"];
-    let labels: Vec<String> = quantiles
-        .iter()
-        .map(|q| format!("p{}", (q * 100.0) as u32))
-        .collect();
+    let labels: Vec<String> =
+        quantiles.iter().map(|q| format!("p{}", (q * 100.0) as u32)).collect();
     headers.extend(labels.iter().map(String::as_str));
     table(&headers, &rows);
 

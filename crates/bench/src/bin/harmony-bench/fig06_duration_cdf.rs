@@ -24,10 +24,8 @@ pub fn run() {
         row.push(fmt(cdf.fraction_at_most(100.0)));
         rows.push(row);
     }
-    let labels: Vec<String> = quantiles
-        .iter()
-        .map(|q| format!("p{}", (q * 100.0) as u32))
-        .collect();
+    let labels: Vec<String> =
+        quantiles.iter().map(|q| format!("p{}", (q * 100.0) as u32)).collect();
     let mut headers = vec!["group", "tasks"];
     headers.extend(labels.iter().map(String::as_str));
     headers.push("frac<=100s");
@@ -35,10 +33,7 @@ pub fn run() {
 
     let all: Vec<f64> = trace.tasks().iter().map(|t| t.duration.as_secs()).collect();
     let short = all.iter().filter(|&&d| d < 100.0).count() as f64 / all.len() as f64;
-    println!(
-        "\nfraction of all tasks under 100 s: {} (paper: >50%)",
-        fmt(short)
-    );
+    println!("\nfraction of all tasks under 100 s: {} (paper: >50%)", fmt(short));
     println!(
         "production max duration: {} days (paper: up to 17 days)",
         fmt(cdfs[PriorityGroup::Production.index()].quantile(1.0) / 86_400.0)

@@ -28,19 +28,12 @@ pub fn run() {
         let n = sizes.len() as f64;
         let mc = sizes.iter().map(|r| r.cpu).sum::<f64>() / n;
         let mm = sizes.iter().map(|r| r.mem).sum::<f64>() / n;
-        let cov = sizes
-            .iter()
-            .map(|r| (r.cpu - mc) * (r.mem - mm))
-            .sum::<f64>()
-            / n;
+        let cov = sizes.iter().map(|r| (r.cpu - mc) * (r.mem - mm)).sum::<f64>() / n;
         let sc = (sizes.iter().map(|r| (r.cpu - mc).powi(2)).sum::<f64>() / n).sqrt();
         let sm = (sizes.iter().map(|r| (r.mem - mm).powi(2)).sum::<f64>() / n).sqrt();
         let corr = cov / (sc * sm).max(1e-12);
-        let exact = sizes
-            .iter()
-            .filter(|r| **r == Resources::new(0.0125, 0.0159))
-            .count() as f64
-            / n;
+        let exact =
+            sizes.iter().filter(|r| **r == Resources::new(0.0125, 0.0159)).count() as f64 / n;
         rows.push(vec![
             group.to_string(),
             fmt(min_cpu),
@@ -51,14 +44,7 @@ pub fn run() {
         ]);
     }
     table(
-        &[
-            "group",
-            "min_cpu",
-            "max_cpu",
-            "span_x",
-            "cpu_mem_corr",
-            "frac_at_dominant_mode",
-        ],
+        &["group", "min_cpu", "max_cpu", "span_x", "cpu_mem_corr", "frac_at_dominant_mode"],
         &rows,
     );
 }

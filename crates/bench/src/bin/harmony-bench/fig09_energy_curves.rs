@@ -38,11 +38,7 @@ pub fn run() {
             let util = Resources::new(0.2 / ty.capacity.cpu, 0.0);
             println!("{}: {} W", ty.name, fmt(ty.power.power_watts(util)));
         } else {
-            println!(
-                "{}: cannot host (capacity {})",
-                ty.name,
-                fmt(ty.capacity.cpu)
-            );
+            println!("{}: cannot host (capacity {})", ty.name, fmt(ty.capacity.cpu));
         }
     }
 }

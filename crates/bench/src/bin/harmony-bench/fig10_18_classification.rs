@@ -19,9 +19,7 @@ pub fn run() {
     let classifier = TaskClassifier::fit(trace.tasks(), &ClassifierConfig::default()).expect("fit");
 
     for group in PriorityGroup::ALL {
-        section(&format!(
-            "Figs. 10-18 ({group}): classes, centroids (mean±std), short/long split"
-        ));
+        section(&format!("Figs. 10-18 ({group}): classes, centroids (mean±std), short/long split"));
         let rows: Vec<Vec<String>> = classifier
             .classes()
             .iter()
@@ -70,11 +68,7 @@ pub fn run() {
                 && c.stats.std_demand.mem < c.stats.mean_demand.mem
         })
         .count();
-    println!(
-        "classes with std < mean on both resources: {}/{}",
-        tight,
-        classifier.classes().len()
-    );
+    println!("classes with std < mean on both resources: {}/{}", tight, classifier.classes().len());
 
     section("Two-step vs one-shot labeling (run-time labeling error)");
     let two_step_err = classifier.initial_label_error(trace.tasks());

@@ -31,25 +31,13 @@ pub fn run() {
     let mut period_idx = 0usize;
     for task in trace.tasks() {
         while task.arrival.as_secs() > boundary.as_secs() {
-            rows.extend(flush_period(
-                &mut monitor,
-                &classifier,
-                &manager,
-                &mut chunk,
-                period_idx,
-            ));
+            rows.extend(flush_period(&mut monitor, &classifier, &manager, &mut chunk, period_idx));
             boundary += period;
             period_idx += 1;
         }
         chunk.push(*task);
     }
-    rows.extend(flush_period(
-        &mut monitor,
-        &classifier,
-        &manager,
-        &mut chunk,
-        period_idx,
-    ));
+    rows.extend(flush_period(&mut monitor, &classifier, &manager, &mut chunk, period_idx));
     table(&["period", "gratis", "other", "production", "total"], &rows);
 }
 
@@ -68,9 +56,7 @@ fn flush_period(
     };
     let mut per_group = [0usize; 3];
     for (n, class) in classifier.classes().iter().enumerate() {
-        let count = manager
-            .containers_for_rate(TaskClassId(n), rates[n][0])
-            .unwrap_or(0);
+        let count = manager.containers_for_rate(TaskClassId(n), rates[n][0]).unwrap_or(0);
         per_group[class.group.index()] += count;
     }
     vec![vec![

@@ -32,11 +32,8 @@ pub fn run() {
     for i in 0..n {
         let mut row = vec![fmt(results[0].1.series[i].time.as_hours())];
         for (_, report) in &results {
-            let active: usize = report
-                .series
-                .get(i)
-                .map(|p| p.active_per_type.iter().sum())
-                .unwrap_or(0);
+            let active: usize =
+                report.series.get(i).map(|p| p.active_per_type.iter().sum()).unwrap_or(0);
             row.push(active.to_string());
         }
         rows.push(row);
@@ -64,19 +61,7 @@ pub fn run() {
             rows.push(row);
         }
     }
-    table(
-        &[
-            "group",
-            "approach",
-            "tasks",
-            "immediate",
-            "p50",
-            "p90",
-            "p99",
-            "max",
-        ],
-        &rows,
-    );
+    table(&["group", "approach", "tasks", "immediate", "p50", "p90", "p99", "max"], &rows);
 
     section("Fig. 26: total energy consumption");
     let rows: Vec<Vec<String>> = results

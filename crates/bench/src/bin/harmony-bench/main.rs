@@ -38,15 +38,11 @@ const SUBCOMMANDS: &[(&str, Run)] = &[
     ("fig06_duration_cdf", |_| fig06_duration_cdf::run()),
     ("fig07_task_sizes", |_| fig07_task_sizes::run()),
     ("fig09_energy_curves", |_| fig09_energy_curves::run()),
-    ("fig10_18_classification", |_| {
-        fig10_18_classification::run()
-    }),
+    ("fig10_18_classification", |_| fig10_18_classification::run()),
     ("fig19_arrivals", |_| fig19_arrivals::run()),
     ("fig20_containers", |_| fig20_containers::run()),
     ("fig21_26_controllers", |_| fig21_26_controllers::run()),
-    ("ablation_container_sizing", |_| {
-        ablation_container_sizing::run()
-    }),
+    ("ablation_container_sizing", |_| ablation_container_sizing::run()),
     ("ablation_mpc", |_| ablation_mpc::run()),
     ("ablation_omega", |_| ablation_omega::run()),
     ("ablation_predictor", |_| ablation_predictor::run()),
@@ -55,10 +51,7 @@ const SUBCOMMANDS: &[(&str, Run)] = &[
 ];
 
 fn names() -> String {
-    SUBCOMMANDS
-        .iter()
-        .map(|(name, _)| format!("{name}\n"))
-        .collect()
+    SUBCOMMANDS.iter().map(|(name, _)| format!("{name}\n")).collect()
 }
 
 /// A reader that closes stdout early (`harmony-bench … | head`) makes

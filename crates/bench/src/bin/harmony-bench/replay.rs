@@ -35,8 +35,8 @@ use harmony::HarmonyConfig;
 use harmony_bench::{evaluation_setup, fmt, run_fault_comparison, section, table, Scale};
 use harmony_model::{wire, MachineCatalog, PriorityGroup, SimDuration};
 use harmony_sim::{
-    DegradationKind, FaultPlan, FaultRecordKind, FirstFit, SimReport, Simulation,
-    SimulationConfig, SCENARIOS,
+    DegradationKind, FaultPlan, FaultRecordKind, FirstFit, SimReport, Simulation, SimulationConfig,
+    SCENARIOS,
 };
 use harmony_telemetry::keys;
 use harmony_trace::{google_csv, Trace, TraceConfig, TraceGenerator};
@@ -218,10 +218,7 @@ fn replay_mode(
         report.switch_count,
         fmt(report.switch_cost_dollars)
     );
-    println!(
-        "migrations/evictions: {} / {}",
-        report.migrations, report.evictions
-    );
+    println!("migrations/evictions: {} / {}", report.migrations, report.evictions);
 
     section("scheduling delay per priority group (seconds)");
     let attainment = report.slo_attainment(config.slo_delay_secs);
@@ -322,10 +319,7 @@ fn write_metrics_artifact() {
             }
         })
         .collect();
-    table(
-        &["stage", "periods", "total s", "mean s", "p50 s", "p99 s"],
-        &rows,
-    );
+    table(&["stage", "periods", "total s", "mean s", "p50 s", "p99 s"], &rows);
     println!(
         "simplex: {} solves, {} pivots ({} in phase 1), {} failures",
         snapshot.counter(keys::LP_SOLVES),
@@ -342,11 +336,7 @@ fn write_metrics_artifact() {
             .collect(),
     );
     let gauges = Value::Object(
-        snapshot
-            .gauges
-            .iter()
-            .map(|(name, v)| (name.clone(), Value::Number(*v)))
-            .collect(),
+        snapshot.gauges.iter().map(|(name, v)| (name.clone(), Value::Number(*v))).collect(),
     );
     let histograms = Value::Array(
         snapshot
@@ -364,11 +354,8 @@ fn write_metrics_artifact() {
             })
             .collect(),
     );
-    let payload = Value::object(&[
-        ("counters", counters),
-        ("gauges", gauges),
-        ("histograms", histograms),
-    ]);
+    let payload =
+        Value::object(&[("counters", counters), ("gauges", gauges), ("histograms", histograms)]);
     match write_bench_json("telemetry", &payload) {
         Ok(path) => eprintln!("telemetry snapshot written to {}", path.display()),
         Err(e) => {
@@ -420,20 +407,18 @@ fn fault_mode(
     scenario: &str,
     fault_seed: u64,
 ) {
-    let plan =
-        FaultPlan::scenario(scenario, fault_seed, trace.span()).unwrap_or_else(|| usage());
+    let plan = FaultPlan::scenario(scenario, fault_seed, trace.span()).unwrap_or_else(|| usage());
     eprintln!(
         "fault replay: {} tasks over {:.1} h, scenario {scenario} ({} events, seed {fault_seed})",
         trace.len(),
         trace.span().as_hours(),
         plan.events().len(),
     );
-    let reports =
-        run_fault_comparison(trace, catalog, config, classifier_config, scenario, &plan)
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                exit(1);
-            });
+    let reports = run_fault_comparison(trace, catalog, config, classifier_config, scenario, &plan)
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            exit(1);
+        });
     for (variant, report) in &reports {
         section(&format!("{} under {scenario}", variant.name()));
         // `run_fault_comparison` asserted that the five outcomes add up
@@ -487,11 +472,7 @@ fn print_faults(report: &SimReport) {
     for f in &report.faults {
         let at = f.at.as_hours();
         match &f.kind {
-            FaultRecordKind::MachineCrash {
-                machine,
-                evicted,
-                failed,
-            } => {
+            FaultRecordKind::MachineCrash { machine, evicted, failed } => {
                 println!("  {at:7.2} h  crash {machine:?}: {evicted} evicted, {failed} failed")
             }
             FaultRecordKind::MachineRecovered { machine } => {

@@ -56,8 +56,7 @@ fn stamp_header(v: &mut Value) {
     if let Value::Object(map) = v {
         map.entry("schema_version".to_owned())
             .or_insert_with(|| Value::Number(SCHEMA_VERSION as f64));
-        map.entry("git_rev".to_owned())
-            .or_insert_with(|| Value::String(git_describe().to_owned()));
+        map.entry("git_rev".to_owned()).or_insert_with(|| Value::String(git_describe().to_owned()));
     }
 }
 
@@ -123,9 +122,7 @@ mod tests {
             ("git_rev", Value::String("pinned".to_owned())),
         ]);
         stamp_header(&mut v);
-        let Value::Object(map) = &v else {
-            panic!("object expected")
-        };
+        let Value::Object(map) = &v else { panic!("object expected") };
         assert_eq!(map["schema_version"], Value::Number(1.0));
         assert_eq!(map["git_rev"], Value::String("pinned".to_owned()));
     }

@@ -66,10 +66,7 @@ impl Scale {
 
 /// Seed from `HARMONY_SEED`, defaulting to 2013 (the trace default).
 pub fn seed_from_env() -> u64 {
-    std::env::var("HARMONY_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2013)
+    std::env::var("HARMONY_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(2013)
 }
 
 /// The workload-analysis trace (Section III / Figs. 1–7): the synthetic

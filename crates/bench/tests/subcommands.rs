@@ -22,29 +22,17 @@ fn every_figure_and_table_subcommand_runs_at_quick_scale() {
     let list = harmony_bench(&["list"]);
     assert!(list.status.success());
     let list = String::from_utf8(list.stdout).expect("utf-8 list");
-    assert_eq!(
-        String::from_utf8_lossy(&harmony_bench(&[]).stdout),
-        list,
-        "no argument = list"
-    );
+    assert_eq!(String::from_utf8_lossy(&harmony_bench(&[]).stdout), list, "no argument = list");
 
-    let figures: Vec<&str> = list
-        .lines()
-        .filter(|n| n.starts_with("fig") || n.starts_with("table"))
-        .collect();
+    let figures: Vec<&str> =
+        list.lines().filter(|n| n.starts_with("fig") || n.starts_with("table")).collect();
     assert_eq!(figures.len(), 12, "{list}");
     for name in figures {
         let out = harmony_bench(&[name]);
         let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{name}: {}", String::from_utf8_lossy(&out.stderr));
         assert!(
-            out.status.success(),
-            "{name}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(
-            stdout
-                .lines()
-                .any(|l| l.starts_with("== ") && l.ends_with(" ==")),
+            stdout.lines().any(|l| l.starts_with("== ") && l.ends_with(" ==")),
             "{name} printed no section header:\n{stdout}"
         );
     }
@@ -140,7 +128,8 @@ fn fault_seed_a_checkpoint_cannot_store_exactly_is_refused() {
     // `--fault-seed` goes through `wire::parse_seed`, the parser of
     // every seed flag, which refuses a seed that a JSON number (an f64)
     // cannot hold exactly: 2^53 + 1 would read back as 2^53.
-    let out = harmony_bench(&["replay", "--faults", "crash-storm", "--fault-seed", "9007199254740993"]);
+    let out =
+        harmony_bench(&["replay", "--faults", "crash-storm", "--fault-seed", "9007199254740993"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--fault-seed `9007199254740993` is above"), "{stderr}");

@@ -24,7 +24,9 @@
 //! forecast.
 
 use harmony_lp::{Problem, Sense, VarId};
-use harmony_model::{EnergyPrice, MachineCatalog, MachineTypeId, Resources, SimTime, NUM_RESOURCES};
+use harmony_model::{
+    EnergyPrice, MachineCatalog, MachineTypeId, Resources, SimTime, NUM_RESOURCES,
+};
 use harmony_telemetry::keys;
 
 use crate::{HarmonyConfig, HarmonyError};
@@ -207,7 +209,8 @@ pub fn solve_cbs_relax_warm(
                 // type-m machine for one period (Eq. 7's α term).
                 let c = inputs.container_sizes[n];
                 let util = c.utilization_of(ty.capacity);
-                let watts = ty.power.alpha_watts.cpu * util.cpu + ty.power.alpha_watts.mem * util.mem;
+                let watts =
+                    ty.power.alpha_watts.cpu * util.cpu + ty.power.alpha_watts.mem * util.mem;
                 let energy_cost = price * watts / 1000.0 * period_hours;
                 let utility = inputs.utility_per_hour[n] * period_hours;
                 x[t][m][n] = Some(p.add_var(0.0, f64::INFINITY, utility - energy_cost));
@@ -263,10 +266,8 @@ pub fn solve_cbs_relax_warm(
     // Provisioning runs once per control period; a hard pivot cap keeps
     // a pathological instance from stalling the controller (the error
     // path walks the degradation ladder instead).
-    let options = harmony_lp::SimplexOptions {
-        max_pivots: Some(config.max_lp_pivots),
-        ..Default::default()
-    };
+    let options =
+        harmony_lp::SimplexOptions { max_pivots: Some(config.max_lp_pivots), ..Default::default() };
     let lp_vars = p.num_vars();
     let lp_constraints = p.num_constraints();
     let solution = p.solve_warm_with(&options, warm).map_err(|e| {
@@ -292,20 +293,15 @@ pub fn solve_cbs_relax_warm(
         harmony_lp::WarmOutcome::StructuralFallback => structural_fallbacks.inc(),
     }
 
-    let z_out: Vec<Vec<f64>> = z
-        .iter()
-        .map(|row| row.iter().map(|&v| solution.value(v).max(0.0)).collect())
-        .collect();
+    let z_out: Vec<Vec<f64>> =
+        z.iter().map(|row| row.iter().map(|&v| solution.value(v).max(0.0)).collect()).collect();
     let x_out: Vec<Vec<Vec<f64>>> = x
         .iter()
         .map(|per_m| {
             per_m
                 .iter()
                 .map(|per_n| {
-                    per_n
-                        .iter()
-                        .map(|v| v.map_or(0.0, |v| solution.value(v).max(0.0)))
-                        .collect()
+                    per_n.iter().map(|v| v.map_or(0.0, |v| solution.value(v).max(0.0))).collect()
                 })
                 .collect()
         })
@@ -403,12 +399,15 @@ mod tests {
         let per_container_cost = |m: usize| {
             let ty = catalog.machine_type(harmony_model::MachineTypeId(m));
             let util = sizes[0].utilization_of(ty.capacity);
-            let marginal = ty.power.alpha_watts.cpu * util.cpu + ty.power.alpha_watts.mem * util.mem;
+            let marginal =
+                ty.power.alpha_watts.cpu * util.cpu + ty.power.alpha_watts.mem * util.mem;
             let per_machine = (ty.capacity.cpu / sizes[0].cpu).min(ty.capacity.mem / sizes[0].mem);
             marginal + ty.power.idle_watts / per_machine
         };
         let cheapest = (0..4)
-            .filter(|&m| sizes[0].fits_within(catalog.machine_type(harmony_model::MachineTypeId(m)).capacity))
+            .filter(|&m| {
+                sizes[0].fits_within(catalog.machine_type(harmony_model::MachineTypeId(m)).capacity)
+            })
             .min_by(|&a, &b| per_container_cost(a).total_cmp(&per_container_cost(b)))
             .unwrap();
         assert!(
@@ -744,11 +743,7 @@ mod tests {
             solve_cbs_relax(&inputs, &config()),
             Err(HarmonyError::InvalidConfig { .. })
         ));
-        let bad_initial = CbsInputs {
-            demand: &[vec![1.0]],
-            initial_active: &[0.0; 2],
-            ..inputs
-        };
+        let bad_initial = CbsInputs { demand: &[vec![1.0]], initial_active: &[0.0; 2], ..inputs };
         assert!(solve_cbs_relax(&bad_initial, &config()).is_err());
     }
 }

@@ -17,9 +17,7 @@
 //! the incorrect labeling is both small and short-lived."
 
 use harmony_kmeans::{elbow_k, Dataset, KMeans, Log10Transform};
-use harmony_model::{
-    ClassStats, PriorityGroup, Resources, SimDuration, Task, TaskClassId,
-};
+use harmony_model::{ClassStats, PriorityGroup, Resources, SimDuration, Task, TaskClassId};
 use serde::{Deserialize, Serialize};
 
 use crate::HarmonyError;
@@ -121,7 +119,9 @@ impl TaskClassifier {
             let members: Vec<&Task> =
                 tasks.iter().filter(|t| t.priority.group() == group).collect();
             if members.is_empty() {
-                return Err(HarmonyError::InsufficientData { context: "task classifier: empty priority group" });
+                return Err(HarmonyError::InsufficientData {
+                    context: "task classifier: empty priority group",
+                });
             }
             // Step 1: static clustering in log size space.
             let rows: Vec<Vec<f64>> = members
@@ -156,11 +156,23 @@ impl TaskClassifier {
                     Some((boundary, short_members, long_members)) => {
                         let short_id = TaskClassId(classes.len());
                         classes.push(build_class(
-                            short_id, group, c, Regime::Short, centroid, &short_members, &members,
+                            short_id,
+                            group,
+                            c,
+                            Regime::Short,
+                            centroid,
+                            &short_members,
+                            &members,
                         ));
                         let long_id = TaskClassId(classes.len());
                         classes.push(build_class(
-                            long_id, group, c, Regime::Long, centroid, &long_members, &members,
+                            long_id,
+                            group,
+                            c,
+                            Regime::Long,
+                            centroid,
+                            &long_members,
+                            &members,
                         ));
                         static_classes[group.index()].push(StaticClass {
                             centroid,
@@ -172,7 +184,13 @@ impl TaskClassifier {
                     None => {
                         let id = TaskClassId(classes.len());
                         classes.push(build_class(
-                            id, group, c, Regime::Short, centroid, &member_idx, &members,
+                            id,
+                            group,
+                            c,
+                            Regime::Short,
+                            centroid,
+                            &member_idx,
+                            &members,
                         ));
                         static_classes[group.index()].push(StaticClass {
                             centroid,
@@ -205,10 +223,7 @@ impl TaskClassifier {
     /// space within its priority group) — uses static features only.
     pub fn classify_static(&self, task: &Task) -> usize {
         let group = task.priority.group();
-        let point = [
-            self.transform.apply(task.demand.cpu),
-            self.transform.apply(task.demand.mem),
-        ];
+        let point = [self.transform.apply(task.demand.cpu), self.transform.apply(task.demand.mem)];
         let mut best = (0usize, f64::INFINITY);
         for (i, sc) in self.static_classes[group.index()].iter().enumerate() {
             let d = (point[0] - sc.centroid[0]).powi(2) + (point[1] - sc.centroid[1]).powi(2);
@@ -250,10 +265,7 @@ impl TaskClassifier {
         if tasks.is_empty() {
             return 0.0;
         }
-        let wrong = tasks
-            .iter()
-            .filter(|t| self.initial_label(t) != self.oracle_label(t))
-            .count();
+        let wrong = tasks.iter().filter(|t| self.initial_label(t) != self.oracle_label(t)).count();
         wrong as f64 / tasks.len() as f64
     }
 }
@@ -269,10 +281,8 @@ fn split_by_duration(
     if member_idx.len() < 4 {
         return None;
     }
-    let rows: Vec<Vec<f64>> = member_idx
-        .iter()
-        .map(|&i| vec![members[i].duration.as_secs().max(1.0).log10()])
-        .collect();
+    let rows: Vec<Vec<f64>> =
+        member_idx.iter().map(|&i| vec![members[i].duration.as_secs().max(1.0).log10()]).collect();
     let data = Dataset::from_rows(rows).ok()?;
     let model = KMeans::new(2).seed(seed).fit(&data).ok()?;
     let c0 = model.centroids()[0][0];

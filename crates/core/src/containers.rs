@@ -140,8 +140,7 @@ mod tests {
 
     fn manager() -> (ContainerManager, TaskClassifier) {
         let trace = TraceGenerator::new(TraceConfig::small().with_seed(13)).generate();
-        let classifier =
-            TaskClassifier::fit(trace.tasks(), &ClassifierConfig::default()).unwrap();
+        let classifier = TaskClassifier::fit(trace.tasks(), &ClassifierConfig::default()).unwrap();
         let manager = ContainerManager::new(&classifier, &HarmonyConfig::default()).unwrap();
         (manager, classifier)
     }

@@ -225,12 +225,8 @@ impl ControlLoop {
 
         let container_sizes: Vec<Resources> =
             (0..n_classes).map(|n| self.manager.container_size(TaskClassId(n))).collect();
-        let utility: Vec<f64> = inputs
-            .classifier
-            .classes()
-            .iter()
-            .map(|c| self.config.utility_for(c.group))
-            .collect();
+        let utility: Vec<f64> =
+            inputs.classifier.classes().iter().map(|c| self.config.utility_for(c.group)).collect();
         let lp_span = registry.timer(keys::PIPELINE_LP_SECONDS);
         let solve = solve_cbs_relax_warm(
             &CbsInputs {

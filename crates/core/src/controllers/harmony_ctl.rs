@@ -171,8 +171,7 @@ mod tests {
     #[test]
     fn cbp_decides_capacity_for_arrivals() {
         let (classifier, trace, config) = fixture();
-        let mut ctl =
-            CbpController::new(classifier, config, EnergyPrice::default()).unwrap();
+        let mut ctl = CbpController::new(classifier, config, EnergyPrice::default()).unwrap();
         let cluster = Cluster::new(MachineCatalog::table2().scaled(100));
         let arrived = &trace.tasks()[..300];
         let decision = ctl.decide(&observe(&cluster, arrived, 0));
@@ -186,13 +185,9 @@ mod tests {
     fn cbs_publishes_quotas() {
         let (classifier, trace, config) = fixture();
         let quota = Rc::new(RefCell::new(QuotaState::default()));
-        let mut ctl = CbsController::new(
-            classifier.clone(),
-            config,
-            EnergyPrice::default(),
-            quota.clone(),
-        )
-        .unwrap();
+        let mut ctl =
+            CbsController::new(classifier.clone(), config, EnergyPrice::default(), quota.clone())
+                .unwrap();
         let cluster = Cluster::new(MachineCatalog::table2().scaled(100));
         let arrived = &trace.tasks()[..300];
         let decision = ctl.decide(&observe(&cluster, arrived, 0));
@@ -216,9 +211,7 @@ mod tests {
         let decision = ctl.decide(&observe(&cluster, arrived, 0));
         let degradations = ctl.take_degradations();
         assert!(
-            degradations
-                .iter()
-                .any(|d| matches!(d.kind, DegradationKind::LpGreedyFallback)),
+            degradations.iter().any(|d| matches!(d.kind, DegradationKind::LpGreedyFallback)),
             "expected a greedy fallback, got {degradations:?}"
         );
         let total: usize = decision.target_active.iter().sum();
@@ -231,12 +224,12 @@ mod tests {
     #[test]
     fn control_period_is_config_driven() {
         let (classifier, _, config) = fixture();
-        let ctl = CbpController::new(classifier.clone(), config.clone(), EnergyPrice::default())
-            .unwrap();
+        let ctl =
+            CbpController::new(classifier.clone(), config.clone(), EnergyPrice::default()).unwrap();
         assert_eq!(ctl.control_period(), config.control_period);
         let quota = Rc::new(RefCell::new(QuotaState::default()));
-        let cbs = CbsController::new(classifier, config.clone(), EnergyPrice::default(), quota)
-            .unwrap();
+        let cbs =
+            CbsController::new(classifier, config.clone(), EnergyPrice::default(), quota).unwrap();
         assert_eq!(cbs.control_period(), config.control_period);
     }
 }

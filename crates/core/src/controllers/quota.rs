@@ -58,11 +58,8 @@ impl QuotaState {
                 totals[n] += q as f64;
             }
         }
-        self.remaining = totals
-            .into_iter()
-            .enumerate()
-            .map(|(n, q)| (q - self.running[n]).max(0.0))
-            .collect();
+        self.remaining =
+            totals.into_iter().enumerate().map(|(n, q)| (q - self.running[n]).max(0.0)).collect();
         self.type_order = type_order;
     }
 
@@ -199,9 +196,8 @@ mod tests {
 
     fn setup() -> (Rc<TaskClassifier>, Rc<RefCell<QuotaState>>, Cluster, harmony_trace::Trace) {
         let trace = TraceGenerator::new(TraceConfig::small().with_seed(21)).generate();
-        let classifier = Rc::new(
-            TaskClassifier::fit(trace.tasks(), &ClassifierConfig::default()).unwrap(),
-        );
+        let classifier =
+            Rc::new(TaskClassifier::fit(trace.tasks(), &ClassifierConfig::default()).unwrap());
         let state = Rc::new(RefCell::new(QuotaState::default()));
         let mut cluster = Cluster::new(MachineCatalog::table2().scaled(100));
         for ty in 0..4 {

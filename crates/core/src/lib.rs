@@ -70,6 +70,6 @@ mod serde_impls;
 pub use config::HarmonyConfig;
 // Re-exported so callers tallying warm-start outcomes need not depend
 // on harmony-lp directly.
-pub use harmony_lp::WarmOutcome;
 pub use error::HarmonyError;
+pub use harmony_lp::WarmOutcome;
 pub use online::{OnlinePipeline, OnlineState};

@@ -246,14 +246,10 @@ impl ArrivalMonitor {
                 degraded: None,
             };
         }
-        let cap = h.iter().copied().filter(|v| v.is_finite()).fold(0.0, f64::max)
-            * OUTLIER_FACTOR
-            + 1e-9;
-        let entitled = if arima.is_some() {
-            ForecastTier::Arima
-        } else {
-            ForecastTier::MovingAverage
-        };
+        let cap =
+            h.iter().copied().filter(|v| v.is_finite()).fold(0.0, f64::max) * OUTLIER_FACTOR + 1e-9;
+        let entitled =
+            if arima.is_some() { ForecastTier::Arima } else { ForecastTier::MovingAverage };
         let mut reason: Option<String> = None;
         let mut note = |why: String| {
             if reason.is_none() {
@@ -357,8 +353,7 @@ mod tests {
     fn records_rates_per_class() {
         let (classifier, trace) = setup();
         let period = SimDuration::from_mins(10.0);
-        let mut monitor =
-            ArrivalMonitor::new(classifier.classes().len(), period, 100, 24);
+        let mut monitor = ArrivalMonitor::new(classifier.classes().len(), period, 100, 24);
         // Feed the whole trace in 10-minute chunks.
         let mut chunk = Vec::new();
         let mut boundary = period;
@@ -511,9 +506,7 @@ mod tests {
         // Ragged lengths.
         assert!(monitor.restore_histories(vec![vec![1.0, 2.0], vec![1.0]]).is_err());
         // Over the configured bound.
-        assert!(monitor
-            .restore_histories(vec![vec![0.0; 5], vec![0.0; 5]])
-            .is_err());
+        assert!(monitor.restore_histories(vec![vec![0.0; 5], vec![0.0; 5]]).is_err());
         // A valid payload still lands.
         monitor.restore_histories(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         assert_eq!(monitor.periods_recorded(), 2);

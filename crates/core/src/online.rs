@@ -383,7 +383,10 @@ mod tests {
         let (mut pipeline, trace) = fixture_on(MachineCatalog::new(vec![tiny]).unwrap(), 1);
         let chunk = &trace.tasks()[..150];
         let plan = pipeline.tick(chunk, chunk);
-        assert_eq!(plan, IntegerPlan { machines: vec![0], quotas: vec![vec![0; pipeline.n_classes()]] });
+        assert_eq!(
+            plan,
+            IntegerPlan { machines: vec![0], quotas: vec![vec![0; pipeline.n_classes()]] }
+        );
         assert_eq!(pipeline.error_count(), 1);
         let events = pipeline.take_degradations();
         assert!(events.iter().any(|d| matches!(d.kind, DegradationKind::ControlHold)));
@@ -400,9 +403,7 @@ mod tests {
         assert_eq!(second, first, "reused plan re-actuates");
         assert_eq!(crippled.error_count(), 1);
         let events = crippled.take_degradations();
-        assert!(events
-            .iter()
-            .any(|d| matches!(d.kind, DegradationKind::LpReusedPreviousPlan)));
+        assert!(events.iter().any(|d| matches!(d.kind, DegradationKind::LpReusedPreviousPlan)));
     }
 
     #[test]

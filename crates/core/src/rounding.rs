@@ -69,8 +69,8 @@ pub fn round_first_step(
     // type is noise; at laptop scale it would be systematic
     // over-provisioning).
     let mut quotas = pack_into_mix(&totals, container_sizes, catalog, &machines);
-    let packed_all = (0..n_classes)
-        .all(|n| quotas.iter().map(|p| p[n]).sum::<usize>() >= totals[n]);
+    let packed_all =
+        (0..n_classes).all(|n| quotas.iter().map(|p| p[n]).sum::<usize>() >= totals[n]);
     if !packed_all {
         for (m, target) in machines.iter_mut().enumerate() {
             let ty = catalog.machine_type(MachineTypeId(m));
@@ -132,14 +132,13 @@ fn first_fit_decreasing(
     mut place: impl FnMut(usize, usize),
 ) {
     let mut order: Vec<usize> = (0..counts.len()).collect();
-    order.sort_by(|&a, &b| {
-        f64::total_cmp(&sizes[b].sum_components(), &sizes[a].sum_components())
-    });
+    order.sort_by(|&a, &b| f64::total_cmp(&sizes[b].sum_components(), &sizes[a].sum_components()));
     for &n in &order {
         let size = sizes[n];
         let mut cursor = 0;
         for _ in 0..counts[n] {
-            let Some(offset) = free[cursor..].iter().position(|slot| size.fits_within(*slot)) else {
+            let Some(offset) = free[cursor..].iter().position(|slot| size.fits_within(*slot))
+            else {
                 break; // no machine fits this class anymore
             };
             cursor += offset;
@@ -166,9 +165,7 @@ fn pack_into_mix_rescan(
     }
     let mut packed = vec![vec![0usize; totals.len()]; machines.len()];
     let mut order: Vec<usize> = (0..totals.len()).collect();
-    order.sort_by(|&a, &b| {
-        f64::total_cmp(&sizes[b].sum_components(), &sizes[a].sum_components())
-    });
+    order.sort_by(|&a, &b| f64::total_cmp(&sizes[b].sum_components(), &sizes[a].sum_components()));
     for &n in &order {
         let size = sizes[n];
         'containers: for _ in 0..totals[n] {
@@ -196,8 +193,7 @@ pub fn lemma1_holds(
     machines: usize,
 ) -> bool {
     let scale = 2.0 * harmony_model::NUM_RESOURCES as f64;
-    let scaled: Vec<usize> =
-        counts.iter().map(|&c| (c as f64 / scale).floor() as usize).collect();
+    let scaled: Vec<usize> = counts.iter().map(|&c| (c as f64 / scale).floor() as usize).collect();
     let placed = first_fit_pack(&scaled, sizes, capacity, machines + 1);
     placed.iter().zip(&scaled).all(|(p, s)| p >= s)
 }
@@ -210,12 +206,7 @@ mod tests {
     #[test]
     fn first_fit_packs_simple_case() {
         // 4 containers of 0.5 into machines of capacity 1: 2 machines.
-        let placed = first_fit_pack(
-            &[4],
-            &[Resources::new(0.5, 0.5)],
-            Resources::ONE,
-            2,
-        );
+        let placed = first_fit_pack(&[4], &[Resources::new(0.5, 0.5)], Resources::ONE, 2);
         assert_eq!(placed, vec![4]);
         // Only 1 machine: 2 fit.
         let placed = first_fit_pack(&[4], &[Resources::new(0.5, 0.5)], Resources::ONE, 1);
@@ -296,12 +287,7 @@ mod tests {
         let sizes = vec![Resources::new(0.05, 0.03), Resources::new(0.3, 0.2)];
         let plan = CbsPlan {
             z: vec![vec![3.4, 0.0, 1.5, 0.0]],
-            x: vec![vec![
-                vec![10.2, 0.0],
-                vec![0.0, 0.0],
-                vec![0.0, 2.5],
-                vec![0.0, 0.0],
-            ]],
+            x: vec![vec![vec![10.2, 0.0], vec![0.0, 0.0], vec![0.0, 2.5], vec![0.0, 0.0]]],
             objective: 0.0,
         };
         let integer = round_first_step(&plan, &catalog, &sizes);
@@ -332,13 +318,8 @@ mod tests {
     #[test]
     fn pack_into_mix_uses_all_types() {
         let catalog = harmony_model::MachineCatalog::table2().scaled(1000); // 7/2/1/1
-        // 30 small containers across the whole mix.
-        let packed = pack_into_mix(
-            &[30],
-            &[Resources::new(0.05, 0.04)],
-            &catalog,
-            &[7, 2, 1, 1],
-        );
+                                                                            // 30 small containers across the whole mix.
+        let packed = pack_into_mix(&[30], &[Resources::new(0.05, 0.04)], &catalog, &[7, 2, 1, 1]);
         let total: usize = packed.iter().map(|p| p[0]).sum();
         assert!(total >= 25, "most containers should pack: {packed:?}");
         // R210s (cpu 0.083) host 1 each; big machines host the rest.

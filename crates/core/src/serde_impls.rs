@@ -24,9 +24,18 @@ mod tests {
 
     #[test]
     fn encodings_are_pinned() {
-        pin(&HarmonyConfig { pipeline_workers: Some(3), ..Default::default() }, r#"{"arima_min_history":24,"control_period":600,"demand_margin":1.25e0,"epsilon":1e-1,"history_len":288,"horizon":4,"max_lp_pivots":20000,"omega":1.1e0,"pipeline_workers":3,"slo_delay_secs":[600,120,15],"utility_per_container_hour":[2e-2,6e-2,2.5e-1]}"#);
-        pin(&ClassifierConfig::default(), r#"{"elbow_min_gain":2e-2,"k_max":10,"k_per_group":null,"seed":2013,"split_by_duration":true}"#);
-        pin(&ClassifierConfig { k_per_group: Some([2, 3, 4]), seed: 42, ..Default::default() }, r#"{"elbow_min_gain":2e-2,"k_max":10,"k_per_group":[2,3,4],"seed":42,"split_by_duration":true}"#);
+        pin(
+            &HarmonyConfig { pipeline_workers: Some(3), ..Default::default() },
+            r#"{"arima_min_history":24,"control_period":600,"demand_margin":1.25e0,"epsilon":1e-1,"history_len":288,"horizon":4,"max_lp_pivots":20000,"omega":1.1e0,"pipeline_workers":3,"slo_delay_secs":[600,120,15],"utility_per_container_hour":[2e-2,6e-2,2.5e-1]}"#,
+        );
+        pin(
+            &ClassifierConfig::default(),
+            r#"{"elbow_min_gain":2e-2,"k_max":10,"k_per_group":null,"seed":2013,"split_by_duration":true}"#,
+        );
+        pin(
+            &ClassifierConfig { k_per_group: Some([2, 3, 4]), seed: 42, ..Default::default() },
+            r#"{"elbow_min_gain":2e-2,"k_max":10,"k_per_group":[2,3,4],"seed":42,"split_by_duration":true}"#,
+        );
         let plan = IntegerPlan { machines: vec![3, 0], quotas: vec![vec![2, 0], vec![0, 5]] };
         pin(&plan, r#"{"machines":[3,0],"quotas":[[2,0],[0,5]]}"#);
         let fc = ClassForecast {
@@ -35,7 +44,10 @@ mod tests {
             degraded: Some("ARIMA failed".to_owned()),
         };
         pin(&fc, r#"{"degraded":"ARIMA failed","rates":[5e-1,2.5e-1],"tier":"MovingAverage"}"#);
-        pin(&ClassForecast { rates: vec![], tier: ForecastTier::Arima, degraded: None }, r#"{"degraded":null,"rates":[],"tier":"Arima"}"#);
+        pin(
+            &ClassForecast { rates: vec![], tier: ForecastTier::Arima, degraded: None },
+            r#"{"degraded":null,"rates":[],"tier":"Arima"}"#,
+        );
         let state = crate::OnlineState {
             ticks: 4,
             errors: 1,
@@ -48,7 +60,10 @@ mod tests {
             }],
             lp_basis: None,
         };
-        pin(&state, r#"{"errors":1,"histories":[[5e-1,1],[]],"last_plan":{"machines":[3,0],"quotas":[[2,0],[0,5]]},"lp_basis":null,"pending_events":[{"at":600,"detail":"pivot budget","kind":"LpGreedyFallback"}],"ticks":4}"#);
+        pin(
+            &state,
+            r#"{"errors":1,"histories":[[5e-1,1],[]],"last_plan":{"machines":[3,0],"quotas":[[2,0],[0,5]]},"lp_basis":null,"pending_events":[{"at":600,"detail":"pivot budget","kind":"LpGreedyFallback"}],"ticks":4}"#,
+        );
     }
 
     #[test]
@@ -128,7 +143,10 @@ mod tests {
 
     #[test]
     fn integer_plan_roundtrip() {
-        let plan = IntegerPlan { machines: vec![3, 0, 1], quotas: vec![vec![2, 0], vec![0, 0], vec![0, 5]] };
+        let plan = IntegerPlan {
+            machines: vec![3, 0, 1],
+            quotas: vec![vec![2, 0], vec![0, 0], vec![0, 5]],
+        };
         let back = IntegerPlan::from_value(&plan.to_value()).unwrap();
         assert_eq!(back, plan);
     }

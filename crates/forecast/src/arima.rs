@@ -10,10 +10,9 @@
 //! 4. forecast recursively and re-integrate through the differencing
 //!    chain.
 
-
 use crate::error::check_finite;
-use crate::series::{difference, difference_tails, mean, variance, yule_walker};
 use crate::neldermead::NelderMead;
+use crate::series::{difference, difference_tails, mean, variance, yule_walker};
 use crate::{ForecastError, Forecaster, NelderMeadOptions};
 
 /// Maximum supported AR/MA order; higher orders add little for the
@@ -143,10 +142,11 @@ impl Arima {
         x0.extend(std::iter::repeat_n(0.0, self.q));
         // An all-zero series has CSS 0 at every guarded point, so the
         // search would stop on its initial simplex and return x0.
-        let searched = centered
-            .iter()
-            .all(|&v| v == 0.0)
-            .then(|| Searched { best: x0.clone(), best_sse: 0.0, seeded_sse: 0.0 });
+        let searched = centered.iter().all(|&v| v == 0.0).then(|| Searched {
+            best: x0.clone(),
+            best_sse: 0.0,
+            seeded_sse: 0.0,
+        });
         Ok(Prepared { centered, mu, x0, searched })
     }
 
@@ -220,16 +220,16 @@ impl Arima {
         // With no coefficients the one point is both; a non-finite CSS
         // fails below.
         let nothing_to_search = self.p + self.q == 0;
-        let (params, sse) =
-            if nothing_to_search || (best_sse.is_finite() && best_sse <= seeded_sse) {
-                (best, best_sse)
-            } else if seeded_sse.is_finite() {
-                (x0, seeded_sse)
-            } else {
-                return Err(ForecastError::FitFailed {
-                    reason: "conditional sum of squares diverged".to_owned(),
-                });
-            };
+        let (params, sse) = if nothing_to_search || (best_sse.is_finite() && best_sse <= seeded_sse)
+        {
+            (best, best_sse)
+        } else if seeded_sse.is_finite() {
+            (x0, seeded_sse)
+        } else {
+            return Err(ForecastError::FitFailed {
+                reason: "conditional sum of squares diverged".to_owned(),
+            });
+        };
         if !sse.is_finite() {
             return Err(ForecastError::FitFailed {
                 reason: "conditional sum of squares is not finite".to_owned(),
@@ -740,7 +740,9 @@ mod tests {
                 // Inside the guard, on the guard, outside it, non-finite,
                 // and explosive-but-guarded coefficients.
                 let coefs: Vec<Vec<f64>> = vec![
-                    (0..n).map(|k| 0.3 / (k + 1) as f64 * if k % 2 == 0 { 1.0 } else { -1.0 }).collect(),
+                    (0..n)
+                        .map(|k| 0.3 / (k + 1) as f64 * if k % 2 == 0 { 1.0 } else { -1.0 })
+                        .collect(),
                     (0..n).map(|k| if k == 0 { 3.0 } else { -0.1 }).collect(),
                     (0..n).map(|k| if k == n - 1 { -3.000_000_1 } else { 0.2 }).collect(),
                     (0..n).map(|k| if k == n / 2 { f64::NAN } else { 0.1 }).collect(),
@@ -780,14 +782,18 @@ mod tests {
             let prev = *ar.last().unwrap();
             ar.push(0.6 * prev + noise());
         }
-        let wave: Vec<f64> = (0..288).map(|t| 3.0 + (t as f64 * 0.4).sin() + 0.1 * noise()).collect();
-        for (p, d, q) in [(2, 0, 1), (1, 0, 0), (0, 0, 1), (0, 1, 0), (3, 1, 2), (0, 0, 0), (8, 0, 8)] {
+        let wave: Vec<f64> =
+            (0..288).map(|t| 3.0 + (t as f64 * 0.4).sin() + 0.1 * noise()).collect();
+        for (p, d, q) in
+            [(2, 0, 1), (1, 0, 0), (0, 0, 1), (0, 1, 0), (3, 1, 2), (0, 0, 0), (8, 0, 8)]
+        {
             for with_mean in [false, true] {
                 let mut model = Arima::new(p, d, q).unwrap();
                 if with_mean {
                     model = model.with_mean();
                 }
-                for (name, series) in [("ar", &ar[..]), ("wave", &wave[..]), ("short", &wave[..40])] {
+                for (name, series) in [("ar", &ar[..]), ("wave", &wave[..]), ("short", &wave[..40])]
+                {
                     if p + q > 8 && name != "short" {
                         continue; // the full-order search is slow in a debug build
                     }
@@ -827,7 +833,8 @@ mod tests {
         for k in 0..23 {
             let len = [288, 288, 40, 100, 288][k % 5];
             let level = 1.0 + k as f64;
-            histories.push((0..len).map(|t| level + (t as f64 * 0.3 * level).sin() + noise()).collect());
+            histories
+                .push((0..len).map(|t| level + (t as f64 * 0.3 * level).sin() + noise()).collect());
         }
         histories.insert(3, vec![0.0; 288]);
         histories.insert(7, vec![7.0 / 3.0; 288]);
@@ -836,7 +843,10 @@ mod tests {
         let mut with_nan = histories[0].clone();
         with_nan[10] = f64::NAN;
         histories.insert(15, with_nan);
-        histories.insert(16, vec![1e200; 288].iter().enumerate().map(|(t, v)| v * (t % 2) as f64).collect());
+        histories.insert(
+            16,
+            vec![1e200; 288].iter().enumerate().map(|(t, v)| v * (t % 2) as f64).collect(),
+        );
         let refs: Vec<&[f64]> = histories.iter().map(Vec::as_slice).collect();
         let batch = model.fit_many(&refs);
         assert_eq!(batch.len(), refs.len());
@@ -845,7 +855,9 @@ mod tests {
             assert_same_fit(got, &model.fit(history), &what);
             assert_same_fit(got, &model.fit_oracle(history), &what);
         }
-        assert!(batch.iter().any(Result::is_err) && batch.iter().filter(|r| r.is_ok()).count() > LANES);
+        assert!(
+            batch.iter().any(Result::is_err) && batch.iter().filter(|r| r.is_ok()).count() > LANES
+        );
         assert!(model.fit_many(&[]).is_empty());
     }
 }

@@ -1,6 +1,5 @@
 //! Baseline predictors used in the predictor-choice ablation.
 
-
 use crate::error::check_finite;
 use crate::{ForecastError, Forecaster};
 
@@ -15,9 +14,7 @@ impl Forecaster for Naive {
 
     fn forecast(&self, history: &[f64], horizon: usize) -> Result<Vec<f64>, ForecastError> {
         check_finite(history)?;
-        let last = *history
-            .last()
-            .ok_or(ForecastError::SeriesTooShort { needed: 1, got: 0 })?;
+        let last = *history.last().ok_or(ForecastError::SeriesTooShort { needed: 1, got: 0 })?;
         Ok(vec![last; horizon])
     }
 }
@@ -91,9 +88,7 @@ impl Forecaster for Ewma {
     fn forecast(&self, history: &[f64], horizon: usize) -> Result<Vec<f64>, ForecastError> {
         check_finite(history)?;
         let mut iter = history.iter();
-        let mut level = *iter
-            .next()
-            .ok_or(ForecastError::SeriesTooShort { needed: 1, got: 0 })?;
+        let mut level = *iter.next().ok_or(ForecastError::SeriesTooShort { needed: 1, got: 0 })?;
         for &v in iter {
             level = self.alpha * v + (1.0 - self.alpha) * level;
         }

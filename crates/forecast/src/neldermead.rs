@@ -99,7 +99,11 @@ impl NelderMead {
         let mut simplex = [Vertex { x: start, f: f64::INFINITY }; NM_MAX_DIM + 1];
         for (i, vertex) in simplex[1..=n].iter_mut().enumerate() {
             let xi = vertex.x[i];
-            vertex.x[i] += if xi.abs() > 1e-12 { options.initial_step * xi.abs() } else { options.initial_step };
+            vertex.x[i] += if xi.abs() > 1e-12 {
+                options.initial_step * xi.abs()
+            } else {
+                options.initial_step
+            };
         }
         NelderMead {
             n,
@@ -318,7 +322,11 @@ where
     simplex.push((x0.to_vec(), fx0));
     for i in 0..n {
         let mut x = x0.to_vec();
-        let step = if x[i].abs() > 1e-12 { options.initial_step * x[i].abs() } else { options.initial_step };
+        let step = if x[i].abs() > 1e-12 {
+            options.initial_step * x[i].abs()
+        } else {
+            options.initial_step
+        };
         x[i] += step;
         let fx = eval(&x, &mut evals);
         simplex.push((x, fx));
@@ -432,8 +440,11 @@ mod tests {
     #[test]
     fn four_dimensional_sphere() {
         let opts = NelderMeadOptions { max_evals: 10_000, ..Default::default() };
-        let (x, fx) =
-            nelder_mead(|x| x.iter().map(|v| (v - 1.0) * (v - 1.0)).sum(), &[4.0, -3.0, 2.0, 0.0], &opts);
+        let (x, fx) = nelder_mead(
+            |x| x.iter().map(|v| (v - 1.0) * (v - 1.0)).sum(),
+            &[4.0, -3.0, 2.0, 0.0],
+            &opts,
+        );
         assert!(fx < 1e-8, "fx = {fx}, x = {x:?}");
     }
 
@@ -532,7 +543,8 @@ mod tests {
         };
         for i in 0..8 {
             for step in [0.1, 0.5, 1.5] {
-                let opts = NelderMeadOptions { max_evals: 150, f_tolerance: -1.0, initial_step: step };
+                let opts =
+                    NelderMeadOptions { max_evals: 150, f_tolerance: -1.0, initial_step: step };
                 let x0 = [i as f64 * 0.7 - 2.0, 1.5 - i as f64 * 0.45];
                 assert_matches_oracle(terraced, &x0, &opts);
             }

@@ -6,7 +6,6 @@
 //! the classic additive triple-exponential smoothing: level `ℓ`, trend
 //! `b`, and a seasonal index `s_i` per phase of the period.
 
-
 use crate::error::check_finite;
 use crate::{ForecastError, Forecaster};
 
@@ -104,9 +103,7 @@ impl Forecaster for HoltWinters {
         }
 
         let n = history.len();
-        Ok((1..=horizon)
-            .map(|h| level + trend * h as f64 + seasonal[(n + h - 1) % p])
-            .collect())
+        Ok((1..=horizon).map(|h| level + trend * h as f64 + seasonal[(n + h - 1) % p]).collect())
     }
 }
 

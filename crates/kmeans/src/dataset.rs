@@ -1,6 +1,5 @@
 //! Dense row-major feature matrices.
 
-
 use crate::KMeansError;
 
 /// A dense row-major matrix of `f64` features: one row per observation,

@@ -37,7 +37,9 @@ pub enum KMeansError {
 impl fmt::Display for KMeansError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            KMeansError::EmptyDataset => f.write_str("dataset must have at least one row and one column"),
+            KMeansError::EmptyDataset => {
+                f.write_str("dataset must have at least one row and one column")
+            }
             KMeansError::RaggedRows { row, expected, got } => {
                 write!(f, "row {row} has {got} columns, expected {expected}")
             }

@@ -581,11 +581,7 @@ mod tests {
         let mut prev = f64::INFINITY;
         for k in 1..=6 {
             let m = KMeans::new(k).seed(11).restarts(6).fit(&data).unwrap();
-            assert!(
-                m.inertia() <= prev + 1e-9,
-                "k={k}: inertia {} > previous {prev}",
-                m.inertia()
-            );
+            assert!(m.inertia() <= prev + 1e-9, "k={k}: inertia {} > previous {prev}", m.inertia());
             prev = m.inertia();
         }
     }

@@ -1,6 +1,5 @@
 //! The elbow rule for selecting `k`.
 
-
 use crate::{Dataset, KMeans, KMeansError, KMeansModel};
 
 /// Result of an elbow sweep over candidate `k` values.
@@ -78,10 +77,8 @@ pub fn elbow_k(
     // Choose the first k whose improvement over the *next* k is below the
     // threshold; default to k_max when every step is still a significant
     // gain.
-    let chosen = relative_gains(&inertias)
-        .iter()
-        .position(|&gain| gain < min_gain)
-        .unwrap_or(ks.len() - 1);
+    let chosen =
+        relative_gains(&inertias).iter().position(|&gain| gain < min_gain).unwrap_or(ks.len() - 1);
     // `models` holds one fit per k in k_min..=k_max (non-empty after the
     // guard above), so `chosen` indexes it.
     let model = models.swap_remove(chosen);

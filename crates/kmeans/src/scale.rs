@@ -4,7 +4,6 @@
 //! magnitude**; raw Euclidean K-means would be dominated by the largest
 //! tasks, so the classifier clusters in log space.
 
-
 use crate::{Dataset, KMeansError};
 
 /// Log-space transform `x' = log10(x + offset)` for heavy-tailed features.

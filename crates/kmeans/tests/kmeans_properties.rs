@@ -5,10 +5,7 @@ use proptest::prelude::*;
 
 fn dataset_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
     (2usize..4, 8usize..60).prop_flat_map(|(dim, n)| {
-        proptest::collection::vec(
-            proptest::collection::vec(-100.0f64..100.0, dim),
-            n,
-        )
+        proptest::collection::vec(proptest::collection::vec(-100.0f64..100.0, dim), n)
     })
 }
 

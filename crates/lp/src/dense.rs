@@ -349,12 +349,8 @@ mod tests {
             let point: Vec<f64> =
                 self.vars.iter().zip(anchor_t).map(|(v, &t)| v.anchor(t)).collect();
             for ((row, &rel), &slack) in self.rows.iter().zip(&self.relations).zip(slacks) {
-                let terms: Vec<_> = ids
-                    .iter()
-                    .zip(row)
-                    .filter(|(_, &a)| a != 0.0)
-                    .map(|(&v, &a)| (v, a))
-                    .collect();
+                let terms: Vec<_> =
+                    ids.iter().zip(row).filter(|(_, &a)| a != 0.0).map(|(&v, &a)| (v, a)).collect();
                 if terms.is_empty() {
                     continue;
                 }
@@ -370,16 +366,20 @@ mod tests {
     }
 
     fn random_lp(n_vars: usize, n_rows: usize) -> impl Strategy<Value = RandomLp> {
-        let vars = proptest::collection::vec(
-            (0u8..5, -5.0..5.0f64, 0.5..8.0f64, 0.2..5.0f64)
-                .prop_map(|(kind, x, w, c)| RandVar { kind, x, w, c }),
-            n_vars,
-        );
+        let vars =
+            proptest::collection::vec(
+                (0u8..5, -5.0..5.0f64, 0.5..8.0f64, 0.2..5.0f64)
+                    .prop_map(|(kind, x, w, c)| RandVar { kind, x, w, c }),
+                n_vars,
+            );
         let coeff = (any::<bool>(), -3.0..3.0f64).prop_map(|(z, v)| if z { 0.0 } else { v });
         let rows = proptest::collection::vec(proptest::collection::vec(coeff, n_vars), n_rows);
         let relations = proptest::collection::vec(0u8..3, n_rows);
-        (vars, rows, relations)
-            .prop_map(|(vars, rows, relations)| RandomLp { vars, rows, relations })
+        (vars, rows, relations).prop_map(|(vars, rows, relations)| RandomLp {
+            vars,
+            rows,
+            relations,
+        })
     }
 
     /// The provisioning LP's shape (`core::cbs`, the `table2-660`
@@ -465,10 +465,11 @@ mod tests {
     fn cbs_lp() -> impl Strategy<Value = (CbsLp, Period, Period)> {
         (1usize..4, 1usize..5, 1usize..4).prop_flat_map(|(n_types, n_classes, horizon)| {
             let types = proptest::collection::vec(
-                (1.0..20.0f64, 0.01..0.5f64, 0.0..0.3f64, 0.5..2.0f64, 0.5..2.0f64)
-                    .prop_map(|(count, idle, switching, cpu, mem)| {
+                (1.0..20.0f64, 0.01..0.5f64, 0.0..0.3f64, 0.5..2.0f64, 0.5..2.0f64).prop_map(
+                    |(count, idle, switching, cpu, mem)| {
                         (count.round(), idle, switching, [cpu, mem])
-                    }),
+                    },
+                ),
                 n_types,
             );
             let classes = proptest::collection::vec(
@@ -489,7 +490,11 @@ mod tests {
                     proptest::collection::vec(0.0..1.0f64, n_types),
                     0.5..2.0f64,
                 )
-                    .prop_map(|(demand, initial, price)| Period { demand, initial, price })
+                    .prop_map(|(demand, initial, price)| Period {
+                        demand,
+                        initial,
+                        price,
+                    })
             };
             (types, classes, energy, period(), period()).prop_map(
                 move |(types, classes, energy, first, second)| {

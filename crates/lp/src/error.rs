@@ -43,9 +43,7 @@ impl fmt::Display for LpError {
             LpError::NonFiniteInput { context } => {
                 write!(f, "non-finite value supplied in {context}")
             }
-            LpError::SingularBasis => {
-                f.write_str("basis factorization broke down numerically")
-            }
+            LpError::SingularBasis => f.write_str("basis factorization broke down numerically"),
         }
     }
 }

@@ -314,11 +314,8 @@ mod tests {
     ///   [ 0 3 1 ]
     ///   [ 1 0 4 ]
     fn example() -> Csc {
-        let rows = vec![
-            vec![(0, 2.0), (1, 1.0)],
-            vec![(1, 3.0), (2, 1.0)],
-            vec![(0, 1.0), (2, 4.0)],
-        ];
+        let rows =
+            vec![vec![(0, 2.0), (1, 1.0)], vec![(1, 3.0), (2, 1.0)], vec![(0, 1.0), (2, 4.0)]];
         Csc::from_rows(&rows, 3)
     }
 

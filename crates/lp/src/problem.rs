@@ -1,6 +1,5 @@
 //! LP model construction.
 
-
 use crate::simplex::{Basis, SimplexOptions, Solution};
 use crate::sparse::solve_sparse;
 use crate::LpError;

@@ -642,8 +642,7 @@ mod tests {
         // Optimum for this instance: x00=9, x01=1, x11=10, x12=2? Let's
         // simply assert the solver is at least as good as one feasible
         // hand-built plan and exactly matches its own recomputed cost.
-        let cost: f64 =
-            (0..3).map(|i| (0..3).map(|j| ship[i][j] * costs[i][j]).sum::<f64>()).sum();
+        let cost: f64 = (0..3).map(|i| (0..3).map(|j| ship[i][j] * costs[i][j]).sum::<f64>()).sum();
         assert_near(cost, s.objective());
         // Hand plan: x00=9,x01=1 (cost 36+6=42); x11=10,x12=2 (40+14=54);
         // x22=8 (32) → total 128. Solver must do no worse.
@@ -692,8 +691,7 @@ mod tests {
         // Same structure, shifted right-hand sides.
         let (p1, x, y) = phase1_heavy([12.0, 3.0, 4.0]);
         let cold1 = p1.solve().unwrap();
-        let warm1 =
-            p1.solve_warm_with(&SimplexOptions::default(), Some(cold0.basis())).unwrap();
+        let warm1 = p1.solve_warm_with(&SimplexOptions::default(), Some(cold0.basis())).unwrap();
         assert_eq!(warm1.warm_outcome(), WarmOutcome::Hit);
         assert_near(warm1.objective(), cold1.objective());
         assert_near(warm1.value(x), cold1.value(x));
@@ -715,8 +713,7 @@ mod tests {
         p1.set_objective(x, 5.0);
         p1.set_objective(y, 1.0);
         let cold1 = p1.solve().unwrap();
-        let warm1 =
-            p1.solve_warm_with(&SimplexOptions::default(), Some(cold0.basis())).unwrap();
+        let warm1 = p1.solve_warm_with(&SimplexOptions::default(), Some(cold0.basis())).unwrap();
         assert_eq!(warm1.warm_outcome(), WarmOutcome::Hit);
         assert_near(warm1.objective(), cold1.objective());
     }
@@ -735,8 +732,7 @@ mod tests {
         p1.add_ge(vec![(y, 1.0)], 3.0);
         p1.add_le(vec![(w, 1.0)], 4.0);
         let cold1 = p1.solve().unwrap();
-        let warm1 =
-            p1.solve_warm_with(&SimplexOptions::default(), Some(cold0.basis())).unwrap();
+        let warm1 = p1.solve_warm_with(&SimplexOptions::default(), Some(cold0.basis())).unwrap();
         assert_eq!(
             warm1.warm_outcome(),
             WarmOutcome::StructuralFallback,
@@ -764,8 +760,7 @@ mod tests {
         let cold0 = p0.solve().unwrap();
         let p1 = build(4.0); // cap binds: optimum x=4, y=6
         let cold1 = p1.solve().unwrap();
-        let warm1 =
-            p1.solve_warm_with(&SimplexOptions::default(), Some(cold0.basis())).unwrap();
+        let warm1 = p1.solve_warm_with(&SimplexOptions::default(), Some(cold0.basis())).unwrap();
         assert_eq!(
             warm1.warm_outcome(),
             WarmOutcome::Hit,
@@ -916,10 +911,7 @@ mod tests {
         let cols = std_form.struct_and_slack;
         assert_eq!(rows, 3, "2 constraints + 1 bound row");
         assert_eq!(cols, 3 + 3, "x + y⁺ + y⁻ structural, 3 slack/surplus");
-        assert_eq!(
-            SimplexOptions::auto_pivot_budget(rows, cols),
-            200 * (rows + cols) + 10_000
-        );
+        assert_eq!(SimplexOptions::auto_pivot_budget(rows, cols), 200 * (rows + cols) + 10_000);
         // The budget is generous: the default options solve this within it.
         assert!(p.solve().unwrap().pivots() <= SimplexOptions::auto_pivot_budget(rows, cols));
     }

@@ -31,18 +31,10 @@ struct CoverLp {
 impl CoverLp {
     fn build(&self) -> Problem {
         let mut p = Problem::new(Sense::Minimize);
-        let vars: Vec<_> = self
-            .costs
-            .iter()
-            .map(|&c| p.add_var(0.0, f64::INFINITY, c))
-            .collect();
+        let vars: Vec<_> = self.costs.iter().map(|&c| p.add_var(0.0, f64::INFINITY, c)).collect();
         for (row, &rhs) in self.rows.iter().zip(&self.rhs) {
-            let terms: Vec<_> = vars
-                .iter()
-                .zip(row)
-                .filter(|(_, &a)| a != 0.0)
-                .map(|(&v, &a)| (v, a))
-                .collect();
+            let terms: Vec<_> =
+                vars.iter().zip(row).filter(|(_, &a)| a != 0.0).map(|(&v, &a)| (v, a)).collect();
             p.add_ge(terms, rhs);
         }
         p
@@ -53,22 +45,19 @@ fn cover_lp(n_vars: usize, n_rows: usize) -> impl Strategy<Value = CoverLp> {
     let costs = proptest::collection::vec(0.5..10.0f64, n_vars);
     // Each coefficient is 0 with probability ~1/2, else in [0.2, 5];
     // one column per row is forced positive below so rows never go empty.
-    let coeff =
-        (any::<bool>(), 0.2..5.0f64).prop_map(|(zero, v)| if zero { 0.0 } else { v });
-    let rows = proptest::collection::vec(
-        (proptest::collection::vec(coeff, n_vars), 0..n_vars),
-        n_rows,
-    )
-    .prop_map(|rows| {
-        rows.into_iter()
-            .map(|(mut row, forced)| {
-                if row.iter().all(|&a| a == 0.0) {
-                    row[forced] = 1.0;
-                }
-                row
-            })
-            .collect::<Vec<_>>()
-    });
+    let coeff = (any::<bool>(), 0.2..5.0f64).prop_map(|(zero, v)| if zero { 0.0 } else { v });
+    let rows =
+        proptest::collection::vec((proptest::collection::vec(coeff, n_vars), 0..n_vars), n_rows)
+            .prop_map(|rows| {
+                rows.into_iter()
+                    .map(|(mut row, forced)| {
+                        if row.iter().all(|&a| a == 0.0) {
+                            row[forced] = 1.0;
+                        }
+                        row
+                    })
+                    .collect::<Vec<_>>()
+            });
     let rhs = proptest::collection::vec(1.0..50.0f64, n_rows);
     (costs, rows, rhs).prop_map(|(costs, rows, rhs)| CoverLp { costs, rows, rhs })
 }

@@ -41,7 +41,9 @@ impl fmt::Display for ModelError {
                 write!(f, "scheduling class {c} is outside the trace range 0..=3")
             }
             ModelError::InvalidTask { id, reason } => write!(f, "invalid {id}: {reason}"),
-            ModelError::EmptyCatalog => f.write_str("machine catalog must contain at least one type"),
+            ModelError::EmptyCatalog => {
+                f.write_str("machine catalog must contain at least one type")
+            }
             ModelError::InvalidMachineType { name, reason } => {
                 write!(f, "invalid machine type {name:?}: {reason}")
             }

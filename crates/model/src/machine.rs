@@ -285,12 +285,7 @@ mod tests {
         let names: Vec<&str> = c.iter().map(|t| t.name.as_str()).collect();
         assert_eq!(
             names,
-            vec![
-                "Dell PowerEdge R210",
-                "Dell PowerEdge R515",
-                "HP DL385 G7",
-                "HP DL585 G7"
-            ]
+            vec!["Dell PowerEdge R210", "Dell PowerEdge R515", "HP DL385 G7", "HP DL585 G7"]
         );
         // Normalization: DL585 G7 is the unit machine.
         assert_eq!(c.machine_type(MachineTypeId(3)).capacity, Resources::ONE);
@@ -353,7 +348,8 @@ mod tests {
         assert_eq!(sorted, (0..4).map(MachineTypeId).collect::<Vec<_>>());
         for w in order.windows(2) {
             assert!(
-                c.machine_type(w[0]).capacity_per_watt() >= c.machine_type(w[1]).capacity_per_watt()
+                c.machine_type(w[0]).capacity_per_watt()
+                    >= c.machine_type(w[1]).capacity_per_watt()
             );
         }
     }
@@ -382,18 +378,16 @@ mod tests {
 
     #[test]
     fn total_capacity_sums_over_population() {
-        let c = MachineCatalog::new(vec![
-            MachineType {
-                id: MachineTypeId(0),
-                name: "a".into(),
-                platform_id: 1,
-                capacity: Resources::new(0.5, 0.25),
-                count: 4,
-                power: PowerModel::new(10.0, Resources::ZERO),
-                boot_time: SimDuration::ZERO,
-                switching_cost: 0.0,
-            },
-        ])
+        let c = MachineCatalog::new(vec![MachineType {
+            id: MachineTypeId(0),
+            name: "a".into(),
+            platform_id: 1,
+            capacity: Resources::new(0.5, 0.25),
+            count: 4,
+            power: PowerModel::new(10.0, Resources::ZERO),
+            boot_time: SimDuration::ZERO,
+            switching_cost: 0.0,
+        }])
         .unwrap();
         assert_eq!(c.total_capacity(), Resources::new(2.0, 1.0));
     }

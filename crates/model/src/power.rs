@@ -11,7 +11,6 @@
 //! slope for resource `r`. The energy *cost* at time `t` further multiplies
 //! by the run-time electricity price `p_t`.
 
-
 use crate::{Resources, SimDuration, SimTime};
 
 /// Linear utilization→power model for one machine type (Eq. 7).
@@ -145,7 +144,8 @@ mod tests {
         let cap_small = Resources::new(0.1, 0.1);
         let cap_big = Resources::new(1.0, 1.0);
         assert!(
-            small_efficient.capacity_per_watt(cap_small) > big_hungry.capacity_per_watt(cap_big) / 2.0
+            small_efficient.capacity_per_watt(cap_small)
+                > big_hungry.capacity_per_watt(cap_big) / 2.0
         );
     }
 

@@ -70,7 +70,10 @@ mod tests {
             priority: Priority::new(9).unwrap(),
             sched_class: SchedulingClass::new(2).unwrap(),
         };
-        pin(&task, r#"{"arrival":12,"demand":{"cpu":1e-1,"mem":2e-1},"duration":100,"id":7,"job":3,"priority":9,"sched_class":2}"#);
+        pin(
+            &task,
+            r#"{"arrival":12,"demand":{"cpu":1e-1,"mem":2e-1},"duration":100,"id":7,"job":3,"priority":9,"sched_class":2}"#,
+        );
     }
 
     #[test]

@@ -245,11 +245,7 @@ mod tests {
 
     #[test]
     fn ordering_is_total() {
-        let mut ts = [
-            SimTime::from_secs(3.0),
-            SimTime::from_secs(1.0),
-            SimTime::from_secs(2.0),
-        ];
+        let mut ts = [SimTime::from_secs(3.0), SimTime::from_secs(1.0), SimTime::from_secs(2.0)];
         ts.sort();
         assert_eq!(ts[0], SimTime::from_secs(1.0));
         assert_eq!(ts[2], SimTime::from_secs(3.0));

@@ -100,10 +100,7 @@ mod tests {
         for &(n, a) in &[(1usize, 0.5f64), (2, 1.2), (5, 3.0), (10, 7.5), (20, 15.0)] {
             let stable = erlang_c(n, a).unwrap();
             let literal = erlang_c_literal(n, a);
-            assert!(
-                (stable - literal).abs() < 1e-10,
-                "n={n} a={a}: {stable} vs {literal}"
-            );
+            assert!((stable - literal).abs() < 1e-10, "n={n} a={a}: {stable} vs {literal}");
         }
     }
 

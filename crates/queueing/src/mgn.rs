@@ -1,6 +1,5 @@
 //! The M/G/N mean scheduling-delay approximation of Eq. (1).
 
-
 use crate::{erlang_c, QueueingError};
 
 /// An M/G/N queue describing one task class served by `N` containers.

@@ -36,7 +36,8 @@ fn erf(x: f64) -> f64 {
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.3275911 * x);
     let poly = t
-        * (0.254829592 + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
+        * (0.254829592
+            + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
     sign * (1.0 - poly * (-x * x).exp())
 }
 
@@ -226,13 +227,8 @@ mod tests {
 
     #[test]
     fn cdf_reference_values() {
-        let cases = [
-            (0.0, 0.5),
-            (1.0, 0.8413447),
-            (-1.0, 0.1586553),
-            (2.0, 0.9772499),
-            (3.0, 0.9986501),
-        ];
+        let cases =
+            [(0.0, 0.5), (1.0, 0.8413447), (-1.0, 0.1586553), (2.0, 0.9772499), (3.0, 0.9986501)];
         for (x, phi) in cases {
             assert!((normal_cdf(x) - phi).abs() < 2e-6, "Phi({x})");
         }

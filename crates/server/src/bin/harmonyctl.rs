@@ -46,13 +46,12 @@ fn load_tasks(file: Option<&str>, count: usize, seed: u64) -> Result<Vec<Task>, 
     match file {
         Some(path) => {
             let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let trace = Trace::read_jsonl(&bytes[..])
-                .map_err(|e| format!("cannot parse {path}: {e}"))?;
+            let trace =
+                Trace::read_jsonl(&bytes[..]).map_err(|e| format!("cannot parse {path}: {e}"))?;
             Ok(trace.tasks().to_vec())
         }
         None => {
-            let trace =
-                TraceGenerator::new(TraceConfig::small().with_seed(seed)).generate();
+            let trace = TraceGenerator::new(TraceConfig::small().with_seed(seed)).generate();
             Ok(trace.tasks().iter().take(count).cloned().collect())
         }
     }
@@ -71,9 +70,7 @@ fn run() -> Result<bool, String> {
 
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut grab = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} requires a value"))
-        };
+        let mut grab = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match arg.as_str() {
             "--addr" => addr = Some(grab("--addr")?),
             "--output" => output = Some(grab("--output")?),
@@ -85,8 +82,7 @@ fn run() -> Result<bool, String> {
                 seed = wire::parse_seed(&grab("--seed")?).map_err(|e| format!("--seed: {e}"))?;
             }
             "--horizon" => {
-                horizon =
-                    Some(grab("--horizon")?.parse().map_err(|e| format!("--horizon: {e}"))?);
+                horizon = Some(grab("--horizon")?.parse().map_err(|e| format!("--horizon: {e}"))?);
             }
             "--retries" => {
                 retries = grab("--retries")?.parse().map_err(|e| format!("--retries: {e}"))?;
@@ -108,9 +104,9 @@ fn run() -> Result<bool, String> {
 
     let verb = verb.ok_or_else(|| "no verb given".to_owned())?;
     let request = match verb.as_str() {
-        "submit-observations" => Request::SubmitObservations {
-            tasks: load_tasks(file.as_deref(), count, seed)?,
-        },
+        "submit-observations" => {
+            Request::SubmitObservations { tasks: load_tasks(file.as_deref(), count, seed)? }
+        }
         "get-plan" => Request::GetPlan,
         "get-forecast" => Request::GetForecast { horizon },
         "status" => Request::Status,
@@ -130,9 +126,8 @@ fn run() -> Result<bool, String> {
     };
     let mut client = Client::connect_with_retry(&addr, &policy)
         .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let response = client
-        .request_with_retry(&request, &policy)
-        .map_err(|e| format!("request failed: {e}"))?;
+    let response =
+        client.request_with_retry(&request, &policy).map_err(|e| format!("request failed: {e}"))?;
 
     let text = serde_json::to_string_pretty(&response.to_value())
         .map_err(|e| format!("render failed: {e}"))?;
@@ -140,8 +135,7 @@ fn run() -> Result<bool, String> {
     if let Some(path) = output {
         let line = serde_json::to_string(&response.to_value())
             .map_err(|e| format!("render failed: {e}"))?;
-        fs::write(&path, format!("{line}\n"))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        fs::write(&path, format!("{line}\n")).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     Ok(!matches!(response, Response::Error { .. }))
 }

@@ -113,9 +113,7 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut grab = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} requires a value"))
-        };
+        let mut grab = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match arg.as_str() {
             "--listen" => args.listen = grab("--listen")?,
             "--snapshot" => args.snapshot = Some(PathBuf::from(grab("--snapshot")?)),
@@ -132,8 +130,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--catalog" => args.catalog = grab("--catalog")?,
             "--scale" => {
-                args.scale =
-                    grab("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?;
+                args.scale = grab("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?;
             }
             "--period-mins" => {
                 args.period_mins = Some(positive_finite("--period-mins", &grab("--period-mins")?)?);
@@ -152,9 +149,8 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--write-timeout-ms: {e}"))?;
             }
             "--max-inflight" => {
-                args.max_inflight = grab("--max-inflight")?
-                    .parse()
-                    .map_err(|e| format!("--max-inflight: {e}"))?;
+                args.max_inflight =
+                    grab("--max-inflight")?.parse().map_err(|e| format!("--max-inflight: {e}"))?;
             }
             "--max-connections" => {
                 args.max_connections = grab("--max-connections")?
@@ -219,9 +215,7 @@ fn non_negative_finite(name: &str, value: &str) -> Result<f64, String> {
     if parsed.is_finite() && parsed >= 0.0 {
         Ok(parsed)
     } else {
-        Err(format!(
-            "{name}: `{value}` is not a finite number at or above 0"
-        ))
+        Err(format!("{name}: `{value}` is not a finite number at or above 0"))
     }
 }
 
@@ -243,13 +237,8 @@ fn build_service(args: &Args) -> Result<Service, String> {
     }
 
     let span = SimDuration::from_secs(args.synthetic_span_hours * 3600.0);
-    let (trace, source) = state::load_source(
-        args.trace.as_deref(),
-        &args.format,
-        args.synthetic_seed,
-        span,
-        None,
-    )?;
+    let (trace, source) =
+        state::load_source(args.trace.as_deref(), &args.format, args.synthetic_seed, span, None)?;
     let classifier_config = ClassifierConfig::default();
     let classifier = TaskClassifier::fit(trace.tasks(), &classifier_config)
         .map_err(|e| format!("classifier fit failed: {e}"))?;
@@ -267,8 +256,8 @@ fn build_service(args: &Args) -> Result<Service, String> {
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     let service = build_service(&args)?;
-    let listener = TcpListener::bind(&args.listen)
-        .map_err(|e| format!("cannot bind {}: {e}", args.listen))?;
+    let listener =
+        TcpListener::bind(&args.listen).map_err(|e| format!("cannot bind {}: {e}", args.listen))?;
     let addr = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
     // The e2e harness and smoke script parse this exact line.
     println!("harmonyd listening on {addr}");

@@ -30,4 +30,4 @@ pub use protocol::{
     ErrorKind, HistogramBody, MetricsBody, Request, Response, StatusBody, MAX_LINE_BYTES,
 };
 pub use service::Service;
-pub use state::{Checkpoint, CatalogSpec, ClassifierSource, RecoveryEvent, CHECKPOINT_VERSION};
+pub use state::{CatalogSpec, Checkpoint, ClassifierSource, RecoveryEvent, CHECKPOINT_VERSION};

@@ -300,9 +300,7 @@ fn run_ticker_supervised(
         tick_started_ms: AtomicU64::new(HEARTBEAT_IDLE),
         serial: AtomicU64::new(0),
     });
-    let deadline_ms = period
-        .saturating_mul(watchdog.deadline_multiple.max(1))
-        .as_millis() as u64;
+    let deadline_ms = period.saturating_mul(watchdog.deadline_multiple.max(1)).as_millis() as u64;
     let mut restarts: u64 = 0;
     let mut handle = spawn_incarnation(service, stop, &shared, 0, period, chaos);
     loop {
@@ -362,10 +360,7 @@ fn run_ticker_supervised(
 /// policy cap.
 fn backoff_delay(watchdog: &WatchdogPolicy, restarts: u64) -> Duration {
     let exponent = restarts.saturating_sub(1).min(10) as u32;
-    watchdog
-        .backoff_base
-        .saturating_mul(1u32 << exponent)
-        .min(watchdog.backoff_cap)
+    watchdog.backoff_base.saturating_mul(1u32 << exponent).min(watchdog.backoff_cap)
 }
 
 fn backoff_sleep(stop: &AtomicBool, delay: Duration) {
@@ -434,9 +429,7 @@ fn run_ticker(
         }
         // Heartbeat writes are generation-gated so a superseded
         // incarnation can never clobber its successor's heartbeat.
-        shared
-            .tick_started_ms
-            .store(shared.epoch.elapsed().as_millis() as u64, Ordering::SeqCst);
+        shared.tick_started_ms.store(shared.epoch.elapsed().as_millis() as u64, Ordering::SeqCst);
         if let Some(every) = chaos.stall_every {
             if every > 0 && serial.is_multiple_of(every) {
                 // Chaos stalls run OUTSIDE the service lock: the
@@ -567,10 +560,7 @@ fn handle_connection(
                     metrics.counter(keys::SERVER_SHED_TOTAL).inc();
                     Response::overloaded(
                         limits.retry_after_ms,
-                        format!(
-                            "daemon at capacity ({} requests in flight)",
-                            limits.max_inflight
-                        ),
+                        format!("daemon at capacity ({} requests in flight)", limits.max_inflight),
                     )
                 }
                 Some(_slot) => {
@@ -602,10 +592,7 @@ fn handle_connection(
 /// Commits a deferred checkpoint (after the service guard has already
 /// dropped — the guard is a temporary in the caller's statement) and
 /// folds any write failure into the response.
-fn commit_outside_lock(
-    response: Response,
-    save: Option<crate::service::PendingSave>,
-) -> Response {
+fn commit_outside_lock(response: Response, save: Option<crate::service::PendingSave>) -> Response {
     match save {
         Some(save) => save.commit_into(response),
         None => response,

@@ -114,9 +114,9 @@ impl Deserialize for Request {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let verb = String::from_value(v.field("verb")?)?;
         match verb.as_str() {
-            "submit-observations" => Ok(Request::SubmitObservations {
-                tasks: Vec::from_value(v.field("tasks")?)?,
-            }),
+            "submit-observations" => {
+                Ok(Request::SubmitObservations { tasks: Vec::from_value(v.field("tasks")?)? })
+            }
             "get-plan" => Ok(Request::GetPlan),
             "get-forecast" => Ok(Request::GetForecast {
                 horizon: match v.get("horizon") {
@@ -332,10 +332,7 @@ impl Response {
 
     /// A load-shedding error with a retry hint.
     pub fn overloaded(retry_after_ms: u64, message: impl Into<String>) -> Response {
-        Response::Error {
-            kind: ErrorKind::Overloaded { retry_after_ms },
-            message: message.into(),
-        }
+        Response::Error { kind: ErrorKind::Overloaded { retry_after_ms }, message: message.into() }
     }
 
     /// A daemon-side execution failure.
@@ -377,10 +374,7 @@ impl Serialize for Response {
             return Value::Object(map);
         }
         map.insert("ok".to_owned(), true.to_value());
-        map.insert(
-            "type".to_owned(),
-            self.tag().unwrap_or_default().to_value(),
-        );
+        map.insert("type".to_owned(), self.tag().unwrap_or_default().to_value());
         match self {
             Response::Error { .. } => unreachable!("handled above"),
             Response::Submitted { buffered, total } => {
@@ -439,15 +433,10 @@ impl Deserialize for Response {
                         },
                     },
                     "internal" => ErrorKind::Internal,
-                    other => {
-                        return Err(DeError::new(format!("unknown error kind `{other}`")))
-                    }
+                    other => return Err(DeError::new(format!("unknown error kind `{other}`"))),
                 },
             };
-            return Ok(Response::Error {
-                kind,
-                message: String::from_value(v.field("error")?)?,
-            });
+            return Ok(Response::Error { kind, message: String::from_value(v.field("error")?)? });
         }
         let tag = String::from_value(v.field("type")?)?;
         match tag.as_str() {
@@ -626,7 +615,10 @@ mod tests {
             ticker_restarts: 2,
             ticker_last_error: Some("stalled".to_owned()),
         };
-        pin(&status, r#"{"buffered":2,"errors":0,"has_plan":true,"machine_types":4,"n_classes":5,"now_secs":1800,"pending_events":1,"snapshot_path":null,"ticker_last_error":"stalled","ticker_restarts":2,"ticks":3,"total_machines":100,"total_observations":40}"#);
+        pin(
+            &status,
+            r#"{"buffered":2,"errors":0,"has_plan":true,"machine_types":4,"n_classes":5,"now_secs":1800,"pending_events":1,"snapshot_path":null,"ticker_last_error":"stalled","ticker_restarts":2,"ticks":3,"total_machines":100,"total_observations":40}"#,
+        );
         let histogram = HistogramBody {
             name: "period_s".to_owned(),
             count: 2,
@@ -637,13 +629,19 @@ mod tests {
             bounds: vec![0.5, 1.0],
             buckets: vec![1, 1, 0],
         };
-        pin(&histogram, r#"{"bounds":[5e-1,1],"buckets":[1,1,0],"count":2,"mean":3.75e-1,"name":"period_s","p50":5e-1,"p99":1,"sum":7.5e-1}"#);
+        pin(
+            &histogram,
+            r#"{"bounds":[5e-1,1],"buckets":[1,1,0],"count":2,"mean":3.75e-1,"name":"period_s","p50":5e-1,"p99":1,"sum":7.5e-1}"#,
+        );
         let metrics = MetricsBody {
             counters: BTreeMap::from([("ticks".to_owned(), 3)]),
             gauges: BTreeMap::from([("in_flight".to_owned(), 0.5)]),
             histograms: vec![histogram],
         };
-        pin(&metrics, r#"{"counters":{"ticks":3},"gauges":{"in_flight":5e-1},"histograms":[{"bounds":[5e-1,1],"buckets":[1,1,0],"count":2,"mean":3.75e-1,"name":"period_s","p50":5e-1,"p99":1,"sum":7.5e-1}]}"#);
+        pin(
+            &metrics,
+            r#"{"counters":{"ticks":3},"gauges":{"in_flight":5e-1},"histograms":[{"bounds":[5e-1,1],"buckets":[1,1,0],"count":2,"mean":3.75e-1,"name":"period_s","p50":5e-1,"p99":1,"sum":7.5e-1}]}"#,
+        );
     }
 
     #[test]
@@ -690,8 +688,7 @@ mod tests {
             assert_eq!(back, resp, "wire text: {text}");
         }
         // Overloaded carries its retry hint on the wire.
-        let text =
-            serde_json::to_string(&Response::overloaded(250, "shed")).unwrap();
+        let text = serde_json::to_string(&Response::overloaded(250, "shed")).unwrap();
         assert!(text.contains("\"retry_after_ms\":250"), "{text}");
         // A pre-resilience error without a kind still parses.
         let back: Response =

@@ -27,9 +27,7 @@ use harmony::OnlinePipeline;
 use harmony_model::Task;
 
 use crate::protocol::{MetricsBody, Request, Response, StatusBody};
-use crate::state::{
-    self, CatalogSpec, Checkpoint, ClassifierSource, CHECKPOINT_VERSION,
-};
+use crate::state::{self, CatalogSpec, Checkpoint, ClassifierSource, CHECKPOINT_VERSION};
 
 /// Orders checkpoint commits that happen outside the service lock.
 ///
@@ -70,8 +68,7 @@ impl PendingSave {
     ///
     /// Propagates I/O failures from the atomic write.
     pub fn commit(self) -> io::Result<Option<u64>> {
-        let mut committed =
-            self.gate.committed.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut committed = self.gate.committed.lock().unwrap_or_else(PoisonError::into_inner);
         if self.serial <= *committed {
             return Ok(None);
         }
@@ -155,9 +152,7 @@ impl Service {
         let mut pipeline =
             OnlinePipeline::new(classifier, catalog, checkpoint.config, Default::default())
                 .map_err(|e| format!("pipeline rebuild failed: {e}"))?;
-        pipeline
-            .restore(checkpoint.state)
-            .map_err(|e| format!("state restore failed: {e}"))?;
+        pipeline.restore(checkpoint.state).map_err(|e| format!("state restore failed: {e}"))?;
         Ok(Service {
             pipeline,
             classifier_config: checkpoint.classifier,
@@ -224,13 +219,7 @@ impl Service {
         };
         let text = state::encode_checkpoint(&self.checkpoint())?;
         let serial = self.save_gate.next.fetch_add(1, Ordering::SeqCst) + 1;
-        Ok(Some(PendingSave {
-            text,
-            path,
-            serial,
-            required,
-            gate: Arc::clone(&self.save_gate),
-        }))
+        Ok(Some(PendingSave { text, path, serial, required, gate: Arc::clone(&self.save_gate) }))
     }
 
     /// Renders the current checkpoint for a deferred write (`None` when
@@ -263,10 +252,7 @@ impl Service {
             total_machines: self.pipeline.catalog().total_machines(),
             pending_events: self.pipeline.pending_degradations().len(),
             has_plan: self.pipeline.last_plan().is_some(),
-            snapshot_path: self
-                .snapshot_path
-                .as_ref()
-                .map(|p| p.display().to_string()),
+            snapshot_path: self.snapshot_path.as_ref().map(|p| p.display().to_string()),
             ticker_restarts: self.ticker_restarts,
             ticker_last_error: self.ticker_last_error.clone(),
         }
@@ -300,10 +286,7 @@ impl Service {
             Request::GetForecast { horizon } => {
                 let horizon = horizon.unwrap_or(self.pipeline.config().horizon).max(1);
                 (
-                    Response::Forecast {
-                        horizon,
-                        classes: self.pipeline.forecast_tiered(horizon),
-                    },
+                    Response::Forecast { horizon, classes: self.pipeline.forecast_tiered(horizon) },
                     None,
                 )
             }
@@ -311,10 +294,9 @@ impl Service {
             // The network layer answers `metrics` lock-free before it
             // ever takes the service lock; routing it here would drag a
             // telemetry snapshot under the write lock for no reason.
-            Request::Metrics => (
-                Response::internal("metrics is served lock-free by the network layer"),
-                None,
-            ),
+            Request::Metrics => {
+                (Response::internal("metrics is served lock-free by the network layer"), None)
+            }
             Request::Tick => {
                 let tick = self.tick_once();
                 let save = self.pending_checkpoint();
@@ -324,12 +306,9 @@ impl Service {
                 };
                 (response, save)
             }
-            Request::DrainEvents => (
-                Response::Events {
-                    events: self.pipeline.take_degradations(),
-                },
-                None,
-            ),
+            Request::DrainEvents => {
+                (Response::Events { events: self.pipeline.take_degradations() }, None)
+            }
             Request::Snapshot => match self.make_pending(true) {
                 Ok(Some(save)) => {
                     let response = Response::Snapshotted {
@@ -359,9 +338,7 @@ impl Service {
     /// single-threaded callers that do not hold a lock.
     pub fn handle(&mut self, request: Request) -> Response {
         if matches!(request, Request::Metrics) {
-            return Response::Metrics(MetricsBody::from(
-                &harmony_telemetry::global().snapshot(),
-            ));
+            return Response::Metrics(MetricsBody::from(&harmony_telemetry::global().snapshot()));
         }
         let (response, save) = self.handle_deferred(request);
         match save {
@@ -383,12 +360,9 @@ mod tests {
         // Build from the same source description a resume would refit
         // from, so checkpoint round-trips are exact.
         let span = SimDuration::from_hours(2.0);
-        let (trace, source) =
-            state::load_source(None, "jsonl", 33, span, None).unwrap();
-        let classifier_config = ClassifierConfig {
-            k_per_group: Some([2, 2, 2]),
-            ..ClassifierConfig::default()
-        };
+        let (trace, source) = state::load_source(None, "jsonl", 33, span, None).unwrap();
+        let classifier_config =
+            ClassifierConfig { k_per_group: Some([2, 2, 2]), ..ClassifierConfig::default() };
         let classifier = TaskClassifier::fit(trace.tasks(), &classifier_config).unwrap();
         let config = HarmonyConfig {
             horizon: 2,
@@ -494,8 +468,8 @@ mod tests {
 
     #[test]
     fn checkpoint_restores_identical_plan_sequence() {
-        let dir = std::env::temp_dir()
-            .join(format!("harmonyd-service-test-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("harmonyd-service-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("svc.json");
 

@@ -536,8 +536,8 @@ mod tests {
     }
 
     fn test_dir(label: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("harmonyd-state-{label}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("harmonyd-state-{label}-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         dir
     }

@@ -26,11 +26,11 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use chaos_harness::{flip_bit, flood, truncate_to, ChaosConfig, ChaosProxy};
 use harmony::rounding::IntegerPlan;
 use harmony_server::protocol::{read_line, ErrorKind, Request, Response};
 use harmony_server::Client;
 use harmony_telemetry::keys;
-use chaos_harness::{flip_bit, flood, truncate_to, ChaosConfig, ChaosProxy};
 use util::{assert_no_tmp_files, observation_chunks, temp_dir, Daemon};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
@@ -77,8 +77,7 @@ fn flood_and_deadlines_keep_the_daemon_responsive() {
         // Same storm through the fault-injecting proxy: torn frames and
         // dribbles now hit the daemon; it must survive (responses are
         // best-effort — cut connections legitimately get none).
-        let mut proxy =
-            ChaosProxy::start(daemon.addr, ChaosConfig::seeded(seed)).expect("proxy");
+        let mut proxy = ChaosProxy::start(daemon.addr, ChaosConfig::seeded(seed)).expect("proxy");
         let _ = flood(proxy.addr(), 24, seed.wrapping_add(100));
         proxy.stop();
 
@@ -123,9 +122,7 @@ fn connection_cap_sheds_with_a_typed_overloaded_response() {
     }
 
     let stream = TcpStream::connect(daemon.addr).expect("connect past the cap");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("read timeout");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
     let mut reader = std::io::BufReader::new(stream);
     let line = read_line(&mut reader)
         .expect("read shed response")
@@ -168,8 +165,7 @@ fn checkpoint_torture_resumes_the_exact_plan_sequence() {
         // Phase A: drive two periods while read-only chaos traffic
         // hammers the daemon through the proxy, then kill -9.
         let victim = Daemon::spawn(&["--snapshot", snapshot_arg]);
-        let mut proxy =
-            ChaosProxy::start(victim.addr, ChaosConfig::seeded(seed)).expect("proxy");
+        let mut proxy = ChaosProxy::start(victim.addr, ChaosConfig::seeded(seed)).expect("proxy");
         let proxy_addr = proxy.addr();
         let noise = thread::spawn(move || flood(proxy_addr, 12, seed));
         let mut client = victim.client();
@@ -246,12 +242,7 @@ fn wait_for_restarts(daemon: &Daemon, want: u64, deadline: Duration) -> u64 {
 
 #[test]
 fn watchdog_restarts_a_panicking_ticker() {
-    let daemon = Daemon::spawn(&[
-        "--tick-secs",
-        "0.05",
-        "--chaos-tick-panic-every",
-        "2",
-    ]);
+    let daemon = Daemon::spawn(&["--tick-secs", "0.05", "--chaos-tick-panic-every", "2"]);
     let restarts = wait_for_restarts(&daemon, 2, Duration::from_secs(30));
     assert!(restarts >= 2, "watchdog must keep restarting the ticker, saw {restarts}");
 

@@ -85,10 +85,7 @@ struct FaultPlan {
 fn draw_plan(rng: &mut SplitMix64, config: &ChaosConfig) -> FaultPlan {
     let dribble = rng.chance(config.dribble_prob);
     let cut = rng.chance(config.disconnect_prob);
-    FaultPlan {
-        dribble,
-        cut_after: cut.then(|| rng.below(config.disconnect_window.max(1)) + 1),
-    }
+    FaultPlan { dribble, cut_after: cut.then(|| rng.below(config.disconnect_window.max(1)) + 1) }
 }
 
 /// A seeded fault-injecting TCP proxy in front of a daemon.
@@ -147,8 +144,7 @@ fn accept_loop(
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((client, _)) => {
-                let mut rng =
-                    SplitMix64::new(config.seed ^ conn_id.wrapping_mul(SEED_STRIDE));
+                let mut rng = SplitMix64::new(config.seed ^ conn_id.wrapping_mul(SEED_STRIDE));
                 conn_id += 1;
                 let inbound = draw_plan(&mut rng, config);
                 let outbound = draw_plan(&mut rng, config);
@@ -390,7 +386,10 @@ pub fn truncate_to(path: &Path, len: u64) -> io::Result<()> {
 pub fn flip_bit(path: &Path, byte_index: u64, bit: u8) -> io::Result<()> {
     let mut bytes = fs::read(path)?;
     if bytes.is_empty() {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "cannot flip a bit of an empty file"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "cannot flip a bit of an empty file",
+        ));
     }
     let idx = (byte_index % bytes.len() as u64) as usize;
     if let Some(byte) = bytes.get_mut(idx) {
@@ -411,9 +410,8 @@ mod tests {
             (draw_plan(&mut rng, &config), draw_plan(&mut rng, &config))
         };
         assert_eq!(draw_pair(1), draw_pair(1), "same seed, same plans");
-        let plans: Vec<_> = (0..32u64)
-            .map(|i| draw_pair(config.seed ^ i.wrapping_mul(SEED_STRIDE)))
-            .collect();
+        let plans: Vec<_> =
+            (0..32u64).map(|i| draw_pair(config.seed ^ i.wrapping_mul(SEED_STRIDE))).collect();
         assert!(plans.iter().any(|p| p != &plans[0]), "plans vary across connections");
     }
 
@@ -439,11 +437,8 @@ mod tests {
     #[test]
     fn dribbling_proxy_preserves_bytes() {
         let upstream = echo_upstream();
-        let config = ChaosConfig {
-            dribble_prob: 1.0,
-            disconnect_prob: 0.0,
-            ..ChaosConfig::seeded(5)
-        };
+        let config =
+            ChaosConfig { dribble_prob: 1.0, disconnect_prob: 0.0, ..ChaosConfig::seeded(5) };
         let mut proxy = ChaosProxy::start(upstream, config).unwrap();
         let mut stream = TcpStream::connect(proxy.addr()).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();

@@ -64,12 +64,8 @@ fn arb_string() -> impl Strategy<Value = String> {
 }
 
 fn arb_degradation() -> impl Strategy<Value = DegradationEvent> {
-    (
-        0.0f64..1e6,
-        (0usize..8, arb_tier(), 0usize..4),
-        arb_string(),
-    )
-        .prop_map(|(at, (class, tier, pick), detail)| {
+    (0.0f64..1e6, (0usize..8, arb_tier(), 0usize..4), arb_string()).prop_map(
+        |(at, (class, tier, pick), detail)| {
             let kind = match pick {
                 0 => DegradationKind::ForecastFallback { class, tier },
                 1 => DegradationKind::LpReusedPreviousPlan,
@@ -77,20 +73,18 @@ fn arb_degradation() -> impl Strategy<Value = DegradationEvent> {
                 _ => DegradationKind::ControlHold,
             };
             DegradationEvent { at: SimTime::from_secs(at), kind, detail }
-        })
+        },
+    )
 }
 
 fn arb_forecast() -> impl Strategy<Value = ClassForecast> {
-    (
-        prop::collection::vec(0.0f64..10.0, 1..6),
-        arb_tier(),
-        (any::<bool>(), arb_string()),
-    )
-        .prop_map(|(rates, tier, (degraded, why))| ClassForecast {
+    (prop::collection::vec(0.0f64..10.0, 1..6), arb_tier(), (any::<bool>(), arb_string())).prop_map(
+        |(rates, tier, (degraded, why))| ClassForecast {
             rates,
             tier,
             degraded: degraded.then_some(why),
-        })
+        },
+    )
 }
 
 fn arb_status() -> impl Strategy<Value = StatusBody> {
@@ -125,12 +119,8 @@ fn arb_status() -> impl Strategy<Value = StatusBody> {
 }
 
 fn arb_request() -> impl Strategy<Value = Request> {
-    (
-        0usize..9,
-        prop::collection::vec(arb_task(), 0..4),
-        (any::<bool>(), 1usize..50),
-    )
-        .prop_map(|(pick, tasks, (some_horizon, horizon))| match pick {
+    (0usize..9, prop::collection::vec(arb_task(), 0..4), (any::<bool>(), 1usize..50)).prop_map(
+        |(pick, tasks, (some_horizon, horizon))| match pick {
             0 => Request::SubmitObservations { tasks },
             1 => Request::GetPlan,
             2 => Request::GetForecast { horizon: some_horizon.then_some(horizon) },
@@ -140,15 +130,12 @@ fn arb_request() -> impl Strategy<Value = Request> {
             6 => Request::Snapshot,
             7 => Request::Metrics,
             _ => Request::Shutdown,
-        })
+        },
+    )
 }
 
 fn arb_histogram() -> impl Strategy<Value = HistogramBody> {
-    (
-        (arb_string(), 0u64..1 << 32, 0.0f64..1e6),
-        (0.0f64..1e3, 0.0f64..1e3, 0.0f64..1e3),
-        1usize..6,
-    )
+    ((arb_string(), 0u64..1 << 32, 0.0f64..1e6), (0.0f64..1e3, 0.0f64..1e3, 0.0f64..1e3), 1usize..6)
         .prop_flat_map(|((name, count, sum), (mean, p50, p99), n_bounds)| {
             (
                 prop::collection::vec(0.0f64..100.0, n_bounds),

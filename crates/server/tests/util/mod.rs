@@ -43,10 +43,7 @@ impl Daemon {
         let mut child = cmd.spawn().expect("spawn harmonyd");
         let stdout = child.stdout.take().expect("piped stdout");
         let mut lines = BufReader::new(stdout).lines();
-        let banner = lines
-            .next()
-            .expect("daemon printed a banner")
-            .expect("banner readable");
+        let banner = lines.next().expect("daemon printed a banner").expect("banner readable");
         let addr = banner
             .strip_prefix("harmonyd listening on ")
             .unwrap_or_else(|| panic!("unexpected banner: {banner}"))

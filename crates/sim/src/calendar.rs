@@ -47,11 +47,7 @@ impl<T> CalendarQueue<T> {
     /// `span_secs`: the width targets one event per bucket per lap.
     pub(crate) fn new(span_secs: f64, expected: usize) -> Self {
         let nb = expected.next_power_of_two().clamp(16, 1 << 21);
-        let span = if span_secs.is_finite() && span_secs > 0.0 {
-            span_secs
-        } else {
-            1.0
-        };
+        let span = if span_secs.is_finite() && span_secs > 0.0 { span_secs } else { 1.0 };
         let width = (span / expected.max(1) as f64).max(1e-6);
         CalendarQueue {
             buckets: (0..nb).map(|_| Vec::new()).collect(),
@@ -190,15 +186,8 @@ mod tests {
 
     #[test]
     fn pops_in_time_then_seq_order() {
-        let ops: Vec<(f64, u64)> = vec![
-            (10.0, 1),
-            (5.0, 2),
-            (5.0, 3),
-            (100.0, 4),
-            (0.0, 5),
-            (5.0, 6),
-            (99.9, 7),
-        ];
+        let ops: Vec<(f64, u64)> =
+            vec![(10.0, 1), (5.0, 2), (5.0, 3), (100.0, 4), (0.0, 5), (5.0, 6), (99.9, 7)];
         heap_equivalence((100.0, 8), &ops);
     }
 

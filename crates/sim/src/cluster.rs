@@ -115,11 +115,7 @@ impl Cluster {
         }
         self.by_type
             .iter()
-            .map(|ids| {
-                ids.iter()
-                    .filter(|id| self.machines[id.0].is_active())
-                    .count()
-            })
+            .map(|ids| ids.iter().filter(|id| self.machines[id.0].is_active()).count())
             .collect()
     }
 
@@ -130,11 +126,7 @@ impl Cluster {
         }
         self.by_type
             .iter()
-            .map(|ids| {
-                ids.iter()
-                    .filter(|id| self.machines[id.0].running_tasks() > 0)
-                    .count()
-            })
+            .map(|ids| ids.iter().filter(|id| self.machines[id.0].running_tasks() > 0).count())
             .collect()
     }
 
@@ -146,10 +138,7 @@ impl Cluster {
         if let Some(index) = &self.index {
             return index.first_fit(&self.machines, demand);
         }
-        self.machines
-            .iter()
-            .find(|m| m.can_place(demand))
-            .map(|m| m.id())
+        self.machines.iter().find(|m| m.can_place(demand)).map(|m| m.id())
     }
 
     /// The lowest-id machine *of one type* on which `demand` can be
@@ -166,10 +155,7 @@ impl Cluster {
         if let Some(index) = &self.index {
             return index.first_fit_of_type(&self.machines, type_id.0, demand);
         }
-        self.by_type[type_id.0]
-            .iter()
-            .find(|id| self.machines[id.0].can_place(demand))
-            .copied()
+        self.by_type[type_id.0].iter().find(|id| self.machines[id.0].can_place(demand)).copied()
     }
 
     /// Component-wise maximum free capacity over the `On` machines of
@@ -305,11 +291,7 @@ impl Cluster {
     /// Sets the boot-time multiplier (slow-boot fault windows). Values
     /// below a sane floor are clamped so boots always terminate.
     pub fn set_boot_factor(&mut self, factor: f64) {
-        self.boot_factor = if factor.is_finite() {
-            factor.max(0.01)
-        } else {
-            1.0
-        };
+        self.boot_factor = if factor.is_finite() { factor.max(0.01) } else { 1.0 };
     }
 
     /// Crashes one machine (fault injection): it drops every hosted
@@ -553,11 +535,7 @@ mod tests {
         c.boot_complete(ids[0], SimTime::ZERO + harmony_model::SimDuration::ZERO);
         c.accrue_all(SimTime::from_hours(1.0));
         // DL585 idle = 280 W for 1h.
-        assert!(
-            (c.total_energy_wh() - 280.0).abs() < 1.0,
-            "wh = {}",
-            c.total_energy_wh()
-        );
+        assert!((c.total_energy_wh() - 280.0).abs() < 1.0, "wh = {}", c.total_energy_wh());
         assert!(c.total_power_watts() >= 280.0);
     }
 }

@@ -32,10 +32,7 @@ impl<'a> TaskView<'a> {
     ///
     /// Indices out of range panic on iteration, like slice indexing.
     pub fn indexed(tasks: &'a [Task], idxs: &'a [u32]) -> Self {
-        TaskView {
-            tasks,
-            idxs: Some(idxs),
-        }
+        TaskView { tasks, idxs: Some(idxs) }
     }
 
     /// Number of tasks in the view.
@@ -53,10 +50,7 @@ impl<'a> TaskView<'a> {
 
     /// Iterates the viewed tasks in view order.
     pub fn iter(&self) -> TaskViewIter<'a> {
-        TaskViewIter {
-            view: *self,
-            pos: 0,
-        }
+        TaskViewIter { view: *self, pos: 0 }
     }
 }
 
@@ -152,26 +146,17 @@ pub struct ControlDecision {
 impl ControlDecision {
     /// Keep everything as it is (an empty decision).
     pub fn unchanged(cluster: &Cluster) -> Self {
-        ControlDecision {
-            target_active: cluster.active_per_type(),
-            repack: false,
-        }
+        ControlDecision { target_active: cluster.active_per_type(), repack: false }
     }
 
     /// A plain capacity target without re-packing.
     pub fn targets(target_active: Vec<usize>) -> Self {
-        ControlDecision {
-            target_active,
-            repack: false,
-        }
+        ControlDecision { target_active, repack: false }
     }
 
     /// A capacity target with re-packing enabled.
     pub fn targets_with_repack(target_active: Vec<usize>) -> Self {
-        ControlDecision {
-            target_active,
-            repack: true,
-        }
+        ControlDecision { target_active, repack: true }
     }
 }
 

@@ -177,7 +177,10 @@ impl PartialOrd for HeapItem {
 enum EventQueue {
     Calendar(CalendarQueue<EventKind>),
     #[cfg(test)]
-    Heap { heap: BinaryHeap<HeapItem>, peak: usize },
+    Heap {
+        heap: BinaryHeap<HeapItem>,
+        peak: usize,
+    },
 }
 
 impl EventQueue {
@@ -248,10 +251,7 @@ struct Placements {
 
 impl Placements {
     fn new(tasks: usize, machines: usize) -> Self {
-        Placements {
-            host_of: vec![NO_HOST; tasks],
-            residents: vec![Vec::new(); machines],
-        }
+        Placements { host_of: vec![NO_HOST; tasks], residents: vec![Vec::new(); machines] }
     }
 
     fn insert(&mut self, idx: usize, machine: MachineId) {
@@ -294,10 +294,7 @@ struct RunningSet {
 
 impl RunningSet {
     fn new(tasks: usize) -> Self {
-        RunningSet {
-            words: vec![0; tasks.div_ceil(64)],
-            len: 0,
-        }
+        RunningSet { words: vec![0; tasks.div_ceil(64)], len: 0 }
     }
 
     fn insert(&mut self, idx: usize) {
@@ -477,12 +474,7 @@ impl<'t> Simulation<'t> {
     /// Builds a simulation without a capacity controller (machine states
     /// change only via the initial condition).
     pub fn new(config: SimulationConfig, trace: &'t Trace, scheduler: Box<dyn Scheduler>) -> Self {
-        Simulation {
-            config,
-            trace,
-            scheduler,
-            controller: None,
-        }
+        Simulation { config, trace, scheduler, controller: None }
     }
 
     /// Attaches a dynamic-capacity-provisioning controller.
@@ -554,14 +546,8 @@ impl<'t> Simulation<'t> {
 
         if self.config.all_on {
             for ty in 0..st.cluster.catalog().len() {
-                let boot_time = st
-                    .cluster
-                    .catalog()
-                    .machine_type(MachineTypeId(ty))
-                    .boot_time;
-                let (ids, _) = st
-                    .cluster
-                    .power_on(MachineTypeId(ty), usize::MAX, SimTime::ZERO);
+                let boot_time = st.cluster.catalog().machine_type(MachineTypeId(ty)).boot_time;
+                let (ids, _) = st.cluster.power_on(MachineTypeId(ty), usize::MAX, SimTime::ZERO);
                 for id in ids {
                     // On from t=0: complete the boot at its nominal ready
                     // time without advancing the clock.
@@ -609,12 +595,7 @@ impl<'t> Simulation<'t> {
         // Pre-compute per-task schedulability against the catalog.
         let schedulable: Vec<bool> = tasks
             .iter()
-            .map(|t| {
-                self.config
-                    .catalog
-                    .iter()
-                    .any(|m| t.demand.fits_within(m.capacity))
-            })
+            .map(|t| self.config.catalog.iter().any(|m| t.demand.fits_within(m.capacity)))
             .collect();
 
         while let Some((now, kind)) = st.queue.pop() {
@@ -743,9 +724,8 @@ impl<'t> Simulation<'t> {
                     match event.kind {
                         FaultKind::MachineCrash { down } => {
                             let candidates = crash_candidates(&st);
-                            let victim = injector
-                                .as_mut()
-                                .and_then(|inj| inj.pick_machine(&candidates));
+                            let victim =
+                                injector.as_mut().and_then(|inj| inj.pick_machine(&candidates));
                             if let Some(id) = victim {
                                 // Evict residents first (the crash zeroes
                                 // the machine's allocation wholesale, so
@@ -834,10 +814,7 @@ impl<'t> Simulation<'t> {
                 }
                 EventKind::SlowBootEnd => {
                     st.cluster.set_boot_factor(1.0);
-                    st.faults.push(FaultRecord {
-                        at: now,
-                        kind: FaultRecordKind::SlowBootEnd,
-                    });
+                    st.faults.push(FaultRecord { at: now, kind: FaultRecordKind::SlowBootEnd });
                 }
             }
         }
@@ -905,9 +882,7 @@ impl<'t> Simulation<'t> {
         }
         self.scheduler.on_finished(task, machine, &st.cluster);
         st.running_set.remove(idx);
-        let ran = now
-            .saturating_since(st.task_state.started_at[idx])
-            .as_secs();
+        let ran = now.saturating_since(st.task_state.started_at[idx]).as_secs();
         st.task_state.remaining_secs[idx] = (st.task_state.remaining_secs[idx] - ran).max(1.0);
         st.task_state.epoch[idx] += 1;
         st.task_state.retries[idx] += 1;
@@ -933,22 +908,14 @@ impl<'t> Simulation<'t> {
     ) {
         let task = &tasks[idx];
         self.scheduler.on_placed(task, machine, &st.cluster);
-        let delay = now
-            .saturating_since(st.task_state.queued_since[idx])
-            .as_secs();
+        let delay = now.saturating_since(st.task_state.queued_since[idx]).as_secs();
         st.delays[task.priority.group().index()].push(delay);
         st.running_set.insert(idx);
         st.placements.insert(idx, machine);
         st.task_state.started_at[idx] = now;
         let finish = now + SimDuration::from_secs(st.task_state.remaining_secs[idx]);
         let epoch = st.task_state.epoch[idx];
-        st.push(
-            finish,
-            EventKind::Finish {
-                task_idx: idx,
-                epoch,
-            },
-        );
+        st.push(finish, EventKind::Finish { task_idx: idx, epoch });
     }
 
     /// Tries regular placement, then (for non-gratis tasks, with
@@ -1008,9 +975,7 @@ impl<'t> Simulation<'t> {
             // Suspend/resume: keep the work done so far, only the
             // remainder runs after re-placement. Bump the epoch so the
             // scheduled finish event is ignored.
-            let ran = now
-                .saturating_since(st.task_state.started_at[victim])
-                .as_secs();
+            let ran = now.saturating_since(st.task_state.started_at[victim]).as_secs();
             st.task_state.remaining_secs[victim] =
                 (st.task_state.remaining_secs[victim] - ran).max(1.0);
             st.task_state.epoch[victim] += 1;
@@ -1111,12 +1076,7 @@ fn crash_candidates(st: &RunState) -> Vec<MachineId> {
     if !busy.is_empty() {
         return busy;
     }
-    st.cluster
-        .machines()
-        .iter()
-        .filter(|m| m.is_active())
-        .map(|m| m.id())
-        .collect()
+    st.cluster.machines().iter().filter(|m| m.is_active()).map(|m| m.id()).collect()
 }
 
 /// Finds the machine where evicting the fewest lower-priority-group
@@ -1140,10 +1100,7 @@ fn find_preemption(st: &RunState, tasks: &[Task], task: &Task) -> Option<(Machin
         }
         // Evict the largest victims first to minimize the victim count.
         lower.sort_by(|&a, &b| {
-            f64::total_cmp(
-                &tasks[b].demand.sum_components(),
-                &tasks[a].demand.sum_components(),
-            )
+            f64::total_cmp(&tasks[b].demand.sum_components(), &tasks[a].demand.sum_components())
         });
         let mut freed = m.free();
         let mut victims = Vec::new();
@@ -1183,10 +1140,7 @@ fn repack(
     for (m_ty, &target) in targets.iter().enumerate() {
         let ty = MachineTypeId(m_ty);
         let ids: Vec<MachineId> = cluster.machines_of_type(ty).to_vec();
-        let active = ids
-            .iter()
-            .filter(|id| cluster.machine(**id).is_active())
-            .count();
+        let active = ids.iter().filter(|id| cluster.machine(**id).is_active()).count();
         let mut excess = active.saturating_sub(target);
         if excess == 0 {
             continue;
@@ -1221,10 +1175,7 @@ fn repack(
             let mut feasible = true;
             for &idx in &resident {
                 let demand = tasks[idx].demand;
-                match free
-                    .iter_mut()
-                    .find(|(_, room, _)| demand.fits_within(*room))
-                {
+                match free.iter_mut().find(|(_, room, _)| demand.fits_within(*room)) {
                     Some((dst, room, _)) => {
                         *room -= demand;
                         plan.push((idx, *dst));
@@ -1304,10 +1255,7 @@ mod tests {
         let config = SimulationConfig::new(MachineCatalog::table2().scaled(50));
         let report = Simulation::new(config, &trace, Box::new(FirstFit)).run();
         assert_eq!(report.tasks_completed, 0);
-        assert_eq!(
-            report.tasks_pending_at_end + report.tasks_unschedulable,
-            trace.len()
-        );
+        assert_eq!(report.tasks_pending_at_end + report.tasks_unschedulable, trace.len());
         assert_eq!(report.total_energy_wh, 0.0);
     }
 
@@ -1325,17 +1273,13 @@ mod tests {
     #[test]
     fn controller_tick_runs_and_samples_recorded() {
         let trace = small_trace();
-        let config = SimulationConfig::new(MachineCatalog::table2().scaled(50))
-            .all_machines_on();
+        let config = SimulationConfig::new(MachineCatalog::table2().scaled(50)).all_machines_on();
         let report = Simulation::new(config, &trace, Box::new(FirstFit))
             .with_controller(Box::new(NullController))
             .run();
         // 2-hour trace, 15-min samples → 9 samples (0..=120 min).
         assert_eq!(report.series.len(), 9);
-        assert!(report
-            .series
-            .iter()
-            .all(|p| p.active_per_type.iter().sum::<usize>() > 0));
+        assert!(report.series.iter().all(|p| p.active_per_type.iter().sum::<usize>() > 0));
     }
 
     /// A controller that powers everything on at the first tick.
@@ -1349,12 +1293,7 @@ mod tests {
 
         fn decide(&mut self, observation: &Observation<'_>) -> ControlDecision {
             ControlDecision::targets(
-                observation
-                    .cluster
-                    .catalog()
-                    .iter()
-                    .map(|t| t.count)
-                    .collect(),
+                observation.cluster.catalog().iter().map(|t| t.count).collect(),
             )
         }
     }
@@ -1370,10 +1309,7 @@ mod tests {
         assert!(report.switch_count > 0);
         assert!(report.switch_cost_dollars > 0.0);
         let last = report.series.last().unwrap();
-        assert_eq!(
-            last.active_per_type.iter().sum::<usize>(),
-            140 + 30 + 20 + 10
-        );
+        assert_eq!(last.active_per_type.iter().sum::<usize>(), 140 + 30 + 20 + 10);
     }
 
     /// A controller that oscillates capacity to exercise off/on churn.
@@ -1389,12 +1325,7 @@ mod tests {
 
         fn decide(&mut self, observation: &Observation<'_>) -> ControlDecision {
             self.tick += 1;
-            let full: Vec<usize> = observation
-                .cluster
-                .catalog()
-                .iter()
-                .map(|t| t.count)
-                .collect();
+            let full: Vec<usize> = observation.cluster.catalog().iter().map(|t| t.count).collect();
             if self.tick.is_multiple_of(2) {
                 ControlDecision::targets(vec![0; full.len()])
             } else {
@@ -1410,11 +1341,7 @@ mod tests {
         let report = Simulation::new(config, &trace, Box::new(FirstFit))
             .with_controller(Box::new(FlipFlopController { tick: 0 }))
             .run();
-        assert!(
-            report.switch_count >= 4,
-            "switches = {}",
-            report.switch_count
-        );
+        assert!(report.switch_count >= 4, "switches = {}", report.switch_count);
         conservation(&report, &trace);
     }
 
@@ -1444,9 +1371,7 @@ mod tests {
         )
         .run();
         let without = Simulation::new(
-            SimulationConfig::new(catalog)
-                .all_machines_on()
-                .without_preemption(),
+            SimulationConfig::new(catalog).all_machines_on().without_preemption(),
             &trace,
             Box::new(FirstFit),
         )
@@ -1485,10 +1410,7 @@ mod tests {
         let report = Simulation::new(config, &trace, Box::new(FirstFit)).run();
         conservation(&report, &trace);
         assert!(
-            report
-                .faults
-                .iter()
-                .any(|f| matches!(f.kind, FaultRecordKind::MachineCrash { .. })),
+            report.faults.iter().any(|f| matches!(f.kind, FaultRecordKind::MachineCrash { .. })),
             "crash-storm should land at least one crash"
         );
         // Every crash eventually recovers (downtimes are well inside the
@@ -1531,9 +1453,7 @@ mod tests {
         let trace = small_trace();
         let plan = FaultPlan::new(3).with_event(
             SimTime::from_secs(600.0),
-            FaultKind::ArrivalBurst {
-                window: SimDuration::from_mins(30.0),
-            },
+            FaultKind::ArrivalBurst { window: SimDuration::from_mins(30.0) },
         );
         let config = SimulationConfig::new(MachineCatalog::table2().scaled(50))
             .all_machines_on()
@@ -1544,20 +1464,15 @@ mod tests {
             FaultRecordKind::ArrivalBurst { tasks_warped } => Some(tasks_warped),
             _ => None,
         });
-        assert!(
-            warped.unwrap_or(0) > 0,
-            "a 30-minute window should catch arrivals"
-        );
+        assert!(warped.unwrap_or(0) > 0, "a 30-minute window should catch arrivals");
     }
 
     #[test]
     fn retry_budget_zero_fails_interrupted_tasks() {
         use crate::faults::{FaultKind, FaultPlan};
         let trace = small_trace();
-        let plan = FaultPlan::new(9).with_event(
-            SimTime::from_secs(1800.0),
-            FaultKind::TaskEviction { count: 5 },
-        );
+        let plan = FaultPlan::new(9)
+            .with_event(SimTime::from_secs(1800.0), FaultKind::TaskEviction { count: 5 });
         let config = SimulationConfig::new(MachineCatalog::table2().scaled(50))
             .all_machines_on()
             .with_faults(plan)
@@ -1573,10 +1488,7 @@ mod tests {
             })
             .sum();
         if evicted_or_failed > 0 {
-            assert_eq!(
-                report.tasks_failed, evicted_or_failed,
-                "budget 0 drops every victim"
-            );
+            assert_eq!(report.tasks_failed, evicted_or_failed, "budget 0 drops every victim");
         }
     }
 

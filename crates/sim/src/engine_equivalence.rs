@@ -40,11 +40,7 @@ impl Controller for ReactiveController {
         // exact shape does not matter, only that it is a deterministic
         // function of all three views.
         let want = ((pending_cpu + 2.0 * arrived_cpu) * 4.0).ceil() as usize + running / 8 + 1;
-        let targets = self
-            .populations
-            .iter()
-            .map(|&pop| want.min(pop))
-            .collect();
+        let targets = self.populations.iter().map(|&pop| want.min(pop)).collect();
         if running.is_multiple_of(2) {
             ControlDecision::targets(targets)
         } else {
@@ -55,15 +51,12 @@ impl Controller for ReactiveController {
 
 fn run_once(trace: &Trace, divisor: usize, fault_seed: Option<u64>, mode: EngineMode) -> String {
     let catalog = MachineCatalog::table2().scaled(divisor);
-    let mut config = SimulationConfig::new(catalog.clone())
-        .all_machines_on()
-        .engine_mode(mode);
+    let mut config = SimulationConfig::new(catalog.clone()).all_machines_on().engine_mode(mode);
     if let Some(seed) = fault_seed {
         let plan = FaultPlan::scenario("mixed", seed, trace.span()).expect("known scenario");
         config = config.with_faults(plan);
     }
-    let populations: Vec<usize> =
-        catalog.iter().map(|ty| ty.count).collect();
+    let populations: Vec<usize> = catalog.iter().map(|ty| ty.count).collect();
     let report = Simulation::new(config, trace, Box::new(FirstFit))
         .with_controller(Box::new(ReactiveController { populations }))
         .run();
@@ -74,11 +67,7 @@ fn run_once(trace: &Trace, divisor: usize, fault_seed: Option<u64>, mode: Engine
 fn scales() -> Vec<(&'static str, TraceConfig, usize)> {
     vec![
         ("quick", TraceConfig::small(), 100),
-        (
-            "default",
-            TraceConfig::small().with_span(SimDuration::from_hours(6.0)),
-            50,
-        ),
+        ("default", TraceConfig::small().with_span(SimDuration::from_hours(6.0)), 50),
     ]
 }
 
@@ -122,9 +111,8 @@ fn engines_agree_under_fault_plans() {
 /// cases' 100- and 200-machine catalogs never get there.
 #[test]
 fn engines_agree_where_type_0_fragments() {
-    let mut config = TraceConfig::google_like()
-        .with_span(SimDuration::from_mins(20.0))
-        .with_seed(2013);
+    let mut config =
+        TraceConfig::google_like().with_span(SimDuration::from_mins(20.0)).with_seed(2013);
     for arrivals in &mut config.arrivals {
         arrivals.base_jobs_per_sec *= 200.0;
     }

@@ -71,21 +71,13 @@ pub struct FaultPlan {
 }
 
 /// Named scenarios accepted by [`FaultPlan::scenario`].
-pub const SCENARIOS: [&str; 5] = [
-    "crash-storm",
-    "slow-boot",
-    "eviction-wave",
-    "arrival-burst",
-    "mixed",
-];
+pub const SCENARIOS: [&str; 5] =
+    ["crash-storm", "slow-boot", "eviction-wave", "arrival-burst", "mixed"];
 
 impl FaultPlan {
     /// An empty plan with the given victim-selection seed.
     pub fn new(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            events: Vec::new(),
-        }
+        FaultPlan { seed, events: Vec::new() }
     }
 
     /// Adds one event (builder style). Events may be added in any order;
@@ -150,9 +142,7 @@ impl FaultPlan {
                 for _ in 0..4 {
                     plan = plan.with_event(
                         at(rng.range(0.15, 0.75)),
-                        FaultKind::TaskEviction {
-                            count: 20 + rng.below(31),
-                        },
+                        FaultKind::TaskEviction { count: 20 + rng.below(31) },
                     );
                 }
             }
@@ -160,9 +150,7 @@ impl FaultPlan {
                 for _ in 0..2 {
                     plan = plan.with_event(
                         at(rng.range(0.10, 0.60)),
-                        FaultKind::ArrivalBurst {
-                            window: SimDuration::from_secs(secs * 0.08),
-                        },
+                        FaultKind::ArrivalBurst { window: SimDuration::from_secs(secs * 0.08) },
                     );
                 }
             }
@@ -184,15 +172,11 @@ impl FaultPlan {
                 );
                 plan = plan.with_event(
                     at(rng.range(0.20, 0.60)),
-                    FaultKind::TaskEviction {
-                        count: 10 + rng.below(21),
-                    },
+                    FaultKind::TaskEviction { count: 10 + rng.below(21) },
                 );
                 plan = plan.with_event(
                     at(rng.range(0.15, 0.50)),
-                    FaultKind::ArrivalBurst {
-                        window: SimDuration::from_secs(secs * 0.05),
-                    },
+                    FaultKind::ArrivalBurst { window: SimDuration::from_secs(secs * 0.05) },
                 );
             }
             _ => return None,
@@ -211,9 +195,7 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Creates the injector for one run of `plan`.
     pub fn new(plan: &FaultPlan) -> Self {
-        FaultInjector {
-            rng: SplitMix64::new(plan.seed()),
-        }
+        FaultInjector { rng: SplitMix64::new(plan.seed()) }
     }
 
     /// Picks one victim from `candidates` (uniformly). Returns `None`
@@ -321,18 +303,13 @@ mod tests {
     fn crash_storm_is_all_crashes() {
         let plan = FaultPlan::scenario("crash-storm", 5, SimDuration::from_hours(2.0)).unwrap();
         assert_eq!(plan.events().len(), 12);
-        assert!(plan
-            .events()
-            .iter()
-            .all(|e| matches!(e.kind, FaultKind::MachineCrash { .. })));
+        assert!(plan.events().iter().all(|e| matches!(e.kind, FaultKind::MachineCrash { .. })));
     }
 
     #[test]
     fn builder_and_injector() {
-        let plan = FaultPlan::new(9).with_event(
-            SimTime::from_secs(10.0),
-            FaultKind::TaskEviction { count: 3 },
-        );
+        let plan = FaultPlan::new(9)
+            .with_event(SimTime::from_secs(10.0), FaultKind::TaskEviction { count: 3 });
         assert_eq!(plan.seed(), 9);
         assert_eq!(plan.events().len(), 1);
         let mut inj = FaultInjector::new(&plan);

@@ -42,10 +42,7 @@ use crate::machine::{Machine, MachineId};
 /// Leaf value for machines that cannot host anything (off, booting, or
 /// failed): strictly below any real demand even after the pruning
 /// epsilon, so such leaves are never descended into.
-const SENTINEL: Resources = Resources {
-    cpu: -1.0,
-    mem: -1.0,
-};
+const SENTINEL: Resources = Resources { cpu: -1.0, mem: -1.0 };
 
 /// Pruning margin for internal nodes. `Machine::can_place` tolerates
 /// `1e-9` of accumulated float error; pruning must never be *stricter*
@@ -84,10 +81,7 @@ struct Node {
 
 impl Node {
     fn leaf(free: Resources) -> Self {
-        Node {
-            max: free,
-            fit: RATIOS.map(|s| (free.cpu * s).min(free.mem)),
-        }
+        Node { max: free, fit: RATIOS.map(|s| (free.cpu * s).min(free.mem)) }
     }
 
     fn join(a: &Node, b: &Node) -> Self {
@@ -95,10 +89,7 @@ impl Node {
         for (f, g) in fit.iter_mut().zip(&b.fit) {
             *f = f.max(*g);
         }
-        Node {
-            max: a.max.max(b.max),
-            fit,
-        }
+        Node { max: a.max.max(b.max), fit }
     }
 }
 
@@ -122,21 +113,12 @@ impl Query {
     fn new(demand: Resources) -> Self {
         // Grid ratios at or below `d.mem / d.cpu`, counted without
         // dividing, so a zero-cpu demand counts all of them.
-        let below = RATIOS
-            .iter()
-            .filter(|&&s| demand.mem >= demand.cpu * s)
-            .count();
+        let below = RATIOS.iter().filter(|&&s| demand.mem >= demand.cpu * s).count();
         let test = |k: usize| {
             let s = RATIOS[k];
             (k, (demand.cpu * s).min(demand.mem) - PRUNE_EPS * s.max(1.0))
         };
-        Query {
-            demand,
-            tests: [
-                test(below.saturating_sub(1)),
-                test(below.min(RATIOS.len() - 1)),
-            ],
-        }
+        Query { demand, tests: [test(below.saturating_sub(1)), test(below.min(RATIOS.len() - 1))] }
     }
 
     /// `false` only if no leaf under `node` can place the demand. Outside
@@ -171,12 +153,7 @@ struct TypeTree {
 impl TypeTree {
     fn new(base: usize, n: usize) -> Self {
         let size = n.next_power_of_two().max(1);
-        TypeTree {
-            base,
-            n,
-            size,
-            seg: vec![Node::leaf(SENTINEL); 2 * size],
-        }
+        TypeTree { base, n, size, seg: vec![Node::leaf(SENTINEL); 2 * size] }
     }
 
     /// Updates one leaf and its ancestors' summaries.
@@ -345,9 +322,7 @@ impl FreeIndex {
     /// ids are contiguous per type in type order, so scanning types in
     /// order preserves global id order.
     pub(crate) fn first_fit(&self, machines: &[Machine], demand: Resources) -> Option<MachineId> {
-        self.trees
-            .iter()
-            .find_map(|tree| tree.first_fit(machines, demand))
+        self.trees.iter().find_map(|tree| tree.first_fit(machines, demand))
     }
 }
 
@@ -473,10 +448,7 @@ mod tests {
         let plain = build(false);
         let indexed = build(true);
         for demand in [Resources::new(0.05, 0.05), Resources::new(0.3, 0.2)] {
-            assert_eq!(
-                plain.first_fit_machine(demand),
-                indexed.first_fit_machine(demand)
-            );
+            assert_eq!(plain.first_fit_machine(demand), indexed.first_fit_machine(demand));
         }
         assert_eq!(plain.active_per_type(), indexed.active_per_type());
         assert_eq!(plain.used_per_type(), indexed.used_per_type());
@@ -508,11 +480,7 @@ mod tests {
             let id = MachineId(i);
             let cap = c.machine(id).capacity();
             let (rich, poor) = (rng.range(0.3, 1.0), rng.range(0.0, 0.15));
-            let free = if rng.chance(0.5) {
-                (rich, poor)
-            } else {
-                (poor, rich)
-            };
+            let free = if rng.chance(0.5) { (rich, poor) } else { (poor, rich) };
             let used = Resources::new(cap.cpu * (1.0 - free.0), cap.mem * (1.0 - free.1));
             c.allocate(id, used, t);
         }
@@ -593,10 +561,7 @@ mod tests {
             }
             // The same descent with the ratio tests disabled: what the
             // component-wise maxima alone prune.
-            let blind = Query {
-                demand,
-                tests: [(0, f64::NEG_INFINITY); 2],
-            };
+            let blind = Query { demand, tests: [(0, f64::NEG_INFINITY); 2] };
             let (found, n) = visits(|| tree.descend(c.machines(), &Query::new(demand)));
             let (found_blind, n_blind) = visits(|| tree.descend(c.machines(), &blind));
             assert_eq!(found, found_blind, "demand {demand:?}");

@@ -240,11 +240,7 @@ impl Machine {
     ///
     /// Panics if no tasks are running (release without allocate).
     pub(crate) fn release(&mut self, now: SimTime, demand: Resources) {
-        assert!(
-            self.running_tasks > 0,
-            "release on an idle machine {}",
-            self.id.0
-        );
+        assert!(self.running_tasks > 0, "release on an idle machine {}", self.id.0);
         self.accrue_energy(now);
         self.running_tasks -= 1;
         self.used = (self.used - demand).max(Resources::ZERO);
@@ -337,11 +333,7 @@ mod tests {
         // is (0.5/0.5, 0.5/0.5) = (1,1) when fully used.
         assert!(m.allocate(SimTime::from_hours(3.0), Resources::new(0.5, 0.5)));
         m.accrue_energy(SimTime::from_hours(4.0));
-        assert!(
-            (m.energy_wh() - 450.0).abs() < 1e-9,
-            "wh = {}",
-            m.energy_wh()
-        );
+        assert!((m.energy_wh() - 450.0).abs() < 1e-9, "wh = {}", m.energy_wh());
     }
 
     #[test]
@@ -378,11 +370,7 @@ mod tests {
         m.accrue_energy(SimTime::from_hours(1.0)); // 100 Wh idle
         assert!(m.crash(SimTime::from_hours(1.0), SimTime::from_hours(3.0)));
         m.accrue_energy(SimTime::from_hours(2.0));
-        assert!(
-            (m.energy_wh() - 100.0).abs() < 1e-9,
-            "wh = {}",
-            m.energy_wh()
-        );
+        assert!((m.energy_wh() - 100.0).abs() < 1e-9, "wh = {}", m.energy_wh());
     }
 
     #[test]

@@ -159,11 +159,8 @@ impl SimReport {
         if self.series.is_empty() {
             return 0.0;
         }
-        let total: usize = self
-            .series
-            .iter()
-            .map(|p| p.active_per_type.iter().sum::<usize>())
-            .sum();
+        let total: usize =
+            self.series.iter().map(|p| p.active_per_type.iter().sum::<usize>()).sum();
         total as f64 / self.series.len() as f64
     }
 }

@@ -55,17 +55,13 @@ pub struct EnergyEfficientFirstFit {
 impl EnergyEfficientFirstFit {
     /// Builds the policy for a cluster's catalog.
     pub fn new(cluster: &Cluster) -> Self {
-        EnergyEfficientFirstFit {
-            order: cluster.catalog().by_energy_efficiency(),
-        }
+        EnergyEfficientFirstFit { order: cluster.catalog().by_energy_efficiency() }
     }
 }
 
 impl Scheduler for EnergyEfficientFirstFit {
     fn place(&mut self, task: &Task, cluster: &Cluster) -> Option<MachineId> {
-        self.order
-            .iter()
-            .find_map(|&ty| cluster.first_fit_machine_of_type(ty, task.demand))
+        self.order.iter().find_map(|&ty| cluster.first_fit_machine_of_type(ty, task.demand))
     }
 }
 

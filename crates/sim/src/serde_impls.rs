@@ -50,27 +50,15 @@ mod tests {
     #[test]
     fn fault_record_kinds_roundtrip() {
         let kinds = vec![
-            FaultRecordKind::MachineCrash {
-                machine: MachineId(7),
-                evicted: 3,
-                failed: 1,
-            },
-            FaultRecordKind::MachineRecovered {
-                machine: MachineId(7),
-            },
+            FaultRecordKind::MachineCrash { machine: MachineId(7), evicted: 3, failed: 1 },
+            FaultRecordKind::MachineRecovered { machine: MachineId(7) },
             FaultRecordKind::SlowBootStart { factor: 3.5 },
             FaultRecordKind::SlowBootEnd,
-            FaultRecordKind::TaskEviction {
-                evicted: 10,
-                failed: 0,
-            },
+            FaultRecordKind::TaskEviction { evicted: 10, failed: 0 },
             FaultRecordKind::ArrivalBurst { tasks_warped: 42 },
         ];
         for kind in kinds {
-            let record = FaultRecord {
-                at: SimTime::from_secs(1.5),
-                kind,
-            };
+            let record = FaultRecord { at: SimTime::from_secs(1.5), kind };
             let back = FaultRecord::from_value(&record.to_value()).unwrap();
             assert_eq!(back, record);
         }
@@ -134,10 +122,7 @@ mod tests {
         }
         .to_value();
         if let Value::Object(map) = &mut v {
-            map.insert(
-                "delays_by_group".to_owned(),
-                Value::Array(vec![Value::Array(vec![])]),
-            );
+            map.insert("delays_by_group".to_owned(), Value::Array(vec![Value::Array(vec![])]));
         }
         assert!(SimReport::from_value(&v).is_err());
     }
@@ -157,20 +142,35 @@ mod tests {
         let fallback = DegradationKind::ForecastFallback { class: 3, tier: ForecastTier::Arima };
         pin(&fallback, r#"{"ForecastFallback":{"class":3,"tier":"Arima"}}"#);
         pin(&DegradationKind::ControlHold, r#""ControlHold""#);
-        let event = DegradationEvent { at: SimTime::from_secs(600.0), kind: fallback, detail: "singular".to_owned() };
-        pin(&event, r#"{"at":600,"detail":"singular","kind":{"ForecastFallback":{"class":3,"tier":"Arima"}}}"#);
+        let event = DegradationEvent {
+            at: SimTime::from_secs(600.0),
+            kind: fallback,
+            detail: "singular".to_owned(),
+        };
+        pin(
+            &event,
+            r#"{"at":600,"detail":"singular","kind":{"ForecastFallback":{"class":3,"tier":"Arima"}}}"#,
+        );
         let kinds = [
             FaultKind::MachineCrash { down },
             FaultKind::SlowBoot { factor: 2.5, duration: down },
             FaultKind::TaskEviction { count: 4 },
             FaultKind::ArrivalBurst { window: down },
         ];
-        for (kind, json) in kinds.iter().zip([r#"{"MachineCrash":{"down":900}}"#, r#"{"SlowBoot":{"duration":900,"factor":2.5e0}}"#, r#"{"TaskEviction":{"count":4}}"#, r#"{"ArrivalBurst":{"window":900}}"#]) {
+        for (kind, json) in kinds.iter().zip([
+            r#"{"MachineCrash":{"down":900}}"#,
+            r#"{"SlowBoot":{"duration":900,"factor":2.5e0}}"#,
+            r#"{"TaskEviction":{"count":4}}"#,
+            r#"{"ArrivalBurst":{"window":900}}"#,
+        ]) {
             pin(kind, json);
         }
         let fault = FaultEvent { at: SimTime::from_secs(1.5), kind: kinds[1] };
         pin(&fault, r#"{"at":1.5e0,"kind":{"SlowBoot":{"duration":900,"factor":2.5e0}}}"#);
-        pin(&FaultPlan::new(77).with_event(fault.at, fault.kind), r#"{"events":[{"at":1.5e0,"kind":{"SlowBoot":{"duration":900,"factor":2.5e0}}}],"seed":77}"#);
+        pin(
+            &FaultPlan::new(77).with_event(fault.at, fault.kind),
+            r#"{"events":[{"at":1.5e0,"kind":{"SlowBoot":{"duration":900,"factor":2.5e0}}}],"seed":77}"#,
+        );
         let records = [
             FaultRecordKind::MachineCrash { machine: MachineId(7), evicted: 3, failed: 1 },
             FaultRecordKind::MachineRecovered { machine: MachineId(7) },
@@ -179,7 +179,14 @@ mod tests {
             FaultRecordKind::TaskEviction { evicted: 10, failed: 0 },
             FaultRecordKind::ArrivalBurst { tasks_warped: 42 },
         ];
-        for (kind, json) in records.iter().zip([r#"{"MachineCrash":{"evicted":3,"failed":1,"machine":7}}"#, r#"{"MachineRecovered":{"machine":7}}"#, r#"{"SlowBootStart":{"factor":3.5e0}}"#, r#""SlowBootEnd""#, r#"{"TaskEviction":{"evicted":10,"failed":0}}"#, r#"{"ArrivalBurst":{"tasks_warped":42}}"#]) {
+        for (kind, json) in records.iter().zip([
+            r#"{"MachineCrash":{"evicted":3,"failed":1,"machine":7}}"#,
+            r#"{"MachineRecovered":{"machine":7}}"#,
+            r#"{"SlowBootStart":{"factor":3.5e0}}"#,
+            r#""SlowBootEnd""#,
+            r#"{"TaskEviction":{"evicted":10,"failed":0}}"#,
+            r#"{"ArrivalBurst":{"tasks_warped":42}}"#,
+        ]) {
             pin(kind, json);
         }
         let record = FaultRecord { at: SimTime::from_secs(10.0), kind: records[0].clone() };
@@ -191,7 +198,10 @@ mod tests {
             used_per_type: vec![0, 1],
             pending_tasks: 5,
         };
-        pin(&point, r#"{"active_per_type":[1,2],"pending_tasks":5,"power_watts":1.75e1,"time":60,"used_per_type":[0,1]}"#);
+        pin(
+            &point,
+            r#"{"active_per_type":[1,2],"pending_tasks":5,"power_watts":1.75e1,"time":60,"used_per_type":[0,1]}"#,
+        );
         let report = SimReport {
             delays_by_group: [vec![0.0, 2.25], vec![1e-3], vec![]],
             tasks_completed: 3,
@@ -209,7 +219,10 @@ mod tests {
             degradations: vec![event],
             series: vec![point],
         };
-        pin(&report, r#"{"degradations":[{"at":600,"detail":"singular","kind":{"ForecastFallback":{"class":3,"tier":"Arima"}}}],"delays_by_group":[[0,2.25e0],[1e-3],[]],"energy_cost_dollars":2.5e0,"evictions":1,"faults":[{"at":10,"kind":{"MachineCrash":{"evicted":3,"failed":1,"machine":7}}}],"migrations":9,"series":[{"active_per_type":[1,2],"pending_tasks":5,"power_watts":1.75e1,"time":60,"used_per_type":[0,1]}],"switch_cost_dollars":1.25e-1,"switch_count":4,"tasks_completed":3,"tasks_failed":4,"tasks_pending_at_end":2,"tasks_running_at_end":1,"tasks_unschedulable":0,"total_energy_wh":1.23456e2}"#);
+        pin(
+            &report,
+            r#"{"degradations":[{"at":600,"detail":"singular","kind":{"ForecastFallback":{"class":3,"tier":"Arima"}}}],"delays_by_group":[[0,2.25e0],[1e-3],[]],"energy_cost_dollars":2.5e0,"evictions":1,"faults":[{"at":10,"kind":{"MachineCrash":{"evicted":3,"failed":1,"machine":7}}}],"migrations":9,"series":[{"active_per_type":[1,2],"pending_tasks":5,"power_watts":1.75e1,"time":60,"used_per_type":[0,1]}],"switch_cost_dollars":1.25e-1,"switch_count":4,"tasks_completed":3,"tasks_failed":4,"tasks_pending_at_end":2,"tasks_running_at_end":1,"tasks_unschedulable":0,"total_energy_wh":1.23456e2}"#,
+        );
     }
 
     #[test]

@@ -11,9 +11,7 @@ use proptest::prelude::*;
 
 fn trace(seed: u64) -> Trace {
     TraceGenerator::new(
-        TraceConfig::small()
-            .with_span(SimDuration::from_mins(40.0))
-            .with_seed(seed),
+        TraceConfig::small().with_span(SimDuration::from_mins(40.0)).with_seed(seed),
     )
     .generate()
 }
@@ -68,24 +66,18 @@ fn mid_run_crash_requeues_tasks() {
     // matter, on a small cluster so the victim machine is busy.
     let plan = FaultPlan::new(5).with_event(
         SimTime::from_secs(900.0),
-        FaultKind::MachineCrash {
-            down: SimDuration::from_mins(10.0),
-        },
+        FaultKind::MachineCrash { down: SimDuration::from_mins(10.0) },
     );
     let catalog = MachineCatalog::table2().scaled(150);
-    let config = SimulationConfig::new(catalog)
-        .all_machines_on()
-        .with_faults(plan)
-        .max_task_retries(100);
+    let config =
+        SimulationConfig::new(catalog).all_machines_on().with_faults(plan).max_task_retries(100);
     let report = Simulation::new(config, &trace, Box::new(FirstFit)).run();
     assert!(conserved(&report, &trace));
     let crash = report
         .faults
         .iter()
         .find_map(|f| match f.kind {
-            FaultRecordKind::MachineCrash {
-                evicted, failed, ..
-            } => Some((evicted, failed)),
+            FaultRecordKind::MachineCrash { evicted, failed, .. } => Some((evicted, failed)),
             _ => None,
         })
         .expect("the scheduled crash fired");

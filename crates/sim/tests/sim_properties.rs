@@ -8,9 +8,7 @@ use proptest::prelude::*;
 
 fn trace(seed: u64, minutes: f64) -> harmony_trace::Trace {
     TraceGenerator::new(
-        TraceConfig::small()
-            .with_span(SimDuration::from_mins(minutes))
-            .with_seed(seed),
+        TraceConfig::small().with_span(SimDuration::from_mins(minutes)).with_seed(seed),
     )
     .generate()
 }

@@ -131,12 +131,8 @@ fn atomic_f64_add(cell: &AtomicU64, v: f64) {
     let mut cur = cell.load(Ordering::Relaxed);
     loop {
         let next = f64::from_bits(cur) + v;
-        match cell.compare_exchange_weak(
-            cur,
-            next.to_bits(),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
+        match cell.compare_exchange_weak(cur, next.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
+        {
             Ok(_) => return,
             Err(actual) => cur = actual,
         }
@@ -146,8 +142,8 @@ fn atomic_f64_add(cell: &AtomicU64, v: f64) {
 /// Default histogram bounds for `_seconds` metrics: a 1–2–5 ladder from
 /// 1µs to 10s. Samples above 10s land in the overflow bucket.
 pub const DURATION_BOUNDS: [f64; 22] = [
-    1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2,
-    5e-2, 1e-1, 2e-1, 5e-1, 1.0, 2.0, 5.0, 10.0,
+    1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1,
+    2e-1, 5e-1, 1.0, 2.0, 5.0, 10.0,
 ];
 
 /// A fixed-bucket distribution of `f64` samples.
@@ -184,11 +180,8 @@ impl Histogram {
     /// Records one sample (NaN is counted in the overflow bucket and
     /// excluded from the sum so the mean stays finite).
     pub fn observe(&self, v: f64) {
-        let idx = if v.is_nan() {
-            self.bounds.len()
-        } else {
-            self.bounds.partition_point(|b| *b < v)
-        };
+        let idx =
+            if v.is_nan() { self.bounds.len() } else { self.bounds.partition_point(|b| *b < v) };
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         if !v.is_nan() {
@@ -337,14 +330,9 @@ impl Registry {
 
     /// A point-in-time copy of every registered metric.
     pub fn snapshot(&self) -> Snapshot {
-        let counters = lock(&self.counters)
-            .iter()
-            .map(|(name, c)| (name.clone(), c.get()))
-            .collect();
-        let gauges = lock(&self.gauges)
-            .iter()
-            .map(|(name, g)| (name.clone(), g.get()))
-            .collect();
+        let counters =
+            lock(&self.counters).iter().map(|(name, c)| (name.clone(), c.get())).collect();
+        let gauges = lock(&self.gauges).iter().map(|(name, g)| (name.clone(), g.get())).collect();
         let histograms = lock(&self.histograms)
             .iter()
             .map(|(name, h)| HistogramSnapshot {

@@ -114,11 +114,7 @@ impl TraceConfig {
                     noise_sigma: 0.20,
                 },
             ],
-            size_modes: [
-                Self::gratis_modes(),
-                Self::other_modes(),
-                Self::production_modes(),
-            ],
+            size_modes: [Self::gratis_modes(), Self::other_modes(), Self::production_modes()],
             durations: [
                 // Gratis: mostly short; 90% under ~10 h.
                 DurationConfig {
@@ -309,7 +305,11 @@ mod tests {
         // gratis alone: 0.4 / 0.004 = 100x at medians, >1000x with
         // spread tails.
         let g = c.modes(PriorityGroup::Gratis);
-        assert!(g.iter().map(|m| m.cpu_median).fold(0.0, f64::max) / g.iter().map(|m| m.cpu_median).fold(f64::INFINITY, f64::min) >= 100.0);
+        assert!(
+            g.iter().map(|m| m.cpu_median).fold(0.0, f64::max)
+                / g.iter().map(|m| m.cpu_median).fold(f64::INFINITY, f64::min)
+                >= 100.0
+        );
     }
 
     #[test]
@@ -336,12 +336,9 @@ mod tests {
         assert_eq!(paper.span, SimDuration::from_days(29.0));
         // ≥ 1M expected tasks: sum over groups of jobs/s × tasks/job ×
         // span.
-        let expected: f64 = paper
-            .arrivals
-            .iter()
-            .map(|a| a.base_jobs_per_sec * a.mean_tasks_per_job)
-            .sum::<f64>()
-            * paper.span.as_secs();
+        let expected: f64 =
+            paper.arrivals.iter().map(|a| a.base_jobs_per_sec * a.mean_tasks_per_job).sum::<f64>()
+                * paper.span.as_secs();
         assert!(expected >= 1.0e6, "paper-scale expects {expected} tasks");
     }
 }

@@ -239,8 +239,7 @@ mod tests {
     fn majority_of_tasks_are_short() {
         // Section III-D: more than 50% of tasks run under 100 s.
         let t = small_trace();
-        let short =
-            t.tasks().iter().filter(|t| t.duration.as_secs() < 100.0).count() as f64;
+        let short = t.tasks().iter().filter(|t| t.duration.as_secs() < 100.0).count() as f64;
         let frac = short / t.len() as f64;
         assert!(frac > 0.5, "short fraction = {frac}");
     }
@@ -249,10 +248,8 @@ mod tests {
     fn gratis_exact_mode_mass_is_prominent() {
         let t = small_trace();
         let gratis: Vec<&Task> = t.tasks_in_group(PriorityGroup::Gratis).collect();
-        let exact = gratis
-            .iter()
-            .filter(|t| t.demand == Resources::new(0.0125, 0.0159))
-            .count() as f64;
+        let exact =
+            gratis.iter().filter(|t| t.demand == Resources::new(0.0125, 0.0159)).count() as f64;
         let frac = exact / gratis.len() as f64;
         assert!((0.3..0.55).contains(&frac), "exact-mode fraction = {frac}");
     }
@@ -270,8 +267,7 @@ mod tests {
     fn production_durations_dominate() {
         let t = TraceGenerator::new(TraceConfig::small().with_seed(3)).generate();
         let mean = |g: PriorityGroup| {
-            let ds: Vec<f64> =
-                t.tasks_in_group(g).map(|t| t.duration.as_secs()).collect();
+            let ds: Vec<f64> = t.tasks_in_group(g).map(|t| t.duration.as_secs()).collect();
             ds.iter().sum::<f64>() / ds.len() as f64
         };
         assert!(

@@ -35,9 +35,9 @@ enum EventType {
 
 fn classify_event(code: u32) -> EventType {
     match code {
-        0 => EventType::Submit,                 // SUBMIT
-        2..=6 => EventType::Terminal,           // EVICT/FAIL/FINISH/KILL/LOST
-        _ => EventType::Other,                  // SCHEDULE, UPDATE_*
+        0 => EventType::Submit,       // SUBMIT
+        2..=6 => EventType::Terminal, // EVICT/FAIL/FINISH/KILL/LOST
+        _ => EventType::Other,        // SCHEDULE, UPDATE_*
     }
 }
 
@@ -80,9 +80,8 @@ pub fn read_task_events<R: BufRead>(reader: R) -> Result<Trace, TraceError> {
         let parse_u64 = |i: usize| -> Result<u64, TraceError> {
             field(i).trim().parse().map_err(|_| malformed(line_no))
         };
-        let parse_f64_or = |i: usize, default: f64| -> f64 {
-            field(i).trim().parse().unwrap_or(default)
-        };
+        let parse_f64_or =
+            |i: usize, default: f64| -> f64 { field(i).trim().parse().unwrap_or(default) };
         let ts = parse_u64(0)?;
         max_us = max_us.max(ts);
         let job = parse_u64(2)?;
@@ -254,6 +253,9 @@ mod tests {
         );
         assert_eq!(trace.span(), SimDuration::from_secs(62.25));
         let groups: Vec<PriorityGroup> = trace.tasks().iter().map(|t| t.priority.group()).collect();
-        assert_eq!(groups, [PriorityGroup::Gratis, PriorityGroup::Production, PriorityGroup::Other]);
+        assert_eq!(
+            groups,
+            [PriorityGroup::Gratis, PriorityGroup::Production, PriorityGroup::Other]
+        );
     }
 }

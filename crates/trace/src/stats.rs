@@ -124,8 +124,7 @@ pub fn duration_cdf_by_group(trace: &Trace) -> [Cdf; 3] {
 pub fn arrival_rate_series(trace: &Trace, bin: SimDuration) -> [Vec<f64>; 3] {
     assert!(bin.as_secs() > 0.0, "bin must be positive");
     let n_bins = (trace.span().as_secs() / bin.as_secs()).ceil().max(1.0) as usize;
-    let mut out: [Vec<f64>; 3] =
-        [vec![0.0; n_bins], vec![0.0; n_bins], vec![0.0; n_bins]];
+    let mut out: [Vec<f64>; 3] = [vec![0.0; n_bins], vec![0.0; n_bins], vec![0.0; n_bins]];
     for t in trace.tasks() {
         let idx = ((t.arrival.as_secs() / bin.as_secs()) as usize).min(n_bins - 1);
         out[t.priority.group().index()][idx] += 1.0;
@@ -194,10 +193,7 @@ mod tests {
     #[test]
     fn demand_sweep_tracks_alive_tasks() {
         let trace = Trace::new(
-            vec![
-                mk_task(0, 0.0, 100.0, 0.2, 0),
-                mk_task(1, 50.0, 100.0, 0.3, 0),
-            ],
+            vec![mk_task(0, 0.0, 100.0, 0.2, 0), mk_task(1, 50.0, 100.0, 0.3, 0)],
             SimDuration::from_secs(200.0),
         );
         let series = demand_over_time(&trace, SimDuration::from_secs(50.0));
@@ -238,13 +234,11 @@ mod tests {
         let trace = TraceGenerator::new(TraceConfig::small()).generate();
         let bin = SimDuration::from_mins(10.0);
         let series = arrival_rate_series(&trace, bin);
-        let total: f64 =
-            series.iter().map(|s| s.iter().sum::<f64>()).sum::<f64>() * bin.as_secs();
+        let total: f64 = series.iter().map(|s| s.iter().sum::<f64>()).sum::<f64>() * bin.as_secs();
         assert!((total - trace.len() as f64).abs() < 1e-6);
         let counts = trace.group_counts();
         for g in PriorityGroup::ALL {
-            let group_total: f64 =
-                series[g.index()].iter().sum::<f64>() * bin.as_secs();
+            let group_total: f64 = series[g.index()].iter().sum::<f64>() * bin.as_secs();
             assert!((group_total - counts[g.index()] as f64).abs() < 1e-6);
         }
     }

@@ -38,7 +38,9 @@ impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::Io(e) => write!(f, "trace i/o failed: {e}"),
-            TraceError::Malformed { line, .. } => write!(f, "malformed trace record at line {line}"),
+            TraceError::Malformed { line, .. } => {
+                write!(f, "malformed trace record at line {line}")
+            }
             TraceError::Unsorted { index } => {
                 write!(f, "trace tasks are not sorted by arrival (first violation at {index})")
             }
@@ -155,15 +157,15 @@ impl Trace {
         };
         let header: serde_json::Value = serde_json::from_str(&header_line)
             .map_err(|source| TraceError::Malformed { line: 1, source })?;
-        let span_secs = header
-            .get("span_secs")
-            .and_then(serde_json::Value::as_f64)
-            .ok_or_else(|| TraceError::Malformed {
-                line: 1,
-                source: serde_json::Error::io(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "header is missing a numeric `span_secs` field",
-                )),
+        let span_secs =
+            header.get("span_secs").and_then(serde_json::Value::as_f64).ok_or_else(|| {
+                TraceError::Malformed {
+                    line: 1,
+                    source: serde_json::Error::io(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        "header is missing a numeric `span_secs` field",
+                    )),
+                }
             })?;
         let mut tasks = Vec::new();
         for (i, line) in lines.enumerate() {
@@ -237,10 +239,7 @@ mod tests {
 
     #[test]
     fn jsonl_roundtrip() {
-        let t = Trace::new(
-            vec![task(0, 0.0, 0), task(1, 5.0, 9)],
-            SimDuration::from_secs(100.0),
-        );
+        let t = Trace::new(vec![task(0, 0.0, 0), task(1, 5.0, 9)], SimDuration::from_secs(100.0));
         let mut buf = Vec::new();
         t.write_jsonl(&mut buf).unwrap();
         let back = Trace::read_jsonl(buf.as_slice()).unwrap();
@@ -264,10 +263,7 @@ mod tests {
 
     #[test]
     fn read_rejects_unsorted_records() {
-        let t = Trace::new(
-            vec![task(0, 0.0, 0), task(1, 5.0, 0)],
-            SimDuration::from_secs(10.0),
-        );
+        let t = Trace::new(vec![task(0, 0.0, 0), task(1, 5.0, 0)], SimDuration::from_secs(10.0));
         let mut buf = Vec::new();
         t.write_jsonl(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();

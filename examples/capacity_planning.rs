@@ -101,12 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nmachine plan (first period):");
     for (m, ty) in catalog.iter().enumerate() {
-        println!(
-            "  {:<22} z = {:>7.2} of {}",
-            ty.name,
-            plan.first_step_machines()[m],
-            ty.count
-        );
+        println!("  {:<22} z = {:>7.2} of {}", ty.name, plan.first_step_machines()[m], ty.count);
     }
     println!("objective over horizon: ${:.2}", plan.objective);
     Ok(())

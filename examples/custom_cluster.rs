@@ -53,16 +53,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         horizon: 3,
         ..Default::default()
     };
-    let report = run_variant(
-        &trace,
-        &catalog,
-        &config,
-        &ClassifierConfig::default(),
-        Variant::Cbp,
-    )?;
+    let report =
+        run_variant(&trace, &catalog, &config, &ClassifierConfig::default(), Variant::Cbp)?;
 
     println!("completed: {} of {} tasks", report.tasks_completed, trace.len());
-    println!("energy: {:.2} kWh (${:.2})", report.total_energy_wh / 1000.0, report.energy_cost_dollars);
+    println!(
+        "energy: {:.2} kWh (${:.2})",
+        report.total_energy_wh / 1000.0,
+        report.energy_cost_dollars
+    );
     println!("machine switches: {}", report.switch_count);
     println!("mean scheduling delay: {:.1} s", report.delay_stats_overall().mean);
     println!("unschedulable tasks (too big for any node): {}", report.tasks_unschedulable);

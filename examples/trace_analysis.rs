@@ -53,8 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== task classes (Section V) ==");
     let classifier = TaskClassifier::fit(trace.tasks(), &ClassifierConfig::default())?;
-    println!("  {} classes; initial-label error {:.1}%", classifier.classes().len(),
-        classifier.initial_label_error(trace.tasks()) * 100.0);
+    println!(
+        "  {} classes; initial-label error {:.1}%",
+        classifier.classes().len(),
+        classifier.initial_label_error(trace.tasks()) * 100.0
+    );
     for class in classifier.classes() {
         println!(
             "  {:<9} {:<11} {:<5} n={:<7} cpu {:.4}±{:.4}  mem {:.4}±{:.4}  dur {:>7.0}s",

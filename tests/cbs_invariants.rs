@@ -16,19 +16,16 @@ fn config(horizon: usize, omega: f64) -> HarmonyConfig {
     }
 }
 
-fn scenario_strategy() -> impl Strategy<
-    Value = (Vec<Resources>, Vec<f64>, Vec<Vec<f64>>, Vec<f64>),
-> {
+fn scenario_strategy() -> impl Strategy<Value = (Vec<Resources>, Vec<f64>, Vec<Vec<f64>>, Vec<f64>)>
+{
     (1usize..4, 1usize..4).prop_flat_map(|(n_classes, horizon)| {
         let sizes = proptest::collection::vec(
             (0.01f64..0.4, 0.01f64..0.4).prop_map(|(c, m)| Resources::new(c, m)),
             n_classes,
         );
         let utility = proptest::collection::vec(0.05f64..2.0, n_classes);
-        let demand = proptest::collection::vec(
-            proptest::collection::vec(0.0f64..40.0, n_classes),
-            horizon,
-        );
+        let demand =
+            proptest::collection::vec(proptest::collection::vec(0.0f64..40.0, n_classes), horizon);
         let initial = proptest::collection::vec(0.0f64..10.0, 4);
         (sizes, utility, demand, initial)
     })

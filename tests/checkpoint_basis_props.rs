@@ -57,14 +57,10 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
             n_classes,
         );
         let utility = proptest::collection::vec(0.05f64..2.0, n_classes);
-        let demand = proptest::collection::vec(
-            proptest::collection::vec(0.1f64..40.0, n_classes),
-            horizon,
-        );
-        let demand2 = proptest::collection::vec(
-            proptest::collection::vec(0.1f64..40.0, n_classes),
-            horizon,
-        );
+        let demand =
+            proptest::collection::vec(proptest::collection::vec(0.1f64..40.0, n_classes), horizon);
+        let demand2 =
+            proptest::collection::vec(proptest::collection::vec(0.1f64..40.0, n_classes), horizon);
         let initial = proptest::collection::vec(0.0f64..10.0, 4);
         (sizes, utility, demand, demand2, initial)
     })

@@ -101,10 +101,8 @@ fn deterministic_fit_for_fixed_seed() {
 fn every_group_has_both_regimes_on_bimodal_data() {
     let (classifier, _) = fitted(7);
     for group in PriorityGroup::ALL {
-        let has_short = classifier
-            .classes()
-            .iter()
-            .any(|c| c.group == group && c.regime == Regime::Short);
+        let has_short =
+            classifier.classes().iter().any(|c| c.group == group && c.regime == Regime::Short);
         assert!(has_short, "{group} must have a short class");
     }
     // Long classes exist somewhere (bimodal durations).

@@ -135,8 +135,7 @@ fn sim_reports_are_pinned() {
         ..Default::default()
     };
     let cc = ClassifierConfig { k_per_group: Some([3, 3, 3]), ..Default::default() };
-    let report =
-        |variant| digest(&run_variant(&trace, &catalog, &config, &cc, variant).unwrap());
+    let report = |variant| digest(&run_variant(&trace, &catalog, &config, &cc, variant).unwrap());
     assert_eq!(
         [report(Variant::Cbs), report(Variant::Cbp)],
         ["b8906cb5550aaa4f", "5ad6c46a0a73775e"],

@@ -17,8 +17,7 @@ fn tiny_setup() -> (harmony_trace::Trace, MachineCatalog, HarmonyConfig, Classif
         horizon: 2,
         ..Default::default()
     };
-    let classifier_config =
-        ClassifierConfig { k_per_group: Some([3, 3, 3]), ..Default::default() };
+    let classifier_config = ClassifierConfig { k_per_group: Some([3, 3, 3]), ..Default::default() };
     (trace, catalog, harmony_config, classifier_config)
 }
 

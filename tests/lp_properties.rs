@@ -34,9 +34,8 @@ fn instance_strategy() -> impl Strategy<Value = Instance> {
 
 fn solve(inst: &Instance) -> (harmony_lp::Solution, Problem) {
     let mut p = Problem::new(Sense::Maximize);
-    let vars: Vec<_> = (0..inst.n_vars)
-        .map(|i| p.add_var(0.0, inst.upper[i], inst.objective[i]))
-        .collect();
+    let vars: Vec<_> =
+        (0..inst.n_vars).map(|i| p.add_var(0.0, inst.upper[i], inst.objective[i])).collect();
     for (coeffs, rhs) in &inst.rows {
         let terms: Vec<_> = vars.iter().zip(coeffs).map(|(&v, &c)| (v, c)).collect();
         p.add_le(terms, *rhs);

@@ -23,11 +23,8 @@ fn simulate_mmn(lambda: f64, mu: f64, servers: usize, n_customers: usize, seed: 
     for i in 0..n_customers {
         t += exp(lambda, &mut rng);
         // Earliest-available server.
-        let (idx, &earliest) = free_at
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .unwrap();
+        let (idx, &earliest) =
+            free_at.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).unwrap();
         let start = earliest.max(t);
         let service = exp(mu, &mut rng);
         free_at[idx] = start + service;
@@ -48,10 +45,7 @@ fn analytic_wait_matches_simulation_mm3() {
     let analytic = queue.mean_wait(n).unwrap();
     let simulated = simulate_mmn(lambda, mu, n, 300_000, 1);
     let rel = (analytic - simulated).abs() / analytic;
-    assert!(
-        rel < 0.05,
-        "M/M/3: analytic {analytic:.4} vs simulated {simulated:.4} (rel {rel:.3})"
-    );
+    assert!(rel < 0.05, "M/M/3: analytic {analytic:.4} vs simulated {simulated:.4} (rel {rel:.3})");
 }
 
 #[test]

@@ -71,11 +71,7 @@ fn first_fit(trace: &Trace, config: SimulationConfig) -> SimReport {
 }
 
 fn harmony_config() -> HarmonyConfig {
-    HarmonyConfig {
-        control_period: SimDuration::from_mins(15.0),
-        horizon: 2,
-        ..Default::default()
-    }
+    HarmonyConfig { control_period: SimDuration::from_mins(15.0), horizon: 2, ..Default::default() }
 }
 
 fn classifier_config() -> ClassifierConfig {
@@ -100,12 +96,7 @@ fn first_fit_drain_paths_are_pinned() {
 
     assert_eq!(
         [digest(&preempting), digest(&limited), digest(&unlimited), digest(&faulted)],
-        [
-            "156ae29711af1e58",
-            "a7ad4ccb5a8360a5",
-            "9c0b3ca52a97e8e4",
-            "ecffc2158249fc10",
-        ],
+        ["156ae29711af1e58", "a7ad4ccb5a8360a5", "9c0b3ca52a97e8e4", "ecffc2158249fc10",],
         "FirstFit SimReport under [preemption, limit 4, no limit, mixed faults]"
     );
 }
@@ -115,8 +106,7 @@ fn quota_scheduler_drain_paths_are_pinned() {
     let trace = trace();
     let catalog = catalog();
 
-    let classifier =
-        Rc::new(TaskClassifier::fit(trace.tasks(), &classifier_config()).unwrap());
+    let classifier = Rc::new(TaskClassifier::fit(trace.tasks(), &classifier_config()).unwrap());
     let price = EnergyPrice::default();
 
     let plan = FaultPlan::scenario("eviction-wave", 3, trace.span()).unwrap();
