@@ -2,7 +2,8 @@
 //! benchmark does not reach: priority preemption, whose victims are
 //! re-queued in the middle of a drain pass; a drain-failure limit that
 //! binds; fault plans that re-queue evicted tasks; and the CBS
-//! `QuotaScheduler`, under faults and with preemption on.
+//! `QuotaScheduler`, under faults, with preemption on, and quota-bound
+//! with neither.
 //!
 //! `sim_reports_are_pinned` in `control_loop_golden.rs` covers only
 //! unsaturated runs with preemption off, and `engine_equivalence`
@@ -145,4 +146,28 @@ fn quota_scheduler_drain_paths_are_pinned() {
         ["6eb3142835f7bb5e", "61e414d6dda69d0c"],
         "CBS SimReport under [eviction-wave faults, preemption]"
     );
+}
+
+/// CBS with preemption off and no faults on a cluster large enough that
+/// the class quotas, not capacity, hold the queue back: most drain passes
+/// then repeat the one before them, entry for entry (about 1,050 of
+/// 1,450 passes when this was pinned).
+#[test]
+fn quota_bound_drain_is_pinned() {
+    let trace = trace();
+    let classifier = Rc::new(TaskClassifier::fit(trace.tasks(), &classifier_config()).unwrap());
+    let report = simulate(
+        &trace,
+        &MachineCatalog::table2().scaled(30),
+        &harmony_config(),
+        Some(&classifier),
+        Variant::Cbs,
+        &EnergyPrice::default(),
+        None,
+    )
+    .unwrap();
+    assert!(conserved(&report, &trace));
+    assert!(report.tasks_pending_at_end > 0, "the quotas must hold tasks back");
+    assert_eq!(report.evictions, 0);
+    assert_eq!(digest(&report), "712ca072af3d7874", "quota-bound CBS SimReport");
 }
