@@ -1,12 +1,14 @@
 //! Drives the `harmony-bench` binary: `list` names the subcommands,
 //! every `fig*`/`table*` one runs to completion at quick scale, an
 //! unknown name is refused with the list, a closed stdout ends a run
-//! without a panic, and `replay` runs a fault comparison over a trace
-//! file and refuses bad flag values.
+//! without a panic, `replay` runs a fault comparison over a trace file
+//! and refuses bad flag values, and `replay --metrics` reports the
+//! drain's work.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
+use harmony_telemetry::keys;
 use harmony_trace::{TraceConfig, TraceGenerator};
 
 fn harmony_bench(args: &[&str]) -> Output {
@@ -95,6 +97,36 @@ fn fault_replay_over_a_trace_file_is_deterministic() {
         assert!(stdout.contains(section), "missing {section:?}:\n{stdout}");
     }
     assert_eq!(stdout.as_bytes(), second.stdout, "same inputs, same report");
+}
+
+#[test]
+fn replay_metrics_count_the_logical_drain_walk() {
+    // A process of its own: the counters live in its global registry, so
+    // no other test's run can add to them.
+    let path = trace_file("metrics");
+    let dir = path.parent().expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_harmony-bench"))
+        .args(["replay", path.to_str().expect("utf-8 path"), "--controller", "cbs", "--metrics"])
+        .env("HARMONY_RESULTS_DIR", dir)
+        .output()
+        .expect("spawn harmony-bench");
+    let telemetry = std::fs::read_to_string(dir.join("BENCH_telemetry.json"));
+    std::fs::remove_dir_all(dir).expect("cleanup");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let telemetry: serde_json::Value =
+        serde_json::from_str(&telemetry.expect("telemetry artifact")).expect("telemetry JSON");
+    let counter = |name: &str| {
+        telemetry.get("counters").and_then(|c| c.get(name)).and_then(serde_json::Value::as_f64)
+    };
+    assert!(counter(keys::SIM_DRAIN_REPLAYS).is_some_and(|n| n > 0.0), "{telemetry:?}");
+    // The walk every pass would have made, replayed or not: these are
+    // the counts of an engine that walks every pass.
+    assert_eq!(
+        [keys::SIM_DRAIN_PASSES, keys::SIM_DRAIN_VISITS, keys::SIM_DRAIN_LIMIT_HITS].map(counter),
+        [Some(3_082.0), Some(602_380.0), Some(773.0)],
+        "sim.drain_{{passes,visits,limit_hits}}"
+    );
 }
 
 #[test]

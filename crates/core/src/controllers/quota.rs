@@ -185,6 +185,19 @@ impl Scheduler for QuotaScheduler {
         let class = self.class_of(task);
         self.state.borrow_mut().on_finish(class);
     }
+
+    /// The task's cached initial class; `None` only for a class index
+    /// past `u32`, which `place` then gates alone.
+    fn admission_key(&mut self, task: &Task) -> Option<u32> {
+        u32::try_from(self.class_of(task)).ok()
+    }
+
+    /// The check `place` makes first: a slot left in the class budget.
+    /// The budget grows only through `on_finished` of the class or a
+    /// controller refresh, as the admission contract requires.
+    fn admits(&self, key: u32) -> bool {
+        self.state.borrow().remaining(key as usize) >= 1.0
+    }
 }
 
 #[cfg(test)]

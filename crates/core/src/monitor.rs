@@ -116,6 +116,7 @@ impl ArrivalMonitor {
     }
 
     /// Number of recorded periods so far (same for every class).
+    #[cfg(test)]
     pub fn periods_recorded(&self) -> usize {
         self.history.first().map_or(0, Vec::len)
     }

@@ -30,7 +30,8 @@ pub struct IntegerPlan {
 }
 
 impl IntegerPlan {
-    /// Total quota for one class across machine types.
+    /// Total quota for one class across machine types. Called by
+    /// `tests/cbs_invariants.rs`.
     pub fn class_quota(&self, class: usize) -> usize {
         self.quotas.iter().map(|per_n| per_n.get(class).copied().unwrap_or(0)).sum()
     }
@@ -186,6 +187,7 @@ fn pack_into_mix_rescan(
 /// class count by `1/(2|R|)` must fit in `machines + 1` machines
 /// whenever the fractional solution `(counts, machines)` satisfied the
 /// capacity constraints. Returns `true` if First-Fit achieves it.
+/// Called by the Lemma 1 property in `tests/cbs_invariants.rs`.
 pub fn lemma1_holds(
     counts: &[usize],
     sizes: &[Resources],

@@ -99,6 +99,7 @@ impl Problem {
     ///
     /// Panics if `var` does not belong to this problem or `obj` is
     /// non-finite.
+    #[cfg(test)]
     pub fn set_objective(&mut self, var: VarId, obj: f64) {
         assert!(obj.is_finite(), "objective coefficient must be finite");
         self.vars[var.0].obj = obj;

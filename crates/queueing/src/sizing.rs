@@ -157,7 +157,9 @@ impl ContainerSizer {
     /// independent Gaussian demands (union bound over dimensions).
     ///
     /// This is the quantity Eq. (3) drives below ε whenever the
-    /// reservations fit.
+    /// reservations fit. Only this module's tests call it today; it stays
+    /// public for the check of Eq. 3 against simulated usage (ROADMAP
+    /// item 4(d)).
     pub fn violation_probability(
         &self,
         classes: &[(&ClassStats, usize)],
@@ -186,7 +188,8 @@ impl ContainerSizer {
 
     /// Checks Eq. (3) directly: given per-class task counts, returns
     /// `true` if `(C_r - Σμ_r) / sqrt(Σσ_r²) ≥ Z_r` holds for every
-    /// resource dimension.
+    /// resource dimension. Kept public for the same ROADMAP 4(d) check as
+    /// [`ContainerSizer::violation_probability`].
     pub fn satisfies_eq3(&self, classes: &[(&ClassStats, usize)], capacity: Resources) -> bool {
         for r in 0..NUM_RESOURCES {
             let mut mean = 0.0;

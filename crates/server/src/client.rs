@@ -197,7 +197,8 @@ impl Client {
         }
     }
 
-    /// Fetches the current plan (None before the first tick).
+    /// Fetches the current plan (None before the first tick). Called by
+    /// the server's end-to-end tests (`tests/e2e.rs`).
     ///
     /// # Errors
     ///
@@ -210,7 +211,8 @@ impl Client {
     }
 
     /// Fetches per-class forecasts over `horizon` periods (daemon
-    /// default when `None`).
+    /// default when `None`). Called by the server's end-to-end tests
+    /// (`tests/e2e.rs`).
     ///
     /// # Errors
     ///
@@ -246,7 +248,8 @@ impl Client {
         }
     }
 
-    /// Drains accumulated degradation events.
+    /// Drains accumulated degradation events. Called by the server's
+    /// end-to-end tests (`tests/e2e.rs`).
     ///
     /// # Errors
     ///

@@ -411,8 +411,8 @@ const UNSHAPED: u32 = u32::MAX;
 
 /// What the drain keeps across passes: each task's interned
 /// (priority, quantized demand) shape, the pass in which each shape last
-/// failed, and count-only tallies flushed to telemetry at the end of the
-/// run.
+/// failed, the memo of the last pass, and count-only tallies flushed to
+/// telemetry at the end of the run.
 #[derive(Debug)]
 struct DrainBook {
     /// Per task index: its shape id, or [`UNSHAPED`].
@@ -421,9 +421,39 @@ struct DrainBook {
     /// Per shape id: the pass in which a task of that shape last failed
     /// to place (0 = never; passes count from 1).
     failed_in: Vec<u64>,
+    /// The last walked pass, while nothing it depended on has changed.
+    memo: Option<DrainMemo>,
+    /// Scratch for the next pass's max-free snapshot.
+    snapshot: Vec<Resources>,
+    /// Passes counted as walks; `replays` of them were answered from the
+    /// memo, and `visits`/`limit_hits` include what those would have
+    /// walked.
     passes: u64,
     visits: u64,
     limit_hits: u64,
+    replays: u64,
+}
+
+/// A walked pass that tried no preemption, kept so that the next pass
+/// can be answered without a walk (DESIGN §16.5). Placements only
+/// tighten capacity and quota, so every entry it failed on fails again
+/// until something it recorded here changes; the engine drops the memo
+/// on every such change.
+#[derive(Debug, Default)]
+struct DrainMemo {
+    /// The per-type max-free snapshot the pass started from.
+    max_free: Vec<Resources>,
+    /// The entry the failure limit stopped the pass at; `None` if it
+    /// walked to the end of the queue.
+    stop: Option<PendKey>,
+    /// Admission keys the scheduler refused during the pass.
+    refused_keys: Vec<u32>,
+    /// Demands that were admitted but refused by `place`.
+    refused_demands: Vec<Resources>,
+    /// The pass's visits minus its placements: what walking the queue
+    /// it left behind would visit.
+    visits: u64,
+    limit_hit: bool,
 }
 
 impl DrainBook {
@@ -432,9 +462,12 @@ impl DrainBook {
             shape_of: vec![UNSHAPED; tasks],
             ids: BTreeMap::new(),
             failed_in: Vec::new(),
+            memo: None,
+            snapshot: Vec::new(),
             passes: 0,
             visits: 0,
             limit_hits: 0,
+            replays: 0,
         }
     }
 
@@ -463,8 +496,12 @@ impl RunState {
         self.queue.push(time, self.seq, kind);
     }
 
-    /// Inserts a task into the pending queue, updating the peak.
+    /// Inserts a task into the pending queue, updating the peak. An entry
+    /// the memoized drain pass would have reached drops the memo.
     fn enqueue_pending(&mut self, key: PendKey, idx: usize) {
+        if self.drain.memo.as_ref().is_some_and(|m| m.stop.is_none_or(|stop| key < stop)) {
+            self.drain.memo = None;
+        }
         self.pending.insert(key, idx);
         self.pending_peak = self.pending_peak.max(self.pending.len() + self.draining);
     }
@@ -631,17 +668,23 @@ impl<'t> Simulation<'t> {
                     let machine = st.placements.remove(task_idx);
                     st.cluster.release(machine, task.demand, now);
                     self.scheduler.on_finished(task, machine, &st.cluster);
+                    self.forget_memo_if_woken(&mut st, task, machine);
                     st.running_set.remove(task_idx);
                     st.completed += 1;
                     self.drain(&mut st, tasks, now);
                 }
                 EventKind::BootDone(id) => {
                     if st.cluster.boot_complete(id, now) {
+                        st.drain.memo = None;
                         self.drain(&mut st, tasks, now);
                     }
                 }
                 EventKind::Control => {
                     if let Some(controller) = self.controller.as_mut() {
+                        // The controller may refresh the scheduler's
+                        // admission state; repacking and powering off
+                        // move capacity.
+                        st.drain.memo = None;
                         pending_view.clear();
                         pending_view.extend(st.pending.values().map(|&i| i as u32));
                         running_view.clear();
@@ -720,6 +763,7 @@ impl<'t> Simulation<'t> {
                 }
                 EventKind::Fault(ei) => {
                     let Some(plan) = plan.as_ref() else { continue };
+                    st.drain.memo = None;
                     let event = plan.events()[ei];
                     match event.kind {
                         FaultKind::MachineCrash { down } => {
@@ -800,6 +844,7 @@ impl<'t> Simulation<'t> {
                     }
                 }
                 EventKind::FaultRecover(id) => {
+                    st.drain.memo = None;
                     if st.cluster.recover_machine(id, now) {
                         st.faults.push(FaultRecord {
                             at: now,
@@ -813,6 +858,7 @@ impl<'t> Simulation<'t> {
                     }
                 }
                 EventKind::SlowBootEnd => {
+                    st.drain.memo = None;
                     st.cluster.set_boot_factor(1.0);
                     st.faults.push(FaultRecord { at: now, kind: FaultRecordKind::SlowBootEnd });
                 }
@@ -832,6 +878,7 @@ impl<'t> Simulation<'t> {
             (keys::SIM_EVENTS_SAMPLE, event_counts[EV_SAMPLE]),
             (keys::SIM_EVENTS_FAULT, event_counts[EV_FAULT]),
             (keys::SIM_DRAIN_PASSES, st.drain.passes),
+            (keys::SIM_DRAIN_REPLAYS, st.drain.replays),
             (keys::SIM_DRAIN_VISITS, st.drain.visits),
             (keys::SIM_DRAIN_LIMIT_HITS, st.drain.limit_hits),
         ] {
@@ -876,6 +923,7 @@ impl<'t> Simulation<'t> {
         release: bool,
     ) -> bool {
         let task = &tasks[idx];
+        st.drain.memo = None;
         let machine = st.placements.remove(idx);
         if release {
             st.cluster.release(machine, task.demand, now);
@@ -965,6 +1013,7 @@ impl<'t> Simulation<'t> {
         let Some((machine, victims)) = find_preemption(st, tasks, &task) else {
             return false;
         };
+        st.drain.memo = None;
         for victim in victims {
             let host = st.placements.remove(victim);
             debug_assert_eq!(host, machine);
@@ -989,16 +1038,69 @@ impl<'t> Simulation<'t> {
         true
     }
 
+    /// Drops the drain memo if a task that just finished on `machine`
+    /// can change what the memoized pass failed on: its release may
+    /// re-admit a refused key (or one the scheduler does not name), or
+    /// make room for a demand `place` refused.
+    fn forget_memo_if_woken(&mut self, st: &mut RunState, task: &Task, machine: MachineId) {
+        let Some(memo) = &st.drain.memo else { return };
+        let woken = match self.scheduler.admission_key(task) {
+            None => true,
+            Some(key) => {
+                let host = st.cluster.machine(machine);
+                memo.refused_keys.contains(&key)
+                    || memo.refused_demands.iter().any(|&d| host.can_place(d))
+            }
+        };
+        if woken {
+            st.drain.memo = None;
+        }
+    }
+
     /// One pass over the pending queue in priority-then-FIFO order,
     /// placing what fits. The pass walks the queue in place: the map is
     /// taken out of `st` for the walk, so tasks re-queued during the pass
     /// (preemption victims) land in a fresh map and are not visited until
     /// the next pass; both are merged back at the end.
+    ///
+    /// A pass whose memoized predecessor still holds (the memo is live
+    /// and the max-free snapshot is unchanged) is answered from the memo
+    /// without a walk: it would place nothing and visit what the memo
+    /// says.
     fn drain(&mut self, st: &mut RunState, tasks: &[Task], now: SimTime) {
+        st.drain.passes += 1;
+        if st.pending.is_empty() {
+            return;
+        }
+        let pass = st.drain.passes;
+        // Cheap capacity pre-filter: the per-type maximum free vector at
+        // pass start only shrinks as the pass places tasks, so "does not
+        // fit under the snapshot" is a safe O(types) reject. Preemptable
+        // capacity is not covered by the filter, so non-gratis tasks
+        // bypass it.
+        let mut max_free = std::mem::take(&mut st.drain.snapshot);
+        max_free.clear();
+        max_free.extend(
+            (0..st.cluster.catalog().len())
+                .map(|ty| st.cluster.max_free_of_type(MachineTypeId(ty))),
+        );
+        if let Some(memo) = st.drain.memo.as_ref().filter(|m| m.max_free == max_free) {
+            st.drain.replays += 1;
+            st.drain.visits += memo.visits;
+            st.drain.limit_hits += u64::from(memo.limit_hit);
+            st.drain.snapshot = max_free;
+            #[cfg(debug_assertions)]
+            self.check_replay(st, tasks);
+            return;
+        }
+        let mut memo = st.drain.memo.take().unwrap_or_default();
+        memo.refused_keys.clear();
+        memo.refused_demands.clear();
+        memo.stop = None;
+        memo.limit_hit = false;
+        let visits_before = st.drain.visits;
         let mut failures = 0usize;
         let mut placed_keys: Vec<PendKey> = Vec::new();
-        st.drain.passes += 1;
-        let pass = st.drain.passes;
         // Head-of-line guard: once a (priority, demand-shape) fails in
         // this pass, later tasks with the same (quantized) shape are
         // skipped without re-attempting placement, so a wall of blocked
@@ -1006,14 +1108,6 @@ impl<'t> Simulation<'t> {
         // the queue. A shape has failed in this pass iff its stamp
         // equals the pass number.
         //
-        // Cheap capacity pre-filter: the per-type maximum free vector at
-        // pass start only shrinks as the pass places tasks, so "does not
-        // fit under the snapshot" is a safe O(types) reject. Preemptable
-        // capacity is not covered by the filter, so non-gratis tasks
-        // bypass it.
-        let max_free: Vec<Resources> = (0..st.cluster.catalog().len())
-            .map(|ty| st.cluster.max_free_of_type(MachineTypeId(ty)))
-            .collect();
         // Preemption scans every machine, so drains get a small budget
         // of attempts per pass; arrivals always may preempt.
         const PREEMPT_BUDGET: usize = 16;
@@ -1023,6 +1117,8 @@ impl<'t> Simulation<'t> {
         for (&key, &idx) in &queue {
             if failures >= self.config.drain_failure_limit {
                 st.drain.limit_hits += 1;
+                memo.stop = Some(key);
+                memo.limit_hit = true;
                 break;
             }
             st.drain.visits += 1;
@@ -1032,7 +1128,7 @@ impl<'t> Simulation<'t> {
                 continue;
             }
             let fits = max_free.iter().any(|f| task.demand.fits_within(*f));
-            let placed = if fits && self.try_place_plain(st, tasks, idx, now) {
+            let placed = if fits && self.admit_and_place(st, tasks, idx, now, &mut memo) {
                 true
             } else if self.config.preemption
                 && task.priority.group() != PriorityGroup::Gratis
@@ -1050,8 +1146,17 @@ impl<'t> Simulation<'t> {
                 failures += 1;
             }
         }
+        memo.visits = st.drain.visits - visits_before - placed_keys.len() as u64;
         for key in placed_keys {
             queue.remove(&key);
+        }
+        // A pass that tried preemption depended on more than the memo
+        // records, and its victims join the queue behind the walk.
+        if preempt_attempts == 0 && st.pending.is_empty() {
+            st.drain.snapshot = std::mem::replace(&mut memo.max_free, max_free);
+            st.drain.memo = Some(memo);
+        } else {
+            st.drain.snapshot = max_free;
         }
         // Victims are lower-priority-group tasks than the one that
         // evicted them, so none of them shares a key with an entry the
@@ -1059,6 +1164,77 @@ impl<'t> Simulation<'t> {
         queue.extend(std::mem::take(&mut st.pending));
         st.pending = queue;
         st.draining = 0;
+    }
+
+    /// Offers a task that fits the snapshot to the scheduler: asks for
+    /// admission first, then for a machine, and records a refusal of
+    /// either kind in `memo`.
+    fn admit_and_place(
+        &mut self,
+        st: &mut RunState,
+        tasks: &[Task],
+        idx: usize,
+        now: SimTime,
+        memo: &mut DrainMemo,
+    ) -> bool {
+        let task = &tasks[idx];
+        if let Some(key) = self.scheduler.admission_key(task) {
+            if !self.scheduler.admits(key) {
+                memo.refused_keys.push(key);
+                return false;
+            }
+        }
+        let placed = self.try_place_plain(st, tasks, idx, now);
+        if !placed {
+            memo.refused_demands.push(task.demand);
+        }
+        placed
+    }
+
+    /// Walks the queue of a replayed pass again without committing
+    /// anything, and checks the memo's answer: no entry would be placed
+    /// or try preemption, and the walk visits what the memo says.
+    #[cfg(debug_assertions)]
+    fn check_replay(&mut self, st: &mut RunState, tasks: &[Task]) {
+        let Some(memo) = st.drain.memo.take() else { return };
+        // The replayed pass's number stamps no walked pass's failures.
+        let pass = st.drain.passes;
+        let (mut failures, mut visits, mut limit_hit) = (0usize, 0u64, false);
+        for &idx in st.pending.values() {
+            if failures >= self.config.drain_failure_limit {
+                limit_hit = true;
+                break;
+            }
+            visits += 1;
+            let task = &tasks[idx];
+            let shape = st.drain.shape(idx, task);
+            if st.drain.failed_in[shape] == pass {
+                continue;
+            }
+            let fits = memo.max_free.iter().any(|f| task.demand.fits_within(*f));
+            if fits {
+                let admitted =
+                    self.scheduler.admission_key(task).is_none_or(|k| self.scheduler.admits(k));
+                let host = if admitted { self.scheduler.place(task, &st.cluster) } else { None };
+                assert!(
+                    host.is_none_or(|m| !st.cluster.machine(m).can_place(task.demand)),
+                    "a replayed drain pass would place task {:?}",
+                    task.id
+                );
+            }
+            let gratis = task.priority.group() == PriorityGroup::Gratis;
+            assert!(
+                gratis || !self.config.preemption,
+                "a replayed drain pass would try preemption for task {:?}",
+                task.id
+            );
+            if fits || !gratis {
+                st.drain.failed_in[shape] = pass;
+                failures += 1;
+            }
+        }
+        assert_eq!((visits, limit_hit), (memo.visits, memo.limit_hit), "replayed drain pass");
+        st.drain.memo = Some(memo);
     }
 }
 

@@ -114,6 +114,7 @@ impl Machine {
     }
 
     /// `true` if the machine is crashed and waiting out its downtime.
+    #[cfg(test)]
     pub fn is_failed(&self) -> bool {
         matches!(self.state, MachineState::Failed { .. })
     }

@@ -16,6 +16,25 @@ use crate::machine::MachineId;
 /// task-class) quota bookkeeping to realize the paper's CBS/CBP
 /// coordination, so the trait also receives placement/completion
 /// callbacks.
+///
+/// # Admission
+///
+/// A scheduler may gate placement by an *admission key* (CBS: the task's
+/// class, admitted while its container quota lasts). The engine relies on
+/// this contract to answer a drain pass from the previous one when
+/// nothing that pass depended on has changed:
+///
+/// * [`place`](Scheduler::place) refuses every task whose
+///   [`admission_key`](Scheduler::admission_key) does not
+///   [`admit`](Scheduler::admits);
+/// * a key can start admitting again only through
+///   [`on_finished`](Scheduler::on_finished) of a task with that key, or
+///   through a change made outside the engine during a control tick;
+/// * when the key admits (or the task has none), `place` refuses only if
+///   no `On` machine can host the task.
+///
+/// The defaults (no key, always admit) state only the last rule, which
+/// every placement policy here keeps.
 pub trait Scheduler: std::fmt::Debug {
     /// Chooses a machine for `task`, or `None` if nothing suitable is
     /// available right now.
@@ -26,6 +45,17 @@ pub trait Scheduler: std::fmt::Debug {
 
     /// Invoked when a task finishes and its resources are released.
     fn on_finished(&mut self, _task: &Task, _machine: MachineId, _cluster: &Cluster) {}
+
+    /// The key `task` is admitted under, or `None` if the scheduler
+    /// admits it unconditionally (see the trait's admission contract).
+    fn admission_key(&mut self, _task: &Task) -> Option<u32> {
+        None
+    }
+
+    /// Whether tasks with admission key `key` may be placed right now.
+    fn admits(&self, _key: u32) -> bool {
+        true
+    }
 }
 
 /// First-Fit: the first `On` machine (in id order) with room.

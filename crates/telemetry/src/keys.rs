@@ -44,6 +44,7 @@ pub const SERVER_TIMEOUT_TOTAL: &str = "server.timeout_total";
 pub const SIM_CONTROLLER_SECONDS: &str = "sim.controller_seconds";
 pub const SIM_DRAIN_LIMIT_HITS: &str = "sim.drain_limit_hits";
 pub const SIM_DRAIN_PASSES: &str = "sim.drain_passes";
+pub const SIM_DRAIN_REPLAYS: &str = "sim.drain_replays";
 pub const SIM_DRAIN_VISITS: &str = "sim.drain_visits";
 pub const SIM_EVENTS_ARRIVAL: &str = "sim.events.arrival";
 pub const SIM_EVENTS_BOOT: &str = "sim.events.boot";
@@ -86,6 +87,7 @@ pub const REGISTERED_KEYS: &[&str] = &[
     SIM_CONTROLLER_SECONDS,
     SIM_DRAIN_LIMIT_HITS,
     SIM_DRAIN_PASSES,
+    SIM_DRAIN_REPLAYS,
     SIM_DRAIN_VISITS,
     SIM_EVENTS_ARRIVAL,
     SIM_EVENTS_BOOT,
@@ -104,6 +106,7 @@ pub const REGISTERED_PREFIXES: &[&str] = &["server.requests."];
 
 /// Whether `name` is a registered key or falls under a registered
 /// dynamic prefix.
+#[cfg(test)]
 pub fn is_registered(name: &str) -> bool {
     REGISTERED_KEYS.binary_search(&name).is_ok()
         || REGISTERED_PREFIXES.iter().any(|p| name.starts_with(p))
