@@ -423,8 +423,6 @@ struct DrainBook {
     failed_in: Vec<u64>,
     /// The last walked pass, while nothing it depended on has changed.
     memo: Option<DrainMemo>,
-    /// Scratch for the next pass's max-free snapshot.
-    snapshot: Vec<Resources>,
     /// Passes counted as walks; `replays` of them were answered from the
     /// memo, and `visits`/`limit_hits` include what those would have
     /// walked.
@@ -463,7 +461,6 @@ impl DrainBook {
             ids: BTreeMap::new(),
             failed_in: Vec::new(),
             memo: None,
-            snapshot: Vec::new(),
             passes: 0,
             visits: 0,
             limit_hits: 0,
@@ -1078,26 +1075,19 @@ impl<'t> Simulation<'t> {
         // fit under the snapshot" is a safe O(types) reject. Preemptable
         // capacity is not covered by the filter, so non-gratis tasks
         // bypass it.
-        let mut max_free = std::mem::take(&mut st.drain.snapshot);
-        max_free.clear();
-        max_free.extend(
-            (0..st.cluster.catalog().len())
-                .map(|ty| st.cluster.max_free_of_type(MachineTypeId(ty))),
-        );
+        let max_free: Vec<Resources> = (0..st.cluster.catalog().len())
+            .map(|ty| st.cluster.max_free_of_type(MachineTypeId(ty)))
+            .collect();
         if let Some(memo) = st.drain.memo.as_ref().filter(|m| m.max_free == max_free) {
             st.drain.replays += 1;
             st.drain.visits += memo.visits;
             st.drain.limit_hits += u64::from(memo.limit_hit);
-            st.drain.snapshot = max_free;
             #[cfg(debug_assertions)]
             self.check_replay(st, tasks);
             return;
         }
-        let mut memo = st.drain.memo.take().unwrap_or_default();
-        memo.refused_keys.clear();
-        memo.refused_demands.clear();
-        memo.stop = None;
-        memo.limit_hit = false;
+        st.drain.memo = None;
+        let mut memo = DrainMemo { max_free, ..DrainMemo::default() };
         let visits_before = st.drain.visits;
         let mut failures = 0usize;
         let mut placed_keys: Vec<PendKey> = Vec::new();
@@ -1127,7 +1117,7 @@ impl<'t> Simulation<'t> {
             if st.drain.failed_in[shape] == pass {
                 continue;
             }
-            let fits = max_free.iter().any(|f| task.demand.fits_within(*f));
+            let fits = memo.max_free.iter().any(|f| task.demand.fits_within(*f));
             let placed = if fits && self.admit_and_place(st, tasks, idx, now, &mut memo) {
                 true
             } else if self.config.preemption
@@ -1153,10 +1143,7 @@ impl<'t> Simulation<'t> {
         // A pass that tried preemption depended on more than the memo
         // records, and its victims join the queue behind the walk.
         if preempt_attempts == 0 && st.pending.is_empty() {
-            st.drain.snapshot = std::mem::replace(&mut memo.max_free, max_free);
             st.drain.memo = Some(memo);
-        } else {
-            st.drain.snapshot = max_free;
         }
         // Victims are lower-priority-group tasks than the one that
         // evicted them, so none of them shares a key with an entry the
