@@ -442,7 +442,7 @@ struct DrainMemo {
     /// The per-type max-free snapshot the pass started from.
     max_free: Vec<Resources>,
     /// The entry the failure limit stopped the pass at; `None` if it
-    /// walked to the end of the queue.
+    /// walked to the end of the queue without hitting the limit.
     stop: Option<PendKey>,
     /// Admission keys the scheduler refused during the pass.
     refused_keys: Vec<u32>,
@@ -451,7 +451,6 @@ struct DrainMemo {
     /// The pass's visits minus its placements: what walking the queue
     /// it left behind would visit.
     visits: u64,
-    limit_hit: bool,
 }
 
 impl DrainBook {
@@ -1081,7 +1080,7 @@ impl<'t> Simulation<'t> {
         if let Some(memo) = st.drain.memo.as_ref().filter(|m| m.max_free == max_free) {
             st.drain.replays += 1;
             st.drain.visits += memo.visits;
-            st.drain.limit_hits += u64::from(memo.limit_hit);
+            st.drain.limit_hits += u64::from(memo.stop.is_some());
             #[cfg(debug_assertions)]
             self.check_replay(st, tasks);
             return;
@@ -1108,7 +1107,6 @@ impl<'t> Simulation<'t> {
             if failures >= self.config.drain_failure_limit {
                 st.drain.limit_hits += 1;
                 memo.stop = Some(key);
-                memo.limit_hit = true;
                 break;
             }
             st.drain.visits += 1;
@@ -1220,7 +1218,7 @@ impl<'t> Simulation<'t> {
                 failures += 1;
             }
         }
-        assert_eq!((visits, limit_hit), (memo.visits, memo.limit_hit), "replayed drain pass");
+        assert_eq!((visits, limit_hit), (memo.visits, memo.stop.is_some()), "replayed drain pass");
         st.drain.memo = Some(memo);
     }
 }
