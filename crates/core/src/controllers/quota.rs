@@ -285,13 +285,18 @@ mod tests {
         let m1 = place_commit(&mut sched, task, &cluster).unwrap();
         // Preference order says R515 first.
         assert_eq!(cluster.machine(m1).type_id(), MachineTypeId(1));
+        let key = sched.admission_key(task).unwrap();
+        assert_eq!(key as usize, class);
+        assert!(sched.admits(key));
         let _m2 = place_commit(&mut sched, task, &cluster).unwrap();
         // Third placement exceeds the class budget.
+        assert!(!sched.admits(key));
         assert!(sched.place(task, &cluster).is_none());
         assert_eq!(state.borrow().remaining(class), 0.0);
         assert_eq!(state.borrow().running(class), 2.0);
         // Finishing a task frees a slot again.
         sched.on_finished(task, m1, &cluster);
+        assert!(sched.admits(key));
         assert!(sched.place(task, &cluster).is_some());
         assert_eq!(state.borrow().running(class), 1.0);
     }
