@@ -475,6 +475,64 @@ mod tests {
         ));
     }
 
+    /// FNV-1a over the bits of every fitted number: the class count, each
+    /// static class's centroid, boundary and sub-class ids, and each final
+    /// class's centroid and `ClassStats`.
+    fn fit_digest(c: &TaskClassifier) -> String {
+        let mut words: Vec<u64> = vec![c.classes.len() as u64];
+        for sc in c.static_classes.iter().flatten() {
+            words.extend(sc.centroid.map(f64::to_bits));
+            words.push(sc.boundary_secs.map_or(u64::MAX, f64::to_bits));
+            words.extend([sc.short_id.0 as u64, sc.long_id.0 as u64]);
+        }
+        for class in &c.classes {
+            let s = &class.stats;
+            words.extend([
+                class.id.0 as u64,
+                class.group.index() as u64,
+                class.static_class as u64,
+                u64::from(class.regime == Regime::Long),
+            ]);
+            words.extend(class.centroid_log.map(f64::to_bits));
+            words.extend([s.id.0 as u64, s.group.index() as u64, s.count as u64]);
+            words.extend(
+                [
+                    s.mean_demand.cpu,
+                    s.mean_demand.mem,
+                    s.std_demand.cpu,
+                    s.std_demand.mem,
+                    s.mean_duration.as_secs(),
+                    s.cv2_duration,
+                ]
+                .map(f64::to_bits),
+            );
+        }
+        let step = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        format!("{:016x}", bytes.iter().fold(0xcbf2_9ce4_8422_2325, step))
+    }
+
+    /// Pins the fit on a four-hour evaluation trace, through the elbow
+    /// sweep (the default) and through a fixed k per group. A change to
+    /// the clustering that claims to keep its output must leave both
+    /// digests as they are.
+    #[test]
+    fn fit_is_pinned() {
+        let trace = TraceGenerator::new(
+            TraceConfig::evaluation().with_span(SimDuration::from_hours(4.0)).with_seed(2013),
+        )
+        .generate();
+        let elbow = TaskClassifier::fit(trace.tasks(), &ClassifierConfig::default()).unwrap();
+        let fixed = TaskClassifier::fit(
+            trace.tasks(),
+            &ClassifierConfig { k_per_group: Some([40; 3]), ..Default::default() },
+        )
+        .unwrap();
+        assert_eq!((elbow.classes.len(), fixed.classes.len()), (38, 236));
+        let got = [fit_digest(&elbow), fit_digest(&fixed)];
+        assert_eq!(got, ["a42b453bb01e9bcd", "7bdbbe6558aa1b5c"], "elbow and fixed-k fit digests");
+    }
+
     #[test]
     fn class_stats_capture_size_differences() {
         let (c, _) = classifier();
