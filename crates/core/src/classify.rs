@@ -52,7 +52,7 @@ pub struct TaskClass {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClassifierConfig {
     /// Fixed number of static classes per priority group; `None` selects
-    /// per group with the elbow rule over `2..=k_max`.
+    /// per group with the elbow rule over `1..=k_max`.
     pub k_per_group: Option<[usize; 3]>,
     /// Elbow-sweep cap when `k_per_group` is `None`.
     pub k_max: usize,
@@ -136,19 +136,15 @@ impl TaskClassifier {
                 }
                 None => elbow_k(&data, 1, config.k_max, config.elbow_min_gain, config.seed)?.model,
             };
-            let k = model.k();
+            let mut members_of: Vec<Vec<usize>> = vec![Vec::new(); model.k()];
+            for (i, &c) in model.assignments().iter().enumerate() {
+                members_of[c].push(i);
+            }
 
-            for c in 0..k {
-                let member_idx: Vec<usize> = model
-                    .assignments()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &a)| a == c)
-                    .map(|(i, _)| i)
-                    .collect();
+            for (c, member_idx) in members_of.iter().enumerate() {
                 let centroid = [model.centroids()[c][0], model.centroids()[c][1]];
                 let split = if config.split_by_duration {
-                    split_by_duration(&member_idx, &members, config.seed)
+                    split_by_duration(member_idx, &members, config.seed)
                 } else {
                     None
                 };
@@ -189,7 +185,7 @@ impl TaskClassifier {
                             c,
                             Regime::Short,
                             centroid,
-                            &member_idx,
+                            member_idx,
                             &members,
                         ));
                         static_classes[group.index()].push(StaticClass {

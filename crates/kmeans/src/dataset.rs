@@ -98,6 +98,13 @@ impl Dataset {
 /// Panics if the slices have different lengths.
 pub(crate) fn distance_sq(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dimension mismatch: {} vs {}", a.len(), b.len());
+    // The classifier's size features are 2-D. Unrolled, the sum is the
+    // general loop's bit for bit: that loop starts from a signed zero,
+    // and adding either zero to the first square leaves it exact.
+    if let ([a0, a1], [b0, b1]) = (a, b) {
+        let (d0, d1) = (a0 - b0, a1 - b1);
+        return d0 * d0 + d1 * d1;
+    }
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
@@ -134,6 +141,46 @@ mod tests {
         let d = Dataset::from_rows(vec![vec![0.0, 0.0], vec![3.0, 4.0]]).unwrap();
         assert_eq!(d.distance_sq(1, &[0.0, 0.0]), 25.0);
         assert_eq!(distance_sq(&[1.0, 1.0], &[1.0, 1.0]), 0.0);
+    }
+
+    #[test]
+    fn two_dimensional_distance_is_the_general_sum() {
+        let general =
+            |a: &[f64], b: &[f64]| -> f64 { a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum() };
+        let tiny = f64::from_bits(1); // the smallest subnormal
+        let edges = [
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            1.0,
+            -2.5,
+            // Squares that round: a fused multiply-add would differ here.
+            0.1,
+            1.0 / 3.0,
+            -0.7,
+            1.0 + f64::EPSILON,
+            1e-160,
+            1e160,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        for &a0 in &edges {
+            for &a1 in &edges {
+                for &b0 in &edges {
+                    for &b1 in &[a1, -a1, 0.0, tiny, f64::MAX] {
+                        let (a, b) = ([a0, a1], [b0, b1]);
+                        assert_eq!(
+                            distance_sq(&a, &b).to_bits(),
+                            general(&a, &b).to_bits(),
+                            "{a:?} vs {b:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   with output identical to the plain loop.
 //! * [`quality`] — the elbow rule over inertia, used in Section IX-A
 //!   ("the best value of k ... is selected as the one for which no
-//!   significant benefit can be achieved by increasing k").
+//!   significant benefit can be achieved by increasing k"). The sweep
+//!   fits `k` upward and stops at the first flat step, so it never fits
+//!   more than one `k` past the one it chooses.
 //!
 //! # Examples
 //!

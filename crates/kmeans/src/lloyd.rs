@@ -466,6 +466,19 @@ mod tests {
         }
     }
 
+    /// The regime the period workloads fit in: 2-D rows on a half-unit
+    /// lattice, k = 110, thousands of rows. The proptest above never
+    /// draws more than 39 rows.
+    #[test]
+    fn bounded_fit_equals_plain_lloyd_at_large_k() {
+        let mut rng = StdRng::seed_from_u64(2013);
+        let rows: Vec<Vec<f64>> = (0..3000)
+            .map(|_| (0..2).map(|_| (rng.gen_range(-8.0f64..8.0) * 2.0).round() / 2.0).collect())
+            .collect();
+        let data = Dataset::from_rows(rows).unwrap();
+        compare_with_plain(&KMeans::new(110).seed(7), &data).unwrap();
+    }
+
     #[test]
     fn empty_cluster_repair_matches_plain_lloyd() {
         // Three distinct rows under five clusters: k-means++ runs out of

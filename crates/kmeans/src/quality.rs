@@ -5,9 +5,10 @@ use crate::{Dataset, KMeans, KMeansError, KMeansModel};
 /// Result of an elbow sweep over candidate `k` values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElbowReport {
-    /// Candidate cluster counts, ascending.
-    pub ks: Vec<usize>,
-    /// Inertia of the best restart at each candidate `k`.
+    /// Inertia of the best restart at each `k` the sweep fitted, from
+    /// `k_min` up: `inertias[i]` belongs to `k_min + i`. The sweep stops
+    /// at the first flat step, so the last entry is `chosen_k + 1`'s
+    /// unless the sweep reached `k_max`.
     pub inertias: Vec<f64>,
     /// The selected `k`.
     pub chosen_k: usize,
@@ -16,18 +17,15 @@ pub struct ElbowReport {
     pub model: KMeansModel,
 }
 
-/// Inertia improvement from each `k` to the next, normalized by the
-/// inertia at the smallest `k`: `(I_k - I_{k+1}) / I_{k_min}`. The fixed
-/// denominator keeps the rule stable once inertia approaches zero.
-fn relative_gains(inertias: &[f64]) -> Vec<f64> {
-    let base = inertias.first().copied().unwrap_or(0.0);
-    inertias.windows(2).map(|w| if base > 0.0 { (w[0] - w[1]) / base } else { 0.0 }).collect()
-}
-
-/// Sweeps `k` over `k_min..=k_max` and picks the smallest `k` after which
+/// Sweeps `k` upward from `k_min` and picks the smallest `k` after which
 /// increasing `k` no longer yields a relative inertia improvement of at
 /// least `min_gain` (the paper's rule: "no significant benefit can be
-/// achieved by increasing the value of k").
+/// achieved by increasing the value of k"). The improvement from `k` to
+/// `k + 1` is `(I_k - I_{k+1}) / I_{k_min}`; the fixed denominator keeps
+/// the rule stable once inertia approaches zero, and a zero `I_{k_min}`
+/// makes every improvement zero. The sweep stops at the first flat step,
+/// so it fits no `k` beyond `chosen_k + 1`; with no flat step it chooses
+/// `k_max`, capped at the dataset size.
 ///
 /// # Errors
 ///
@@ -50,6 +48,8 @@ fn relative_gains(inertias: &[f64]) -> Vec<f64> {
 /// let data = Dataset::from_rows(rows)?;
 /// let report = elbow_k(&data, 1, 6, 0.2, 0)?;
 /// assert_eq!(report.chosen_k, 3);
+/// // k = 4 showed the step from 3 flat; k = 5 and 6 were never fitted.
+/// assert_eq!(report.inertias.len(), 4);
 /// # Ok::<(), harmony_kmeans::KMeansError>(())
 /// ```
 pub fn elbow_k(
@@ -64,30 +64,131 @@ pub fn elbow_k(
     }
     let k_max = k_max.min(data.len());
     if k_min > k_max {
-        // Fewer points than k_min: no candidate k is feasible. Without
-        // this guard the candidate loop below runs zero times and the
-        // chosen_k lookup panics on an empty list.
+        // Fewer points than k_min: no candidate k is feasible.
         return Err(KMeansError::TooFewPoints { k: k_min, points: data.len() });
     }
-    let mut models = (k_min..=k_max)
-        .map(|k| KMeans::new(k).seed(seed).fit(data))
-        .collect::<Result<Vec<_>, _>>()?;
-    let ks: Vec<usize> = (k_min..=k_max).collect();
-    let inertias: Vec<f64> = models.iter().map(KMeansModel::inertia).collect();
-    // Choose the first k whose improvement over the *next* k is below the
-    // threshold; default to k_max when every step is still a significant
-    // gain.
-    let chosen =
-        relative_gains(&inertias).iter().position(|&gain| gain < min_gain).unwrap_or(ks.len() - 1);
-    // `models` holds one fit per k in k_min..=k_max (non-empty after the
-    // guard above), so `chosen` indexes it.
-    let model = models.swap_remove(chosen);
-    Ok(ElbowReport { chosen_k: ks[chosen], ks, inertias, model })
+    let fit = |k: usize| KMeans::new(k).seed(seed).fit(data);
+    let mut model = fit(k_min)?;
+    let base = model.inertia();
+    let mut inertias = vec![base];
+    for k in k_min + 1..=k_max {
+        let next = fit(k)?;
+        let gain = if base > 0.0 { (model.inertia() - next.inertia()) / base } else { 0.0 };
+        inertias.push(next.inertia());
+        if gain < min_gain {
+            return Ok(ElbowReport { inertias, chosen_k: k - 1, model });
+        }
+        model = next;
+    }
+    Ok(ElbowReport { inertias, chosen_k: k_max, model })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The oracle: the exhaustive sweep, every `k` in `k_min..=k_max`
+    /// fitted before the first flat step is looked for. Returns the
+    /// chosen `k`, its fit and every inertia.
+    fn full_sweep(
+        data: &Dataset,
+        k_min: usize,
+        k_max: usize,
+        min_gain: f64,
+        seed: u64,
+    ) -> Result<(usize, KMeansModel, Vec<f64>), KMeansError> {
+        if k_min == 0 || k_min > k_max {
+            return Err(KMeansError::ZeroK);
+        }
+        let k_max = k_max.min(data.len());
+        if k_min > k_max {
+            return Err(KMeansError::TooFewPoints { k: k_min, points: data.len() });
+        }
+        let mut models = (k_min..=k_max)
+            .map(|k| KMeans::new(k).seed(seed).fit(data))
+            .collect::<Result<Vec<_>, _>>()?;
+        let inertias: Vec<f64> = models.iter().map(KMeansModel::inertia).collect();
+        let base = inertias[0];
+        let chosen = inertias
+            .windows(2)
+            .map(|w| if base > 0.0 { (w[0] - w[1]) / base } else { 0.0 })
+            .position(|gain| gain < min_gain)
+            .unwrap_or(models.len() - 1);
+        Ok((k_min + chosen, models.swap_remove(chosen), inertias))
+    }
+
+    type Bits = (Vec<Vec<u64>>, Vec<usize>, u64);
+
+    fn bits(m: &KMeansModel) -> Bits {
+        let centroids =
+            m.centroids().iter().map(|c| c.iter().map(|v| v.to_bits()).collect()).collect();
+        (centroids, m.assignments().to_vec(), m.inertia().to_bits())
+    }
+
+    /// `(rows, k_min, k_max)`: 1-D or 2-D rows that are continuous, on a
+    /// half-unit lattice (duplicates and ties), or all one point (zero
+    /// inertia at every `k`); `k_max` runs up to four past the row count.
+    fn sweep_instance() -> impl Strategy<Value = (Vec<Vec<f64>>, usize, usize)> {
+        (1usize..=2, 1usize..30, 0u8..3)
+            .prop_flat_map(|(dim, n, kind)| {
+                let value =
+                    (-4.0f64..4.0)
+                        .prop_map(move |v| if kind == 1 { (v * 2.0).round() / 2.0 } else { v });
+                (
+                    prop::collection::vec(prop::collection::vec(value, dim), n),
+                    Just(kind),
+                    1usize..=3,
+                    0usize..=n + 3,
+                )
+            })
+            .prop_map(|(mut rows, kind, k_min, extra)| {
+                if kind == 2 {
+                    let first = rows[0].clone();
+                    rows.fill(first);
+                }
+                (rows, k_min, k_min + extra)
+            })
+    }
+
+    /// Thresholds at or below zero (never flat unless the gain is
+    /// negative), exactly zero, inside the range real gains take, and at
+    /// or above one (flat at the first step).
+    fn min_gain() -> impl Strategy<Value = f64> {
+        (0u8..4, 0.0f64..1.0).prop_map(|(mode, u)| match mode {
+            0 => -u,
+            1 => 0.0,
+            2 => 0.3 * u,
+            _ => 1.0 + u,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn early_stop_matches_full_sweep(
+            (rows, k_min, k_max) in sweep_instance(),
+            min_gain in min_gain(),
+            seed in 0u64..1000,
+        ) {
+            let data = Dataset::from_rows(rows).unwrap();
+            let oracle = full_sweep(&data, k_min, k_max, min_gain, seed);
+            match (elbow_k(&data, k_min, k_max, min_gain, seed), oracle) {
+                (Ok(report), Ok((chosen_k, model, inertias))) => {
+                    prop_assert_eq!(report.chosen_k, chosen_k);
+                    prop_assert_eq!(bits(&report.model), bits(&model));
+                    // Fitted through the first flat step, or to the cap.
+                    let fitted = (chosen_k + 2 - k_min).min(inertias.len());
+                    let got: Vec<u64> = report.inertias.iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u64> = inertias[..fitted].iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(got, want);
+                }
+                (Err(got), Err(want)) => prop_assert_eq!(got, want),
+                (got, want) => prop_assert!(false, "elbow_k {got:?} but full sweep {want:?}"),
+            }
+        }
+    }
 
     fn three_blobs() -> Dataset {
         let mut rows = Vec::new();
@@ -104,7 +205,8 @@ mod tests {
         let data = three_blobs();
         let report = elbow_k(&data, 1, 8, 0.2, 42).unwrap();
         assert_eq!(report.chosen_k, 3, "inertias: {:?}", report.inertias);
-        assert_eq!(report.ks.len(), report.inertias.len());
+        // k = 4 showed the flat step; nothing beyond it was fitted.
+        assert_eq!(report.inertias.len(), 4);
     }
 
     #[test]
@@ -139,9 +241,11 @@ mod tests {
 
     #[test]
     fn elbow_caps_k_at_dataset_size() {
+        // A threshold that never trips runs the sweep to its cap.
         let data = Dataset::from_rows(vec![vec![0.0], vec![1.0], vec![2.0]]).unwrap();
-        let report = elbow_k(&data, 1, 10, 2.0, 0).unwrap();
-        assert_eq!(*report.ks.last().unwrap(), 3);
+        let report = elbow_k(&data, 1, 10, -1.0, 0).unwrap();
+        assert_eq!(report.inertias.len(), 3);
+        assert_eq!(report.chosen_k, 3);
     }
 
     #[test]
