@@ -7,8 +7,8 @@ use crate::{Dataset, KMeans, KMeansError, KMeansModel};
 pub struct ElbowReport {
     /// Inertia of the best restart at each `k` the sweep fitted, from
     /// `k_min` up: `inertias[i]` belongs to `k_min + i`. The sweep stops
-    /// at the first flat step, so the last entry is `chosen_k + 1`'s
-    /// unless the sweep reached `k_max`.
+    /// at the first flat step, so the last entry is `chosen_k + 1`'s, or
+    /// `k_max`'s when no step was flat.
     pub inertias: Vec<f64>,
     /// The selected `k`.
     pub chosen_k: usize,
@@ -63,11 +63,8 @@ pub fn elbow_k(
         return Err(KMeansError::ZeroK);
     }
     let k_max = k_max.min(data.len());
-    if k_min > k_max {
-        // Fewer points than k_min: no candidate k is feasible.
-        return Err(KMeansError::TooFewPoints { k: k_min, points: data.len() });
-    }
     let fit = |k: usize| KMeans::new(k).seed(seed).fit(data);
+    // Fewer rows than k_min: this fit returns `TooFewPoints`.
     let mut model = fit(k_min)?;
     let base = model.inertia();
     let mut inertias = vec![base];
